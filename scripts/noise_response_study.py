@@ -39,7 +39,7 @@ def main() -> None:
         for eps in args.eps:
             model = uniform_noise(k, eps)
             _, ab = run_ep_analysis(space, model, EXPECTATION, metrics)
-            sweep_scores, _ = run_sweep(space, model, EXPECTATION, metrics, args.step, starts=0)
+            sweep_scores = run_sweep(space, model, EXPECTATION, metrics, args.step, starts=0)
             for m in metrics:
                 mean_ab = ab.filter(m).scores().mean()
                 lines.append(f"{k},{eps:g},{m},{mean_ab:.10g},"

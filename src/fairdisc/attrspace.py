@@ -68,15 +68,6 @@ class AttributeSpace:
         v[index] = 1.0
         return v
 
-    def index_of(self, one_hot: np.ndarray) -> int:
-        v = np.asarray(one_hot, dtype=float)
-        if v.shape != (self.k,):
-            raise ValidationError(f"one-hot vector has shape {v.shape}, expected ({self.k},)")
-        hits = np.flatnonzero(v == 1.0)
-        if len(hits) != 1 or v.sum() != 1.0:
-            raise ValidationError("not a one-hot vector")
-        return int(hits[0])
-
     def to_dict(self) -> dict:
         return {"attributes": [{"name": n, "values": list(vs)} for n, vs in self.attributes]}
 
@@ -103,7 +94,7 @@ class CategoricalDistribution:
             raise ValidationError("distribution entries must be non-negative")
         total = arr.sum()
         if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"distribution entries sum to {total!r}, expected 1")
+            raise ValidationError(f"distribution entries sum to {float(total)}, expected 1")
         if abs(total - 1.0) > _DRIFT_TOL:
             arr = arr / total
         arr.setflags(write=False)
@@ -112,9 +103,6 @@ class CategoricalDistribution:
     @property
     def k(self) -> int:
         return self.space.k
-
-    def approx_equals(self, other: "CategoricalDistribution", tol: float = 1e-9) -> bool:
-        return self.space == other.space and bool(np.all(np.abs(self.p - other.p) <= tol))
 
     def to_dict(self) -> dict:
         return {"space": self.space.to_dict(), "p": [float(x) for x in self.p]}
@@ -128,19 +116,6 @@ def uniform(space: AttributeSpace) -> CategoricalDistribution:
 def ab_extreme_points(space: AttributeSpace) -> list[CategoricalDistribution]:
     """The k absolutely-biased extreme points (all mass on one outcome)."""
     return [CategoricalDistribution(space, space.one_hot(i)) for i in range(space.k)]
-
-
-def from_counts(space: AttributeSpace, counts) -> CategoricalDistribution:
-    """Empirical distribution from non-negative counts."""
-    arr = np.asarray(counts, dtype=float)
-    if arr.shape != (space.k,):
-        raise ValidationError(f"counts have shape {arr.shape}, expected ({space.k},)")
-    if (arr < 0).any() or not np.isfinite(arr).all():
-        raise ValidationError("counts must be finite and non-negative")
-    total = arr.sum()
-    if total <= 0:
-        raise ValidationError("counts must not be all zero")
-    return CategoricalDistribution(space, arr / total)
 
 
 def sweep(space: AttributeSpace, step: float) -> list[CategoricalDistribution]:

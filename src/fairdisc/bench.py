@@ -23,7 +23,6 @@ from .attrspace import sweep as sweep_path
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate
 from .errors import ValidationError
 from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score
-from .transport import CostMatrix
 
 SCORE_TOL = 1e-9
 TIE_TOL = 1e-12
@@ -72,11 +71,8 @@ class ScoreSet:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def filter(self, metric: Metric | None = None, k: int | None = None) -> "ScoreSet":
-        kept = tuple(e for e in self.entries
-                     if (metric is None or e.metric is metric)
-                     and (k is None or e.k == k))
-        return ScoreSet(self.kind, kept)
+    def filter(self, metric: Metric) -> "ScoreSet":
+        return ScoreSet(self.kind, tuple(e for e in self.entries if e.metric is metric))
 
     def scores(self) -> np.ndarray:
         return np.array([e.f for e in self.entries], dtype=float)
@@ -123,9 +119,7 @@ def _cell_mode(mode: EstimationMode, k: int, kind_tag: int, cell: int, trial: in
 
 
 def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode,
-                    metrics: Sequence[Metric], trials: int = 1,
-                    alpha: float = DEFAULT_ALPHA, cost: CostMatrix | None = None
-                    ) -> tuple[ScoreSet, ScoreSet]:
+                    metrics: Sequence[Metric], trials: int = 1) -> tuple[ScoreSet, ScoreSet]:
     """Score the fair EP and all k AB EPs through the classifier.
 
     Expectation mode evaluates each point once. Sampled mode repeats
@@ -144,25 +138,12 @@ def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: Estimati
     for t in trial_ids:
         est = estimate(model, p_fair, _cell_mode(mode, k, _KIND_FAIR, 0, t or 0))
         for m in metrics:
-            fair_entries.append(ScoreEntry(k, m, fd_score(m, est, alpha, cost).normalized, trial=t))
+            fair_entries.append(ScoreEntry(k, m, fd_score(m, est).normalized, trial=t))
         for i, point in enumerate(ab_extreme_points(space)):
             est = estimate(model, point, _cell_mode(mode, k, _KIND_AB, i, t or 0))
             for m in metrics:
-                ab_entries.append(ScoreEntry(k, m, fd_score(m, est, alpha, cost).normalized,
-                                             outcome=i, trial=t))
+                ab_entries.append(ScoreEntry(k, m, fd_score(m, est).normalized, outcome=i, trial=t))
     return ScoreSet(ScoreKind.FAIR_EP, tuple(fair_entries)), ScoreSet(ScoreKind.AB_EP, tuple(ab_entries))
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep epoch: the true and estimated distributions plus all scores."""
-
-    start: int
-    epoch: int
-    p_true: CategoricalDistribution
-    p_est: CategoricalDistribution
-    f: Mapping[Metric, float]
-    f_star: Mapping[Metric, float]
 
 
 def _swap_outcomes(dist: CategoricalDistribution, i: int, j: int) -> CategoricalDistribution:
@@ -176,44 +157,34 @@ def _swap_outcomes(dist: CategoricalDistribution, i: int, j: int) -> Categorical
 def _resolve_starts(k: int, starts) -> list[int]:
     if starts == "all":
         return list(range(k))
-    if isinstance(starts, (int, np.integer)):
-        starts = [int(starts)]
-    out = [int(s) for s in starts]
-    for s in out:
-        if not 0 <= s < k:
-            raise ValidationError(f"sweep start {s} out of range for k={k}")
-    return out
+    if not 0 <= starts < k:
+        raise ValidationError(f"sweep start {starts} out of range for k={k}")
+    return [starts]
 
 
 def run_sweep(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode,
-              metrics: Sequence[Metric], step: float, starts="all",
-              alpha: float = DEFAULT_ALPHA, cost: CostMatrix | None = None
-              ) -> tuple[ScoreSet, list[SweepPoint]]:
+              metrics: Sequence[Metric], step: float, starts="all") -> ScoreSet:
     """Score the AB-to-fair sweep through the classifier.
 
-    `starts` selects the anchoring AB EP(s): "all", one index, or a list.
+    `starts` selects the anchoring AB EP: "all" or one outcome index.
     The canonical path drains outcome 0; other starts relabel it by an
     outcome swap, which leaves f* unchanged (all metrics are
-    permutation-invariant under the default cost) but exposes per-class
-    accuracy differences in f. The trace carries the distributions and
-    scores per epoch, ordered by (start, epoch).
+    permutation-invariant) but exposes per-class accuracy differences in
+    f. Entries are ordered by (start, epoch, metric).
     """
     metrics = tuple(metrics)
     k = space.k
     path = sweep_path(space, step)
     entries: list[ScoreEntry] = []
-    trace: list[SweepPoint] = []
     for start in _resolve_starts(k, starts):
         for epoch, base in enumerate(path):
             p_true = _swap_outcomes(base, 0, start)
             est = estimate(model, p_true, _cell_mode(mode, k, _KIND_SWEEP, start, epoch))
-            f = {m: fd_score(m, est, alpha, cost).normalized for m in metrics}
-            f_star = {m: fd_score(m, p_true, alpha, cost).normalized for m in metrics}
             for m in metrics:
-                entries.append(ScoreEntry(k, m, f[m], f_star=f_star[m], epoch=epoch, start=start))
-            trace.append(SweepPoint(start=start, epoch=epoch, p_true=p_true, p_est=est,
-                                    f=f, f_star=f_star))
-    return ScoreSet(ScoreKind.SWEEP, tuple(entries)), trace
+                entries.append(ScoreEntry(k, m, fd_score(m, est).normalized,
+                                          f_star=fd_score(m, p_true).normalized,
+                                          epoch=epoch, start=start))
+    return ScoreSet(ScoreKind.SWEEP, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +200,6 @@ class BenchConfig:
     mode: EstimationMode = EXPECTATION
     trials: int = 30
     step: float = 0.01
-    sweep_starts: object = "all"
-    alpha: float = DEFAULT_ALPHA
-    cost: CostMatrix | None = None
     classifier_label: str = ""
 
     def __post_init__(self):
@@ -289,12 +257,21 @@ def _pool(sets: Iterable[ScoreSet], kind: ScoreKind) -> ScoreSet:
     return ScoreSet(kind, tuple(entries))
 
 
+def _ep_rows(k_set: tuple[int, ...], fair: ScoreSet, ab: ScoreSet,
+             metrics: tuple[Metric, ...]) -> list[ReportRow]:
+    """The MEPE and EP-variance rows of one k set, fair before AB."""
+    stats = (("mepe", "fair", mepe_fair, fair), ("mepe", "ab", mepe_ab, ab),
+             ("ep-var", "fair", ep_var, fair), ("ep-var", "ab", ep_var, ab))
+    return [_make_row(benchmark, kind, k_set, {m: stat(s.filter(m)) for m in metrics})
+            for benchmark, kind, stat, s in stats]
+
+
 def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
     """Run EP analysis and sweeps for every configured k and assemble the report.
 
     MEPE and EP-variance are pooled across the whole k set (and broken out
-    per k); sweep MEM is reported per k, averaged over the configured
-    starting points.
+    per k); sweep MEM is reported per k, averaged over all k starting
+    points.
     """
     metrics = tuple(m for m in REPORT_ORDER if m in set(cfg.metrics))
     ks = sorted(cfg.models)
@@ -304,38 +281,20 @@ def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
     for k in ks:
         space = AttributeSpace.of_size(k)
         model = cfg.models[k]
-        fair_sets[k], ab_sets[k] = run_ep_analysis(
-            space, model, cfg.mode, metrics, cfg.trials, cfg.alpha, cfg.cost)
-        sweep_sets[k], _ = run_sweep(
-            space, model, cfg.mode, metrics, cfg.step, cfg.sweep_starts, cfg.alpha, cfg.cost)
+        fair_sets[k], ab_sets[k] = run_ep_analysis(space, model, cfg.mode, metrics, cfg.trials)
+        sweep_sets[k] = run_sweep(space, model, cfg.mode, metrics, cfg.step)
 
     k_all = tuple(ks)
     fair_pool = _pool(fair_sets.values(), ScoreKind.FAIR_EP)
     ab_pool = _pool(ab_sets.values(), ScoreKind.AB_EP)
 
-    rows = [
-        _make_row("mepe", "fair", k_all,
-                  {m: mepe_fair(fair_pool.filter(m)) for m in metrics}),
-        _make_row("mepe", "ab", k_all,
-                  {m: mepe_ab(ab_pool.filter(m)) for m in metrics}),
-        _make_row("ep-var", "fair", k_all,
-                  {m: ep_var(fair_pool.filter(m)) for m in metrics}),
-        _make_row("ep-var", "ab", k_all,
-                  {m: ep_var(ab_pool.filter(m)) for m in metrics}),
-    ]
+    rows = _ep_rows(k_all, fair_pool, ab_pool, metrics)
     for k in ks:
         rows.append(_make_row("mem", "sweep", (k,),
                               {m: mem(sweep_sets[k].filter(m)) for m in metrics}))
     if len(ks) > 1:
         for k in ks:
-            rows.append(_make_row("mepe", "fair", (k,),
-                                  {m: mepe_fair(fair_sets[k].filter(m)) for m in metrics}))
-            rows.append(_make_row("mepe", "ab", (k,),
-                                  {m: mepe_ab(ab_sets[k].filter(m)) for m in metrics}))
-            rows.append(_make_row("ep-var", "fair", (k,),
-                                  {m: ep_var(fair_sets[k].filter(m)) for m in metrics}))
-            rows.append(_make_row("ep-var", "ab", (k,),
-                                  {m: ep_var(ab_sets[k].filter(m)) for m in metrics}))
+            rows += _ep_rows((k,), fair_sets[k], ab_sets[k], metrics)
 
     per_metric = max(1, len(metrics))
     meta = {
@@ -343,8 +302,8 @@ def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
         "classifier": cfg.classifier_label or "custom",
         "mode": "expectation" if isinstance(cfg.mode, Expectation) else "sampled",
         "step": repr(cfg.step),
-        "sweep_starts": str(cfg.sweep_starts),
-        "alpha": repr(cfg.alpha),
+        "sweep_starts": "all",
+        "alpha": repr(DEFAULT_ALPHA),
         "n_fair_pool": str(len(fair_pool) // per_metric),
         "n_ab_pool": str(len(ab_pool) // per_metric),
     }

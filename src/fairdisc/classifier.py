@@ -20,6 +20,7 @@ from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-9
 PROBS_SUM_TOL = 1e-6
+_JSON_NUMBERS = frozenset((int, float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +143,9 @@ class PredictionRecord:
             arr = np.array(self.probs, dtype=float)
             if arr.ndim != 1 or not np.isfinite(arr).all() or (arr < 0).any():
                 raise ValidationError(f"record {self.id!r}: probs must be a non-negative vector")
-            if abs(arr.sum() - 1.0) > PROBS_SUM_TOL:
-                raise ValidationError(f"record {self.id!r}: probs sum to {arr.sum()!r}, expected 1")
+            total = float(arr.sum())
+            if abs(total - 1.0) > PROBS_SUM_TOL:
+                raise ValidationError(f"record {self.id!r}: probs sum to {total}, expected 1")
             arr.setflags(write=False)
             object.__setattr__(self, "probs", arr)
 
@@ -196,7 +198,9 @@ def ingest_predictions(space: AttributeSpace, records: Iterable[PredictionRecord
         raise ValidationError("prediction stream is empty")
 
     if n_soft:
-        estimated = CategoricalDistribution(space, soft_sum / n_soft)
+        # Each record may be off by PROBS_SUM_TOL, so renormalize the sum
+        # itself rather than divide by the record count.
+        estimated = CategoricalDistribution(space, soft_sum / soft_sum.sum())
     else:
         estimated = CategoricalDistribution(space, hard_counts / n_hard)
 
@@ -217,16 +221,22 @@ def parse_prediction_line(line: str, lineno: int) -> PredictionRecord:
         raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "id" not in obj:
         raise ValidationError(f'line {lineno}: record must be an object with an "id"')
+    probs, pred = obj.get("probs"), obj.get("pred")
     truth = obj.get("true", obj.get("truth"))
+    # JSON decodes numbers to exactly int or float; bool is its own type.
+    if probs is not None and not (isinstance(probs, list) and _JSON_NUMBERS.issuperset(map(type, probs))):
+        raise ValidationError(f"line {lineno}: probs must be a list of numbers")
+    _check_label("pred", pred, lineno)
+    _check_label("true", truth, lineno)
     try:
-        return PredictionRecord(
-            id=str(obj["id"]),
-            probs=obj.get("probs"),
-            pred=obj.get("pred"),
-            truth=None if truth is None else int(truth),
-        )
+        return PredictionRecord(id=str(obj["id"]), probs=probs, pred=pred, truth=truth)
     except ValidationError as exc:
         raise ValidationError(f"line {lineno}: {exc}") from exc
+
+
+def _check_label(name: str, value, lineno: int) -> None:
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ValidationError(f"line {lineno}: {name} must be an integer label, got {value!r}")
 
 
 def load_predictions(path) -> list[PredictionRecord]:

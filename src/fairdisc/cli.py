@@ -25,6 +25,29 @@ DEFAULT_KS = (2, 4, 8, 16)
 DEFAULT_STEP = 0.01
 DEFAULT_TRIALS = 30
 DEFAULT_PRECISION = 6
+# A float64 carries at most 17 significant decimal digits.
+MAX_PRECISION = 17
+
+
+def _number(name: str, value, kind: type):
+    """Convert a flag or config value to int or float, or raise ValidationError."""
+    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+
+def _as_list(value) -> list | tuple:
+    return value if isinstance(value, (list, tuple)) else [value]
+
+
+def _string(name: str, value):
+    if value is not None and not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 @dataclass
@@ -80,21 +103,26 @@ class RunConfig:
 
     def _normalize(self):
         if self.ks is not None:
-            if isinstance(self.ks, int):
-                self.ks = (self.ks,)
-            self.ks = tuple(int(k) for k in self.ks)
+            self.ks = tuple(_number("k", k, int) for k in _as_list(self.ks))
             if not self.ks:
                 raise ValidationError("k set must not be empty")
-        if isinstance(self.metrics, str):
-            self.metrics = parse_metrics(self.metrics)
-        elif not self.metrics:
-            self.metrics = parse_metrics("all")
-        else:
-            self.metrics = tuple(m if isinstance(m, Metric) else Metric(m) for m in self.metrics)
-        if isinstance(self.accs, str):
-            self.accs = tuple(float(a) for a in self.accs.split(","))
-        elif self.accs is not None:
-            self.accs = tuple(float(a) for a in self.accs)
+        metrics = _as_list(self.metrics)
+        self.metrics = parse_metrics(",".join(_string("metrics", m) for m in metrics) if metrics else "all")
+        if self.accs is not None:
+            accs = self.accs.split(",") if isinstance(self.accs, str) else _as_list(self.accs)
+            self.accs = tuple(_number("accs", a, float) for a in accs)
+        for name, kind in (("eps", float), ("step", float), ("n", int), ("seed", int),
+                           ("trials", int), ("start", int), ("precision", int)):
+            value = getattr(self, name)
+            # eps and n may stay unset; every other field has a default to keep.
+            if value is not None or name not in ("eps", "n"):
+                setattr(self, name, _number(name, value, kind))
+        for name in ("classifier", "out", "markdown"):
+            _string(name, getattr(self, name))
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.precision <= MAX_PRECISION:
+            raise ValidationError(f"precision must be in [0, {MAX_PRECISION}], got {self.precision}")
         if self.mode not in ("expectation", "sampled"):
             raise ValidationError(f'mode must be "expectation" or "sampled", got {self.mode!r}')
         if self.mode == "sampled" and self.n is None:
@@ -107,7 +135,7 @@ class RunConfig:
     def estimation_mode(self) -> EstimationMode:
         if self.mode == "expectation":
             return EXPECTATION
-        return Sampled(int(self.n), int(self.seed))
+        return Sampled(self.n, self.seed)
 
     def classifier_label(self) -> str:
         if self.eps is not None:
@@ -118,7 +146,7 @@ class RunConfig:
 
     def model_for_k(self, k: int) -> ConfusionModel:
         if self.eps is not None:
-            return clf.uniform_noise(k, float(self.eps))
+            return clf.uniform_noise(k, self.eps)
         if self.accs is not None:
             if len(self.accs) != k:
                 raise ValidationError(f"--accs has {len(self.accs)} entries, k={k}")
@@ -196,8 +224,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("sweep runs one k at a time")
     k = ks[0]
     space = AttributeSpace.of_size(k)
-    scores, _ = run_sweep(space, cfg.model_for_k(k), cfg.estimation_mode(),
-                          cfg.metrics, cfg.step, starts=cfg.start)
+    scores = run_sweep(space, cfg.model_for_k(k), cfg.estimation_mode(),
+                       cfg.metrics, cfg.step, starts=cfg.start)
     fmt = lambda v: format_float(v, cfg.precision)
     rows = [f"{e.epoch},{e.metric},{fmt(e.f)},{fmt(e.f_star)},{fmt(abs(e.f - e.f_star))}"
             for e in scores.entries]
@@ -210,8 +238,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ks = cfg.ks or DEFAULT_KS
     models = {k: cfg.model_for_k(k) for k in ks}
     bench_cfg = BenchConfig(models=models, metrics=cfg.metrics, mode=cfg.estimation_mode(),
-                            trials=cfg.trials, step=cfg.step, sweep_starts="all",
-                            classifier_label=cfg.classifier_label())
+                            trials=cfg.trials, step=cfg.step, classifier_label=cfg.classifier_label())
     report = run_benchmark(bench_cfg)
     _write_out(report_to_csv(report, cfg.precision), cfg.out)
     if cfg.markdown:

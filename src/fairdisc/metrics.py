@@ -70,13 +70,10 @@ def l2(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
     return float(np.sqrt(((p.p - q.p) ** 2).sum()) / p.k)
 
 
-def wd(p: CategoricalDistribution, q: CategoricalDistribution,
-       cost: transport.CostMatrix | None = None) -> float:
-    """Optimal transport cost from p to q (default cost unless given)."""
+def wd(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
+    """Optimal transport cost from p to q under the ground cost (2/k)(J - I)."""
     _check_same_space(p, q)
-    if cost is None:
-        cost = transport.default_cost(p.k)
-    return transport.solve(p, q, cost).value
+    return transport.solve(p, q, transport.default_cost(p.k)).value
 
 
 @lru_cache(maxsize=None)
@@ -115,19 +112,17 @@ def info_specificity(p: CategoricalDistribution, q: CategoricalDistribution,
     return alpha * l1(p, q) + (1.0 - alpha) * delta_specificity(p, q)
 
 
-def metric_value(metric: Metric, p: CategoricalDistribution, q: CategoricalDistribution,
-                 alpha: float = DEFAULT_ALPHA,
-                 cost: transport.CostMatrix | None = None) -> float:
+def metric_value(metric: Metric, p: CategoricalDistribution, q: CategoricalDistribution) -> float:
     if metric is Metric.L1:
         return l1(p, q)
     if metric is Metric.L2:
         return l2(p, q)
     if metric is Metric.WD:
-        return wd(p, q, cost)
+        return wd(p, q)
     if metric is Metric.SPECIFICITY:
         return delta_specificity(p, q)
     if metric is Metric.INFO_SPECIFICITY:
-        return info_specificity(p, q, alpha)
+        return info_specificity(p, q)
     raise ValidationError(f"unknown metric {metric!r}")
 
 
@@ -148,36 +143,22 @@ class FairnessScore:
             raise ValidationError("normalized value inconsistent with raw / n_factor")
 
 
-def n_factor(metric: Metric, k: int, alpha: float = DEFAULT_ALPHA,
-             cost: transport.CostMatrix | None = None) -> float:
+@lru_cache(maxsize=None)
+def n_factor(metric: Metric, k: int) -> float:
     """Normalization factor: the metric's value at an extreme point against uniform.
 
     Computed, not tabulated. By permutation symmetry every extreme point
-    gives the same value (for a custom transport cost that symmetry is the
-    caller's responsibility; the first extreme point is used).
+    gives the same value, so the first one is used.
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
-    if cost is None:
-        return _n_factor_default(metric, k, alpha)
     space = AttributeSpace.of_size(k)
     ab = CategoricalDistribution(space, space.one_hot(0))
-    return metric_value(metric, ab, uniform(space), alpha=alpha, cost=cost)
+    return metric_value(metric, ab, uniform(space))
 
 
-@lru_cache(maxsize=None)
-def _n_factor_default(metric: Metric, k: int, alpha: float) -> float:
-    space = AttributeSpace.of_size(k)
-    ab = CategoricalDistribution(space, space.one_hot(0))
-    return metric_value(metric, ab, uniform(space), alpha=alpha)
-
-
-def fd_score(metric: Metric, p_est: CategoricalDistribution,
-             alpha: float = DEFAULT_ALPHA,
-             cost: transport.CostMatrix | None = None) -> FairnessScore:
+def fd_score(metric: Metric, p_est: CategoricalDistribution) -> FairnessScore:
     """Fairness discrepancy of the estimated distribution against the uniform reference."""
     ref = uniform(p_est.space)
-    raw = metric_value(metric, ref, p_est, alpha=alpha, cost=cost)
-    factor = n_factor(metric, p_est.k, alpha=alpha, cost=cost)
+    raw = metric_value(metric, ref, p_est)
+    factor = n_factor(metric, p_est.k)
     return FairnessScore(metric=metric, k=p_est.k, raw=raw, n_factor=factor,
                          normalized=raw / factor)

@@ -5,7 +5,6 @@ Small problems only (k <= 64); solved as a linear program with HiGHS.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +14,8 @@ from .attrspace import CategoricalDistribution
 from .errors import ValidationError
 
 MARGINAL_TOL = 1e-9
+# The LP has k^2 variables and a dense 2k x k^2 constraint matrix.
+MAX_K = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +52,7 @@ def default_cost(k: int) -> CostMatrix:
     difference metric for every pair of distributions, and puts the maximum
     (extreme point vs uniform) at 2(k-1)/k^2.
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    _check_k(k)
     return CostMatrix(k, (2.0 / k) * (1.0 - np.eye(k)))
 
 
@@ -66,6 +66,7 @@ def solve(p: CategoricalDistribution, q: CategoricalDistribution, cost: CostMatr
     if p.space != q.space:
         raise ValidationError("p and q live on different attribute spaces")
     k = p.k
+    _check_k(k)
     if cost.k != k:
         raise ValidationError(f"cost matrix is {cost.k}x{cost.k}, distributions have k={k}")
 
@@ -92,27 +93,14 @@ def solve(p: CategoricalDistribution, q: CategoricalDistribution, cost: CostMatr
     return TransportPlan(w=w, value=value)
 
 
+def _check_k(k: int) -> None:
+    if not 2 <= k <= MAX_K:
+        raise ValidationError(f"transport needs 2 <= k <= {MAX_K}, got k={k}")
+
+
 def _check_marginals(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     if np.max(np.abs(w.sum(axis=1) - p)) > MARGINAL_TOL:
         raise ValidationError("transport plan violates row marginals")
     if np.max(np.abs(w.sum(axis=0) - q)) > MARGINAL_TOL:
         raise ValidationError("transport plan violates column marginals")
 
-
-def load_cost_matrix(spec, k: int) -> CostMatrix:
-    """Resolve a cost spec: the keyword "default" or a JSON file path.
-
-    File schema: {"k": 4, "c": [[...], ...]}.
-    """
-    if spec == "default" or spec is None:
-        return default_cost(k)
-    with open(spec, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{spec}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "k" not in obj or "c" not in obj:
-        raise ValidationError(f'{spec}: cost JSON must contain "k" and "c"')
-    if obj["k"] != k:
-        raise ValidationError(f"{spec}: cost matrix is for k={obj['k']}, expected k={k}")
-    return CostMatrix(k, np.asarray(obj["c"], dtype=float))

@@ -132,7 +132,7 @@ def test_criterion_6_perfect_classifier_suite(acceptance):
         space = AttributeSpace.of_size(k)
         model = perfect(k)
         fair, ab = run_ep_analysis(space, model, EXPECTATION, REPORT_ORDER)
-        sweep_scores, _ = run_sweep(space, model, EXPECTATION, REPORT_ORDER, 0.01, starts=0)
+        sweep_scores = run_sweep(space, model, EXPECTATION, REPORT_ORDER, 0.01, starts=0)
         ok &= all(abs(e.f) <= 1e-12 for e in fair.entries)
         ok &= all(abs(e.f - 1.0) <= 1e-12 for e in ab.entries)
         for m in REPORT_ORDER:

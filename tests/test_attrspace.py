@@ -11,7 +11,6 @@ from fairdisc import (
     CategoricalDistribution,
     ValidationError,
     ab_extreme_points,
-    from_counts,
     load_distribution,
     load_space,
     sweep,
@@ -36,7 +35,8 @@ class TestAttributeSpace:
     def test_one_hot_roundtrip(self):
         s = AttributeSpace.of_size(8)
         for i in range(8):
-            assert s.index_of(s.one_hot(i)) == i
+            assert np.flatnonzero(s.one_hot(i)).tolist() == [i]
+            assert s.one_hot(i).sum() == 1.0
 
     def test_rejects_k_below_2(self):
         with pytest.raises(ValidationError):
@@ -48,11 +48,6 @@ class TestAttributeSpace:
         with pytest.raises(ValidationError):
             AttributeSpace((("a", ("x", "x")),))
 
-    def test_index_of_rejects_non_one_hot(self):
-        s = AttributeSpace.of_size(3)
-        with pytest.raises(ValidationError):
-            s.index_of(np.array([0.5, 0.5, 0.0]))
-
 
 class TestCategoricalDistribution:
     def test_rejects_negative(self):
@@ -60,7 +55,7 @@ class TestCategoricalDistribution:
             dist(2, [1.2, -0.2])
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"sum to 1\.2, expected 1"):
             dist(2, [0.6, 0.6])
 
     def test_rejects_nan(self):
@@ -92,14 +87,6 @@ class TestCategoricalDistribution:
         for i, pt in enumerate(pts):
             assert pt.p[i] == 1.0 and pt.p.sum() == 1.0
 
-    def test_from_counts(self):
-        d = from_counts(AttributeSpace.of_size(2), [3, 1])
-        assert d.p.tolist() == [0.75, 0.25]
-
-    def test_from_counts_all_zero(self):
-        with pytest.raises(ValidationError):
-            from_counts(AttributeSpace.of_size(2), [0, 0])
-
 
 class TestSweep:
     @pytest.mark.parametrize("k,step,expected", [
@@ -122,7 +109,7 @@ class TestSweep:
     def test_endpoints(self, space):
         path = sweep(space, 0.03)
         assert path[0].p[0] == 1.0
-        assert path[-1].approx_equals(uniform(space), tol=0.0)
+        assert np.array_equal(path[-1].p, uniform(space).p)
 
     def test_drained_mass_non_increasing(self, space):
         path = sweep(space, 0.02)
@@ -161,7 +148,8 @@ class TestFileFormats:
         d = dist(4, [0.4, 0.3, 0.2, 0.1])
         path = tmp_path / "dist.json"
         path.write_text(json.dumps(d.to_dict()))
-        assert load_distribution(path).approx_equals(d, tol=0.0)
+        loaded = load_distribution(path)
+        assert loaded.space == d.space and np.array_equal(loaded.p, d.p)
 
     def test_distribution_with_k_shorthand(self, tmp_path):
         path = tmp_path / "d.json"

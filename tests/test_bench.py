@@ -99,7 +99,6 @@ class TestStatistics:
                    ScoreEntry(4, Metric.L1, 0.3))
         s = ScoreSet(ScoreKind.FAIR_EP, entries)
         assert s.filter(Metric.L1).scores().tolist() == [0.1, 0.3]
-        assert s.filter(Metric.L1, k=4).scores().tolist() == [0.3]
 
 
 class TestEpAnalysis:
@@ -151,39 +150,44 @@ class TestEpAnalysis:
 class TestSweepRunner:
     def test_perfect_tracks_ground_truth(self):
         space = AttributeSpace.of_size(2)
-        scores, trace = run_sweep(space, perfect(2), EXPECTATION, REPORT_ORDER, 0.1, starts=0)
+        scores = run_sweep(space, perfect(2), EXPECTATION, REPORT_ORDER, 0.1, starts=0)
         assert all(e.f == e.f_star for e in scores.entries)
         assert mem(scores) == 0.0
-        assert trace[0].f[Metric.L1] == 1.0
-        assert trace[-1].f[Metric.L1] == 0.0
+        l1 = scores.filter(Metric.L1).entries
+        assert (l1[0].epoch, l1[0].f) == (0, 1.0)
+        assert (l1[-1].epoch, l1[-1].f) == (5, 0.0)
 
     @pytest.mark.parametrize("k", ALL_KS)
     def test_ground_truth_non_increasing_for_pointwise_metrics(self, k):
         space = AttributeSpace.of_size(k)
-        scores, _ = run_sweep(space, perfect(k), EXPECTATION, POINTWISE, 0.02, starts=0)
+        scores = run_sweep(space, perfect(k), EXPECTATION, POINTWISE, 0.02, starts=0)
         for m in POINTWISE:
             fs = [e.f_star for e in scores.filter(m).entries]
             assert all(a >= b - 1e-12 for a, b in zip(fs, fs[1:]))
 
     def test_uniform_noise_scales_per_epoch(self):
         space = AttributeSpace.of_size(4)
-        scores, _ = run_sweep(space, uniform_noise(4, 0.3), EXPECTATION, (Metric.L1,), 0.05, starts=0)
+        scores = run_sweep(space, uniform_noise(4, 0.3), EXPECTATION, (Metric.L1,), 0.05, starts=0)
         for e in scores.entries:
             assert e.f == pytest.approx(0.7 * e.f_star, abs=1e-12)
 
     def test_all_starts_cover_every_extreme_point(self):
+        # Epoch 0 of each start is the AB EP on that outcome, so its f is that
+        # point's score in the extreme-point analysis.
         space = AttributeSpace.of_size(4)
-        scores, trace = run_sweep(space, perfect(4), EXPECTATION, (Metric.L1,), 0.05)
-        assert {e.start for e in scores.entries} == {0, 1, 2, 3}
-        first_epochs = [pt for pt in trace if pt.epoch == 0]
-        for pt in first_epochs:
-            assert pt.p_true.p[pt.start] == 1.0
+        model = from_accuracies([0.9, 0.8, 0.7, 0.6])
+        scores = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.05)
+        _, ab = run_ep_analysis(space, model, EXPECTATION, (Metric.L1,))
+        first = {e.start: e.f for e in scores.entries if e.epoch == 0}
+        assert first == {e.outcome: e.f for e in ab.entries}
+        assert sorted(first) == [0, 1, 2, 3]
+        assert len({round(f, 12) for f in first.values()}) == 4
 
     def test_start_changes_scores_under_skewed_classifier(self):
         space = AttributeSpace.of_size(2)
         model = from_accuracies([0.98, 0.7])
-        s0, _ = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=0)
-        s1, _ = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=1)
+        s0 = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=0)
+        s1 = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=1)
         f0 = s0.scores()
         f1 = s1.scores()
         assert not np.allclose(f0, f1)

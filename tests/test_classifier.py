@@ -143,6 +143,13 @@ class TestIngest:
         est, _ = ingest_predictions(self.space(), recs)
         assert est.p.tolist() == pytest.approx([0.6, 0.4])
 
+    def test_soft_mean_absorbs_per_record_drift(self):
+        # each record is within the 1e-6 record tolerance, their plain mean is
+        # not within the 1e-9 distribution tolerance
+        recs = [PredictionRecord(id=str(i), probs=[0.3333333] * 3) for i in range(3)]
+        est, _ = ingest_predictions(AttributeSpace.of_size(3), recs)
+        assert est.p.tolist() == pytest.approx([1 / 3] * 3, abs=1e-15)
+
     def test_mixed_kinds_rejected(self):
         recs = [PredictionRecord(id="a", probs=[0.8, 0.2]),
                 PredictionRecord(id="b", pred=1)]
@@ -189,7 +196,7 @@ class TestIngest:
             PredictionRecord(id="a")  # neither probs nor pred
         with pytest.raises(ValidationError):
             PredictionRecord(id="a", probs=[0.5, 0.5], pred=1)  # both
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"sum to 1\.01, expected 1"):
             PredictionRecord(id="a", probs=[0.5, 0.51])  # sum off by > 1e-6
         PredictionRecord(id="a", probs=[0.5, 0.5000004])  # within tolerance
 

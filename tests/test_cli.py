@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 from fairdisc import load_distribution, n_factor
 from fairdisc.cli import main
 from fairdisc.metrics import Metric
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +189,17 @@ class TestBench:
         assert code == 2
         assert "stepp" in err
 
+    # Byte-exact report goldens: row order, metadata and every printed value.
+    @pytest.mark.parametrize("golden,extra", [
+        ("bench-k2-4-step0.05-expect.csv", ()),
+        ("bench-k2-4-step0.05-sampled-n1000-seed3.csv",
+         ("--mode", "sampled", "--n", "1000", "--seed", "3", "--trials", "2")),
+    ])
+    def test_stdout_pinned(self, capsys, golden, extra):
+        code, out, _ = run_cli(capsys, "bench", "--k", "2", "4", "--step", "0.05", *extra)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
 
 class TestIngest:
     def test_hard_predictions(self, capsys, tmp_path):
@@ -239,6 +253,43 @@ class TestIngest:
         preds.write_text('{"id": "a", "pred": 0}\n')
         code, _, _ = run_cli(capsys, "ingest", str(preds))
         assert code == 2
+
+
+BAD_INPUTS = {
+    "pred-string": ("ingest", '{"id": "a", "pred": "x"}'),
+    "pred-float": ("ingest", '{"id": "a", "pred": 1.7}'),
+    "pred-bool": ("ingest", '{"id": "a", "pred": true}\n{"id": "b", "pred": 0}'),
+    "true-string": ("ingest", '{"id": "a", "pred": 1, "true": "zz"}'),
+    "probs-string": ("ingest", '{"id": "a", "probs": "ab"}'),
+    "nfactor-precision": ("nfactor", "--precision", "-1"),
+    "score-precision": ("score", "--precision", "-1"),
+    "accs-not-number": ("ep", "--k", "2", "--accs", "0.9,x"),
+    "config-k-string": ("config", '{"k": "a"}'),
+    "seed-negative": ("ep", "--k", "2", "--mode", "sampled", "--n", "10", "--seed", "-1"),
+    "wd-k-above-64": ("nfactor", "--k", "65", "--metrics", "wd"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
+    argv = list(BAD_INPUTS[case])
+    if argv[0] == "ingest":
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(argv[1] + "\n")
+        argv = ["ingest", str(preds), "--k", "2"]
+    elif argv[0] == "score":
+        argv[1:1] = [write_dist(tmp_path, [0.5, 0.5])]
+    elif argv[0] == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(argv[1])
+        argv = ["bench", "--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if argv[0] == "ingest":
+        assert err.startswith("error: line 1: ")
 
 
 def test_module_entry_point():

@@ -1,13 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import conftest
 from conftest import dist
-from fairdisc import AttributeSpace, CategoricalDistribution, CostMatrix, ValidationError
-from fairdisc.transport import default_cost, load_cost_matrix, solve
+from fairdisc import AttributeSpace, CategoricalDistribution, CostMatrix, ValidationError, uniform
+from fairdisc.transport import default_cost, solve
 from oracles import bruteforce_transport_cost
 
 
@@ -79,11 +77,9 @@ def test_symmetry_under_default_cost(p, q):
     assert solve(p, q, c).value == pytest.approx(solve(q, p, c).value, abs=1e-9)
 
 
-def test_load_cost_matrix(tmp_path):
-    assert np.array_equal(load_cost_matrix(None, 3).c, default_cost(3).c)
-    assert np.array_equal(load_cost_matrix("default", 3).c, default_cost(3).c)
-    path = tmp_path / "cost.json"
-    path.write_text(json.dumps({"k": 2, "c": [[0.0, 2.0], [3.0, 0.0]]}))
-    assert load_cost_matrix(path, 2).c[1, 0] == 3.0
-    with pytest.raises(ValidationError):
-        load_cost_matrix(path, 4)
+def test_k_above_64_rejected():
+    with pytest.raises(ValidationError, match="k <= 64"):
+        default_cost(65)
+    u = uniform(AttributeSpace.of_size(65))
+    with pytest.raises(ValidationError, match="k <= 64"):
+        solve(u, u, CostMatrix(65, np.zeros((65, 65))))
