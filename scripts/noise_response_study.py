@@ -39,11 +39,10 @@ def main() -> None:
         for eps in args.eps:
             model = uniform_noise(k, eps)
             _, ab = run_ep_analysis(space, model, EXPECTATION, metrics)
-            sweep_scores = run_sweep(space, model, EXPECTATION, metrics, args.step, starts=0)
+            f, f_star = run_sweep(space, model, EXPECTATION, metrics, args.step, starts=0)
             for m in metrics:
-                mean_ab = ab.filter(m).scores().mean()
-                lines.append(f"{k},{eps:g},{m},{mean_ab:.10g},"
-                             f"{mepe_ab(ab.filter(m)):.10g},{mem(sweep_scores.filter(m)):.10g}")
+                lines.append(f"{k},{eps:g},{m},{ab[m].mean():.10g},"
+                             f"{mepe_ab(ab[m]):.10g},{mem(f[m], f_star[m]):.10g}")
 
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

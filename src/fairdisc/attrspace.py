@@ -17,6 +17,13 @@ SUM_TOL = 1e-9
 # Below this deviation we keep the entries as given instead of renormalizing,
 # so exact constructions (uniform, extreme points) stay bit-exact.
 _DRIFT_TOL = 1e-12
+# JSON decodes numbers to exactly int or float; bool is its own type.
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def is_number_list(value) -> bool:
+    """True for a decoded JSON list whose items are all numbers (not bools)."""
+    return isinstance(value, list) and _JSON_NUMBERS.issuperset(map(type, value))
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ def sweep(space: AttributeSpace, step: float) -> list[CategoricalDistribution]:
 # ---------------------------------------------------------------------------
 
 def space_from_dict(obj) -> AttributeSpace:
-    if not isinstance(obj, dict) or "attributes" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("attributes"), list):
         raise ValidationError('attribute-space JSON must be {"attributes": [...]}')
     attrs = []
     for entry in obj["attributes"]:
@@ -190,6 +197,8 @@ def load_distribution(path, space: AttributeSpace | None = None) -> CategoricalD
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "p" not in obj:
         raise ValidationError(f'{path}: distribution JSON must contain "p"')
+    if not is_number_list(obj["p"]):
+        raise ValidationError(f'{path}: "p" must be a list of numbers')
     if space is None:
         ref = obj.get("space")
         if isinstance(ref, dict):

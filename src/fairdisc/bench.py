@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,86 +29,46 @@ TIE_TOL = 1e-12
 # seed-derivation tags so fair/AB/sweep cells never share a stream
 _KIND_FAIR, _KIND_AB, _KIND_SWEEP = 0, 1, 2
 
-
-class ScoreKind(str, Enum):
-    FAIR_EP = "fair"
-    AB_EP = "ab"
-    SWEEP = "sweep"
-
-    def __str__(self) -> str:
-        return self.value
+# One array of normalized scores per metric.
+Scores = dict[Metric, np.ndarray]
 
 
-@dataclass(frozen=True)
-class ScoreEntry:
-    """One normalized score f, with its provenance within the experiment."""
-
-    k: int
-    metric: Metric
-    f: float
-    f_star: float | None = None
-    outcome: int | None = None  # AB-EP index (AB kind only)
-    trial: int | None = None    # sampling repeat (Sampled mode only)
-    epoch: int | None = None    # sweep position (Sweep kind only)
-    start: int | None = None    # sweep starting AB-EP (Sweep kind only)
+def _checked(scores: Scores, k: int) -> Scores:
+    """Reject any score outside [0, 1] (to SCORE_TOL); return the scores unchanged."""
+    for m, f in scores.items():
+        bad = f[(f < -SCORE_TOL) | (f > 1.0 + SCORE_TOL)]
+        if bad.size:
+            raise ValidationError(f"score {float(bad[0])!r} outside [0, 1] for {m} at k={k}")
+    return scores
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    """Scores of one kind; the population the summary statistics run over."""
-
-    kind: ScoreKind
-    entries: tuple[ScoreEntry, ...]
-
-    def __post_init__(self):
-        for e in self.entries:
-            if not -SCORE_TOL <= e.f <= 1.0 + SCORE_TOL:
-                raise ValidationError(f"score {e.f!r} outside [0, 1] for {e.metric} at k={e.k}")
-            if self.kind is ScoreKind.SWEEP and e.f_star is None:
-                raise ValidationError("sweep entries need a ground-truth score f*")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def filter(self, metric: Metric) -> "ScoreSet":
-        return ScoreSet(self.kind, tuple(e for e in self.entries if e.metric is metric))
-
-    def scores(self) -> np.ndarray:
-        return np.array([e.f for e in self.entries], dtype=float)
+def _flat(scores, op: str) -> np.ndarray:
+    f = np.asarray(scores, dtype=float).ravel()
+    if not f.size:
+        raise ValidationError(f"{op}: empty score array")
+    return f
 
 
-def _require(s: ScoreSet, kind: ScoreKind, op: str) -> None:
-    if s.kind is not kind:
-        raise ValidationError(f"{op} needs a {kind.value} score set, got {s.kind.value}")
-    if not s.entries:
-        raise ValidationError(f"{op}: empty score set")
-
-
-def mepe_fair(s: ScoreSet) -> float:
+def mepe_fair(f) -> float:
     """Mean deviation from the fair boundary: (1/N) sum |f_i - 0|."""
-    _require(s, ScoreKind.FAIR_EP, "mepe_fair")
-    return float(np.mean(np.abs(s.scores())))
+    return float(np.mean(np.abs(_flat(f, "mepe_fair"))))
 
 
-def mepe_ab(s: ScoreSet) -> float:
+def mepe_ab(f) -> float:
     """Mean deviation from the biased boundary: (1/N) sum |f_i - 1|."""
-    _require(s, ScoreKind.AB_EP, "mepe_ab")
-    return float(np.mean(np.abs(s.scores() - 1.0)))
+    return float(np.mean(np.abs(_flat(f, "mepe_ab") - 1.0)))
 
 
-def ep_var(s: ScoreSet) -> float:
+def ep_var(f) -> float:
     """Population variance (divide by N) of the scores."""
-    if not s.entries:
-        raise ValidationError("ep_var: empty score set")
-    return float(np.var(s.scores()))
+    return float(np.var(_flat(f, "ep_var")))
 
 
-def mem(s: ScoreSet) -> float:
+def mem(f, f_star) -> float:
     """Mean error against the perfect-classifier score: (1/N) sum |f_i - f*_i|."""
-    _require(s, ScoreKind.SWEEP, "mem")
-    f = s.scores()
-    f_star = np.array([e.f_star for e in s.entries], dtype=float)
-    return float(np.mean(np.abs(f - f_star)))
+    if np.shape(f) != np.shape(f_star):
+        raise ValidationError(f"mem: scores of shape {np.shape(f)} against f* of shape {np.shape(f_star)}")
+    return float(np.mean(np.abs(_flat(f, "mem") - _flat(f_star, "mem"))))
 
 
 def _cell_mode(mode: EstimationMode, k: int, kind_tag: int, cell: int, trial: int) -> EstimationMode:
@@ -119,31 +78,35 @@ def _cell_mode(mode: EstimationMode, k: int, kind_tag: int, cell: int, trial: in
 
 
 def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode,
-                    metrics: Sequence[Metric], trials: int = 1) -> tuple[ScoreSet, ScoreSet]:
+                    metrics: Sequence[Metric], trials: int = 1) -> tuple[Scores, Scores]:
     """Score the fair EP and all k AB EPs through the classifier.
 
-    Expectation mode evaluates each point once. Sampled mode repeats
-    `trials` times, each (point, trial) cell on its own derived seed.
+    Returns `(fair, ab)`, one array per metric: `fair[m][t]` scores the
+    uniform distribution and `ab[m][t, i]` the one-hot point on outcome i,
+    in trial t. Expectation mode evaluates each point once (one trial).
+    Sampled mode repeats `trials` times, each (point, trial) cell on its
+    own derived seed.
     """
     metrics = tuple(metrics)
     sampled = isinstance(mode, Sampled)
     if sampled and trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     k = space.k
-    trial_ids: list[int | None] = list(range(trials)) if sampled else [None]
+    n_trials = trials if sampled else 1
 
-    fair_entries: list[ScoreEntry] = []
-    ab_entries: list[ScoreEntry] = []
+    fair = {m: np.empty(n_trials) for m in metrics}
+    ab = {m: np.empty((n_trials, k)) for m in metrics}
     p_fair = uniform(space)
-    for t in trial_ids:
-        est = estimate(model, p_fair, _cell_mode(mode, k, _KIND_FAIR, 0, t or 0))
+    points = ab_extreme_points(space)
+    for t in range(n_trials):
+        est = estimate(model, p_fair, _cell_mode(mode, k, _KIND_FAIR, 0, t))
         for m in metrics:
-            fair_entries.append(ScoreEntry(k, m, fd_score(m, est).normalized, trial=t))
-        for i, point in enumerate(ab_extreme_points(space)):
-            est = estimate(model, point, _cell_mode(mode, k, _KIND_AB, i, t or 0))
+            fair[m][t] = fd_score(m, est).normalized
+        for i, point in enumerate(points):
+            est = estimate(model, point, _cell_mode(mode, k, _KIND_AB, i, t))
             for m in metrics:
-                ab_entries.append(ScoreEntry(k, m, fd_score(m, est).normalized, outcome=i, trial=t))
-    return ScoreSet(ScoreKind.FAIR_EP, tuple(fair_entries)), ScoreSet(ScoreKind.AB_EP, tuple(ab_entries))
+                ab[m][t, i] = fd_score(m, est).normalized
+    return _checked(fair, k), _checked(ab, k)
 
 
 def _swap_outcomes(dist: CategoricalDistribution, i: int, j: int) -> CategoricalDistribution:
@@ -154,37 +117,33 @@ def _swap_outcomes(dist: CategoricalDistribution, i: int, j: int) -> Categorical
     return CategoricalDistribution(dist.space, p)
 
 
-def _resolve_starts(k: int, starts) -> list[int]:
-    if starts == "all":
-        return list(range(k))
-    if not 0 <= starts < k:
-        raise ValidationError(f"sweep start {starts} out of range for k={k}")
-    return [starts]
-
-
 def run_sweep(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode,
-              metrics: Sequence[Metric], step: float, starts="all") -> ScoreSet:
+              metrics: Sequence[Metric], step: float, starts="all") -> tuple[Scores, Scores]:
     """Score the AB-to-fair sweep through the classifier.
 
     `starts` selects the anchoring AB EP: "all" or one outcome index.
     The canonical path drains outcome 0; other starts relabel it by an
     outcome swap, which leaves f* unchanged (all metrics are
     permutation-invariant) but exposes per-class accuracy differences in
-    f. Entries are ordered by (start, epoch, metric).
+    f. Returns `(f, f_star)`, one `(starts, epochs)` array per metric:
+    row s holds the s-th selected start, column e the e-th path epoch.
     """
     metrics = tuple(metrics)
     k = space.k
+    if starts != "all" and not 0 <= starts < k:
+        raise ValidationError(f"sweep start {starts} out of range for k={k}")
+    starts = range(k) if starts == "all" else [starts]
     path = sweep_path(space, step)
-    entries: list[ScoreEntry] = []
-    for start in _resolve_starts(k, starts):
+    f = {m: np.empty((len(starts), len(path))) for m in metrics}
+    f_star = {m: np.empty((len(starts), len(path))) for m in metrics}
+    for s, start in enumerate(starts):
         for epoch, base in enumerate(path):
             p_true = _swap_outcomes(base, 0, start)
             est = estimate(model, p_true, _cell_mode(mode, k, _KIND_SWEEP, start, epoch))
             for m in metrics:
-                entries.append(ScoreEntry(k, m, fd_score(m, est).normalized,
-                                          f_star=fd_score(m, p_true).normalized,
-                                          epoch=epoch, start=start))
-    return ScoreSet(ScoreKind.SWEEP, tuple(entries))
+                f[m][s, epoch] = fd_score(m, est).normalized
+                f_star[m][s, epoch] = fd_score(m, p_true).normalized
+    return _checked(f, k), _checked(f_star, k)
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +209,12 @@ def _make_row(benchmark: str, kind: str, k_set: tuple[int, ...],
     return ReportRow(benchmark, kind, k_set, values, best, worst)
 
 
-def _pool(sets: Iterable[ScoreSet], kind: ScoreKind) -> ScoreSet:
-    entries: list[ScoreEntry] = []
-    for s in sets:
-        entries.extend(s.entries)
-    return ScoreSet(kind, tuple(entries))
-
-
-def _ep_rows(k_set: tuple[int, ...], fair: ScoreSet, ab: ScoreSet,
+def _ep_rows(k_set: tuple[int, ...], fair: Scores, ab: Scores,
              metrics: tuple[Metric, ...]) -> list[ReportRow]:
     """The MEPE and EP-variance rows of one k set, fair before AB."""
     stats = (("mepe", "fair", mepe_fair, fair), ("mepe", "ab", mepe_ab, ab),
              ("ep-var", "fair", ep_var, fair), ("ep-var", "ab", ep_var, ab))
-    return [_make_row(benchmark, kind, k_set, {m: stat(s.filter(m)) for m in metrics})
+    return [_make_row(benchmark, kind, k_set, {m: stat(s[m]) for m in metrics})
             for benchmark, kind, stat, s in stats]
 
 
@@ -275,28 +227,27 @@ def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
     """
     metrics = tuple(m for m in REPORT_ORDER if m in set(cfg.metrics))
     ks = sorted(cfg.models)
-    fair_sets: dict[int, ScoreSet] = {}
-    ab_sets: dict[int, ScoreSet] = {}
-    sweep_sets: dict[int, ScoreSet] = {}
+    fair, ab, sweeps = {}, {}, {}
     for k in ks:
         space = AttributeSpace.of_size(k)
         model = cfg.models[k]
-        fair_sets[k], ab_sets[k] = run_ep_analysis(space, model, cfg.mode, metrics, cfg.trials)
-        sweep_sets[k] = run_sweep(space, model, cfg.mode, metrics, cfg.step)
+        fair[k], ab[k] = run_ep_analysis(space, model, cfg.mode, metrics, cfg.trials)
+        sweeps[k] = run_sweep(space, model, cfg.mode, metrics, cfg.step)
 
+    # Pool in (k, trial, outcome) order, one array per metric.
     k_all = tuple(ks)
-    fair_pool = _pool(fair_sets.values(), ScoreKind.FAIR_EP)
-    ab_pool = _pool(ab_sets.values(), ScoreKind.AB_EP)
+    fair_pool = {m: np.concatenate([fair[k][m].ravel() for k in ks]) for m in metrics}
+    ab_pool = {m: np.concatenate([ab[k][m].ravel() for k in ks]) for m in metrics}
 
     rows = _ep_rows(k_all, fair_pool, ab_pool, metrics)
     for k in ks:
-        rows.append(_make_row("mem", "sweep", (k,),
-                              {m: mem(sweep_sets[k].filter(m)) for m in metrics}))
+        f, f_star = sweeps[k]
+        rows.append(_make_row("mem", "sweep", (k,), {m: mem(f[m], f_star[m]) for m in metrics}))
     if len(ks) > 1:
         for k in ks:
-            rows += _ep_rows((k,), fair_sets[k], ab_sets[k], metrics)
+            rows += _ep_rows((k,), fair[k], ab[k], metrics)
 
-    per_metric = max(1, len(metrics))
+    trials = cfg.trials if isinstance(cfg.mode, Sampled) else 1
     meta = {
         "k_set": "|".join(str(k) for k in ks),
         "classifier": cfg.classifier_label or "custom",
@@ -304,8 +255,8 @@ def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
         "step": repr(cfg.step),
         "sweep_starts": "all",
         "alpha": repr(DEFAULT_ALPHA),
-        "n_fair_pool": str(len(fair_pool) // per_metric),
-        "n_ab_pool": str(len(ab_pool) // per_metric),
+        "n_fair_pool": str(trials * len(ks)),
+        "n_ab_pool": str(trials * sum(ks)),
     }
     if isinstance(cfg.mode, Sampled):
         meta["n"] = str(cfg.mode.n)

@@ -15,12 +15,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .attrspace import AttributeSpace, CategoricalDistribution
+from .attrspace import AttributeSpace, CategoricalDistribution, is_number_list
 from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-9
 PROBS_SUM_TOL = 1e-6
-_JSON_NUMBERS = frozenset((int, float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +222,7 @@ def parse_prediction_line(line: str, lineno: int) -> PredictionRecord:
         raise ValidationError(f'line {lineno}: record must be an object with an "id"')
     probs, pred = obj.get("probs"), obj.get("pred")
     truth = obj.get("true", obj.get("truth"))
-    # JSON decodes numbers to exactly int or float; bool is its own type.
-    if probs is not None and not (isinstance(probs, list) and _JSON_NUMBERS.issuperset(map(type, probs))):
+    if probs is not None and not is_number_list(probs):
         raise ValidationError(f"line {lineno}: probs must be a list of numbers")
     _check_label("pred", pred, lineno)
     _check_label("true", truth, lineno)
@@ -257,7 +255,12 @@ def load_confusion(path) -> ConfusionModel:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "k" not in obj or "m" not in obj:
         raise ValidationError(f'{path}: confusion JSON must contain "k" and "m"')
-    return ConfusionModel(int(obj["k"]), np.asarray(obj["m"], dtype=float))
+    k, m = obj["k"], obj["m"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValidationError(f'{path}: "k" must be an integer, got {k!r}')
+    if not (isinstance(m, list) and len(m) == k and all(is_number_list(row) and len(row) == k for row in m)):
+        raise ValidationError(f'{path}: "m" must be {k} rows of {k} numbers')
+    return ConfusionModel(k, np.asarray(m, dtype=float))
 
 
 # Bundled accuracy presets: (k, average accuracy), spread uniformly

@@ -172,10 +172,6 @@ def _csv(header: str, rows, out: str | None) -> None:
     _write_out(header + "\n" + "".join(r + "\n" for r in rows), out)
 
 
-def _opt(value) -> str:
-    return "" if value is None else str(value)
-
-
 def cmd_nfactor(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     ks = cfg.ks or DEFAULT_KS
@@ -205,14 +201,18 @@ def cmd_ep(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     ks = cfg.ks or DEFAULT_KS
     mode = cfg.estimation_mode()
+    # Expectation mode runs one trial and leaves the trial column empty.
+    sampled = isinstance(mode, Sampled)
     fmt = lambda v: format_float(v, cfg.precision)
     rows = []
     for k in ks:
         space = AttributeSpace.of_size(k)
         fair, ab = run_ep_analysis(space, cfg.model_for_k(k), mode, cfg.metrics, cfg.trials)
-        for entry in fair.entries + ab.entries:
-            kind = "fair" if entry.outcome is None else "ab"
-            rows.append(f"{kind},{k},{_opt(entry.outcome)},{_opt(entry.trial)},{entry.metric},{fmt(entry.f)}")
+        trials = range(len(fair[cfg.metrics[0]]))
+        rows += [f"fair,{k},,{t if sampled else ''},{m},{fmt(fair[m][t])}"
+                 for t in trials for m in cfg.metrics]
+        rows += [f"ab,{k},{i},{t if sampled else ''},{m},{fmt(ab[m][t, i])}"
+                 for t in trials for i in range(k) for m in cfg.metrics]
     _csv("kind,k,outcome,trial,metric,f", rows, cfg.out)
     return 0
 
@@ -224,11 +224,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("sweep runs one k at a time")
     k = ks[0]
     space = AttributeSpace.of_size(k)
-    scores = run_sweep(space, cfg.model_for_k(k), cfg.estimation_mode(),
-                       cfg.metrics, cfg.step, starts=cfg.start)
+    f, f_star = run_sweep(space, cfg.model_for_k(k), cfg.estimation_mode(),
+                          cfg.metrics, cfg.step, starts=cfg.start)
     fmt = lambda v: format_float(v, cfg.precision)
-    rows = [f"{e.epoch},{e.metric},{fmt(e.f)},{fmt(e.f_star)},{fmt(abs(e.f - e.f_star))}"
-            for e in scores.entries]
+    rows = [f"{e},{m},{fmt(f[m][0, e])},{fmt(f_star[m][0, e])},{fmt(abs(f[m][0, e] - f_star[m][0, e]))}"
+            for e in range(f[cfg.metrics[0]].shape[1]) for m in cfg.metrics]
     _csv("epoch,metric,f,f_star,abs_err", rows, cfg.out)
     return 0
 

@@ -116,11 +116,11 @@ def test_criterion_5_pinching_closed_form(acceptance):
         for k in KS:
             space = AttributeSpace.of_size(k)
             fair, ab = run_ep_analysis(space, uniform_noise(k, eps), EXPECTATION, POINTWISE)
-            ok &= all(abs(e.f - (1.0 - eps)) <= 1e-12 for e in ab.entries)
-            ok &= all(abs(e.f) <= 1e-12 for e in fair.entries)
             for m in POINTWISE:
-                ok &= abs(mepe_ab(ab.filter(m)) - eps) <= 1e-12
-                ok &= mepe_fair(fair.filter(m)) <= 1e-12
+                ok &= bool(np.all(np.abs(ab[m] - (1.0 - eps)) <= 1e-12))
+                ok &= bool(np.all(np.abs(fair[m]) <= 1e-12))
+                ok &= abs(mepe_ab(ab[m]) - eps) <= 1e-12
+                ok &= mepe_fair(fair[m]) <= 1e-12
     acceptance(5, ok, "uniform noise scales every AB score to exactly 1 - eps "
                       "(l1/l2/wd, eps in {0.1, 0.3}), MEPE_AB = eps, MEPE_fair = 0")
 
@@ -132,15 +132,15 @@ def test_criterion_6_perfect_classifier_suite(acceptance):
         space = AttributeSpace.of_size(k)
         model = perfect(k)
         fair, ab = run_ep_analysis(space, model, EXPECTATION, REPORT_ORDER)
-        sweep_scores = run_sweep(space, model, EXPECTATION, REPORT_ORDER, 0.01, starts=0)
-        ok &= all(abs(e.f) <= 1e-12 for e in fair.entries)
-        ok &= all(abs(e.f - 1.0) <= 1e-12 for e in ab.entries)
+        f, f_star = run_sweep(space, model, EXPECTATION, REPORT_ORDER, 0.01, starts=0)
         for m in REPORT_ORDER:
-            ok &= mem(sweep_scores.filter(m)) <= 1e-12
-            ok &= ep_var(fair.filter(m)) <= 1e-24
-            ok &= ep_var(ab.filter(m)) <= 1e-24
+            ok &= bool(np.all(np.abs(fair[m]) <= 1e-12))
+            ok &= bool(np.all(np.abs(ab[m] - 1.0) <= 1e-12))
+            ok &= mem(f[m], f_star[m]) <= 1e-12
+            ok &= ep_var(fair[m]) <= 1e-24
+            ok &= ep_var(ab[m]) <= 1e-24
         for m in POINTWISE:
-            fs = [e.f_star for e in sweep_scores.filter(m).entries]
+            fs = f_star[m][0].tolist()
             monotone = all(a >= b - 1e-12 for a, b in zip(fs, fs[1:]))
             ok &= monotone
             if not monotone:

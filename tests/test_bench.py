@@ -7,9 +7,6 @@ from fairdisc import (
     BenchConfig,
     Metric,
     Sampled,
-    ScoreEntry,
-    ScoreKind,
-    ScoreSet,
     ValidationError,
     ep_var,
     from_accuracies,
@@ -24,81 +21,66 @@ from fairdisc import (
     run_sweep,
     uniform_noise,
 )
+from fairdisc.bench import _checked
 from fairdisc.metrics import REPORT_ORDER
 
 ALL_KS = (2, 4, 8, 16)
 POINTWISE = (Metric.L1, Metric.L2, Metric.WD)
 
 
-def fair_set(*scores):
-    return ScoreSet(ScoreKind.FAIR_EP, tuple(ScoreEntry(2, Metric.L1, f) for f in scores))
-
-
-def ab_set(*scores):
-    return ScoreSet(ScoreKind.AB_EP, tuple(ScoreEntry(2, Metric.L1, f) for f in scores))
-
-
-def sweep_set(pairs):
-    return ScoreSet(ScoreKind.SWEEP, tuple(
-        ScoreEntry(2, Metric.L1, f, f_star=fs, epoch=i, start=0)
-        for i, (f, fs) in enumerate(pairs)))
-
-
 class TestStatistics:
     def test_mepe_fair_hand_mean(self):
-        assert mepe_fair(fair_set(0.02, 0.04)) == pytest.approx(0.03)
-        assert mepe_fair(fair_set(0.0, 0.0, 0.0)) == 0.0
+        assert mepe_fair(np.array([0.02, 0.04])) == pytest.approx(0.03)
+        assert mepe_fair(np.zeros(3)) == 0.0
 
     def test_mepe_ab_hand_mean(self):
-        assert mepe_ab(ab_set(0.96, 0.92)) == pytest.approx(0.06)
-        assert mepe_ab(ab_set(1.0, 1.0)) == 0.0
+        assert mepe_ab(np.array([0.96, 0.92])) == pytest.approx(0.06)
+        assert mepe_ab(np.ones(2)) == 0.0
 
     def test_ep_var_hand_value(self):
         # population variance; scores sit in [0,1] so the +-0.1 pair is centred at 0.5
-        assert ep_var(ab_set(0.4, 0.6)) == pytest.approx(0.01)
-        assert ep_var(fair_set(0.25, 0.25, 0.25)) == 0.0
+        assert ep_var(np.array([0.4, 0.6])) == pytest.approx(0.01)
+        assert ep_var(np.full(3, 0.25)) == 0.0
 
     def test_ep_var_divides_by_n(self):
         # 3 points, mean 0.2: sum sq dev = 0.02 -> /3 not /2
-        assert ep_var(ab_set(0.1, 0.2, 0.3)) == pytest.approx(0.02 / 3)
+        assert ep_var(np.array([0.1, 0.2, 0.3])) == pytest.approx(0.02 / 3)
+
+    def test_statistics_pool_every_axis(self):
+        # A (trials, outcomes) array counts each cell once, as its flattening does.
+        ab = np.array([[0.9, 0.7], [0.8, 0.6]])
+        assert mepe_ab(ab) == mepe_ab(ab.ravel()) == pytest.approx(0.25)
+        assert ep_var(ab) == ep_var(ab.ravel())
 
     def test_mem_hand_mean(self):
-        assert mem(sweep_set([(0.8, 1.0), (0.6, 0.5)])) == pytest.approx(0.15)
+        assert mem(np.array([0.8, 0.6]), np.array([1.0, 0.5])) == pytest.approx(0.15)
 
-    def test_kind_checked(self):
+    def test_mem_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            mepe_fair(ab_set(0.5))
-        with pytest.raises(ValidationError):
-            mepe_ab(fair_set(0.5))
-        with pytest.raises(ValidationError):
-            mem(fair_set(0.5))
+            mem(np.array([[0.8, 0.6]]), np.array([1.0, 0.5]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            mepe_fair(fair_set())
+            mepe_fair(np.array([]))
         with pytest.raises(ValidationError):
-            ep_var(fair_set())
+            mepe_ab(np.empty((2, 0)))
+        with pytest.raises(ValidationError):
+            ep_var(np.array([]))
+        with pytest.raises(ValidationError):
+            mem(np.array([]), np.array([]))
 
     def test_score_bounds_enforced(self):
-        with pytest.raises(ValidationError):
-            ab_set(1.1)
-        with pytest.raises(ValidationError):
-            fair_set(-0.2)
-
-    def test_sweep_requires_f_star(self):
-        with pytest.raises(ValidationError):
-            ScoreSet(ScoreKind.SWEEP, (ScoreEntry(2, Metric.L1, 0.5),))
+        with pytest.raises(ValidationError, match="1.1 outside"):
+            _checked({Metric.L1: np.array([0.5, 1.1])}, 2)
+        with pytest.raises(ValidationError, match="for l2 at k=4"):
+            _checked({Metric.L1: np.zeros((2, 4)), Metric.L2: np.full((2, 4), -0.2)}, 4)
+        edge = {Metric.L1: np.array([-1e-10, 1.0 + 1e-10])}
+        assert _checked(edge, 2) is edge
 
     def test_permutation_invariance(self):
-        scores = [0.1, 0.7, 0.3, 0.9]
-        assert mepe_ab(ab_set(*scores)) == mepe_ab(ab_set(*reversed(scores)))
-        assert ep_var(ab_set(*scores)) == pytest.approx(ep_var(ab_set(*reversed(scores))))
-
-    def test_filter(self):
-        entries = (ScoreEntry(2, Metric.L1, 0.1), ScoreEntry(4, Metric.L2, 0.2),
-                   ScoreEntry(4, Metric.L1, 0.3))
-        s = ScoreSet(ScoreKind.FAIR_EP, entries)
-        assert s.filter(Metric.L1).scores().tolist() == [0.1, 0.3]
+        scores = np.array([0.1, 0.7, 0.3, 0.9])
+        assert mepe_ab(scores) == mepe_ab(scores[::-1])
+        assert ep_var(scores) == pytest.approx(ep_var(scores[::-1]))
 
 
 class TestEpAnalysis:
@@ -106,40 +88,55 @@ class TestEpAnalysis:
     def test_perfect_classifier_boundaries(self, k):
         space = AttributeSpace.of_size(k)
         fair, ab = run_ep_analysis(space, perfect(k), EXPECTATION, REPORT_ORDER)
-        assert len(fair) == len(REPORT_ORDER)
-        assert len(ab) == k * len(REPORT_ORDER)
-        assert all(abs(e.f) <= 1e-12 for e in fair.entries)
-        assert all(abs(e.f - 1.0) <= 1e-12 for e in ab.entries)
+        assert list(fair) == list(ab) == list(REPORT_ORDER)
+        for m in REPORT_ORDER:
+            assert fair[m].shape == (1,)
+            assert ab[m].shape == (1, k)
+            assert np.all(np.abs(fair[m]) <= 1e-12)
+            assert np.all(np.abs(ab[m] - 1.0) <= 1e-12)
 
     def test_uniform_noise_closed_form(self):
         space = AttributeSpace.of_size(2)
         fair, ab = run_ep_analysis(space, uniform_noise(2, 0.1), EXPECTATION, (Metric.L1,))
-        assert all(e.f == pytest.approx(0.9, abs=1e-12) for e in ab.entries)
-        assert all(e.f == pytest.approx(0.0, abs=1e-12) for e in fair.entries)
-        assert mepe_ab(ab) == pytest.approx(0.1, abs=1e-12)
-        assert mepe_fair(fair) == pytest.approx(0.0, abs=1e-12)
+        assert ab[Metric.L1] == pytest.approx(np.full((1, 2), 0.9), abs=1e-12)
+        assert fair[Metric.L1] == pytest.approx(np.zeros(1), abs=1e-12)
+        assert mepe_ab(ab[Metric.L1]) == pytest.approx(0.1, abs=1e-12)
+        assert mepe_fair(fair[Metric.L1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_unequal_accuracies_split_ab_scores(self):
         space = AttributeSpace.of_size(2)
         _, ab = run_ep_analysis(space, from_accuracies([0.98, 0.95]), EXPECTATION, (Metric.L1,))
-        assert sorted(e.f for e in ab.entries) == pytest.approx([0.90, 0.96])
-        assert ep_var(ab) > 0.0
+        # Outcome i's column is the one-hot point on i: class 0 is the more accurate.
+        assert ab[Metric.L1][0] == pytest.approx([0.96, 0.90])
+        assert ep_var(ab[Metric.L1]) > 0.0
+
+    def test_one_array_per_metric(self):
+        # Each metric keeps its own scores: selecting one metric from a joint
+        # run equals running that metric alone, and metrics never pool.
+        space = AttributeSpace.of_size(4)
+        model = from_accuracies([0.9, 0.8, 0.7, 0.6])
+        fair, ab = run_ep_analysis(space, model, EXPECTATION, (Metric.L1, Metric.SPECIFICITY))
+        fair_l1, ab_l1 = run_ep_analysis(space, model, EXPECTATION, (Metric.L1,))
+        assert fair[Metric.L1].tolist() == fair_l1[Metric.L1].tolist()
+        assert ab[Metric.L1].tolist() == ab_l1[Metric.L1].tolist()
+        assert fair[Metric.L1][0] != pytest.approx(fair[Metric.SPECIFICITY][0])
 
     def test_expectation_ignores_trials(self):
         space = AttributeSpace.of_size(2)
-        fair, _ = run_ep_analysis(space, perfect(2), EXPECTATION, (Metric.L1,), trials=10)
-        assert len(fair) == 1
+        fair, ab = run_ep_analysis(space, perfect(2), EXPECTATION, (Metric.L1,), trials=10)
+        assert fair[Metric.L1].shape == (1,)
+        assert ab[Metric.L1].shape == (1, 2)
 
     def test_sampled_trials_and_determinism(self):
         space = AttributeSpace.of_size(4)
         mode = Sampled(n=500, seed=9)
         fair1, ab1 = run_ep_analysis(space, uniform_noise(4, 0.2), mode, (Metric.L1,), trials=3)
         fair2, ab2 = run_ep_analysis(space, uniform_noise(4, 0.2), mode, (Metric.L1,), trials=3)
-        assert len(fair1) == 3 and len(ab1) == 12
-        assert fair1.scores().tolist() == fair2.scores().tolist()
-        assert ab1.scores().tolist() == ab2.scores().tolist()
+        assert fair1[Metric.L1].shape == (3,) and ab1[Metric.L1].shape == (3, 4)
+        assert fair1[Metric.L1].tolist() == fair2[Metric.L1].tolist()
+        assert ab1[Metric.L1].tolist() == ab2[Metric.L1].tolist()
         # distinct cells must not share a stream
-        assert len({round(e.f, 12) for e in ab1.entries}) > 1
+        assert len(set(np.round(ab1[Metric.L1], 12).ravel())) > 1
 
     def test_sampled_trials_validated(self):
         space = AttributeSpace.of_size(2)
@@ -150,48 +147,45 @@ class TestEpAnalysis:
 class TestSweepRunner:
     def test_perfect_tracks_ground_truth(self):
         space = AttributeSpace.of_size(2)
-        scores = run_sweep(space, perfect(2), EXPECTATION, REPORT_ORDER, 0.1, starts=0)
-        assert all(e.f == e.f_star for e in scores.entries)
-        assert mem(scores) == 0.0
-        l1 = scores.filter(Metric.L1).entries
-        assert (l1[0].epoch, l1[0].f) == (0, 1.0)
-        assert (l1[-1].epoch, l1[-1].f) == (5, 0.0)
+        f, f_star = run_sweep(space, perfect(2), EXPECTATION, REPORT_ORDER, 0.1, starts=0)
+        for m in REPORT_ORDER:
+            assert np.array_equal(f[m], f_star[m])
+            assert mem(f[m], f_star[m]) == 0.0
+        # one start, epochs 0..5
+        assert f[Metric.L1].shape == (1, 6)
+        assert (f[Metric.L1][0, 0], f[Metric.L1][0, -1]) == (1.0, 0.0)
 
     @pytest.mark.parametrize("k", ALL_KS)
     def test_ground_truth_non_increasing_for_pointwise_metrics(self, k):
         space = AttributeSpace.of_size(k)
-        scores = run_sweep(space, perfect(k), EXPECTATION, POINTWISE, 0.02, starts=0)
+        _, f_star = run_sweep(space, perfect(k), EXPECTATION, POINTWISE, 0.02, starts=0)
         for m in POINTWISE:
-            fs = [e.f_star for e in scores.filter(m).entries]
-            assert all(a >= b - 1e-12 for a, b in zip(fs, fs[1:]))
+            assert np.all(np.diff(f_star[m][0]) <= 1e-12)
 
     def test_uniform_noise_scales_per_epoch(self):
         space = AttributeSpace.of_size(4)
-        scores = run_sweep(space, uniform_noise(4, 0.3), EXPECTATION, (Metric.L1,), 0.05, starts=0)
-        for e in scores.entries:
-            assert e.f == pytest.approx(0.7 * e.f_star, abs=1e-12)
+        f, f_star = run_sweep(space, uniform_noise(4, 0.3), EXPECTATION, (Metric.L1,), 0.05, starts=0)
+        assert f[Metric.L1] == pytest.approx(0.7 * f_star[Metric.L1], abs=1e-12)
 
     def test_all_starts_cover_every_extreme_point(self):
         # Epoch 0 of each start is the AB EP on that outcome, so its f is that
         # point's score in the extreme-point analysis.
         space = AttributeSpace.of_size(4)
         model = from_accuracies([0.9, 0.8, 0.7, 0.6])
-        scores = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.05)
+        f, _ = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.05)
         _, ab = run_ep_analysis(space, model, EXPECTATION, (Metric.L1,))
-        first = {e.start: e.f for e in scores.entries if e.epoch == 0}
-        assert first == {e.outcome: e.f for e in ab.entries}
-        assert sorted(first) == [0, 1, 2, 3]
-        assert len({round(f, 12) for f in first.values()}) == 4
+        first = f[Metric.L1][:, 0]
+        assert first.shape == (4,)
+        assert first.tolist() == ab[Metric.L1][0].tolist()
+        assert len(set(np.round(first, 12))) == 4
 
     def test_start_changes_scores_under_skewed_classifier(self):
         space = AttributeSpace.of_size(2)
         model = from_accuracies([0.98, 0.7])
-        s0 = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=0)
-        s1 = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=1)
-        f0 = s0.scores()
-        f1 = s1.scores()
-        assert not np.allclose(f0, f1)
-        assert np.array_equal([e.f_star for e in s0.entries], [e.f_star for e in s1.entries])
+        f0, f_star0 = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=0)
+        f1, f_star1 = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=1)
+        assert not np.allclose(f0[Metric.L1], f1[Metric.L1])
+        assert np.array_equal(f_star0[Metric.L1], f_star1[Metric.L1])
 
     def test_start_out_of_range(self):
         space = AttributeSpace.of_size(2)

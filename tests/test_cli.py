@@ -189,14 +189,26 @@ class TestBench:
         assert code == 2
         assert "stepp" in err
 
-    # Byte-exact report goldens: row order, metadata and every printed value.
+    # Byte-exact stdout goldens for bench, ep and sweep: row order, metadata
+    # and every printed value. A golden's name starts with the command that
+    # wrote it; `extra` holds the flags that followed.
     @pytest.mark.parametrize("golden,extra", [
-        ("bench-k2-4-step0.05-expect.csv", ()),
+        ("bench-k2-4-step0.05-expect.csv", ("--k", "2", "4", "--step", "0.05")),
         ("bench-k2-4-step0.05-sampled-n1000-seed3.csv",
-         ("--mode", "sampled", "--n", "1000", "--seed", "3", "--trials", "2")),
+         ("--k", "2", "4", "--step", "0.05", "--mode", "sampled", "--n", "1000", "--seed", "3",
+          "--trials", "2")),
+        ("ep-k2-4-set2-expect.csv", ("--k", "2", "4", "--classifier", "set2")),
+        ("ep-k4-set2-sampled-n1000-seed7-trials3.csv",
+         ("--k", "4", "--classifier", "set2", "--mode", "sampled", "--n", "1000", "--seed", "7",
+          "--trials", "3")),
+        ("sweep-k4-accs-step0.05-start2-expect.csv",
+         ("--k", "4", "--accs", "0.9,0.8,0.7,0.6", "--step", "0.05", "--start", "2")),
+        ("sweep-k4-set2-step0.05-start1-sampled-n500-seed2.csv",
+         ("--k", "4", "--classifier", "set2", "--mode", "sampled", "--n", "500", "--seed", "2",
+          "--step", "0.05", "--start", "1")),
     ])
     def test_stdout_pinned(self, capsys, golden, extra):
-        code, out, _ = run_cli(capsys, "bench", "--k", "2", "4", "--step", "0.05", *extra)
+        code, out, _ = run_cli(capsys, golden.split("-")[0], *extra)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
@@ -267,6 +279,15 @@ BAD_INPUTS = {
     "config-k-string": ("config", '{"k": "a"}'),
     "seed-negative": ("ep", "--k", "2", "--mode", "sampled", "--n", "10", "--seed", "-1"),
     "wd-k-above-64": ("nfactor", "--k", "65", "--metrics", "wd"),
+    "confusion-k-string": ("confusion", '{"k": "a", "m": [[1, 0], [0, 1]]}'),
+    "confusion-k-float": ("confusion", '{"k": 2.7, "m": [[1, 0], [0, 1]]}'),
+    "confusion-k-bool": ("confusion", '{"k": true, "m": [[1, 0], [0, 1]]}'),
+    "confusion-m-string": ("confusion", '{"k": 2, "m": [[1, 0], ["x", 1]]}'),
+    "confusion-m-ragged": ("confusion", '{"k": 2, "m": [[1, 0], [1]]}'),
+    "dist-p-string": ("dist", '{"k": 2, "p": "ab"}'),
+    "dist-p-item-string": ("dist", '{"k": 2, "p": [0.5, "x"]}'),
+    "dist-p-bool": ("dist", '{"k": 2, "p": [true, false]}'),
+    "dist-space-not-list": ("dist", '{"space": {"attributes": 5}, "p": [0.5, 0.5]}'),
 }
 
 
@@ -283,6 +304,14 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(argv[1])
         argv = ["bench", "--config", str(cfg)]
+    elif argv[0] == "confusion":
+        conf = tmp_path / "conf.json"
+        conf.write_text(argv[1])
+        argv = ["ep", "--k", "2", "--classifier", str(conf)]
+    elif argv[0] == "dist":
+        d = tmp_path / "d.json"
+        d.write_text(argv[1])
+        argv = ["score", str(d)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

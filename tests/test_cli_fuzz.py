@@ -1,0 +1,126 @@
+"""Fuzz the CLI in-process with random and invalid flag values.
+
+Every run must end in exit code 0, 2 (validation) or 3 (I/O) and never
+print a traceback.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairdisc.cli import main
+
+JUNK = st.sampled_from(["x", "", "nan", "inf", "-inf", "1e999", "2.5", "-1", "0"])
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def flag(name, values):
+    """argv tokens for one flag; a list value gives several arguments."""
+    return values.map(lambda v: [name, *v] if isinstance(v, list) else [name, v])
+
+
+# Each option is a pair of strategies for its argv tokens: (valid, invalid).
+# Valid values stay small: k <= 8 (the classifier allocates k x k),
+# n <= 1000, trials <= 3 and sweep step >= 0.05.
+METRICS = (flag("--metrics", st.sampled_from(["all", "l1", "l2,spec", "wd,is", "L1", "l1,,wd"])),
+           flag("--metrics", st.sampled_from(["nope", "", ","])))
+PRECISION = (flag("--precision", ints(0, 17)),
+             flag("--precision", st.one_of(ints(-3, -1), ints(18, 40), JUNK)))
+BAD_K = flag("--k", st.lists(st.one_of(ints(-1, 8), JUNK), min_size=1, max_size=3))
+CLASSIFIER = (
+    st.one_of(flag("--classifier", st.sampled_from(["perfect", "set2", "set1-a", "set1-c", "set2-k8"])),
+              flag("--eps", floats(0, 1)),
+              flag("--accs", st.lists(floats(0, 1), min_size=2, max_size=4).map(",".join))),
+    st.one_of(flag("--classifier", st.sampled_from(["nope", "missing.json", ""])),
+              flag("--eps", st.one_of(floats(-0.5, -1e-9), floats(1.000001, 5), JUNK)),
+              flag("--accs", st.lists(st.one_of(floats(-0.2, 1.2), JUNK), max_size=9).map(",".join)),
+              st.just(["--eps", "0.1", "--classifier", "perfect"])),
+)
+MODE = (st.one_of(st.just(["--mode", "expectation"]),
+                  ints(1, 1000).map(lambda n: ["--mode", "sampled", "--n", n])),
+        st.one_of(st.just(["--mode", "bogus"]), st.just(["--mode", "sampled"]),
+                  st.one_of(ints(-2, 0), JUNK).map(lambda n: ["--mode", "sampled", "--n", n])))
+SEED = (flag("--seed", ints(0, 2**64)), flag("--seed", st.one_of(ints(-3, -1), JUNK)))
+TRIALS = (flag("--trials", ints(1, 3)), flag("--trials", st.one_of(ints(-1, 0), JUNK)))
+OPTIONS = {
+    "nfactor": [(flag("--k", st.lists(ints(2, 8), min_size=1, max_size=3)), BAD_K),
+                METRICS, PRECISION],
+    "score": [METRICS, PRECISION],
+    "ep": [(flag("--k", st.lists(ints(2, 8), min_size=1, max_size=2)), BAD_K),
+           METRICS, PRECISION, CLASSIFIER, MODE, SEED, TRIALS],
+    "sweep": [(flag("--k", ints(2, 8)), BAD_K), METRICS, PRECISION, CLASSIFIER, MODE, SEED,
+              (flag("--step", floats(0.05, 0.5)),
+               flag("--step", st.sampled_from(["0", "-0.1", "nan", "inf", "x", "1"]))),
+              (flag("--start", ints(0, 7)), flag("--start", st.one_of(ints(-2, -1), JUNK)))],
+}
+
+
+@st.composite
+def argvs(draw, command):
+    """Each option is left out, valid, or (less often) invalid."""
+    argv = [command]
+    for valid, invalid in OPTIONS[command]:
+        choice = draw(st.sampled_from(["absent", "absent", "valid", "valid", "valid", "invalid"]))
+        if choice != "absent":
+            argv += draw(valid if choice == "valid" else invalid)
+    return argv
+
+
+# Distribution files for `score`: a valid {"k", "p"} pair, then maybe a
+# field replaced by a value of the wrong type or range.
+WRONG = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-2, 9),
+                  st.booleans(), st.text(max_size=2), st.none(), st.just([]))
+
+
+@st.composite
+def dist_files(draw):
+    counts = draw(st.lists(st.integers(0, 5), min_size=2, max_size=8).filter(sum))
+    obj = {"k": len(counts), "p": [c / sum(counts) for c in counts]}
+    corrupt = draw(st.sampled_from(["none", "k", "p", "entry"]))
+    if corrupt == "entry":
+        obj["p"][draw(st.integers(0, len(counts) - 1))] = draw(WRONG)
+    elif corrupt != "none":
+        obj[corrupt] = draw(WRONG)
+    return obj
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed flags itself
+            code = exc.code
+    return code, err.getvalue()
+
+
+def check(argv):
+    code, err = run(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("command", ["nfactor", "ep", "sweep"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cli_exits_cleanly(command, data):
+    check(data.draw(argvs(command)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dist=dist_files(), data=st.data())
+def test_score_exits_cleanly(tmp_path_factory, dist, data):
+    path = tmp_path_factory.mktemp("score") / "d.json"
+    path.write_text(json.dumps(dist))
+    check([*data.draw(argvs("score")), str(path)])

@@ -1,0 +1,61 @@
+"""The README's library example and the scripts run as documented."""
+
+import ast
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# A trailing `# 0.1` comment states the value the statement evaluates to.
+STATED = re.compile(r"#\s*(-?\d+(?:\.\d+)?)\s*$")
+
+
+def readme_python_block() -> str:
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_library_example(capsys):
+    source = readme_python_block()
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(source).body:
+        stated = STATED.search(lines[stmt.end_lineno - 1])
+        if stated and isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert value == pytest.approx(float(stated.group(1)), abs=1e-4), ast.unparse(stmt)
+            checked.append(stated.group(1))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked == ["0.2667", "0.1", "0.05"]
+    assert "## Sweep MEM" in capsys.readouterr().out
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_run_set2_benchmark_script(tmp_path):
+    proc = run_script("run_set2_benchmark.py", "--ks", "2", "--step", "0.1", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "set2_benchmark.csv").read_text().startswith("# alpha=0.5")
+    assert "## Sweep MEM" in (tmp_path / "set2_benchmark.md").read_text()
+
+
+def test_noise_response_study_script(tmp_path):
+    out = tmp_path / "n.csv"
+    proc = run_script("noise_response_study.py", "--ks", "2", "--eps", "0.1", "--step", "0.1",
+                      "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = out.read_text().splitlines()
+    assert rows[0] == "k,eps,metric,mean_ab_score,mepe_ab,sweep_mem"
+    assert len(rows) == 1 + 5
