@@ -19,11 +19,35 @@ SUM_TOL = 1e-9
 _DRIFT_TOL = 1e-12
 # JSON decodes numbers to exactly int or float; bool is its own type.
 _JSON_NUMBERS = frozenset((int, float))
+# Longest bias-to-fair path `sweep` builds.
+MAX_SWEEP_POINTS = 10**6
 
 
 def is_number_list(value) -> bool:
     """True for a decoded JSON list whose items are all numbers (not bools)."""
     return isinstance(value, list) and _JSON_NUMBERS.issuperset(map(type, value))
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """A new float array of `value`; a JSON integer beyond float range is a ValidationError."""
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"{what} must be finite numbers") from None
+
+
+def normalized_rows(arr: np.ndarray) -> np.ndarray:
+    """Check each row over the last axis is finite, non-negative and sums to 1 within
+    SUM_TOL; divide a row whose sum is off by more than _DRIFT_TOL by that sum."""
+    if not np.isfinite(arr).all():
+        raise ValidationError("distribution entries must be finite")
+    if (arr < 0).any():
+        raise ValidationError("distribution entries must be non-negative")
+    total = arr.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0)
+    if (off > SUM_TOL).any():
+        raise ValidationError(f"distribution entries sum to {float(total[off > SUM_TOL][0])}, expected 1")
+    return np.where(off > _DRIFT_TOL, arr / total, arr)
 
 
 @dataclass(frozen=True)
@@ -83,8 +107,7 @@ class AttributeSpace:
 class CategoricalDistribution:
     """Probability vector over the outcomes of an AttributeSpace.
 
-    Entries must be non-negative and sum to 1 within SUM_TOL; real drift
-    beyond _DRIFT_TOL is renormalized away at construction. The stored
+    Entries are checked and renormalized by `normalized_rows`. The stored
     array is read-only.
     """
 
@@ -92,18 +115,10 @@ class CategoricalDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.p, dtype=float)
+        arr = float_array(self.p, "distribution entries")
         if arr.shape != (self.space.k,):
             raise ValidationError(f"distribution has shape {arr.shape}, expected ({self.space.k},)")
-        if not np.isfinite(arr).all():
-            raise ValidationError("distribution entries must be finite")
-        if (arr < 0).any():
-            raise ValidationError("distribution entries must be non-negative")
-        total = arr.sum()
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"distribution entries sum to {float(total)}, expected 1")
-        if abs(total - 1.0) > _DRIFT_TOL:
-            arr = arr / total
+        arr = normalized_rows(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -113,6 +128,11 @@ class CategoricalDistribution:
 
     def to_dict(self) -> dict:
         return {"space": self.space.to_dict(), "p": [float(x) for x in self.p]}
+
+
+def as_rows(x) -> np.ndarray:
+    """The probability vector of a distribution, or `x` as a float array of rows."""
+    return x.p if isinstance(x, CategoricalDistribution) else np.asarray(x, dtype=float)
 
 
 def uniform(space: AttributeSpace) -> CategoricalDistribution:
@@ -125,14 +145,15 @@ def ab_extreme_points(space: AttributeSpace) -> list[CategoricalDistribution]:
     return [CategoricalDistribution(space, space.one_hot(i)) for i in range(space.k)]
 
 
-def sweep(space: AttributeSpace, step: float) -> list[CategoricalDistribution]:
+def sweep(space: AttributeSpace, step: float) -> np.ndarray:
     """Stepwise interpolation from the first extreme point to the uniform distribution.
 
-    Epoch 1 puts all mass on outcome 0. Each later epoch moves `step` of
-    probability mass from outcome 0 into the lowest-index outcome still
-    below 1/k; the last transfer into each outcome is clamped so the
-    outcome lands exactly on 1/k. The final epoch is the uniform
-    distribution, reachable for every k because of the clamping.
+    Returns one row per epoch. Epoch 1 puts all mass on outcome 0. Each
+    later epoch moves `step` of probability mass from outcome 0 into the
+    lowest-index outcome still below 1/k; the last transfer into each
+    outcome is clamped so the outcome lands exactly on 1/k. The final
+    epoch is the uniform distribution, reachable for every k because of
+    the clamping. A path longer than MAX_SWEEP_POINTS is rejected.
     """
     k = space.k
     target = 1.0 / k
@@ -140,23 +161,22 @@ def sweep(space: AttributeSpace, step: float) -> list[CategoricalDistribution]:
         raise ValidationError(f"step must be positive, got {step}")
     if step > target + _DRIFT_TOL:
         raise ValidationError(f"step must be <= 1/k = {target}, got {step}")
+    transfers = math.ceil(min(target / step - 1e-9, MAX_SWEEP_POINTS))
+    if 1 + (k - 1) * transfers > MAX_SWEEP_POINTS:
+        raise ValidationError(f"step {step} gives a sweep longer than {MAX_SWEEP_POINTS} points at k={k}")
 
-    epochs = [CategoricalDistribution(space, space.one_hot(0))]
-    transfers = int(math.ceil(target / step - 1e-9))
+    v = np.minimum(np.arange(1, transfers + 1) * step, target)
+    v[target - v < _DRIFT_TOL] = target
+    path = np.zeros((1 + (k - 1) * transfers, k))
+    path[0, 0] = 1.0
     for j in range(1, k):
-        for i in range(1, transfers + 1):
-            v = min(i * step, target)
-            if target - v < _DRIFT_TOL:
-                v = target
-            p = np.zeros(k)
-            p[1:j] = target
-            p[j] = v
-            p[0] = 1.0 - (j - 1) * target - v
-            if j == k - 1 and v == target:
-                epochs.append(uniform(space))
-            else:
-                epochs.append(CategoricalDistribution(space, p))
-    return epochs
+        block = path[1 + (j - 1) * transfers:1 + j * transfers]
+        block[:, 1:j] = target
+        block[:, j] = v
+        block[:, 0] = 1.0 - (j - 1) * target - v
+    # Epochs that fill the last outcome are exactly uniform.
+    path[-transfers:][v == target] = target
+    return normalized_rows(path)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +199,8 @@ def load_space(path) -> AttributeSpace:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # Bad JSON, bytes that are not UTF-8 and integers over Python's digit limit.
+        except ValueError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     return space_from_dict(obj)
 
@@ -193,7 +214,7 @@ def load_distribution(path, space: AttributeSpace | None = None) -> CategoricalD
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "p" not in obj:
         raise ValidationError(f'{path}: distribution JSON must contain "p"')
@@ -207,7 +228,9 @@ def load_distribution(path, space: AttributeSpace | None = None) -> CategoricalD
             ref_path = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(str(path)), ref)
             space = load_space(ref_path)
         elif isinstance(obj.get("k"), int):
+            if obj["k"] != len(obj["p"]):
+                raise ValidationError(f'{path}: "k" does not match the {len(obj["p"])} entries of "p"')
             space = AttributeSpace.of_size(obj["k"])
         else:
             raise ValidationError(f'{path}: no "space" given and none supplied')
-    return CategoricalDistribution(space, np.asarray(obj["p"], dtype=float))
+    return CategoricalDistribution(space, obj["p"])

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .attrspace import AttributeSpace, CategoricalDistribution, ab_extreme_points, uniform
+from .attrspace import AttributeSpace
 from .attrspace import sweep as sweep_path
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate
 from .errors import ValidationError
@@ -71,10 +71,11 @@ def mem(f, f_star) -> float:
     return float(np.mean(np.abs(_flat(f, "mem") - _flat(f_star, "mem"))))
 
 
-def _cell_mode(mode: EstimationMode, k: int, kind_tag: int, cell: int, trial: int) -> EstimationMode:
+def _seeds(mode: EstimationMode, k: int, kind_tag: int, cells) -> list[int] | None:
+    """One derived seed per (cell, trial) in sampled mode; None in expectation mode."""
     if isinstance(mode, Expectation):
-        return mode
-    return Sampled(mode.n, derive_seed(mode.seed, k, kind_tag, cell, trial))
+        return None
+    return [derive_seed(mode.seed, k, kind_tag, cell, trial) for cell, trial in cells]
 
 
 def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode,
@@ -94,27 +95,12 @@ def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: Estimati
     k = space.k
     n_trials = trials if sampled else 1
 
-    fair = {m: np.empty(n_trials) for m in metrics}
-    ab = {m: np.empty((n_trials, k)) for m in metrics}
-    p_fair = uniform(space)
-    points = ab_extreme_points(space)
-    for t in range(n_trials):
-        est = estimate(model, p_fair, _cell_mode(mode, k, _KIND_FAIR, 0, t))
-        for m in metrics:
-            fair[m][t] = fd_score(m, est).normalized
-        for i, point in enumerate(points):
-            est = estimate(model, point, _cell_mode(mode, k, _KIND_AB, i, t))
-            for m in metrics:
-                ab[m][t, i] = fd_score(m, est).normalized
-    return _checked(fair, k), _checked(ab, k)
-
-
-def _swap_outcomes(dist: CategoricalDistribution, i: int, j: int) -> CategoricalDistribution:
-    if i == j:
-        return dist
-    p = dist.p.copy()
-    p[[i, j]] = p[[j, i]]
-    return CategoricalDistribution(dist.space, p)
+    est_fair = estimate(model, np.full((n_trials, k), 1.0 / k), mode,
+                        _seeds(mode, k, _KIND_FAIR, ((0, t) for t in range(n_trials))))
+    est_ab = estimate(model, np.broadcast_to(np.eye(k), (n_trials, k, k)), mode,
+                      _seeds(mode, k, _KIND_AB, ((i, t) for t in range(n_trials) for i in range(k))))
+    return (_checked({m: fd_score(m, est_fair) for m in metrics}, k),
+            _checked({m: fd_score(m, est_ab) for m in metrics}, k))
 
 
 def run_sweep(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode,
@@ -134,15 +120,16 @@ def run_sweep(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
     starts = range(k) if starts == "all" else [starts]
     path = sweep_path(space, step)
-    f = {m: np.empty((len(starts), len(path))) for m in metrics}
-    f_star = {m: np.empty((len(starts), len(path))) for m in metrics}
+    epochs = len(path)
+    f = {m: np.empty((len(starts), epochs)) for m in metrics}
+    f_star = {m: np.empty((len(starts), epochs)) for m in metrics}
     for s, start in enumerate(starts):
-        for epoch, base in enumerate(path):
-            p_true = _swap_outcomes(base, 0, start)
-            est = estimate(model, p_true, _cell_mode(mode, k, _KIND_SWEEP, start, epoch))
-            for m in metrics:
-                f[m][s, epoch] = fd_score(m, est).normalized
-                f_star[m][s, epoch] = fd_score(m, p_true).normalized
+        p_true = path.copy()
+        p_true[:, [0, start]] = path[:, [start, 0]]
+        est = estimate(model, p_true, mode, _seeds(mode, k, _KIND_SWEEP, ((start, e) for e in range(epochs))))
+        for m in metrics:
+            f[m][s] = fd_score(m, est)
+            f_star[m][s] = fd_score(m, p_true)
     return _checked(f, k), _checked(f_star, k)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .attrspace import AttributeSpace, CategoricalDistribution, is_number_list
+from .attrspace import AttributeSpace, CategoricalDistribution, as_rows, float_array, is_number_list, normalized_rows
 from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-9
@@ -30,7 +30,7 @@ class ConfusionModel:
     m: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.m, dtype=float)
+        arr = float_array(self.m, "confusion entries")
         if arr.shape != (self.k, self.k):
             raise ValidationError(f"confusion matrix has shape {arr.shape}, expected ({self.k}, {self.k})")
         if not np.isfinite(arr).all() or (arr < 0).any():
@@ -100,26 +100,31 @@ def derive_seed(base_seed: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def estimate(model: ConfusionModel, p_true: CategoricalDistribution,
-             mode: EstimationMode = EXPECTATION) -> CategoricalDistribution:
-    """Estimated attribute distribution of data with true distribution p_true.
+def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
+             seeds=None) -> np.ndarray:
+    """Estimated attribute distributions of data whose true distributions are `rows`.
 
-    Expectation mode returns m^T p exactly. Sampled mode draws n true
-    outcomes from p_true, pushes each through the matching confusion row,
-    and returns the normalized prediction tallies; fixed (n, seed) gives a
-    fixed result.
+    `rows` is a distribution or an array of shape (..., k); the result has
+    the same shape. Expectation mode returns m^T p for every row exactly.
+    Sampled mode draws n true outcomes per row, pushes each through the
+    matching confusion row, and returns the normalized prediction tallies;
+    row r draws from its own stream, seeded by seeds[r] (default mode.seed).
     """
-    if model.k != p_true.k:
-        raise ValidationError(f"confusion model is {model.k}x{model.k}, distribution has k={p_true.k}")
+    rows = as_rows(rows)
+    if rows.shape[-1] != model.k:
+        raise ValidationError(f"confusion model is {model.k}x{model.k}, distribution has k={rows.shape[-1]}")
     if isinstance(mode, Expectation):
-        return CategoricalDistribution(p_true.space, model.m.T @ p_true.p)
-    rng = np.random.default_rng(mode.seed)
-    true_counts = rng.multinomial(mode.n, p_true.p)
-    pred_counts = np.zeros(model.k, dtype=np.int64)
-    for i, c in enumerate(true_counts):
-        if c > 0:
-            pred_counts += rng.multinomial(c, model.m[i])
-    return CategoricalDistribution(p_true.space, pred_counts / mode.n)
+        # One matrix-vector product per row: P @ m rounds differently for k >= 4.
+        return normalized_rows((model.m.T @ rows[..., None])[..., 0])
+    flat = rows.reshape(-1, model.k)
+    seeds = [mode.seed] * len(flat) if seeds is None else seeds
+    tallies = [_sample(model, p, mode.n, seed) for p, seed in zip(flat, seeds, strict=True)]
+    return normalized_rows(np.reshape(tallies, rows.shape))
+
+
+def _sample(model: ConfusionModel, p: np.ndarray, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return sum(rng.multinomial(c, model.m[i]) for i, c in enumerate(rng.multinomial(n, p)) if c > 0) / n
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +144,7 @@ class PredictionRecord:
         if (self.probs is None) == (self.pred is None):
             raise ValidationError(f"record {self.id!r}: exactly one of probs/pred is required")
         if self.probs is not None:
-            arr = np.array(self.probs, dtype=float)
+            arr = float_array(self.probs, f"record {self.id!r}: probs")
             if arr.ndim != 1 or not np.isfinite(arr).all() or (arr < 0).any():
                 raise ValidationError(f"record {self.id!r}: probs must be a non-negative vector")
             total = float(arr.sum())
@@ -216,7 +221,7 @@ def parse_prediction_line(line: str, lineno: int) -> PredictionRecord:
     """Parse one JSONL prediction record: {"id", "probs"|"pred", "true"?}."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "id" not in obj:
         raise ValidationError(f'line {lineno}: record must be an object with an "id"')
@@ -251,7 +256,7 @@ def load_confusion(path) -> ConfusionModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "k" not in obj or "m" not in obj:
         raise ValidationError(f'{path}: confusion JSON must contain "k" and "m"')
@@ -260,7 +265,7 @@ def load_confusion(path) -> ConfusionModel:
         raise ValidationError(f'{path}: "k" must be an integer, got {k!r}')
     if not (isinstance(m, list) and len(m) == k and all(is_number_list(row) and len(row) == k for row in m)):
         raise ValidationError(f'{path}: "m" must be {k} rows of {k} numbers')
-    return ConfusionModel(k, np.asarray(m, dtype=float))
+    return ConfusionModel(k, m)
 
 
 # Bundled accuracy presets: (k, average accuracy), spread uniformly

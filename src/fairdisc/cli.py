@@ -19,7 +19,7 @@ from .attrspace import AttributeSpace, load_distribution, load_space
 from .bench import BenchConfig, format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_confusion, load_predictions
 from .errors import ValidationError
-from .metrics import Metric, fd_score, n_factor, parse_metrics
+from .metrics import Metric, fd_score, n_factor, parse_metrics, raw_score
 
 DEFAULT_KS = (2, 4, 8, 16)
 DEFAULT_STEP = 0.01
@@ -34,7 +34,7 @@ def _number(name: str, value, kind: type):
     if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
         try:
             return kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     what = "an integer" if kind is int else "a number"
     raise ValidationError(f"{name} must be {what}, got {value!r}")
@@ -83,7 +83,7 @@ class RunConfig:
             with open(args.config, "r", encoding="utf-8") as fh:
                 try:
                     file_cfg = json.load(fh)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:
                     raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
             if not isinstance(file_cfg, dict):
                 raise ValidationError(f"{args.config}: config must be a JSON object")
@@ -187,11 +187,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     fmt = lambda v: format_float(v, cfg.precision)
     rows = []
     for m in cfg.metrics:
-        s = fd_score(m, dist)
         if args.raw:
-            rows.append(f"{m},{fmt(s.raw)},{fmt(s.n_factor)},{fmt(s.normalized)}")
+            raw, factor = raw_score(m, dist), n_factor(m, dist.k)
+            rows.append(f"{m},{fmt(raw)},{fmt(factor)},{fmt(raw / factor)}")
         else:
-            rows.append(f"{m},{fmt(s.normalized)}")
+            rows.append(f"{m},{fmt(fd_score(m, dist))}")
     header = "metric,raw,n_factor,normalized" if args.raw else "metric,normalized"
     _csv(header, rows, cfg.out)
     return 0

@@ -8,14 +8,13 @@ against the uniform reference, so scores land in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from . import transport
-from .attrspace import AttributeSpace, CategoricalDistribution, uniform
+from .attrspace import AttributeSpace, as_rows
 from .errors import ValidationError
 
 DEFAULT_ALPHA = 0.5
@@ -53,27 +52,35 @@ def parse_metrics(spec: str) -> tuple[Metric, ...]:
     return tuple(out)
 
 
-def _check_same_space(p: CategoricalDistribution, q: CategoricalDistribution) -> None:
-    if p.space != q.space:
-        raise ValidationError("distributions live on different attribute spaces")
+def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    p, q = as_rows(p), as_rows(q)
+    if p.shape[-1] != q.shape[-1]:
+        raise ValidationError(f"rows have k={p.shape[-1]} and k={q.shape[-1]}")
+    return p, q
 
 
-def l1(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
+# Every measure below takes distributions or arrays of rows, broadcast
+# against each other over the last axis; one pair of rows gives a scalar.
+
+def l1(p, q):
     """(1/k) * sum_i |p_i - q_i|"""
-    _check_same_space(p, q)
-    return float(np.abs(p.p - q.p).sum() / p.k)
+    p, q = _pair(p, q)
+    return np.abs(p - q).sum(axis=-1) / p.shape[-1]
 
 
-def l2(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
+def l2(p, q):
     """(1/k) * sqrt(sum_i (p_i - q_i)^2)"""
-    _check_same_space(p, q)
-    return float(np.sqrt(((p.p - q.p) ** 2).sum()) / p.k)
+    p, q = _pair(p, q)
+    return np.sqrt(((p - q) ** 2).sum(axis=-1)) / p.shape[-1]
 
 
-def wd(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    """Optimal transport cost from p to q under the ground cost (2/k)(J - I)."""
-    _check_same_space(p, q)
-    return transport.solve(p, q, transport.default_cost(p.k)).value
+def wd(p, q):
+    """Optimal transport cost from p to q under the ground cost (2/k)(J - I), one LP per row pair."""
+    p, q = np.broadcast_arrays(*_pair(p, q))
+    k = p.shape[-1]
+    cost = transport.default_cost(k)
+    values = [transport.solve(a, b, cost).value for a, b in zip(p.reshape(-1, k), q.reshape(-1, k))]
+    return np.reshape(values, p.shape[:-1])[()]
 
 
 @lru_cache(maxsize=None)
@@ -81,84 +88,61 @@ def _spread_weights(k: int) -> np.ndarray:
     # Weights over sorted positions 2..k: proportional to (k - j), summing
     # to 1, so the spread of the uniform distribution is exactly zero. The
     # k = 2 case has a single position, which takes the whole weight.
-    if k == 2:
-        return np.array([1.0])
-    denom = (k - 1) * (k - 2) / 2.0
-    w = np.array([(k - j) / denom for j in range(2, k + 1)])
+    w = np.ones(1) if k == 2 else (k - np.arange(2, k + 1)) / ((k - 1) * (k - 2) / 2.0)
     w.setflags(write=False)
     return w
 
 
-def specificity(p: CategoricalDistribution) -> float:
+def specificity(p):
     """Sorted-weighted spread: largest entry minus the weighted tail.
 
     Zero for the uniform distribution, one for a point mass.
     """
-    s = np.sort(p.p)[::-1]
-    return float(s[0] - _spread_weights(p.k) @ s[1:])
+    p = as_rows(p)
+    s = np.sort(p, axis=-1)[..., ::-1]
+    # One vector dot per row, (1, k-1) @ (k-1, 1), so a row scores the same alone or in a block.
+    return s[..., 0] - (s[..., None, 1:] @ _spread_weights(p.shape[-1])[:, None])[..., 0, 0]
 
 
-def delta_specificity(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
+def delta_specificity(p, q):
     """|specificity(p) - specificity(q)|"""
-    _check_same_space(p, q)
-    return abs(specificity(p) - specificity(q))
+    p, q = _pair(p, q)
+    return np.abs(specificity(p) - specificity(q))
 
 
-def info_specificity(p: CategoricalDistribution, q: CategoricalDistribution,
-                     alpha: float = DEFAULT_ALPHA) -> float:
+def info_specificity(p, q, alpha: float = DEFAULT_ALPHA):
     """alpha * l1 + (1 - alpha) * delta_specificity"""
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
     return alpha * l1(p, q) + (1.0 - alpha) * delta_specificity(p, q)
 
 
-def metric_value(metric: Metric, p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    if metric is Metric.L1:
-        return l1(p, q)
-    if metric is Metric.L2:
-        return l2(p, q)
-    if metric is Metric.WD:
-        return wd(p, q)
-    if metric is Metric.SPECIFICITY:
-        return delta_specificity(p, q)
-    if metric is Metric.INFO_SPECIFICITY:
-        return info_specificity(p, q)
-    raise ValidationError(f"unknown metric {metric!r}")
+_MEASURES = {Metric.L1: l1, Metric.L2: l2, Metric.WD: wd,
+             Metric.SPECIFICITY: delta_specificity, Metric.INFO_SPECIFICITY: info_specificity}
 
 
-@dataclass(frozen=True)
-class FairnessScore:
-    """One metric evaluation: raw value, normalization factor, normalized value."""
-
-    metric: Metric
-    k: int
-    raw: float
-    n_factor: float
-    normalized: float
-
-    def __post_init__(self):
-        if self.n_factor <= 0:
-            raise ValidationError(f"normalization factor must be positive, got {self.n_factor}")
-        if abs(self.normalized - self.raw / self.n_factor) > 1e-12:
-            raise ValidationError("normalized value inconsistent with raw / n_factor")
+def raw_score(metric: Metric, rows):
+    """The metric between the uniform reference and each row, unnormalized."""
+    rows = as_rows(rows)
+    k = rows.shape[-1]
+    return _MEASURES[metric](np.full(k, 1.0 / k), rows)
 
 
 @lru_cache(maxsize=None)
 def n_factor(metric: Metric, k: int) -> float:
-    """Normalization factor: the metric's value at an extreme point against uniform.
+    """Normalization factor: the metric from a one-hot row to uniform.
 
-    Computed, not tabulated. By permutation symmetry every extreme point
-    gives the same value, so the first one is used.
+    Computed, not tabulated; every one-hot row gives the same value, so the
+    first is used. WD's LP rounds differently from uniform to one-hot.
     """
-    space = AttributeSpace.of_size(k)
-    ab = CategoricalDistribution(space, space.one_hot(0))
-    return metric_value(metric, ab, uniform(space))
+    return float(_MEASURES[metric](AttributeSpace.of_size(k).one_hot(0), np.full(k, 1.0 / k)))
 
 
-def fd_score(metric: Metric, p_est: CategoricalDistribution) -> FairnessScore:
-    """Fairness discrepancy of the estimated distribution against the uniform reference."""
-    ref = uniform(p_est.space)
-    raw = metric_value(metric, ref, p_est)
-    factor = n_factor(metric, p_est.k)
-    return FairnessScore(metric=metric, k=p_est.k, raw=raw, n_factor=factor,
-                         normalized=raw / factor)
+def fd_score(metric: Metric, rows):
+    """Normalized fairness discrepancy of each row against uniform: 0 fair, 1 one-hot.
+
+    `rows` is a distribution or an array of shape (..., k); the result has
+    shape rows.shape[:-1].
+    """
+    rows = as_rows(rows)
+    return raw_score(metric, rows) / n_factor(metric, rows.shape[-1])

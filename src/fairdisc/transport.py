@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .attrspace import CategoricalDistribution
+from .attrspace import as_rows
 from .errors import ValidationError
 
 MARGINAL_TOL = 1e-9
@@ -56,16 +56,18 @@ def default_cost(k: int) -> CostMatrix:
     return CostMatrix(k, (2.0 / k) * (1.0 - np.eye(k)))
 
 
-def solve(p: CategoricalDistribution, q: CategoricalDistribution, cost: CostMatrix) -> TransportPlan:
+def solve(p, q, cost: CostMatrix) -> TransportPlan:
     """Minimize sum_ij w_ij c_ij subject to row sums p and column sums q.
 
-    Returns an exact LP minimizer. Zero-mass rows or columns are fine (the
-    corresponding plan entries are just zero), which is what extreme-point
-    sources produce.
+    `p` and `q` are distributions or probability vectors. Returns an exact
+    LP minimizer. Zero-mass rows or columns are fine (the corresponding
+    plan entries are just zero), which is what extreme-point sources
+    produce.
     """
-    if p.space != q.space:
-        raise ValidationError("p and q live on different attribute spaces")
-    k = p.k
+    p, q = as_rows(p), as_rows(q)
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ValidationError(f"transport needs two vectors of one length, got shapes {p.shape} and {q.shape}")
+    k = len(p)
     _check_k(k)
     if cost.k != k:
         raise ValidationError(f"cost matrix is {cost.k}x{cost.k}, distributions have k={k}")
@@ -78,7 +80,7 @@ def solve(p: CategoricalDistribution, q: CategoricalDistribution, cost: CostMatr
     res = linprog(
         cost.c.ravel(),
         A_eq=np.vstack([a_rows, a_cols]),
-        b_eq=np.concatenate([p.p, q.p]),
+        b_eq=np.concatenate([p, q]),
         bounds=(0, None),
         method="highs",
     )
@@ -89,7 +91,7 @@ def solve(p: CategoricalDistribution, q: CategoricalDistribution, cost: CostMatr
     # Clip solver dust so the plan is a clean non-negative matrix.
     w = np.where(np.abs(w) < 1e-15, 0.0, w)
     value = float(np.sum(w * cost.c))
-    _check_marginals(w, p.p, q.p)
+    _check_marginals(w, p, q)
     return TransportPlan(w=w, value=value)
 
 

@@ -65,7 +65,7 @@ def test_criterion_1_normalization_table(acceptance, capsys):
 
 
 def test_criterion_2_worked_l2_example(acceptance):
-    score = fd_score(Metric.L2, dist(2, [0.9, 0.1])).normalized
+    score = fd_score(Metric.L2, dist(2, [0.9, 0.1]))
     # the quoted 0.799 is a 3-decimal rounding of 0.8; allow the boundary in float
     acceptance(2, abs(score - 0.799) <= 0.001 + 1e-9,
                f"normalized l2 for [0.9, 0.1] = {score:.6f} within 0.799 +- 0.001")
@@ -81,7 +81,7 @@ def test_criterion_3_wd_equals_l1_under_default_cost(acceptance):
         for _ in range(1000):
             p = CategoricalDistribution(space, rng.dirichlet(np.ones(k)))
             raw_gap = abs(wd(u, p) - l1(u, p))
-            norm_gap = abs(fd_score(Metric.WD, p).normalized - fd_score(Metric.L1, p).normalized)
+            norm_gap = abs(fd_score(Metric.WD, p) - fd_score(Metric.L1, p))
             worst_raw = max(worst_raw, raw_gap)
             worst_norm = max(worst_norm, norm_gap)
     elapsed = time.perf_counter() - t0
@@ -159,8 +159,8 @@ def test_criterion_7_sampled_convergence(acceptance, capsys):
         probes = [uniform(space), ab_extreme_points(space)[0],
                   CategoricalDistribution(space, np.arange(k, 0, -1.0) / (k * (k + 1) / 2))]
         for j, p_true in enumerate(probes):
-            want = estimate(model, p_true).p
-            got = estimate(model, p_true, Sampled(n=100000, seed=1000 + 10 * idx + j)).p
+            want = estimate(model, p_true)
+            got = estimate(model, p_true, Sampled(n=100000, seed=1000 + 10 * idx + j))
             worst = max(worst, float(np.abs(got - want).max()))
     converged = worst <= 0.01
 

@@ -104,22 +104,22 @@ class TestSweep:
         want = reference_sweep(k, step)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert np.allclose(g.p, w, atol=1e-9)
+            assert np.allclose(g, w, atol=1e-9)
 
     def test_endpoints(self, space):
         path = sweep(space, 0.03)
-        assert path[0].p[0] == 1.0
-        assert np.array_equal(path[-1].p, uniform(space).p)
+        assert path[0][0] == 1.0
+        assert np.array_equal(path[-1], uniform(space).p)
 
     def test_drained_mass_non_increasing(self, space):
         path = sweep(space, 0.02)
-        p0 = [d.p[0] for d in path]
+        p0 = [d[0] for d in path]
         assert all(a >= b - 1e-12 for a, b in zip(p0, p0[1:]))
 
     def test_filled_bins_hit_target_exactly(self):
         # clamping must land every bin on exactly 1/k, also when step divides unevenly
         path = sweep(AttributeSpace.of_size(3), 0.1)
-        final = path[-1].p
+        final = path[-1]
         assert all(x == 1.0 / 3.0 for x in final)
 
     def test_step_validation(self):
@@ -134,7 +134,7 @@ class TestSweep:
     @given(k=st.integers(2, 10), step=st.sampled_from([0.01, 0.05, 0.1]))
     def test_all_epochs_valid(self, k, step):
         for d in sweep(AttributeSpace.of_size(k), step):
-            assert d.p.min() >= 0.0 and abs(d.p.sum() - 1.0) <= 1e-9
+            assert d.min() >= 0.0 and abs(d.sum() - 1.0) <= 1e-9
 
 
 class TestFileFormats:

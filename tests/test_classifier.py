@@ -68,16 +68,16 @@ class TestEstimate:
     def test_expectation_hand_value(self):
         model = from_accuracies([0.98, 0.95])
         est = estimate(model, dist(2, [0.5, 0.5]))
-        assert est.p.tolist() == pytest.approx([0.515, 0.485])
+        assert est.tolist() == pytest.approx([0.515, 0.485])
 
     def test_expectation_at_extreme_point(self):
         model = from_accuracies([0.98, 0.95])
         est = estimate(model, dist(2, [1.0, 0.0]))
-        assert est.p.tolist() == pytest.approx([0.98, 0.02])
+        assert est.tolist() == pytest.approx([0.98, 0.02])
 
     def test_perfect_returns_input_exactly(self, space):
         d = uniform(space)
-        assert np.array_equal(estimate(perfect(space.k), d).p, d.p)
+        assert np.array_equal(estimate(perfect(space.k), d), d.p)
 
     def test_k_mismatch(self):
         with pytest.raises(ValidationError):
@@ -89,7 +89,7 @@ class TestEstimate:
         # expectation under symmetric noise is an exact convex mix with uniform
         est = estimate(uniform_noise(4, eps), p)
         want = (1 - eps) * p.p + eps / 4
-        assert np.allclose(est.p, want, atol=1e-12)
+        assert np.allclose(est, want, atol=1e-12)
 
     def test_sampled_is_deterministic(self):
         model = uniform_noise(4, 0.2)
@@ -97,18 +97,18 @@ class TestEstimate:
         a = estimate(model, d, Sampled(n=1000, seed=42))
         b = estimate(model, d, Sampled(n=1000, seed=42))
         c = estimate(model, d, Sampled(n=1000, seed=43))
-        assert np.array_equal(a.p, b.p)
-        assert not np.array_equal(a.p, c.p)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_sampled_counts_are_multiples_of_one_over_n(self):
         est = estimate(perfect(2), dist(2, [0.3, 0.7]), Sampled(n=50, seed=1))
-        assert np.allclose(est.p * 50, np.round(est.p * 50))
+        assert np.allclose(est * 50, np.round(est * 50))
 
     def test_sampled_converges_to_expectation(self):
         model = from_accuracies([0.9, 0.8, 0.7, 0.85])
         d = dist(4, [0.4, 0.3, 0.2, 0.1])
-        want = estimate(model, d).p
-        got = estimate(model, d, Sampled(n=200000, seed=5)).p
+        want = estimate(model, d)
+        got = estimate(model, d, Sampled(n=200000, seed=5))
         assert np.abs(got - want).max() <= 0.005
 
     def test_sample_count_validated(self):

@@ -206,6 +206,12 @@ class TestBench:
         ("sweep-k4-set2-step0.05-start1-sampled-n500-seed2.csv",
          ("--k", "4", "--classifier", "set2", "--mode", "sampled", "--n", "500", "--seed", "2",
           "--step", "0.05", "--start", "1")),
+        # drift.json rows sum to 1 - 5e-10, so every estimate is renormalized.
+        ("ep-k4-drift-precision17.csv",
+         ("--k", "4", "--classifier", str(GOLDEN / "drift.json"), "--precision", "17")),
+        ("sweep-k4-drift-step0.05-start1-precision17.csv",
+         ("--k", "4", "--classifier", str(GOLDEN / "drift.json"), "--step", "0.05", "--start", "1",
+          "--precision", "17")),
     ])
     def test_stdout_pinned(self, capsys, golden, extra):
         code, out, _ = run_cli(capsys, golden.split("-")[0], *extra)
@@ -267,6 +273,9 @@ class TestIngest:
         assert code == 2
 
 
+# A JSON integer too large for a float.
+HUGE = "1" + "0" * 400
+
 BAD_INPUTS = {
     "pred-string": ("ingest", '{"id": "a", "pred": "x"}'),
     "pred-float": ("ingest", '{"id": "a", "pred": 1.7}'),
@@ -288,6 +297,17 @@ BAD_INPUTS = {
     "dist-p-item-string": ("dist", '{"k": 2, "p": [0.5, "x"]}'),
     "dist-p-bool": ("dist", '{"k": 2, "p": [true, false]}'),
     "dist-space-not-list": ("dist", '{"space": {"attributes": 5}, "p": [0.5, 0.5]}'),
+    "dist-p-huge-int": ("dist", f'{{"k": 2, "p": [{HUGE}, 0.5]}}'),
+    "dist-k-huge-int": ("dist", f'{{"k": {HUGE}, "p": [0.5, 0.5]}}'),
+    "probs-huge-int": ("ingest", f'{{"id": "a", "probs": [{HUGE}, 0.5]}}'),
+    "confusion-m-huge-int": ("confusion", f'{{"k": 2, "m": [[{HUGE}, 0], [0, 1]]}}'),
+    "config-step-huge-int": ("config", f'{{"step": {HUGE}}}'),
+    "config-eps-huge-int": ("config", f'{{"eps": {HUGE}}}'),
+    "config-accs-huge-int": ("config", f'{{"accs": [{HUGE}, 0.5]}}'),
+    "dist-p-5000-digit-int": ("dist", f'{{"k": 2, "p": [{"1" * 5000}, 0.5]}}'),
+    "probs-5000-digit-int": ("ingest", f'{{"id": "a", "probs": [{"1" * 5000}, 0.5]}}'),
+    "sweep-step-1e-300": ("sweep", "--k", "2", "--step", "1e-300"),
+    "sweep-step-5e-324": ("sweep", "--k", "2", "--step", "5e-324"),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 import conftest
 from conftest import dist
 from fairdisc import (
-    FairnessScore,
+    ConfusionModel,
     Metric,
     ValidationError,
     ab_extreme_points,
+    estimate,
     uniform,
 )
 from fairdisc.metrics import (
@@ -20,9 +22,9 @@ from fairdisc.metrics import (
     info_specificity,
     l1,
     l2,
-    metric_value,
     n_factor,
     parse_metrics,
+    raw_score,
     specificity,
     wd,
 )
@@ -55,7 +57,7 @@ class TestPointwiseMetrics:
     def test_identical_inputs_are_zero(self, space):
         d = uniform(space)
         for m in REPORT_ORDER:
-            assert metric_value(m, d, d) <= 1e-12
+            assert raw_score(m, d) <= 1e-12
 
     def test_space_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -132,22 +134,22 @@ class TestNormalizationFactor:
 class TestFdScore:
     def test_uniform_scores_zero(self, space):
         for m in REPORT_ORDER:
-            assert fd_score(m, uniform(space)).normalized == pytest.approx(0.0, abs=1e-12)
+            assert fd_score(m, uniform(space)) == pytest.approx(0.0, abs=1e-12)
 
     def test_extreme_points_score_one(self, space):
         for m in REPORT_ORDER:
             for pt in ab_extreme_points(space):
-                assert fd_score(m, pt).normalized == pytest.approx(1.0, abs=1e-12)
+                assert fd_score(m, pt) == pytest.approx(1.0, abs=1e-12)
 
     def test_worked_l2_example(self):
-        s = fd_score(Metric.L2, dist(2, [0.9, 0.1]))
-        assert s.raw == pytest.approx(0.2828427, abs=1e-6)
-        assert s.normalized == pytest.approx(0.8, abs=1e-12)
+        p = dist(2, [0.9, 0.1])
+        assert raw_score(Metric.L2, p) == pytest.approx(0.2828427, abs=1e-6)
+        assert fd_score(Metric.L2, p) == pytest.approx(0.8, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(p=conftest.distributions(4), m=st.sampled_from(REPORT_ORDER))
     def test_normalized_in_unit_interval(self, p, m):
-        assert -1e-12 <= fd_score(m, p).normalized <= 1.0 + 1e-9
+        assert -1e-12 <= fd_score(m, p) <= 1.0 + 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(p=conftest.distributions(4))
@@ -155,18 +157,28 @@ class TestFdScore:
         u = uniform(p.space)
         assert wd(u, p) == pytest.approx(l1(u, p), abs=1e-9)
 
-    def test_score_consistency_enforced(self):
-        with pytest.raises(ValidationError):
-            FairnessScore(metric=Metric.L1, k=2, raw=0.4, n_factor=0.5, normalized=0.9)
-        with pytest.raises(ValidationError):
-            FairnessScore(metric=Metric.L1, k=2, raw=0.4, n_factor=0.0, normalized=1.0)
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 16), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_block_matches_rows_alone(k, n, seed):
+    """A stack of rows scores and estimates exactly as each row does alone."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(k), size=n)
+    rows[rng.random(n) < 0.3] = np.eye(k)[0]
+    for m in REPORT_ORDER:
+        block = fd_score(m, rows)
+        assert block.shape == (n,)
+        assert np.array_equal(block, [fd_score(m, row) for row in rows])
+    # Rows summing to 1 - 5e-10 make every estimate go through renormalization.
+    model = ConfusionModel(k, rng.dirichlet(np.ones(k), size=k) * (1 - 5e-10))
+    assert np.array_equal(estimate(model, rows), [estimate(model, row) for row in rows])
 
 
 def test_raw_fair_scores_order_differs_from_normalized():
     """Normalization can reorder metrics because the factors differ widely."""
     p = dist(8, [0.17, 0.17, 0.11, 0.11, 0.11, 0.11, 0.11, 0.11])
-    raw_l1 = fd_score(Metric.L1, p).raw
-    raw_sp = fd_score(Metric.SPECIFICITY, p).raw
-    norm_l1 = fd_score(Metric.L1, p).normalized
-    norm_sp = fd_score(Metric.SPECIFICITY, p).normalized
+    raw_l1 = raw_score(Metric.L1, p)
+    raw_sp = raw_score(Metric.SPECIFICITY, p)
+    norm_l1 = fd_score(Metric.L1, p)
+    norm_sp = fd_score(Metric.SPECIFICITY, p)
     assert raw_l1 < raw_sp and norm_l1 > norm_sp
