@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .attrspace import AttributeSpace
+from .attrspace import MAX_SWEEP_POINTS, AttributeSpace
 from .attrspace import sweep as sweep_path
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate
 from .errors import ValidationError
@@ -90,9 +90,9 @@ def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: Estimati
     """
     metrics = tuple(metrics)
     sampled = isinstance(mode, Sampled)
-    if sampled and trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
     k = space.k
+    if sampled and not 1 <= trials <= MAX_SWEEP_POINTS // k:
+        raise ValidationError(f"trials must be in [1, {MAX_SWEEP_POINTS // k}] at k={k}, got {trials}")
     n_trials = trials if sampled else 1
 
     est_fair = estimate(model, np.full((n_trials, k), 1.0 / k), mode,

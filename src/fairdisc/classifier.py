@@ -9,9 +9,10 @@ instead.
 
 from __future__ import annotations
 
+import itertools
 import json
+from array import array
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class Sampled:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"sample count must be >= 1, got {self.n}")
+        # Generator.multinomial takes a C long.
+        if not 1 <= self.n < 2**63:
+            raise ValidationError(f"sample count must be in [1, 2**63 - 1], got {self.n}")
 
 
 EstimationMode = Expectation | Sampled
@@ -131,110 +133,89 @@ def _sample(model: ConfusionModel, p: np.ndarray, n: int, seed: int) -> np.ndarr
 # Prediction-file ingestion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One classified item: soft probabilities or a hard label, optional truth."""
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """Ingested records in file order: soft `probs` (N, k) or None, predicted
+    labels `pred` (N,), the argmax for soft records, and `truth` (N,) or None
+    unless every record has a truth label."""
 
-    id: str
-    probs: np.ndarray | None = None
-    pred: int | None = None
-    truth: int | None = None
+    probs: np.ndarray | None
+    pred: np.ndarray
+    truth: np.ndarray | None
 
-    def __post_init__(self):
-        if (self.probs is None) == (self.pred is None):
-            raise ValidationError(f"record {self.id!r}: exactly one of probs/pred is required")
-        if self.probs is not None:
-            arr = float_array(self.probs, f"record {self.id!r}: probs")
-            if arr.ndim != 1 or not np.isfinite(arr).all() or (arr < 0).any():
-                raise ValidationError(f"record {self.id!r}: probs must be a non-negative vector")
-            total = float(arr.sum())
-            if abs(total - 1.0) > PROBS_SUM_TOL:
-                raise ValidationError(f"record {self.id!r}: probs sum to {total}, expected 1")
-            arr.setflags(write=False)
-            object.__setattr__(self, "probs", arr)
-
-    @property
-    def is_soft(self) -> bool:
-        return self.probs is not None
-
-    def predicted_index(self) -> int:
-        return int(np.argmax(self.probs)) if self.is_soft else int(self.pred)
+    def __len__(self) -> int:
+        return len(self.pred)
 
 
-def ingest_predictions(space: AttributeSpace, records: Iterable[PredictionRecord]
-                       ) -> tuple[CategoricalDistribution, ConfusionModel | None]:
-    """Aggregate prediction records into an estimated distribution.
+def load_predictions(path, k: int) -> Predictions:
+    """Read a JSONL prediction file: one {"id", "probs"|"pred", "true"?} per line.
 
-    Soft records average their probability vectors; hard records tally
-    predicted labels. Mixing the two kinds is rejected. When every record
-    carries a truth label, a row-normalized confusion matrix over
-    (truth, prediction) counts is returned as well; truth classes that
-    never occur keep an identity row (no error evidence for them).
+    Each line is checked as it is read: JSON, an object with an "id", `probs`
+    a list of numbers, `pred`/`true` integer labels, exactly one of probs/pred,
+    len(probs) == k, labels in [0, k) and one record kind throughout. Then the
+    (N, k) block of soft probabilities is checked once for finite, non-negative
+    rows that sum to 1 within PROBS_SUM_TOL. Each error names the first bad line.
     """
-    k = space.k
-    soft_sum = np.zeros(k)
-    hard_counts = np.zeros(k)
-    confusion_counts = np.zeros((k, k))
-    n_soft = n_hard = 0
-    all_truth = True
+    probs, lines, pred, truth = array("d"), array("q"), array("q"), array("q")
+    soft = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict) or "id" not in obj:
+                raise ValidationError(f'line {lineno}: record must be an object with an "id"')
+            p, label, t = obj.get("probs"), obj.get("pred"), obj.get("true", obj.get("truth"))
+            if p is not None and not is_number_list(p):
+                raise ValidationError(f"line {lineno}: probs must be a list of numbers")
+            _check_label("pred", label, lineno)
+            _check_label("true", t, lineno)
+            if (p is None) == (label is None):
+                raise _record_error(lineno, obj["id"], "exactly one of probs/pred is required")
+            if p is not None and len(p) != k:
+                raise _record_error(lineno, obj["id"], f"probs have length {len(p)}, expected {k}")
+            if label is not None and not 0 <= label < k:
+                raise _record_error(lineno, obj["id"], f"pred {label} out of range for k={k}")
+            if t is not None and not 0 <= t < k:
+                raise _record_error(lineno, obj["id"], f"truth {t} out of range for k={k}")
+            if soft is None:
+                soft = p is not None
+            if soft != (p is not None):
+                raise ValidationError(f"line {lineno}: prediction stream mixes soft (probs) and hard (pred) records")
+            if soft:
+                try:
+                    probs.extend(p)
+                except OverflowError:
+                    raise _record_error(lineno, obj["id"], "probs must be finite numbers") from None
+                lines.append(lineno)
+            else:
+                pred.append(label)
+            truth.append(-1 if t is None else t)
+        if soft is None:
+            raise ValidationError("prediction stream is empty")
+        truth = None if -1 in truth else np.frombuffer(truth, dtype=np.int64)
+        if not soft:
+            return Predictions(None, np.frombuffer(pred, dtype=np.int64), truth)
+        block = np.frombuffer(probs).reshape(-1, k)
+        with np.errstate(invalid="ignore"):
+            sums = block.sum(axis=1)
+        not_vector = ~np.isfinite(block).all(axis=1) | (block < 0).any(axis=1)
+        bad = np.flatnonzero(not_vector | (np.abs(sums - 1.0) > PROBS_SUM_TOL))
+        if len(bad):
+            row = bad[0]
+            what = "probs must be a non-negative vector" if not_vector[row] else f"probs sum to {float(sums[row])}, expected 1"
+            if not fh.seekable():  # a pipe cannot be re-read for the record's id
+                raise ValidationError(f"line {lines[row]}: {what}")
+            fh.seek(0)
+            raise _record_error(lines[row], json.loads(next(itertools.islice(fh, lines[row] - 1, None)))["id"], what)
+    return Predictions(block, block.argmax(axis=1), truth)
 
-    for rec in records:
-        if rec.is_soft:
-            if len(rec.probs) != k:
-                raise ValidationError(f"record {rec.id!r}: probs have length {len(rec.probs)}, expected {k}")
-            soft_sum += rec.probs
-            n_soft += 1
-        else:
-            if not 0 <= rec.pred < k:
-                raise ValidationError(f"record {rec.id!r}: pred {rec.pred} out of range for k={k}")
-            hard_counts[rec.pred] += 1
-            n_hard += 1
-        if rec.truth is None:
-            all_truth = False
-        else:
-            if not 0 <= rec.truth < k:
-                raise ValidationError(f"record {rec.id!r}: truth {rec.truth} out of range for k={k}")
-            confusion_counts[rec.truth, rec.predicted_index()] += 1
 
-    if n_soft and n_hard:
-        raise ValidationError("prediction stream mixes soft (probs) and hard (pred) records")
-    if not n_soft and not n_hard:
-        raise ValidationError("prediction stream is empty")
-
-    if n_soft:
-        # Each record may be off by PROBS_SUM_TOL, so renormalize the sum
-        # itself rather than divide by the record count.
-        estimated = CategoricalDistribution(space, soft_sum / soft_sum.sum())
-    else:
-        estimated = CategoricalDistribution(space, hard_counts / n_hard)
-
-    confusion = None
-    if all_truth:
-        m = np.eye(k)
-        seen = confusion_counts.sum(axis=1) > 0
-        m[seen] = confusion_counts[seen] / confusion_counts[seen].sum(axis=1, keepdims=True)
-        confusion = ConfusionModel(k, m)
-    return estimated, confusion
-
-
-def parse_prediction_line(line: str, lineno: int) -> PredictionRecord:
-    """Parse one JSONL prediction record: {"id", "probs"|"pred", "true"?}."""
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:
-        raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "id" not in obj:
-        raise ValidationError(f'line {lineno}: record must be an object with an "id"')
-    probs, pred = obj.get("probs"), obj.get("pred")
-    truth = obj.get("true", obj.get("truth"))
-    if probs is not None and not is_number_list(probs):
-        raise ValidationError(f"line {lineno}: probs must be a list of numbers")
-    _check_label("pred", pred, lineno)
-    _check_label("true", truth, lineno)
-    try:
-        return PredictionRecord(id=str(obj["id"]), probs=probs, pred=pred, truth=truth)
-    except ValidationError as exc:
-        raise ValidationError(f"line {lineno}: {exc}") from exc
+def _record_error(lineno: int, record_id, what: str) -> ValidationError:
+    return ValidationError(f"line {lineno}: record {str(record_id)!r}: {what}")
 
 
 def _check_label(name: str, value, lineno: int) -> None:
@@ -242,13 +223,31 @@ def _check_label(name: str, value, lineno: int) -> None:
         raise ValidationError(f"line {lineno}: {name} must be an integer label, got {value!r}")
 
 
-def load_predictions(path) -> list[PredictionRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                records.append(parse_prediction_line(line, lineno))
-    return records
+def ingest_predictions(space: AttributeSpace, preds: Predictions
+                       ) -> tuple[CategoricalDistribution, ConfusionModel | None]:
+    """Aggregate predictions read with k = space.k into an estimated distribution.
+
+    Soft records average their probability vectors; hard records tally
+    predicted labels. When every record carries a truth label, a
+    row-normalized confusion matrix over (truth, prediction) counts is
+    returned as well; truth classes that never occur keep an identity row
+    (no error evidence for them).
+    """
+    k = space.k
+    if preds.probs is not None:
+        # cumsum adds the rows in file order, as a running total would. Each row may be
+        # off by PROBS_SUM_TOL, so renormalize the sum rather than divide by the count.
+        total = np.cumsum(preds.probs, axis=0)[-1]
+        estimated = CategoricalDistribution(space, total / total.sum())
+    else:
+        estimated = CategoricalDistribution(space, np.bincount(preds.pred, minlength=k) / len(preds))
+    if preds.truth is None:
+        return estimated, None
+    counts = np.bincount(preds.truth * k + preds.pred, minlength=k * k).reshape(k, k)
+    m = np.eye(k)
+    seen = counts.sum(axis=1) > 0
+    m[seen] = counts[seen] / counts[seen].sum(axis=1, keepdims=True)
+    return estimated, ConfusionModel(k, m)
 
 
 def load_confusion(path) -> ConfusionModel:

@@ -255,8 +255,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         space = AttributeSpace.of_size(cfg.ks[0])
     else:
         raise ValidationError("ingest needs --space FILE or a single --k")
-    records = load_predictions(args.predictions)
-    dist, confusion = ingest_predictions(space, records)
+    dist, confusion = ingest_predictions(space, load_predictions(args.predictions, space.k))
     _write_out(json.dumps(dist.to_dict(), indent=2) + "\n", cfg.out)
     if args.confusion_out:
         if confusion is None:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def bruteforce_transport_cost(a: list[int], b: list[int], cost, denom: int) -> float:
     """Minimum transport cost between p = a/denom and q = b/denom.
@@ -77,3 +79,33 @@ def sorted_spread(p: list[float]) -> float:
     else:
         weights = [(k - j) / ((k - 1) * (k - 2) / 2) for j in range(2, k + 1)]
     return s[0] - sum(w * x for w, x in zip(weights, s[1:]))
+
+
+def reference_ingest(k: int, records: list[dict]):
+    """Estimated distribution and confusion matrix of decoded prediction records.
+
+    A running per-record sum of soft rows divided by its own total, or
+    label counts over the record count; confusion counts from nested loops,
+    each seen truth row divided by its count and an identity row for unseen
+    ones. The confusion is None unless every record has a truth label.
+    """
+    soft = "probs" in records[0]
+    total = [0.0] * k
+    counts = [[0] * k for _ in range(k)]
+    for rec in records:
+        if soft:
+            for j in range(k):
+                total[j] += rec["probs"][j]
+            pred = max(range(k), key=lambda j: rec["probs"][j])  # first maximal entry
+        else:
+            pred = rec["pred"]
+            total[pred] += 1
+        truth = rec.get("true", rec.get("truth"))
+        if truth is not None:
+            counts[truth][pred] += 1
+    p = np.array(total) / np.sum(total) if soft else np.array([c / len(records) for c in total])
+    if any(rec.get("true", rec.get("truth")) is None for rec in records):
+        return p, None
+    m = [[c / sum(row) for c in row] if sum(row) else [float(i == j) for j in range(k)]
+         for i, row in enumerate(counts)]
+    return p, np.array(m)

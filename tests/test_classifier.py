@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from conftest import dist
 from fairdisc import (
     AttributeSpace,
     ConfusionModel,
-    PredictionRecord,
     Sampled,
     ValidationError,
     estimate,
@@ -21,7 +22,8 @@ from fairdisc import (
     uniform,
     uniform_noise,
 )
-from fairdisc.classifier import PRESET_ACCURACIES, derive_seed, load_predictions, parse_prediction_line
+from fairdisc.classifier import PRESET_ACCURACIES, derive_seed, load_predictions
+from oracles import reference_ingest
 
 
 class TestConfusionModel:
@@ -127,96 +129,150 @@ class TestSeedDerivation:
         assert base != derive_seed(7, 2, 1, 3)
 
 
-class TestIngest:
-    def space(self):
-        return AttributeSpace.of_size(2)
+def write_jsonl(tmp_path, *records, name="p.jsonl"):
+    """One line per record: a dict is written as JSON, a string as given."""
+    path = tmp_path / name
+    path.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records))
+    return path
 
-    def test_hard_tally(self):
-        recs = [PredictionRecord(id=str(i), pred=i % 2) for i in range(4)]
-        est, confusion = ingest_predictions(self.space(), recs)
+
+def ingest(tmp_path, *records, k=2):
+    return ingest_predictions(AttributeSpace.of_size(k), load_predictions(write_jsonl(tmp_path, *records), k))
+
+
+class TestIngest:
+    def test_hard_tally(self, tmp_path):
+        est, confusion = ingest(tmp_path, *({"id": str(i), "pred": i % 2} for i in range(4)))
         assert est.p.tolist() == [0.5, 0.5]
         assert confusion is None  # no truth labels
 
-    def test_soft_mean(self):
-        recs = [PredictionRecord(id="a", probs=[0.8, 0.2]),
-                PredictionRecord(id="b", probs=[0.4, 0.6])]
-        est, _ = ingest_predictions(self.space(), recs)
+    def test_soft_mean(self, tmp_path):
+        est, _ = ingest(tmp_path, {"id": "a", "probs": [0.8, 0.2]}, {"id": "b", "probs": [0.4, 0.6]})
         assert est.p.tolist() == pytest.approx([0.6, 0.4])
 
-    def test_soft_mean_absorbs_per_record_drift(self):
+    def test_soft_mean_absorbs_per_record_drift(self, tmp_path):
         # each record is within the 1e-6 record tolerance, their plain mean is
         # not within the 1e-9 distribution tolerance
-        recs = [PredictionRecord(id=str(i), probs=[0.3333333] * 3) for i in range(3)]
-        est, _ = ingest_predictions(AttributeSpace.of_size(3), recs)
+        est, _ = ingest(tmp_path, *({"id": str(i), "probs": [0.3333333] * 3} for i in range(3)), k=3)
         assert est.p.tolist() == pytest.approx([1 / 3] * 3, abs=1e-15)
 
-    def test_mixed_kinds_rejected(self):
-        recs = [PredictionRecord(id="a", probs=[0.8, 0.2]),
-                PredictionRecord(id="b", pred=1)]
-        with pytest.raises(ValidationError):
-            ingest_predictions(self.space(), recs)
+    def test_mixed_kinds_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^line 2: prediction stream mixes"):
+            ingest(tmp_path, {"id": "a", "probs": [0.8, 0.2]}, {"id": "b", "pred": 1})
+        with pytest.raises(ValidationError, match=r"^line 3: prediction stream mixes"):
+            ingest(tmp_path, {"id": "a", "pred": 1}, "", {"id": "b", "probs": [0.8, 0.2]})
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            ingest_predictions(self.space(), [])
+    def test_empty_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="empty"):
+            ingest(tmp_path)
+        with pytest.raises(ValidationError, match="empty"):
+            ingest(tmp_path, "", "  ")
 
-    def test_out_of_range_label(self):
-        with pytest.raises(ValidationError):
-            ingest_predictions(self.space(), [PredictionRecord(id="a", pred=2)])
-        with pytest.raises(ValidationError):
-            ingest_predictions(self.space(), [PredictionRecord(id="a", pred=0, truth=9)])
+    def test_out_of_range_label(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^line 1: record 'a': pred 2 out of range for k=2$"):
+            ingest(tmp_path, {"id": "a", "pred": 2})
+        with pytest.raises(ValidationError, match=r"^line 2: record 'b': pred -1 out of range"):
+            ingest(tmp_path, {"id": "a", "pred": 0}, {"id": "b", "pred": -1})
+        with pytest.raises(ValidationError, match=r"^line 1: record 'a': truth 9 out of range for k=2$"):
+            ingest(tmp_path, {"id": "a", "pred": 0, "truth": 9})
+        with pytest.raises(ValidationError, match=r"^line 1: record 'a': probs have length 3, expected 2$"):
+            ingest(tmp_path, {"id": "a", "probs": [0.5, 0.25, 0.25]})
 
-    def test_confusion_from_full_truth(self):
-        recs = [PredictionRecord(id="a", pred=0, truth=0),
-                PredictionRecord(id="b", pred=1, truth=1),
-                PredictionRecord(id="c", pred=0, truth=1),
-                PredictionRecord(id="d", pred=1, truth=1)]
-        _, confusion = ingest_predictions(self.space(), recs)
+    def test_confusion_from_full_truth(self, tmp_path):
+        _, confusion = ingest(tmp_path, {"id": "a", "pred": 0, "true": 0}, {"id": "b", "pred": 1, "true": 1},
+                              {"id": "c", "pred": 0, "true": 1}, {"id": "d", "pred": 1, "true": 1})
         assert confusion.m[0].tolist() == [1.0, 0.0]
         assert confusion.m[1].tolist() == pytest.approx([1 / 3, 2 / 3])
 
-    def test_unseen_truth_class_keeps_identity_row(self):
-        recs = [PredictionRecord(id="a", pred=1, truth=1)]
-        _, confusion = ingest_predictions(self.space(), recs)
+    def test_unseen_truth_class_keeps_identity_row(self, tmp_path):
+        _, confusion = ingest(tmp_path, {"id": "a", "pred": 1, "true": 1})
         assert confusion.m[0].tolist() == [1.0, 0.0]
 
-    def test_partial_truth_gives_no_confusion(self):
-        recs = [PredictionRecord(id="a", pred=0, truth=0),
-                PredictionRecord(id="b", pred=1)]
-        _, confusion = ingest_predictions(self.space(), recs)
-        assert confusion is None
+    def test_partial_truth_gives_no_confusion(self, tmp_path):
+        for records in ([{"id": "a", "pred": 0, "true": 0}, {"id": "b", "pred": 1}],
+                        [{"id": "a", "pred": 0}, {"id": "b", "pred": 1, "true": 1}]):
+            _, confusion = ingest(tmp_path, *records)
+            assert confusion is None
 
-    def test_soft_confusion_uses_argmax(self):
-        recs = [PredictionRecord(id="a", probs=[0.9, 0.1], truth=1)]
-        _, confusion = ingest_predictions(self.space(), recs)
+    def test_soft_confusion_uses_argmax(self, tmp_path):
+        _, confusion = ingest(tmp_path, {"id": "a", "probs": [0.9, 0.1], "true": 1})
         assert confusion.m[1].tolist() == [1.0, 0.0]
+        # ties go to the first maximal entry
+        _, confusion = ingest(tmp_path, {"id": "a", "probs": [0.4, 0.1, 0.4, 0.1], "true": 1}, k=4)
+        assert confusion.m[1].tolist() == [1.0, 0.0, 0.0, 0.0]
 
-    def test_record_validation(self):
-        with pytest.raises(ValidationError):
-            PredictionRecord(id="a")  # neither probs nor pred
-        with pytest.raises(ValidationError):
-            PredictionRecord(id="a", probs=[0.5, 0.5], pred=1)  # both
-        with pytest.raises(ValidationError, match=r"sum to 1\.01, expected 1"):
-            PredictionRecord(id="a", probs=[0.5, 0.51])  # sum off by > 1e-6
-        PredictionRecord(id="a", probs=[0.5, 0.5000004])  # within tolerance
+    def test_record_validation(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"^line 1: record 'a': exactly one of probs/pred"):
+            ingest(tmp_path, {"id": "a"})  # neither probs nor pred
+        with pytest.raises(ValidationError, match=r"^line 1: record 'a': exactly one of probs/pred"):
+            ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5], "pred": 1})  # both
+        with pytest.raises(ValidationError, match=r"^line 2: record 'b': probs sum to 1\.01, expected 1$"):
+            ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5]}, {"id": "b", "probs": [0.5, 0.51]})
+        with pytest.raises(ValidationError, match=r"^line 1: record 'a': probs sum to 0\.99, expected 1$"):
+            ingest(tmp_path, {"id": "a", "probs": [0.5, 0.49]})
+        with pytest.raises(ValidationError, match=r"^line 1: record '7': probs must be a non-negative vector$"):
+            ingest(tmp_path, '{"id": 7, "probs": [NaN, 1]}')
+        with pytest.raises(ValidationError, match=r"^line 1: record 'a': probs must be a non-negative vector$"):
+            ingest(tmp_path, {"id": "a", "probs": [1.5, -0.5]})
+        # within tolerance on either side
+        est, _ = ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5000004]}, {"id": "b", "probs": [0.5, 0.4999996]})
+        assert est.p.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_value_errors_name_the_first_bad_row(self, tmp_path):
+        # the per-line checks see the whole file before the value checks run
+        with pytest.raises(ValidationError, match=r"^line 3: record 'c': probs have length 1"):
+            ingest(tmp_path, {"id": "a", "probs": [0.5, 0.6]}, {"id": "b", "probs": [-1, 2]},
+                   {"id": "c", "probs": [1]})
+        with pytest.raises(ValidationError, match=r"^line 3: record 'b': probs sum to 1\.1"):
+            ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5]}, "", {"id": "b", "probs": [0.5, 0.6]},
+                   {"id": "c", "probs": [-1, 2]})
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_sequential_reference(self, tmp_path_factory, data):
+        k = data.draw(st.integers(2, 16))
+        n = data.draw(st.integers(1, 60))
+        soft = data.draw(st.booleans())
+        truth = data.draw(st.sampled_from(["full", "partial", "none"]))
+        records = []
+        for i in range(n):
+            rec = {"id": f"r{i}"}
+            if soft:
+                w = data.draw(st.lists(st.floats(0, 1), min_size=k, max_size=k).filter(lambda w: sum(w) > 0))
+                drift = data.draw(st.sampled_from([1.0, 1 + 5e-7, 1 - 5e-7]))
+                rec["probs"] = [x / sum(w) * drift for x in w]
+            else:
+                rec["pred"] = data.draw(st.integers(0, k - 1))
+            if truth == "full" or (truth == "partial" and data.draw(st.booleans())):
+                rec["true"] = data.draw(st.integers(0, k - 1))
+            records.append(rec)
+        est, confusion = ingest(tmp_path_factory.mktemp("ingest"), *records, k=k)
+        want_p, want_m = reference_ingest(k, records)
+        assert np.array_equal(est.p, want_p)
+        if want_m is None:
+            assert confusion is None
+        else:
+            assert np.array_equal(confusion.m, want_m)
 
 
 class TestPredictionFiles:
-    def test_parse_accepts_true_and_truth_keys(self):
-        a = parse_prediction_line('{"id": "x", "pred": 1, "true": 0}', 1)
-        b = parse_prediction_line('{"id": "y", "pred": 1, "truth": 0}', 2)
-        assert a.truth == 0 and b.truth == 0
+    def test_parse_accepts_true_and_truth_keys(self, tmp_path):
+        preds = load_predictions(write_jsonl(tmp_path, '{"id": "x", "pred": 1, "true": 0}',
+                                             '{"id": "y", "pred": 1, "truth": 0}'), 2)
+        assert preds.truth.tolist() == [0, 0]
 
-    def test_parse_reports_line_number(self):
+    def test_parse_reports_line_number(self, tmp_path):
         with pytest.raises(ValidationError, match="line 7"):
-            parse_prediction_line("{oops", 7)
+            load_predictions(write_jsonl(tmp_path, *[{"id": "a", "pred": 0}] * 6, "{oops"), 2)
         with pytest.raises(ValidationError, match="line 3"):
-            parse_prediction_line('{"pred": 1}', 3)
+            load_predictions(write_jsonl(tmp_path, {"id": "a", "pred": 0}, "", '{"pred": 1}'), 2)
 
     def test_load_skips_blank_lines(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('{"id": "a", "pred": 0}\n\n{"id": "b", "pred": 1}\n')
-        assert len(load_predictions(path)) == 2
+        preds = load_predictions(path, 2)
+        assert len(preds) == 2
+        assert preds.pred.tolist() == [0, 1] and preds.probs is None and preds.truth is None
 
     def test_load_confusion_roundtrip(self, tmp_path):
         path = tmp_path / "c.json"

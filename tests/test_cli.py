@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -10,6 +11,9 @@ from fairdisc.cli import main
 from fairdisc.metrics import Metric
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+# Child interpreters import the package from the source tree.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +312,17 @@ BAD_INPUTS = {
     "probs-5000-digit-int": ("ingest", f'{{"id": "a", "probs": [{"1" * 5000}, 0.5]}}'),
     "sweep-step-1e-300": ("sweep", "--k", "2", "--step", "1e-300"),
     "sweep-step-5e-324": ("sweep", "--k", "2", "--step", "5e-324"),
+    "pred-out-of-range": ("ingest", '{"id": "a", "pred": 2}'),
+    "true-out-of-range": ("ingest", '{"id": "a", "pred": 0, "true": -1}'),
+    "probs-wrong-length": ("ingest", '{"id": "a", "probs": [0.5, 0.25, 0.25]}'),
+    "probs-nan": ("ingest", '{"id": "a", "probs": [NaN, 0.5]}'),
+    "probs-negative": ("ingest", '{"id": "a", "probs": [1.5, -0.5]}'),
+    "probs-sum-off": ("ingest", '{"id": "a", "probs": [0.5, 0.6]}'),
+    "neither-probs-nor-pred": ("ingest", '{"id": "a", "true": 0}'),
+    "both-probs-and-pred": ("ingest", '{"id": "a", "probs": [0.5, 0.5], "pred": 0}'),
+    "config-n-huge-int": ("config", f'{{"mode": "sampled", "n": {HUGE}}}'),
+    "config-n-2-pow-63": ("config", f'{{"mode": "sampled", "n": {2**63}}}'),
+    "config-trials-huge-int": ("config", f'{{"mode": "sampled", "n": 10, "trials": {HUGE}}}'),
 }
 
 
@@ -341,8 +356,29 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
         assert err.startswith("error: line 1: ")
 
 
+def test_ingest_errors_name_line_and_record(capsys, tmp_path):
+    preds = tmp_path / "p.jsonl"
+    preds.write_text('{"id": "a", "probs": [0.5, 0.5]}\n{"id": "b", "pred": 1}\n')
+    code, _, err = run_cli(capsys, "ingest", str(preds), "--k", "2")
+    assert code == 2
+    assert err == "error: line 2: prediction stream mixes soft (probs) and hard (pred) records\n"
+    preds.write_text('{"id": "a", "pred": 0}\n\n{"id": "b", "pred": 2}\n')
+    code, _, err = run_cli(capsys, "ingest", str(preds), "--k", "2")
+    assert code == 2
+    assert err == "error: line 3: record 'b': pred 2 out of range for k=2\n"
+
+
+def test_ingest_from_pipe_names_line():
+    # A pipe cannot be re-read for the record id, so a value error names the line only.
+    proc = subprocess.run([sys.executable, "-m", "fairdisc", "ingest", "/dev/stdin", "--k", "2"],
+                          input='{"id": "a", "probs": [0.5, 0.5]}\n{"id": "b", "probs": [0.5, 0.6]}\n',
+                          capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: line 2: probs sum to 1.1, expected 1\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "fairdisc", "nfactor", "--k", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0
     assert proc.stdout.startswith("k,metric,n_factor")

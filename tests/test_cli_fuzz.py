@@ -1,7 +1,7 @@
-"""Fuzz the CLI in-process with random and invalid flag values.
+"""Fuzz the CLI in-process with random and invalid flag values and input files.
 
 Every run must end in exit code 0, 2 (validation) or 3 (I/O) and never
-print a traceback.
+print a traceback; a validation error is one `error:` line.
 """
 
 import contextlib
@@ -95,6 +95,47 @@ def dist_files(draw):
     return obj
 
 
+# Prediction files for `ingest`: valid soft and hard records, blank lines,
+# and records with a field dropped or replaced by a value of the wrong type,
+# size or range.
+HUGE_INTS = st.sampled_from([2**63, -2**63 - 1, 10**400])
+BAD_ENTRY = st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.5, 1.5]),
+                      HUGE_INTS, st.booleans(), st.text(max_size=2), st.none())
+BAD_LABEL = st.one_of(st.integers(-3, 9), HUGE_INTS, st.booleans(), st.floats(allow_nan=True),
+                      st.text(max_size=2), st.just([0]))
+BAD_PROBS = st.one_of(st.lists(st.floats(-1, 2), max_size=4), st.lists(BAD_ENTRY, max_size=3),
+                      st.integers(), st.text(max_size=2), st.dictionaries(st.text(max_size=1), st.integers()))
+NOT_RECORDS = st.sampled_from(["{oops", "[1, 2]", '"x"', "null", "3", '{"id": "a", "probs": [0.5,', "\ufeff{}"])
+
+
+@st.composite
+def prediction_line(draw, k, soft, truth):
+    """One line of a file of soft or hard records, with or without truth labels."""
+    choice = draw(st.sampled_from(["valid"] * 12 + ["blank", "junk", "no-id", "kind", "probs", "entry",
+                                                    "pred", "true"]))
+    if choice == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    if choice == "junk":
+        return draw(NOT_RECORDS)
+    rec = {"id": draw(st.one_of(st.text(max_size=3), st.integers(), st.booleans(), st.none()))}
+    if soft != (choice == "kind"):
+        counts = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(sum))
+        rec["probs"] = [c / sum(counts) for c in counts]
+    else:
+        rec["pred"] = draw(st.integers(0, k - 1))
+    if truth or choice == "kind":
+        rec[draw(st.sampled_from(["true", "truth"]))] = draw(st.integers(0, k - 1))
+    if choice == "no-id":
+        del rec["id"]
+    elif choice == "probs":
+        rec["probs"] = draw(BAD_PROBS)
+    elif choice == "entry" and "probs" in rec:
+        rec["probs"][draw(st.integers(0, k - 1))] = draw(BAD_ENTRY)
+    elif choice in ("pred", "true"):
+        rec[choice] = draw(BAD_LABEL)
+    return json.dumps(rec)
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -109,6 +150,7 @@ def check(argv):
     code, err = run(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    return code, err
 
 
 @pytest.mark.parametrize("command", ["nfactor", "ep", "sweep"])
@@ -124,3 +166,17 @@ def test_score_exits_cleanly(tmp_path_factory, dist, data):
     path = tmp_path_factory.mktemp("score") / "d.json"
     path.write_text(json.dumps(dist))
     check([*data.draw(argvs("score")), str(path)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 6), data=st.data())
+def test_ingest_exits_cleanly(tmp_path_factory, k, data):
+    soft, truth = data.draw(st.booleans()), data.draw(st.booleans())
+    lines = data.draw(st.lists(prediction_line(k, soft, truth), max_size=8))
+    work = tmp_path_factory.mktemp("ingest")
+    preds = work / "p.jsonl"
+    preds.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    confusion = ["--confusion-out", str(work / "c.json")] if truth else []
+    code, err = check(["ingest", str(preds), "--k", str(k), "--out", str(work / "d.json"), *confusion])
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
