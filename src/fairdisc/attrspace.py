@@ -21,6 +21,9 @@ _DRIFT_TOL = 1e-12
 _JSON_NUMBERS = frozenset((int, float))
 # Longest bias-to-fair path `sweep` builds.
 MAX_SWEEP_POINTS = 10**6
+# Most outcomes a space may have, so that a k x k confusion matrix or block of
+# one-hot rows holds at most MAX_SWEEP_POINTS entries.
+MAX_OUTCOMES = 1000
 
 
 def is_number_list(value) -> bool:
@@ -34,6 +37,13 @@ def float_array(value, what: str) -> np.ndarray:
         return np.array(value, dtype=float)
     except OverflowError:
         raise ValidationError(f"{what} must be finite numbers") from None
+
+
+def check_k(k: int) -> int:
+    """`k` if a space may have k outcomes, 2 <= k <= MAX_OUTCOMES; else a ValidationError."""
+    if not 2 <= k <= MAX_OUTCOMES:
+        raise ValidationError(f"k must be in [2, {MAX_OUTCOMES}], got {k}")
+    return k
 
 
 def normalized_rows(arr: np.ndarray) -> np.ndarray:
@@ -71,8 +81,7 @@ class AttributeSpace:
                 raise ValidationError(f"attribute {name!r} has no values")
             if len(set(values)) != len(values):
                 raise ValidationError(f"attribute {name!r} has duplicate values")
-        if self.k < 2:
-            raise ValidationError(f"attribute space must have k >= 2 outcomes, got k={self.k}")
+        check_k(self.k)
 
     @property
     def k(self) -> int:
@@ -84,10 +93,8 @@ class AttributeSpace:
 
     @classmethod
     def of_size(cls, k: int, name: str = "u") -> "AttributeSpace":
-        """Anonymous single-attribute space with k outcomes labelled 0..k-1."""
-        if k < 2:
-            raise ValidationError(f"k must be >= 2, got {k}")
-        return cls(((name, tuple(str(i) for i in range(k))),))
+        """Anonymous single-attribute space with k outcomes labelled 0..k-1; k is checked first."""
+        return cls(((name, tuple(str(i) for i in range(check_k(k)))),))
 
     def outcome_labels(self) -> list[tuple[str, ...]]:
         return list(itertools.product(*(values for _, values in self.attributes)))

@@ -71,11 +71,12 @@ def mem(f, f_star) -> float:
     return float(np.mean(np.abs(_flat(f, "mem") - _flat(f_star, "mem"))))
 
 
-def _seeds(mode: EstimationMode, k: int, kind_tag: int, cells) -> list[int] | None:
-    """One derived seed per (cell, trial) in sampled mode; None in expectation mode."""
+def _seeds(mode: EstimationMode, k: int, kind_tag: int, cell, trial) -> np.ndarray | None:
+    """Derived seeds of a block in sampled mode, flattened in C order over the
+    broadcast (cell, trial) arrays; None in expectation mode."""
     if isinstance(mode, Expectation):
         return None
-    return [derive_seed(mode.seed, k, kind_tag, cell, trial) for cell, trial in cells]
+    return derive_seed(mode.seed, k, kind_tag, cell, trial).ravel()
 
 
 def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode,
@@ -95,10 +96,10 @@ def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: Estimati
         raise ValidationError(f"trials must be in [1, {MAX_SWEEP_POINTS // k}] at k={k}, got {trials}")
     n_trials = trials if sampled else 1
 
-    est_fair = estimate(model, np.full((n_trials, k), 1.0 / k), mode,
-                        _seeds(mode, k, _KIND_FAIR, ((0, t) for t in range(n_trials))))
+    trial = np.arange(n_trials)
+    est_fair = estimate(model, np.full((n_trials, k), 1.0 / k), mode, _seeds(mode, k, _KIND_FAIR, 0, trial))
     est_ab = estimate(model, np.broadcast_to(np.eye(k), (n_trials, k, k)), mode,
-                      _seeds(mode, k, _KIND_AB, ((i, t) for t in range(n_trials) for i in range(k))))
+                      _seeds(mode, k, _KIND_AB, np.arange(k), trial[:, None]))
     return (_checked({m: fd_score(m, est_fair) for m in metrics}, k),
             _checked({m: fd_score(m, est_ab) for m in metrics}, k))
 
@@ -126,7 +127,7 @@ def run_sweep(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode
     for s, start in enumerate(starts):
         p_true = path.copy()
         p_true[:, [0, start]] = path[:, [start, 0]]
-        est = estimate(model, p_true, mode, _seeds(mode, k, _KIND_SWEEP, ((start, e) for e in range(epochs))))
+        est = estimate(model, p_true, mode, _seeds(mode, k, _KIND_SWEEP, start, np.arange(epochs)))
         for m in metrics:
             f[m][s] = fd_score(m, est)
             f_star[m][s] = fd_score(m, p_true)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -59,6 +61,8 @@ class Sampled:
         # Generator.multinomial takes a C long.
         if not 1 <= self.n < 2**63:
             raise ValidationError(f"sample count must be in [1, 2**63 - 1], got {self.n}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 EstimationMode = Expectation | Sampled
@@ -96,10 +100,103 @@ def per_class_accuracy(model: ConfusionModel) -> np.ndarray:
     return np.diag(model.m).copy()
 
 
-def derive_seed(base_seed: int, *parts: int) -> int:
-    """Stable 64-bit seed for one trial/cell, independent of execution order."""
-    ss = np.random.SeedSequence([int(base_seed)] + [int(p) for p in parts])
-    return int(ss.generate_state(1, np.uint64)[0])
+# np.random.SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+# PCG_DEFAULT_MULTIPLIER_128 (numpy/random/src/pcg64/pcg64.h).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_sequence(words: np.ndarray, n_words: int) -> np.ndarray:
+    """`np.random.SeedSequence(words[r]).generate_state(n_words, np.uint64)` for every row r.
+
+    `words` is an (N, L) uint32 array: row r is the entropy of cell r as
+    SeedSequence assembles it (each integer split into 32-bit words, low word
+    first). Each step of `mix_entropy` and `generate_state` runs once over a
+    column of N words, with the same constants in the same order, so the
+    result is the numpy one word for word. Returns an (N, n_words) uint64 array.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    n_rows, n_entropy = words.shape
+    zero = np.zeros(n_rows, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < n_entropy else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_entropy):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    hash_const = _INIT_B
+    state = np.empty((n_rows, 2 * n_words), dtype=np.uint32)
+    for i in range(2 * n_words):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> 16)
+    # Word pairs read as little-endian uint64, as generate_state does.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _int_words(n: int) -> list[int]:
+    """The 32-bit words of a non-negative int, low word first ([0] for 0), as SeedSequence splits it."""
+    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def derive_seed(base_seed: int, *parts):
+    """Stable 64-bit seed per cell, independent of execution order.
+
+    Cell c gets `np.random.SeedSequence([base_seed, *parts_at_c]).generate_state(1,
+    np.uint64)[0]`, computed for every cell at once by `_seed_sequence`; the
+    parts broadcast against each other, and the result is a uint64 array of
+    their shape (a np.uint64 for scalar parts). `base_seed` is a non-negative
+    int and every part an integer in [0, 2**32), so each part is one entropy
+    word. `tests/test_classifier.py::TestSeedDerivation` checks the result
+    against numpy's SeedSequence.
+    """
+    base = int(base_seed)
+    if base < 0:
+        raise ValidationError(f"base seed must be >= 0, got {base}")
+    parts = np.broadcast_arrays(*(np.asarray(p) for p in parts))
+    for p in parts:
+        if p.dtype.kind not in "iu" or (p.size and (p.min() < 0 or p.max() > _MASK32)):
+            raise ValidationError("seed parts must be integers in [0, 2**32)")
+    shape = parts[0].shape if parts else ()
+    base_words = _int_words(base)
+    words = np.empty((math.prod(shape), len(base_words) + len(parts)), dtype=np.uint32)
+    words[:, :len(base_words)] = base_words
+    for j, p in enumerate(parts, start=len(base_words)):
+        words[:, j] = p.ravel()
+    return _seed_sequence(words, 1)[:, 0].reshape(shape)[()]
+
+
+def _row_seeds(seeds, n_rows: int) -> np.ndarray:
+    """`seeds` as an (n_rows,) uint64 array; anything but n_rows integers in [0, 2**64) is a ValidationError."""
+    if not isinstance(seeds, np.ndarray) or seeds.dtype.kind not in "iu":
+        # Python ints as objects: np.asarray([0, 2**63]) would round them to float64.
+        try:
+            seeds = np.array([operator.index(s) for s in seeds], dtype=object)
+        except TypeError:
+            seeds = None
+    if seeds is None or seeds.shape != (n_rows,) or (n_rows and not 0 <= seeds.min() <= seeds.max() < 2**64):
+        raise ValidationError(f"seeds must be {n_rows} integers in [0, 2**64), one per row")
+    return seeds.astype(np.uint64)
 
 
 def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
@@ -110,7 +207,13 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     the same shape. Expectation mode returns m^T p for every row exactly.
     Sampled mode draws n true outcomes per row, pushes each through the
     matching confusion row, and returns the normalized prediction tallies;
-    row r draws from its own stream, seeded by seeds[r] (default mode.seed).
+    `seeds` holds one integer in [0, 2**64) per row (default `mode.seed` for
+    every row). Row r draws from the stream of `np.random.default_rng(seeds[r])`:
+    `_seed_sequence` turns all seeds into SeedSequence states at once, two
+    128-bit LCG steps make each a PCG64 state as numpy's `pcg64_set_seed` does,
+    and one Generator is re-seeded per row through its public `state` setter.
+    `tests/test_classifier.py::TestSampledStreams` checks every row against a
+    fresh `default_rng` per row (`oracles.reference_sample`).
     """
     rows = as_rows(rows)
     if rows.shape[-1] != model.k:
@@ -119,14 +222,23 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
         # One matrix-vector product per row: P @ m rounds differently for k >= 4.
         return normalized_rows((model.m.T @ rows[..., None])[..., 0])
     flat = rows.reshape(-1, model.k)
-    seeds = [mode.seed] * len(flat) if seeds is None else seeds
-    tallies = [_sample(model, p, mode.n, seed) for p, seed in zip(flat, seeds, strict=True)]
-    return normalized_rows(np.reshape(tallies, rows.shape))
-
-
-def _sample(model: ConfusionModel, p: np.ndarray, n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return sum(rng.multinomial(c, model.m[i]) for i, c in enumerate(rng.multinomial(n, p)) if c > 0) / n
+    if seeds is None:
+        states = np.broadcast_to(_seed_sequence(np.array([_int_words(mode.seed)], dtype=np.uint32), 4),
+                                 (len(flat), 4))
+    else:
+        seeds = _row_seeds(seeds, len(flat))
+        # A seed below 2**32 is one entropy word to SeedSequence; a zero high word
+        # mixes the same, because mix_entropy pads short entropy with zero words.
+        states = _seed_sequence(np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32), 4)
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+    tallies = np.empty(flat.shape)
+    for r, (p, (s_hi, s_lo, i_hi, i_lo)) in enumerate(zip(flat, states.tolist())):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                        "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
+        tallies[r] = gen.multinomial(gen.multinomial(mode.n, p), model.m).sum(axis=0) / mode.n
+    return normalized_rows(tallies.reshape(rows.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import classifier as clf
-from .attrspace import AttributeSpace, load_distribution, load_space
+from .attrspace import AttributeSpace, check_k, load_distribution, load_space
 from .bench import BenchConfig, format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_confusion, load_predictions
 from .errors import ValidationError
@@ -103,7 +103,7 @@ class RunConfig:
 
     def _normalize(self):
         if self.ks is not None:
-            self.ks = tuple(_number("k", k, int) for k in _as_list(self.ks))
+            self.ks = tuple(check_k(_number("k", k, int)) for k in _as_list(self.ks))
             if not self.ks:
                 raise ValidationError("k set must not be empty")
         metrics = _as_list(self.metrics)

@@ -109,3 +109,14 @@ def reference_ingest(k: int, records: list[dict]):
     m = [[c / sum(row) for c in row] if sum(row) else [float(i == j) for j in range(k)]
          for i, row in enumerate(counts)]
     return p, np.array(m)
+
+
+def reference_sample(m: np.ndarray, p: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Sampled estimate of one row on its own fresh `np.random.default_rng(seed)`.
+
+    Draws n true outcomes from p, then pushes each outcome's count through
+    its confusion row, one multinomial call per outcome that occurs, and
+    returns the summed prediction tallies over n.
+    """
+    rng = np.random.default_rng(seed)
+    return sum(rng.multinomial(c, m[i]) for i, c in enumerate(rng.multinomial(n, p)) if c > 0) / n

@@ -16,7 +16,7 @@ from fairdisc import (
     sweep,
     uniform,
 )
-from fairdisc.attrspace import space_from_dict
+from fairdisc.attrspace import MAX_OUTCOMES, MAX_SWEEP_POINTS, space_from_dict
 from oracles import reference_sweep
 
 
@@ -43,6 +43,16 @@ class TestAttributeSpace:
             AttributeSpace.of_size(1)
         with pytest.raises(ValidationError):
             AttributeSpace((("solo", ("only",)),))
+
+    def test_rejects_k_above_limit(self):
+        # Checked by value before any label is built, so a huge k costs nothing.
+        assert MAX_OUTCOMES**2 <= MAX_SWEEP_POINTS
+        assert AttributeSpace.of_size(MAX_OUTCOMES).k == MAX_OUTCOMES
+        for k in (MAX_OUTCOMES + 1, 50_000_000, 10**400):
+            with pytest.raises(ValidationError, match=rf"k must be in \[2, {MAX_OUTCOMES}\]"):
+                AttributeSpace.of_size(k)
+        with pytest.raises(ValidationError):
+            AttributeSpace((("a", ("x", "y")), ("b", tuple(map(str, range(MAX_OUTCOMES // 2 + 1))))))
 
     def test_rejects_duplicate_values(self):
         with pytest.raises(ValidationError):

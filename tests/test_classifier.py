@@ -23,7 +23,7 @@ from fairdisc import (
     uniform_noise,
 )
 from fairdisc.classifier import PRESET_ACCURACIES, derive_seed, load_predictions
-from oracles import reference_ingest
+from oracles import reference_ingest, reference_sample
 
 
 class TestConfusionModel:
@@ -117,6 +117,51 @@ class TestEstimate:
         with pytest.raises(ValidationError):
             Sampled(n=0, seed=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            Sampled(n=100, seed=-1)
+
+    @pytest.mark.parametrize("seeds", [[1], [1, 2, 3], [-1, 2], [2**64, 2], [0.5, 2], [[1, 2]]])
+    def test_seeds_validated(self, seeds):
+        with pytest.raises(ValidationError, match="seeds must be 2 integers in"):
+            estimate(perfect(2), np.eye(2), Sampled(n=10, seed=0), seeds)
+
+
+def confusion_models(k):
+    """Row-stochastic k x k matrices with random zero entries (rows kept non-empty)."""
+    def build(draw_seed):
+        rng = np.random.default_rng(draw_seed)
+        m = rng.dirichlet(np.ones(k), size=k) * (rng.random((k, k)) < 0.6)
+        m[np.arange(k), rng.integers(0, k, size=k)] += 1e-3
+        return ConfusionModel(k, m / m.sum(axis=1, keepdims=True))
+    return st.integers(0, 2**32 - 1).map(build)
+
+
+@st.composite
+def sampled_cases(draw):
+    k = draw(st.integers(2, 16))
+    model = draw(st.one_of(st.just(perfect(k)), confusion_models(k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["one-hot", "uniform", "dirichlet"]), min_size=1, max_size=4))
+    rows = np.array([np.eye(k)[rng.integers(k)] if kind == "one-hot" else
+                     np.full(k, 1.0 / k) if kind == "uniform" else rng.dirichlet(np.ones(k) * 0.5)
+                     for kind in kinds])
+    seeds = draw(st.none() | st.lists(st.integers(0, 2**64 - 1), min_size=len(rows), max_size=len(rows)))
+    mode = Sampled(draw(st.sampled_from([1, 7, 1000, 100000])), draw(st.integers(0, 2**70)))
+    return model, rows, mode, seeds
+
+
+class TestSampledStreams:
+    @settings(max_examples=80, deadline=None)
+    @given(case=sampled_cases())
+    def test_rows_match_fresh_generator_per_row(self, case):
+        # Every row draws exactly what a fresh default_rng(seed) per row draws.
+        model, rows, mode, seeds = case
+        got = estimate(model, rows, mode, seeds)
+        for r, p in enumerate(rows):
+            seed = mode.seed if seeds is None else seeds[r]
+            assert np.array_equal(got[r], reference_sample(model.m, p, mode.n, seed))
+
 
 class TestSeedDerivation:
     def test_deterministic(self):
@@ -127,6 +172,25 @@ class TestSeedDerivation:
         assert base != derive_seed(8, 1, 2, 3)
         assert base != derive_seed(7, 1, 2, 4)
         assert base != derive_seed(7, 2, 1, 3)
+
+    @pytest.mark.parametrize("base", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5 * 2**32 + 7])
+    def test_matches_seed_sequence(self, base):
+        parts = np.random.default_rng(base % 2**32).integers(0, 2**32, size=(4, 40), dtype=np.uint64)
+        parts[:, 0], parts[:, 1] = 0, 2**32 - 1
+        want = [np.random.SeedSequence([base, *map(int, cell)]).generate_state(1, np.uint64)[0] for cell in parts.T]
+        assert np.array_equal(derive_seed(base, *parts), want)
+        assert derive_seed(base, *parts[:, 2]) == want[2]
+
+    def test_parts_broadcast(self):
+        got = derive_seed(3, 4, 1, np.arange(4), np.arange(5)[:, None])
+        assert got.shape == (5, 4)
+        assert got[2, 3] == derive_seed(3, 4, 1, 3, 2)
+
+    @pytest.mark.parametrize("base, parts", [(-1, (1, 2)), (7, (-1, 2)), (7, (1, 2**32)),
+                                             (7, (1, np.array([0, 2**32]))), (7, (1, 0.5)), (7, (2**64,))])
+    def test_rejects_out_of_range(self, base, parts):
+        with pytest.raises(ValidationError):
+            derive_seed(base, *parts)
 
 
 def write_jsonl(tmp_path, *records, name="p.jsonl"):

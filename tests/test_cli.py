@@ -323,6 +323,8 @@ BAD_INPUTS = {
     "config-n-huge-int": ("config", f'{{"mode": "sampled", "n": {HUGE}}}'),
     "config-n-2-pow-63": ("config", f'{{"mode": "sampled", "n": {2**63}}}'),
     "config-trials-huge-int": ("config", f'{{"mode": "sampled", "n": 10, "trials": {HUGE}}}'),
+    "nfactor-k-50000000": ("nfactor", "--k", "50000000", "--metrics", "l1"),
+    "config-k-huge-int": ("config", f'{{"k": {HUGE}}}'),
 }
 
 
