@@ -12,6 +12,15 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Input limits, each checked at one site before anything of its size is built.
+# Most outcomes a space may have (check_k).
+MAX_OUTCOMES = 1000
+# Most floats one block of rows may hold (check_block): a sweep path, or the
+# sampled AB block of run_ep_analysis. A k x k matrix always fits.
+MAX_BLOCK_ENTRIES = 2 * 10**6
+# Most samples per estimate; Generator.multinomial takes a C long (Sampled).
+MAX_SAMPLES = 2**63 - 1
+
 # Entries must sum to 1 within this tolerance to count as a distribution.
 SUM_TOL = 1e-9
 # Below this deviation we keep the entries as given instead of renormalizing,
@@ -19,11 +28,6 @@ SUM_TOL = 1e-9
 _DRIFT_TOL = 1e-12
 # JSON decodes numbers to exactly int or float; bool is its own type.
 _JSON_NUMBERS = frozenset((int, float))
-# Longest bias-to-fair path `sweep` builds.
-MAX_SWEEP_POINTS = 10**6
-# Most outcomes a space may have, so that a k x k confusion matrix or block of
-# one-hot rows holds at most MAX_SWEEP_POINTS entries.
-MAX_OUTCOMES = 1000
 
 
 def is_number_list(value) -> bool:
@@ -44,6 +48,22 @@ def check_k(k: int) -> int:
     if not 2 <= k <= MAX_OUTCOMES:
         raise ValidationError(f"k must be in [2, {MAX_OUTCOMES}], got {k}")
     return k
+
+
+def check_block(rows: int, k: int, what: str) -> None:
+    """Reject a block of `rows` x k floats beyond MAX_BLOCK_ENTRIES, before it is allocated."""
+    if rows * k > MAX_BLOCK_ENTRIES:
+        raise ValidationError(f"{what} needs {rows} x {k} floats, more than {MAX_BLOCK_ENTRIES} in one block")
+
+
+def read_json(path):
+    """The decoded JSON file at `path`; an I/O failure stays an OSError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # Bad JSON, bytes that are not UTF-8 and integers over Python's digit limit.
+        except ValueError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def normalized_rows(arr: np.ndarray) -> np.ndarray:
@@ -160,7 +180,8 @@ def sweep(space: AttributeSpace, step: float) -> np.ndarray:
     lowest-index outcome still below 1/k; the last transfer into each
     outcome is clamped so the outcome lands exactly on 1/k. The final
     epoch is the uniform distribution, reachable for every k because of
-    the clamping. A path longer than MAX_SWEEP_POINTS is rejected.
+    the clamping. A path of more than MAX_BLOCK_ENTRIES floats (rows x k) is
+    rejected before it is built: 10**6 rows at k = 2, 2,000 at k = 1000.
     """
     k = space.k
     target = 1.0 / k
@@ -168,9 +189,8 @@ def sweep(space: AttributeSpace, step: float) -> np.ndarray:
         raise ValidationError(f"step must be positive, got {step}")
     if step > target + _DRIFT_TOL:
         raise ValidationError(f"step must be <= 1/k = {target}, got {step}")
-    transfers = math.ceil(min(target / step - 1e-9, MAX_SWEEP_POINTS))
-    if 1 + (k - 1) * transfers > MAX_SWEEP_POINTS:
-        raise ValidationError(f"step {step} gives a sweep longer than {MAX_SWEEP_POINTS} points at k={k}")
+    transfers = math.ceil(min(target / step - 1e-9, MAX_BLOCK_ENTRIES))
+    check_block(1 + (k - 1) * transfers, k, f"sweep step {step}")
 
     v = np.minimum(np.arange(1, transfers + 1) * step, target)
     v[target - v < _DRIFT_TOL] = target
@@ -203,41 +223,29 @@ def space_from_dict(obj) -> AttributeSpace:
 
 
 def load_space(path) -> AttributeSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        # Bad JSON, bytes that are not UTF-8 and integers over Python's digit limit.
-        except ValueError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return space_from_dict(obj)
+    return space_from_dict(read_json(path))
 
 
-def load_distribution(path, space: AttributeSpace | None = None) -> CategoricalDistribution:
-    """Read a distribution file: {"space": <path or inline>, "p": [...]}.
+def load_distribution(path) -> CategoricalDistribution:
+    """Read a distribution file: {"space": <path or inline>, "p": [...]}, or {"k": k, "p": [...]}.
 
-    A relative "space" path is resolved against the distribution file's
-    directory. An explicit `space` argument overrides the file's.
+    A relative "space" path is resolved against the distribution file's directory.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict) or "p" not in obj:
         raise ValidationError(f'{path}: distribution JSON must contain "p"')
     if not is_number_list(obj["p"]):
         raise ValidationError(f'{path}: "p" must be a list of numbers')
-    if space is None:
-        ref = obj.get("space")
-        if isinstance(ref, dict):
-            space = space_from_dict(ref)
-        elif isinstance(ref, str):
-            ref_path = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(str(path)), ref)
-            space = load_space(ref_path)
-        elif isinstance(obj.get("k"), int):
-            if obj["k"] != len(obj["p"]):
-                raise ValidationError(f'{path}: "k" does not match the {len(obj["p"])} entries of "p"')
-            space = AttributeSpace.of_size(obj["k"])
-        else:
-            raise ValidationError(f'{path}: no "space" given and none supplied')
+    ref = obj.get("space")
+    if isinstance(ref, dict):
+        space = space_from_dict(ref)
+    elif isinstance(ref, str):
+        # join keeps an absolute `ref` as it is.
+        space = load_space(os.path.join(os.path.dirname(str(path)), ref))
+    elif isinstance(obj.get("k"), int):
+        if obj["k"] != len(obj["p"]):
+            raise ValidationError(f'{path}: "k" does not match the {len(obj["p"])} entries of "p"')
+        space = AttributeSpace.of_size(obj["k"])
+    else:
+        raise ValidationError(f'{path}: no "space" given and none supplied')
     return CategoricalDistribution(space, obj["p"])

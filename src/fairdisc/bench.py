@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .attrspace import MAX_SWEEP_POINTS, AttributeSpace
+from .attrspace import AttributeSpace, check_block
 from .attrspace import sweep as sweep_path
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate
 from .errors import ValidationError
@@ -87,14 +87,16 @@ def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: Estimati
     uniform distribution and `ab[m][t, i]` the one-hot point on outcome i,
     in trial t. Expectation mode evaluates each point once (one trial).
     Sampled mode repeats `trials` times, each (point, trial) cell on its
-    own derived seed.
+    own derived seed; its AB block of trials·k rows of k floats must fit
+    MAX_BLOCK_ENTRIES (`check_block`), so k = 2 allows 500,000 trials and
+    k = 1000 two.
     """
     metrics = tuple(metrics)
-    sampled = isinstance(mode, Sampled)
     k = space.k
-    if sampled and not 1 <= trials <= MAX_SWEEP_POINTS // k:
-        raise ValidationError(f"trials must be in [1, {MAX_SWEEP_POINTS // k}] at k={k}, got {trials}")
-    n_trials = trials if sampled else 1
+    n_trials = trials if isinstance(mode, Sampled) else 1
+    if n_trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    check_block(n_trials * k, k, f"{n_trials} trials at k={k}")
 
     trial = np.arange(n_trials)
     est_fair = estimate(model, np.full((n_trials, k), 1.0 / k), mode, _seeds(mode, k, _KIND_FAIR, 0, trial))

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attrspace import AttributeSpace, CategoricalDistribution, as_rows, float_array, is_number_list, normalized_rows
+from .attrspace import (MAX_SAMPLES, AttributeSpace, CategoricalDistribution, as_rows, float_array, is_number_list,
+                        normalized_rows, read_json)
 from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-9
@@ -52,14 +53,13 @@ class Expectation:
 
 @dataclass(frozen=True)
 class Sampled:
-    """Monte-carlo estimation: n draws through the classifier, seeded."""
+    """Monte-carlo estimation: n draws through the classifier, 1 <= n <= MAX_SAMPLES, seeded."""
 
     n: int
     seed: int
 
     def __post_init__(self):
-        # Generator.multinomial takes a C long.
-        if not 1 <= self.n < 2**63:
+        if not 1 <= self.n <= MAX_SAMPLES:
             raise ValidationError(f"sample count must be in [1, 2**63 - 1], got {self.n}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
@@ -230,6 +230,8 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
         # A seed below 2**32 is one entropy word to SeedSequence; a zero high word
         # mixes the same, because mix_entropy pads short entropy with zero words.
         states = _seed_sequence(np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32), 4)
+    # Confusion rows may be off 1 by ROW_SUM_TOL, more than multinomial allows.
+    m = normalized_rows(model.m)
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
     tallies = np.empty(flat.shape)
@@ -237,7 +239,7 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                         "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
-        tallies[r] = gen.multinomial(gen.multinomial(mode.n, p), model.m).sum(axis=0) / mode.n
+        tallies[r] = gen.multinomial(gen.multinomial(mode.n, p), m).sum(axis=0) / mode.n
     return normalized_rows(tallies.reshape(rows.shape))
 
 
@@ -364,11 +366,7 @@ def ingest_predictions(space: AttributeSpace, preds: Predictions
 
 def load_confusion(path) -> ConfusionModel:
     """Read a confusion file: {"k": 2, "m": [[...], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict) or "k" not in obj or "m" not in obj:
         raise ValidationError(f'{path}: confusion JSON must contain "k" and "m"')
     k, m = obj["k"], obj["m"]

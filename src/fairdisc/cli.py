@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import classifier as clf
-from .attrspace import AttributeSpace, check_k, load_distribution, load_space
+from .attrspace import AttributeSpace, check_k, load_distribution, load_space, read_json
 from .bench import BenchConfig, format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_confusion, load_predictions
 from .errors import ValidationError
@@ -80,11 +80,7 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    file_cfg = json.load(fh)
-                except ValueError as exc:
-                    raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
+            file_cfg = read_json(args.config)
             if not isinstance(file_cfg, dict):
                 raise ValidationError(f"{args.config}: config must be a JSON object")
             for key, value in file_cfg.items():
@@ -133,9 +129,7 @@ class RunConfig:
             raise ValidationError(f"give at most one of {', '.join(chosen)}")
 
     def estimation_mode(self) -> EstimationMode:
-        if self.mode == "expectation":
-            return EXPECTATION
-        return Sampled(self.n, self.seed)
+        return EXPECTATION if self.mode == "expectation" else Sampled(self.n, self.seed)
 
     def classifier_label(self) -> str:
         if self.eps is not None:
@@ -242,8 +236,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report = run_benchmark(bench_cfg)
     _write_out(report_to_csv(report, cfg.precision), cfg.out)
     if cfg.markdown:
-        with open(cfg.markdown, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report_to_markdown(report, cfg.precision))
+        _write_out(report_to_markdown(report, cfg.precision), cfg.markdown)
     return 0
 
 
@@ -260,9 +253,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.confusion_out:
         if confusion is None:
             raise ValidationError("cannot write a confusion matrix: records lack truth labels")
-        payload = {"k": confusion.k, "m": [[float(x) for x in row] for row in confusion.m]}
-        with open(args.confusion_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        _write_out(json.dumps({"k": confusion.k, "m": confusion.m.tolist()}, indent=2) + "\n", args.confusion_out)
     return 0
 
 

@@ -16,7 +16,7 @@ from fairdisc import (
     sweep,
     uniform,
 )
-from fairdisc.attrspace import MAX_OUTCOMES, MAX_SWEEP_POINTS, space_from_dict
+from fairdisc.attrspace import MAX_BLOCK_ENTRIES, MAX_OUTCOMES, check_block, space_from_dict
 from oracles import reference_sweep
 
 
@@ -46,13 +46,20 @@ class TestAttributeSpace:
 
     def test_rejects_k_above_limit(self):
         # Checked by value before any label is built, so a huge k costs nothing.
-        assert MAX_OUTCOMES**2 <= MAX_SWEEP_POINTS
+        assert MAX_OUTCOMES**2 <= MAX_BLOCK_ENTRIES
         assert AttributeSpace.of_size(MAX_OUTCOMES).k == MAX_OUTCOMES
         for k in (MAX_OUTCOMES + 1, 50_000_000, 10**400):
             with pytest.raises(ValidationError, match=rf"k must be in \[2, {MAX_OUTCOMES}\]"):
                 AttributeSpace.of_size(k)
         with pytest.raises(ValidationError):
             AttributeSpace((("a", ("x", "y")), ("b", tuple(map(str, range(MAX_OUTCOMES // 2 + 1))))))
+
+    @pytest.mark.parametrize("k,rows", [(2, 10**6), (3, 666_666), (16, 125_000), (MAX_OUTCOMES, 2_000)])
+    def test_block_limit_counts_floats(self, k, rows):
+        # By value: nothing is allocated at or over the limit.
+        check_block(rows, k, "block")
+        with pytest.raises(ValidationError, match=rf"block needs {rows + 1} x {k} floats, more than {MAX_BLOCK_ENTRIES}"):
+            check_block(rows + 1, k, "block")
 
     def test_rejects_duplicate_values(self):
         with pytest.raises(ValidationError):
@@ -139,6 +146,18 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(s, 0.26)
         assert len(sweep(s, 0.25)) == 4  # step == 1/k is one transfer per bin
+
+    def test_block_limit_at_finest_k2_step(self):
+        # k = 2 keeps the 10**6 rows it had when the limit counted rows.
+        space = AttributeSpace.of_size(2)
+        assert len(sweep(space, 0.5 / 999_999)) == 10**6
+        with pytest.raises(ValidationError, match=r"needs 1000001 x 2 floats"):
+            sweep(space, 0.5 / 10**6)
+
+    def test_block_limit_rejects_wide_path_before_building_it(self):
+        # 999,001 rows of 1000 floats: 7.4 GiB if it were allocated.
+        with pytest.raises(ValidationError, match=r"sweep step 1e-06 needs 999001 x 1000 floats"):
+            sweep(AttributeSpace.of_size(MAX_OUTCOMES), 1e-6)
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(2, 10), step=st.sampled_from([0.01, 0.05, 0.1]))

@@ -143,6 +143,13 @@ class TestEpAnalysis:
         with pytest.raises(ValidationError):
             run_ep_analysis(space, perfect(2), Sampled(n=10, seed=0), (Metric.L1,), trials=0)
 
+    @pytest.mark.parametrize("k,trials", [(2, 500_001), (16, 7_813), (1000, 3)])
+    def test_sampled_trials_limited_by_block_floats(self, k, trials):
+        # The AB block holds trials * k rows of k floats; one trial over the limit
+        # is rejected before any row is drawn.
+        with pytest.raises(ValidationError, match=rf"{trials} trials at k={k} needs {trials * k} x {k} floats"):
+            run_ep_analysis(AttributeSpace.of_size(k), perfect(k), Sampled(n=10, seed=0), (Metric.L1,), trials)
+
 
 class TestSweepRunner:
     def test_perfect_tracks_ground_truth(self):

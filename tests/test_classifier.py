@@ -162,6 +162,18 @@ class TestSampledStreams:
             seed = mode.seed if seeds is None else seeds[r]
             assert np.array_equal(got[r], reference_sample(model.m, p, mode.n, seed))
 
+    @pytest.mark.parametrize("m", [[[1.0000000005, 0], [0, 1]],
+                                   [[0.6, 0.4000000005, 0], [0, 1, 0], [0, 0, 1]]])
+    def test_rows_off_by_tolerance_draw_from_renormalized_rows(self, m):
+        # Accepted rows may sum to 1 +- ROW_SUM_TOL; multinomial rejects those itself.
+        model = ConfusionModel(len(m), m)
+        rows = np.vstack([np.eye(model.k), np.full(model.k, 1.0 / model.k)])
+        seeds = list(range(len(rows)))
+        got = estimate(model, rows, Sampled(1000, 0), seeds)
+        renormalized = np.array(m) / np.sum(m, axis=1, keepdims=True)
+        for r, p in enumerate(rows):
+            assert np.array_equal(got[r], reference_sample(renormalized, p, 1000, seeds[r]))
+
 
 class TestSeedDerivation:
     def test_deterministic(self):

@@ -325,6 +325,10 @@ BAD_INPUTS = {
     "config-trials-huge-int": ("config", f'{{"mode": "sampled", "n": 10, "trials": {HUGE}}}'),
     "nfactor-k-50000000": ("nfactor", "--k", "50000000", "--metrics", "l1"),
     "config-k-huge-int": ("config", f'{{"k": {HUGE}}}'),
+    # Each would allocate about 7.4 GiB of floats.
+    "ep-k-1000-sampled-trials-1000": ("ep", "--k", "1000", "--mode", "sampled", "--n", "10", "--trials", "1000"),
+    "sweep-k-1000-step-1e-6": ("sweep", "--k", "1000", "--step", "1e-6"),
+    "bench-k-1000-step-1e-6": ("bench", "--k", "1000", "--step", "1e-6", "--metrics", "l1"),
 }
 
 
@@ -356,6 +360,17 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if argv[0] == "ingest":
         assert err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize("text", ['{"k": 2, "m": [[1.0000000005, 0], [0, 1]]}',
+                                  '{"k": 3, "m": [[0.6, 0.4000000005, 0], [0, 1, 0], [0, 0, 1]]}'])
+def test_sampled_ep_accepts_confusion_rows_off_by_tolerance(capsys, tmp_path, text):
+    conf = tmp_path / "c.json"
+    conf.write_text(text)
+    k = str(json.loads(text)["k"])
+    code, out, err = run_cli(capsys, "ep", "--k", k, "--classifier", str(conf), "--mode", "sampled", "--n", "10")
+    assert (code, err) == (0, "")
+    assert out.startswith("kind,k,outcome,trial,metric,f\n")
 
 
 def test_ingest_errors_name_line_and_record(capsys, tmp_path):

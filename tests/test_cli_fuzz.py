@@ -160,6 +160,38 @@ def test_cli_exits_cleanly(command, data):
     check(data.draw(argvs(command)))
 
 
+# Integers past int64 and float range, and negatives, for every numeric flag and
+# config key. A huge k is >= 2**63 and every other k above stays <= 8, so no
+# run asks for a large allocation.
+HUGE_OR_NEGATIVE = st.sampled_from([2**63, -2**63 - 1, 10**400, -1])
+NUMERIC_FLAGS = {"nfactor": ["--k", "--precision"],
+                 "ep": ["--k", "--n", "--seed", "--trials", "--precision"],
+                 "sweep": ["--k", "--n", "--seed", "--trials", "--start", "--precision"]}
+NUMERIC_KEYS = ["k", "ks", "eps", "accs", "n", "seed", "trials", "step", "start", "precision"]
+
+
+@pytest.mark.parametrize("command", ["nfactor", "ep", "sweep"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_huge_and_negative_flags_exit_cleanly(command, data):
+    # Later flags win, so these override whatever the drawn argv set.
+    names = data.draw(st.lists(st.sampled_from(NUMERIC_FLAGS[command]), min_size=1, max_size=3, unique=True))
+    check(data.draw(argvs(command)) + [t for name in names for t in (name, str(data.draw(HUGE_OR_NEGATIVE)))])
+
+
+@pytest.mark.parametrize("command", ["ep", "sweep"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_huge_and_negative_config_values_exit_cleanly(tmp_path_factory, command, data):
+    cfg = data.draw(st.sampled_from([{}, {"mode": "sampled", "n": 10, "trials": 2}]))
+    for key in data.draw(st.lists(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=3, unique=True)):
+        value = data.draw(HUGE_OR_NEGATIVE)
+        cfg[key] = [value, 0.5] if key == "accs" else value
+    path = tmp_path_factory.mktemp("config") / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    check([command, "--config", str(path), "--metrics", "l1,spec"])
+
+
 @settings(max_examples=50, deadline=None)
 @given(dist=dist_files(), data=st.data())
 def test_score_exits_cleanly(tmp_path_factory, dist, data):
