@@ -13,7 +13,6 @@ import pathlib
 
 from fairdisc import (
     EXPECTATION,
-    AttributeSpace,
     mem,
     mepe_ab,
     parse_metrics,
@@ -35,11 +34,10 @@ def main() -> None:
     metrics = parse_metrics("all")
     lines = ["k,eps,metric,mean_ab_score,mepe_ab,sweep_mem"]
     for k in args.ks:
-        space = AttributeSpace.of_size(k)
         for eps in args.eps:
             model = uniform_noise(k, eps)
-            _, ab = run_ep_analysis(space, model, EXPECTATION, metrics)
-            f, f_star = run_sweep(space, model, EXPECTATION, metrics, args.step, starts=0)
+            _, ab = run_ep_analysis(model, EXPECTATION, metrics)
+            f, f_star = run_sweep(model, EXPECTATION, metrics, args.step, starts=0)
             for m in metrics:
                 lines.append(f"{k},{eps:g},{m},{ab[m].mean():.10g},"
                              f"{mepe_ab(ab[m]):.10g},{mem(f[m], f_star[m]):.10g}")

@@ -112,19 +112,12 @@ class AttributeSpace:
         return n
 
     @classmethod
-    def of_size(cls, k: int, name: str = "u") -> "AttributeSpace":
-        """Anonymous single-attribute space with k outcomes labelled 0..k-1; k is checked first."""
-        return cls(((name, tuple(str(i) for i in range(check_k(k)))),))
+    def of_size(cls, k: int) -> "AttributeSpace":
+        """Anonymous single-attribute space "u" with k outcomes labelled 0..k-1; k is checked first."""
+        return cls((("u", tuple(str(i) for i in range(check_k(k)))),))
 
     def outcome_labels(self) -> list[tuple[str, ...]]:
         return list(itertools.product(*(values for _, values in self.attributes)))
-
-    def one_hot(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.k:
-            raise ValidationError(f"outcome index {index} out of range for k={self.k}")
-        v = np.zeros(self.k)
-        v[index] = 1.0
-        return v
 
     def to_dict(self) -> dict:
         return {"attributes": [{"name": n, "values": list(vs)} for n, vs in self.attributes]}
@@ -169,10 +162,22 @@ def uniform(space: AttributeSpace) -> CategoricalDistribution:
 
 def ab_extreme_points(space: AttributeSpace) -> list[CategoricalDistribution]:
     """The k absolutely-biased extreme points (all mass on one outcome)."""
-    return [CategoricalDistribution(space, space.one_hot(i)) for i in range(space.k)]
+    return [CategoricalDistribution(space, row) for row in np.eye(space.k)]
 
 
-def sweep(space: AttributeSpace, step: float) -> np.ndarray:
+def check_sweep(k: int, step: float) -> int:
+    """Check k, the step and the path's floats for `sweep(k, step)`; return its transfers per outcome."""
+    target = 1.0 / check_k(k)
+    if not (step > 0):
+        raise ValidationError(f"step must be positive, got {step}")
+    if step > target + _DRIFT_TOL:
+        raise ValidationError(f"step must be <= 1/k = {target}, got {step}")
+    transfers = math.ceil(min(target / step - 1e-9, MAX_BLOCK_ENTRIES))
+    check_block(1 + (k - 1) * transfers, k, f"sweep step {step}")
+    return transfers
+
+
+def sweep(k: int, step: float) -> np.ndarray:
     """Stepwise interpolation from the first extreme point to the uniform distribution.
 
     Returns one row per epoch. Epoch 1 puts all mass on outcome 0. Each
@@ -183,15 +188,8 @@ def sweep(space: AttributeSpace, step: float) -> np.ndarray:
     the clamping. A path of more than MAX_BLOCK_ENTRIES floats (rows x k) is
     rejected before it is built: 10**6 rows at k = 2, 2,000 at k = 1000.
     """
-    k = space.k
+    transfers = check_sweep(k, step)
     target = 1.0 / k
-    if not (step > 0):
-        raise ValidationError(f"step must be positive, got {step}")
-    if step > target + _DRIFT_TOL:
-        raise ValidationError(f"step must be <= 1/k = {target}, got {step}")
-    transfers = math.ceil(min(target / step - 1e-9, MAX_BLOCK_ENTRIES))
-    check_block(1 + (k - 1) * transfers, k, f"sweep step {step}")
-
     v = np.minimum(np.arange(1, transfers + 1) * step, target)
     v[target - v < _DRIFT_TOL] = target
     path = np.zeros((1 + (k - 1) * transfers, k))

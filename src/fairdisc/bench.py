@@ -17,11 +17,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .attrspace import AttributeSpace, check_block
+from .attrspace import check_block, check_sweep
 from .attrspace import sweep as sweep_path
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate
 from .errors import ValidationError
-from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score
+from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score, n_factor
 
 SCORE_TOL = 1e-9
 TIE_TOL = 1e-12
@@ -79,9 +79,9 @@ def _seeds(mode: EstimationMode, k: int, kind_tag: int, cell, trial) -> np.ndarr
     return derive_seed(mode.seed, k, kind_tag, cell, trial).ravel()
 
 
-def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode,
-                    metrics: Sequence[Metric], trials: int = 1) -> tuple[Scores, Scores]:
-    """Score the fair EP and all k AB EPs through the classifier.
+def run_ep_analysis(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Metric],
+                    trials: int = 1) -> tuple[Scores, Scores]:
+    """Score the fair EP and all k AB EPs through the k x k classifier `model`.
 
     Returns `(fair, ab)`, one array per metric: `fair[m][t]` scores the
     uniform distribution and `ab[m][t, i]` the one-hot point on outcome i,
@@ -92,7 +92,7 @@ def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: Estimati
     k = 1000 two.
     """
     metrics = tuple(metrics)
-    k = space.k
+    k = model.k
     n_trials = trials if isinstance(mode, Sampled) else 1
     if n_trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -106,9 +106,9 @@ def run_ep_analysis(space: AttributeSpace, model: ConfusionModel, mode: Estimati
             _checked({m: fd_score(m, est_ab) for m in metrics}, k))
 
 
-def run_sweep(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode,
-              metrics: Sequence[Metric], step: float, starts="all") -> tuple[Scores, Scores]:
-    """Score the AB-to-fair sweep through the classifier.
+def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Metric],
+              step: float, starts="all") -> tuple[Scores, Scores]:
+    """Score the AB-to-fair sweep `sweep(model.k, step)` through the k x k classifier `model`.
 
     `starts` selects the anchoring AB EP: "all" or one outcome index.
     The canonical path drains outcome 0; other starts relabel it by an
@@ -118,11 +118,11 @@ def run_sweep(space: AttributeSpace, model: ConfusionModel, mode: EstimationMode
     row s holds the s-th selected start, column e the e-th path epoch.
     """
     metrics = tuple(metrics)
-    k = space.k
+    k = model.k
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
     starts = range(k) if starts == "all" else [starts]
-    path = sweep_path(space, step)
+    path = sweep_path(k, step)
     epochs = len(path)
     f = {m: np.empty((len(starts), epochs)) for m in metrics}
     f_star = {m: np.empty((len(starts), epochs)) for m in metrics}
@@ -216,20 +216,22 @@ def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
     points.
     """
     metrics = tuple(m for m in REPORT_ORDER if m in set(cfg.metrics))
-    ks = sorted(cfg.models)
+    ks = tuple(sorted(cfg.models))
+    # Refuse any k's metric limit or sweep step before scoring; fd_score reuses the cached n_factor.
+    for k in ks:
+        for m in metrics:
+            n_factor(m, k)
+        check_sweep(k, cfg.step)
     fair, ab, sweeps = {}, {}, {}
     for k in ks:
-        space = AttributeSpace.of_size(k)
-        model = cfg.models[k]
-        fair[k], ab[k] = run_ep_analysis(space, model, cfg.mode, metrics, cfg.trials)
-        sweeps[k] = run_sweep(space, model, cfg.mode, metrics, cfg.step)
+        fair[k], ab[k] = run_ep_analysis(cfg.models[k], cfg.mode, metrics, cfg.trials)
+        sweeps[k] = run_sweep(cfg.models[k], cfg.mode, metrics, cfg.step)
 
     # Pool in (k, trial, outcome) order, one array per metric.
-    k_all = tuple(ks)
     fair_pool = {m: np.concatenate([fair[k][m].ravel() for k in ks]) for m in metrics}
     ab_pool = {m: np.concatenate([ab[k][m].ravel() for k in ks]) for m in metrics}
 
-    rows = _ep_rows(k_all, fair_pool, ab_pool, metrics)
+    rows = _ep_rows(ks, fair_pool, ab_pool, metrics)
     for k in ks:
         f, f_star = sweeps[k]
         rows.append(_make_row("mem", "sweep", (k,), {m: mem(f[m], f_star[m]) for m in metrics}))
@@ -237,7 +239,6 @@ def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
         for k in ks:
             rows += _ep_rows((k,), fair[k], ab[k], metrics)
 
-    trials = cfg.trials if isinstance(cfg.mode, Sampled) else 1
     meta = {
         "k_set": "|".join(str(k) for k in ks),
         "classifier": cfg.classifier_label or "custom",
@@ -245,8 +246,8 @@ def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
         "step": repr(cfg.step),
         "sweep_starts": "all",
         "alpha": repr(DEFAULT_ALPHA),
-        "n_fair_pool": str(trials * len(ks)),
-        "n_ab_pool": str(trials * sum(ks)),
+        "n_fair_pool": str(fair_pool[metrics[0]].size),
+        "n_ab_pool": str(ab_pool[metrics[0]].size),
     }
     if isinstance(cfg.mode, Sampled):
         meta["n"] = str(cfg.mode.n)

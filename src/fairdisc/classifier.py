@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attrspace import (MAX_SAMPLES, AttributeSpace, CategoricalDistribution, as_rows, float_array, is_number_list,
-                        normalized_rows, read_json)
+from .attrspace import (MAX_SAMPLES, AttributeSpace, CategoricalDistribution, as_rows, check_k, float_array,
+                        is_number_list, normalized_rows, read_json)
 from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-9
@@ -28,12 +28,13 @@ PROBS_SUM_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class ConfusionModel:
-    """k x k row-stochastic matrix; m[i][j] = P(predict j | true i)."""
+    """k x k row-stochastic matrix; m[i][j] = P(predict j | true i), 2 <= k <= MAX_OUTCOMES."""
 
     k: int
     m: np.ndarray
 
     def __post_init__(self):
+        check_k(self.k)
         arr = float_array(self.m, "confusion entries")
         if arr.shape != (self.k, self.k):
             raise ValidationError(f"confusion matrix has shape {arr.shape}, expected ({self.k}, {self.k})")

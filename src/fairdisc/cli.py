@@ -102,6 +102,8 @@ class RunConfig:
             self.ks = tuple(check_k(_number("k", k, int)) for k in _as_list(self.ks))
             if not self.ks:
                 raise ValidationError("k set must not be empty")
+            if len(set(self.ks)) < len(self.ks):
+                raise ValidationError(f"k set repeats a k: {' '.join(map(str, self.ks))}")
         metrics = _as_list(self.metrics)
         self.metrics = parse_metrics(",".join(_string("metrics", m) for m in metrics) if metrics else "all")
         if self.accs is not None:
@@ -200,8 +202,7 @@ def cmd_ep(args: argparse.Namespace) -> int:
     fmt = lambda v: format_float(v, cfg.precision)
     rows = []
     for k in ks:
-        space = AttributeSpace.of_size(k)
-        fair, ab = run_ep_analysis(space, cfg.model_for_k(k), mode, cfg.metrics, cfg.trials)
+        fair, ab = run_ep_analysis(cfg.model_for_k(k), mode, cfg.metrics, cfg.trials)
         trials = range(len(fair[cfg.metrics[0]]))
         rows += [f"fair,{k},,{t if sampled else ''},{m},{fmt(fair[m][t])}"
                  for t in trials for m in cfg.metrics]
@@ -216,10 +217,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ks = cfg.ks or (2,)
     if len(ks) != 1:
         raise ValidationError("sweep runs one k at a time")
-    k = ks[0]
-    space = AttributeSpace.of_size(k)
-    f, f_star = run_sweep(space, cfg.model_for_k(k), cfg.estimation_mode(),
-                          cfg.metrics, cfg.step, starts=cfg.start)
+    f, f_star = run_sweep(cfg.model_for_k(ks[0]), cfg.estimation_mode(), cfg.metrics, cfg.step, starts=cfg.start)
     fmt = lambda v: format_float(v, cfg.precision)
     rows = [f"{e},{m},{fmt(f[m][0, e])},{fmt(f_star[m][0, e])},{fmt(abs(f[m][0, e] - f_star[m][0, e]))}"
             for e in range(f[cfg.metrics[0]].shape[1]) for m in cfg.metrics]

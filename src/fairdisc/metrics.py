@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import transport
-from .attrspace import AttributeSpace, as_rows
+from .attrspace import as_rows, check_k
 from .errors import ValidationError
 
 DEFAULT_ALPHA = 0.5
@@ -135,7 +135,7 @@ def n_factor(metric: Metric, k: int) -> float:
     Computed, not tabulated; every one-hot row gives the same value, so the
     first is used. WD's LP rounds differently from uniform to one-hot.
     """
-    return float(_MEASURES[metric](AttributeSpace.of_size(k).one_hot(0), np.full(k, 1.0 / k)))
+    return float(_MEASURES[metric](np.eye(1, check_k(k))[0], np.full(k, 1.0 / k)))
 
 
 def fd_score(metric: Metric, rows):

@@ -114,8 +114,7 @@ def test_criterion_5_pinching_closed_form(acceptance):
     ok = True
     for eps in (0.1, 0.3):
         for k in KS:
-            space = AttributeSpace.of_size(k)
-            fair, ab = run_ep_analysis(space, uniform_noise(k, eps), EXPECTATION, POINTWISE)
+            fair, ab = run_ep_analysis(uniform_noise(k, eps), EXPECTATION, POINTWISE)
             for m in POINTWISE:
                 ok &= bool(np.all(np.abs(ab[m] - (1.0 - eps)) <= 1e-12))
                 ok &= bool(np.all(np.abs(fair[m]) <= 1e-12))
@@ -129,10 +128,9 @@ def test_criterion_6_perfect_classifier_suite(acceptance):
     ok = True
     details = []
     for k in KS:
-        space = AttributeSpace.of_size(k)
         model = perfect(k)
-        fair, ab = run_ep_analysis(space, model, EXPECTATION, REPORT_ORDER)
-        f, f_star = run_sweep(space, model, EXPECTATION, REPORT_ORDER, 0.01, starts=0)
+        fair, ab = run_ep_analysis(model, EXPECTATION, REPORT_ORDER)
+        f, f_star = run_sweep(model, EXPECTATION, REPORT_ORDER, 0.01, starts=0)
         for m in REPORT_ORDER:
             ok &= bool(np.all(np.abs(fair[m]) <= 1e-12))
             ok &= bool(np.all(np.abs(ab[m] - 1.0) <= 1e-12))

@@ -9,10 +9,13 @@ from conftest import dist
 from fairdisc import (
     AttributeSpace,
     CategoricalDistribution,
+    ConfusionModel,
+    Metric,
     ValidationError,
     ab_extreme_points,
     load_distribution,
     load_space,
+    n_factor,
     sweep,
     uniform,
 )
@@ -32,12 +35,6 @@ class TestAttributeSpace:
         assert s.outcome_labels() == [
             ("m", "young"), ("m", "old"), ("f", "young"), ("f", "old")]
 
-    def test_one_hot_roundtrip(self):
-        s = AttributeSpace.of_size(8)
-        for i in range(8):
-            assert np.flatnonzero(s.one_hot(i)).tolist() == [i]
-            assert s.one_hot(i).sum() == 1.0
-
     def test_rejects_k_below_2(self):
         with pytest.raises(ValidationError):
             AttributeSpace.of_size(1)
@@ -51,6 +48,12 @@ class TestAttributeSpace:
         for k in (MAX_OUTCOMES + 1, 50_000_000, 10**400):
             with pytest.raises(ValidationError, match=rf"k must be in \[2, {MAX_OUTCOMES}\]"):
                 AttributeSpace.of_size(k)
+        # Every other entry of k checks it by value too: no matrix, path or row is built.
+        for build in (lambda: ConfusionModel(1, [[1.0]]), lambda: ConfusionModel(MAX_OUTCOMES + 1, None),
+                      lambda: ConfusionModel(10**400, None), lambda: sweep(1, 0.5),
+                      lambda: sweep(MAX_OUTCOMES + 1, 1e-3), lambda: n_factor(Metric.L1, MAX_OUTCOMES + 1)):
+            with pytest.raises(ValidationError, match=rf"k must be in \[2, {MAX_OUTCOMES}\]"):
+                build()
         with pytest.raises(ValidationError):
             AttributeSpace((("a", ("x", "y")), ("b", tuple(map(str, range(MAX_OUTCOMES // 2 + 1))))))
 
@@ -113,56 +116,54 @@ class TestSweep:
         (16, 0.01, 106),
     ])
     def test_epoch_counts(self, k, step, expected):
-        assert len(sweep(AttributeSpace.of_size(k), step)) == expected
+        assert len(sweep(k, step)) == expected
 
     @pytest.mark.parametrize("k,step", [(2, 0.1), (3, 0.1), (4, 0.01), (5, 0.07), (8, 0.01), (16, 0.01)])
     def test_matches_reference_loop(self, k, step):
-        got = sweep(AttributeSpace.of_size(k), step)
+        got = sweep(k, step)
         want = reference_sweep(k, step)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.allclose(g, w, atol=1e-9)
 
     def test_endpoints(self, space):
-        path = sweep(space, 0.03)
+        path = sweep(space.k, 0.03)
         assert path[0][0] == 1.0
         assert np.array_equal(path[-1], uniform(space).p)
 
     def test_drained_mass_non_increasing(self, space):
-        path = sweep(space, 0.02)
+        path = sweep(space.k, 0.02)
         p0 = [d[0] for d in path]
         assert all(a >= b - 1e-12 for a, b in zip(p0, p0[1:]))
 
     def test_filled_bins_hit_target_exactly(self):
         # clamping must land every bin on exactly 1/k, also when step divides unevenly
-        path = sweep(AttributeSpace.of_size(3), 0.1)
+        path = sweep(3, 0.1)
         final = path[-1]
         assert all(x == 1.0 / 3.0 for x in final)
 
     def test_step_validation(self):
-        s = AttributeSpace.of_size(4)
         with pytest.raises(ValidationError):
-            sweep(s, 0.0)
+            sweep(4, 0.0)
         with pytest.raises(ValidationError):
-            sweep(s, 0.26)
-        assert len(sweep(s, 0.25)) == 4  # step == 1/k is one transfer per bin
+            sweep(4, 0.26)
+        assert len(sweep(4, 0.25)) == 4  # step == 1/k is one transfer per bin
 
     def test_block_limit_at_finest_k2_step(self):
         # k = 2 keeps the 10**6 rows it had when the limit counted rows.
-        space = AttributeSpace.of_size(2)
-        assert len(sweep(space, 0.5 / 999_999)) == 10**6
+        assert len(sweep(2, 0.5 / 999_999)) == 10**6
         with pytest.raises(ValidationError, match=r"needs 1000001 x 2 floats"):
-            sweep(space, 0.5 / 10**6)
+            sweep(2, 0.5 / 10**6)
 
     def test_block_limit_rejects_wide_path_before_building_it(self):
         # 999,001 rows of 1000 floats: 7.4 GiB if it were allocated.
         with pytest.raises(ValidationError, match=r"sweep step 1e-06 needs 999001 x 1000 floats"):
-            sweep(AttributeSpace.of_size(MAX_OUTCOMES), 1e-6)
+            sweep(MAX_OUTCOMES, 1e-6)
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(2, 10), step=st.sampled_from([0.01, 0.05, 0.1]))
     def test_all_epochs_valid(self, k, step):
-        for d in sweep(AttributeSpace.of_size(k), step):
+        for d in sweep(k, step):
             assert d.min() >= 0.0 and abs(d.sum() - 1.0) <= 1e-9
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from fairdisc import (
     EXPECTATION,
-    AttributeSpace,
     BenchConfig,
     Metric,
     Sampled,
@@ -21,6 +20,7 @@ from fairdisc import (
     run_sweep,
     uniform_noise,
 )
+from fairdisc import bench
 from fairdisc.bench import _checked
 from fairdisc.metrics import REPORT_ORDER
 
@@ -86,8 +86,7 @@ class TestStatistics:
 class TestEpAnalysis:
     @pytest.mark.parametrize("k", ALL_KS)
     def test_perfect_classifier_boundaries(self, k):
-        space = AttributeSpace.of_size(k)
-        fair, ab = run_ep_analysis(space, perfect(k), EXPECTATION, REPORT_ORDER)
+        fair, ab = run_ep_analysis(perfect(k), EXPECTATION, REPORT_ORDER)
         assert list(fair) == list(ab) == list(REPORT_ORDER)
         for m in REPORT_ORDER:
             assert fair[m].shape == (1,)
@@ -96,16 +95,14 @@ class TestEpAnalysis:
             assert np.all(np.abs(ab[m] - 1.0) <= 1e-12)
 
     def test_uniform_noise_closed_form(self):
-        space = AttributeSpace.of_size(2)
-        fair, ab = run_ep_analysis(space, uniform_noise(2, 0.1), EXPECTATION, (Metric.L1,))
+        fair, ab = run_ep_analysis(uniform_noise(2, 0.1), EXPECTATION, (Metric.L1,))
         assert ab[Metric.L1] == pytest.approx(np.full((1, 2), 0.9), abs=1e-12)
         assert fair[Metric.L1] == pytest.approx(np.zeros(1), abs=1e-12)
         assert mepe_ab(ab[Metric.L1]) == pytest.approx(0.1, abs=1e-12)
         assert mepe_fair(fair[Metric.L1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_unequal_accuracies_split_ab_scores(self):
-        space = AttributeSpace.of_size(2)
-        _, ab = run_ep_analysis(space, from_accuracies([0.98, 0.95]), EXPECTATION, (Metric.L1,))
+        _, ab = run_ep_analysis(from_accuracies([0.98, 0.95]), EXPECTATION, (Metric.L1,))
         # Outcome i's column is the one-hot point on i: class 0 is the more accurate.
         assert ab[Metric.L1][0] == pytest.approx([0.96, 0.90])
         assert ep_var(ab[Metric.L1]) > 0.0
@@ -113,25 +110,22 @@ class TestEpAnalysis:
     def test_one_array_per_metric(self):
         # Each metric keeps its own scores: selecting one metric from a joint
         # run equals running that metric alone, and metrics never pool.
-        space = AttributeSpace.of_size(4)
         model = from_accuracies([0.9, 0.8, 0.7, 0.6])
-        fair, ab = run_ep_analysis(space, model, EXPECTATION, (Metric.L1, Metric.SPECIFICITY))
-        fair_l1, ab_l1 = run_ep_analysis(space, model, EXPECTATION, (Metric.L1,))
+        fair, ab = run_ep_analysis(model, EXPECTATION, (Metric.L1, Metric.SPECIFICITY))
+        fair_l1, ab_l1 = run_ep_analysis(model, EXPECTATION, (Metric.L1,))
         assert fair[Metric.L1].tolist() == fair_l1[Metric.L1].tolist()
         assert ab[Metric.L1].tolist() == ab_l1[Metric.L1].tolist()
         assert fair[Metric.L1][0] != pytest.approx(fair[Metric.SPECIFICITY][0])
 
     def test_expectation_ignores_trials(self):
-        space = AttributeSpace.of_size(2)
-        fair, ab = run_ep_analysis(space, perfect(2), EXPECTATION, (Metric.L1,), trials=10)
+        fair, ab = run_ep_analysis(perfect(2), EXPECTATION, (Metric.L1,), trials=10)
         assert fair[Metric.L1].shape == (1,)
         assert ab[Metric.L1].shape == (1, 2)
 
     def test_sampled_trials_and_determinism(self):
-        space = AttributeSpace.of_size(4)
         mode = Sampled(n=500, seed=9)
-        fair1, ab1 = run_ep_analysis(space, uniform_noise(4, 0.2), mode, (Metric.L1,), trials=3)
-        fair2, ab2 = run_ep_analysis(space, uniform_noise(4, 0.2), mode, (Metric.L1,), trials=3)
+        fair1, ab1 = run_ep_analysis(uniform_noise(4, 0.2), mode, (Metric.L1,), trials=3)
+        fair2, ab2 = run_ep_analysis(uniform_noise(4, 0.2), mode, (Metric.L1,), trials=3)
         assert fair1[Metric.L1].shape == (3,) and ab1[Metric.L1].shape == (3, 4)
         assert fair1[Metric.L1].tolist() == fair2[Metric.L1].tolist()
         assert ab1[Metric.L1].tolist() == ab2[Metric.L1].tolist()
@@ -139,22 +133,20 @@ class TestEpAnalysis:
         assert len(set(np.round(ab1[Metric.L1], 12).ravel())) > 1
 
     def test_sampled_trials_validated(self):
-        space = AttributeSpace.of_size(2)
         with pytest.raises(ValidationError):
-            run_ep_analysis(space, perfect(2), Sampled(n=10, seed=0), (Metric.L1,), trials=0)
+            run_ep_analysis(perfect(2), Sampled(n=10, seed=0), (Metric.L1,), trials=0)
 
     @pytest.mark.parametrize("k,trials", [(2, 500_001), (16, 7_813), (1000, 3)])
     def test_sampled_trials_limited_by_block_floats(self, k, trials):
         # The AB block holds trials * k rows of k floats; one trial over the limit
         # is rejected before any row is drawn.
         with pytest.raises(ValidationError, match=rf"{trials} trials at k={k} needs {trials * k} x {k} floats"):
-            run_ep_analysis(AttributeSpace.of_size(k), perfect(k), Sampled(n=10, seed=0), (Metric.L1,), trials)
+            run_ep_analysis(perfect(k), Sampled(n=10, seed=0), (Metric.L1,), trials)
 
 
 class TestSweepRunner:
     def test_perfect_tracks_ground_truth(self):
-        space = AttributeSpace.of_size(2)
-        f, f_star = run_sweep(space, perfect(2), EXPECTATION, REPORT_ORDER, 0.1, starts=0)
+        f, f_star = run_sweep(perfect(2), EXPECTATION, REPORT_ORDER, 0.1, starts=0)
         for m in REPORT_ORDER:
             assert np.array_equal(f[m], f_star[m])
             assert mem(f[m], f_star[m]) == 0.0
@@ -164,40 +156,35 @@ class TestSweepRunner:
 
     @pytest.mark.parametrize("k", ALL_KS)
     def test_ground_truth_non_increasing_for_pointwise_metrics(self, k):
-        space = AttributeSpace.of_size(k)
-        _, f_star = run_sweep(space, perfect(k), EXPECTATION, POINTWISE, 0.02, starts=0)
+        _, f_star = run_sweep(perfect(k), EXPECTATION, POINTWISE, 0.02, starts=0)
         for m in POINTWISE:
             assert np.all(np.diff(f_star[m][0]) <= 1e-12)
 
     def test_uniform_noise_scales_per_epoch(self):
-        space = AttributeSpace.of_size(4)
-        f, f_star = run_sweep(space, uniform_noise(4, 0.3), EXPECTATION, (Metric.L1,), 0.05, starts=0)
+        f, f_star = run_sweep(uniform_noise(4, 0.3), EXPECTATION, (Metric.L1,), 0.05, starts=0)
         assert f[Metric.L1] == pytest.approx(0.7 * f_star[Metric.L1], abs=1e-12)
 
     def test_all_starts_cover_every_extreme_point(self):
         # Epoch 0 of each start is the AB EP on that outcome, so its f is that
         # point's score in the extreme-point analysis.
-        space = AttributeSpace.of_size(4)
         model = from_accuracies([0.9, 0.8, 0.7, 0.6])
-        f, _ = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.05)
-        _, ab = run_ep_analysis(space, model, EXPECTATION, (Metric.L1,))
+        f, _ = run_sweep(model, EXPECTATION, (Metric.L1,), 0.05)
+        _, ab = run_ep_analysis(model, EXPECTATION, (Metric.L1,))
         first = f[Metric.L1][:, 0]
         assert first.shape == (4,)
         assert first.tolist() == ab[Metric.L1][0].tolist()
         assert len(set(np.round(first, 12))) == 4
 
     def test_start_changes_scores_under_skewed_classifier(self):
-        space = AttributeSpace.of_size(2)
         model = from_accuracies([0.98, 0.7])
-        f0, f_star0 = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=0)
-        f1, f_star1 = run_sweep(space, model, EXPECTATION, (Metric.L1,), 0.1, starts=1)
+        f0, f_star0 = run_sweep(model, EXPECTATION, (Metric.L1,), 0.1, starts=0)
+        f1, f_star1 = run_sweep(model, EXPECTATION, (Metric.L1,), 0.1, starts=1)
         assert not np.allclose(f0[Metric.L1], f1[Metric.L1])
         assert np.array_equal(f_star0[Metric.L1], f_star1[Metric.L1])
 
     def test_start_out_of_range(self):
-        space = AttributeSpace.of_size(2)
         with pytest.raises(ValidationError):
-            run_sweep(space, perfect(2), EXPECTATION, (Metric.L1,), 0.1, starts=5)
+            run_sweep(perfect(2), EXPECTATION, (Metric.L1,), 0.1, starts=5)
 
 
 class TestBenchmarkReport:
@@ -240,6 +227,18 @@ class TestBenchmarkReport:
         row = report.row("mem", "sweep", (2,))
         assert set(row.best) == set(REPORT_ORDER)
         assert set(row.worst) == set(REPORT_ORDER)
+
+    @pytest.mark.parametrize("ks,step,metric,match", [
+        ((2, 1000), 1e-6, Metric.L1, r"sweep step 1e-06 needs 999001 x 1000 floats"),
+        ((2, 128), 0.01, Metric.WD, r"transport needs 2 <= k <= 64, got k=128"),
+    ])
+    def test_limits_refused_before_any_estimate(self, monkeypatch, ks, step, metric, match):
+        # The k = 2 block would be scored first if limits were checked per k.
+        calls = []
+        monkeypatch.setattr(bench, "estimate", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValidationError, match=match):
+            run_benchmark(BenchConfig(models={k: perfect(k) for k in ks}, step=step, metrics=(metric,)))
+        assert calls == []
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -329,6 +329,9 @@ BAD_INPUTS = {
     "ep-k-1000-sampled-trials-1000": ("ep", "--k", "1000", "--mode", "sampled", "--n", "10", "--trials", "1000"),
     "sweep-k-1000-step-1e-6": ("sweep", "--k", "1000", "--step", "1e-6"),
     "bench-k-1000-step-1e-6": ("bench", "--k", "1000", "--step", "1e-6", "--metrics", "l1"),
+    "ep-k-repeated": ("ep", "--k", "2", "2"),
+    "bench-k-repeated": ("bench", "--k", "2", "2"),
+    "config-k-repeated": ("config", '{"k": [4, 4]}'),
 }
 
 

@@ -1,0 +1,23 @@
+"""The scoring core takes k from its rows and confusion models, never from an attribute space."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairdisc"
+# Attribute spaces are built at the file boundary only (attrspace, classifier, cli).
+SPACE_NAMES = {"AttributeSpace", "of_size"}
+
+
+@pytest.mark.parametrize("module", ["bench", "metrics", "transport"])
+def test_scoring_core_names_no_attribute_space(module):
+    named = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update({node.name, node.asname})
+    assert not named & SPACE_NAMES, f"{module}.py names {sorted(named & SPACE_NAMES)}"
