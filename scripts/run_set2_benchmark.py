@@ -19,7 +19,7 @@ def main() -> None:
     ap.add_argument("--ks", type=int, nargs="+", default=[2, 4, 8, 16])
     args = ap.parse_args()
 
-    cfg = BenchConfig(models={k: preset("set2", k) for k in args.ks},
+    cfg = BenchConfig(models=[preset("set2", k) for k in args.ks],
                       step=args.step, classifier_label="set2")
     t0 = time.perf_counter()
     report = run_benchmark(cfg)

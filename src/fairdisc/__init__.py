@@ -9,11 +9,9 @@ those scores.
 from .attrspace import (
     AttributeSpace,
     CategoricalDistribution,
-    ab_extreme_points,
     load_distribution,
     load_space,
     sweep,
-    uniform,
 )
 from .bench import (
     BenchConfig,
@@ -81,7 +79,6 @@ __all__ = [
     "Sampled",
     "TransportPlan",
     "ValidationError",
-    "ab_extreme_points",
     "default_cost",
     "delta_specificity",
     "derive_seed",
@@ -114,7 +111,6 @@ __all__ = [
     "solve",
     "specificity",
     "sweep",
-    "uniform",
     "uniform_noise",
     "wd",
 ]

@@ -24,7 +24,7 @@ MAX_SAMPLES = 2**63 - 1
 # Entries must sum to 1 within this tolerance to count as a distribution.
 SUM_TOL = 1e-9
 # Below this deviation we keep the entries as given instead of renormalizing,
-# so exact constructions (uniform, extreme points) stay bit-exact.
+# so exact constructions (uniform and one-hot rows) stay bit-exact.
 _DRIFT_TOL = 1e-12
 # JSON decodes numbers to exactly int or float; bool is its own type.
 _JSON_NUMBERS = frozenset((int, float))
@@ -127,8 +127,8 @@ class AttributeSpace:
 class CategoricalDistribution:
     """Probability vector over the outcomes of an AttributeSpace.
 
-    Entries are checked and renormalized by `normalized_rows`. The stored
-    array is read-only.
+    Entries are checked and renormalized by `normalized_rows`. The stored array
+    is read-only, and `np.asarray(d, dtype=float)` is it, so `d` serves as a row.
     """
 
     space: AttributeSpace
@@ -146,23 +146,11 @@ class CategoricalDistribution:
     def k(self) -> int:
         return self.space.k
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.p, dtype=dtype, copy=copy)
+
     def to_dict(self) -> dict:
         return {"space": self.space.to_dict(), "p": [float(x) for x in self.p]}
-
-
-def as_rows(x) -> np.ndarray:
-    """The probability vector of a distribution, or `x` as a float array of rows."""
-    return x.p if isinstance(x, CategoricalDistribution) else np.asarray(x, dtype=float)
-
-
-def uniform(space: AttributeSpace) -> CategoricalDistribution:
-    """The fair reference: every outcome gets exactly 1/k."""
-    return CategoricalDistribution(space, np.full(space.k, 1.0 / space.k))
-
-
-def ab_extreme_points(space: AttributeSpace) -> list[CategoricalDistribution]:
-    """The k absolutely-biased extreme points (all mass on one outcome)."""
-    return [CategoricalDistribution(space, row) for row in np.eye(space.k)]
 
 
 def check_sweep(k: int, step: float) -> int:

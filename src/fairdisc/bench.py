@@ -79,6 +79,15 @@ def _seeds(mode: EstimationMode, k: int, kind_tag: int, cell, trial) -> np.ndarr
     return derive_seed(mode.seed, k, kind_tag, cell, trial).ravel()
 
 
+def _trial_count(mode: EstimationMode, trials: int, k: int) -> int:
+    """Trials per point: `trials` in sampled mode, with its AB block checked at k; 1 in expectation mode."""
+    n_trials = trials if isinstance(mode, Sampled) else 1
+    if n_trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    check_block(n_trials * k, k, f"{n_trials} trials at k={k}")
+    return n_trials
+
+
 def run_ep_analysis(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Metric],
                     trials: int = 1) -> tuple[Scores, Scores]:
     """Score the fair EP and all k AB EPs through the k x k classifier `model`.
@@ -93,10 +102,7 @@ def run_ep_analysis(model: ConfusionModel, mode: EstimationMode, metrics: Sequen
     """
     metrics = tuple(metrics)
     k = model.k
-    n_trials = trials if isinstance(mode, Sampled) else 1
-    if n_trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    check_block(n_trials * k, k, f"{n_trials} trials at k={k}")
+    n_trials = _trial_count(mode, trials, k)
 
     trial = np.arange(n_trials)
     est_fair = estimate(model, np.full((n_trials, k), 1.0 / k), mode, _seeds(mode, k, _KIND_FAIR, 0, trial))
@@ -142,9 +148,9 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
 
 @dataclass
 class BenchConfig:
-    """One benchmark run: a classifier per k plus experiment parameters."""
+    """One benchmark run: a k x k classifier for each k, distinct k, plus experiment parameters."""
 
-    models: Mapping[int, ConfusionModel]
+    models: Sequence[ConfusionModel]
     metrics: tuple[Metric, ...] = REPORT_ORDER
     mode: EstimationMode = EXPECTATION
     trials: int = 30
@@ -154,9 +160,9 @@ class BenchConfig:
     def __post_init__(self):
         if not self.models:
             raise ValidationError("benchmark needs at least one k")
-        for k, model in self.models.items():
-            if model.k != k:
-                raise ValidationError(f"classifier for k={k} is {model.k}x{model.k}")
+        ks = [model.k for model in self.models]
+        if len(set(ks)) < len(ks):
+            raise ValidationError(f"benchmark repeats a k: {' '.join(map(str, ks))}")
 
 
 @dataclass(frozen=True)
@@ -216,16 +222,18 @@ def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
     points.
     """
     metrics = tuple(m for m in REPORT_ORDER if m in set(cfg.metrics))
-    ks = tuple(sorted(cfg.models))
-    # Refuse any k's metric limit or sweep step before scoring; fd_score reuses the cached n_factor.
+    models = {model.k: model for model in cfg.models}
+    ks = tuple(sorted(models))
+    # Refuse any k's metric limit, sweep step or trials block before scoring; fd_score reuses the cached n_factor.
     for k in ks:
         for m in metrics:
             n_factor(m, k)
         check_sweep(k, cfg.step)
+        _trial_count(cfg.mode, cfg.trials, k)
     fair, ab, sweeps = {}, {}, {}
     for k in ks:
-        fair[k], ab[k] = run_ep_analysis(cfg.models[k], cfg.mode, metrics, cfg.trials)
-        sweeps[k] = run_sweep(cfg.models[k], cfg.mode, metrics, cfg.step)
+        fair[k], ab[k] = run_ep_analysis(models[k], cfg.mode, metrics, cfg.trials)
+        sweeps[k] = run_sweep(models[k], cfg.mode, metrics, cfg.step)
 
     # Pool in (k, trial, outcome) order, one array per metric.
     fair_pool = {m: np.concatenate([fair[k][m].ravel() for k in ks]) for m in metrics}

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attrspace import (MAX_SAMPLES, AttributeSpace, CategoricalDistribution, as_rows, check_k, float_array,
-                        is_number_list, normalized_rows, read_json)
+from .attrspace import MAX_SAMPLES, check_k, float_array, is_number_list, normalized_rows, read_json
 from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-9
@@ -73,14 +72,14 @@ EXPECTATION = Expectation()
 
 def perfect(k: int) -> ConfusionModel:
     """The identity: every outcome classified correctly."""
-    return ConfusionModel(k, np.eye(k))
+    return ConfusionModel(k, np.eye(check_k(k)))
 
 
 def uniform_noise(k: int, eps: float) -> ConfusionModel:
     """Mix the identity with a fully random classifier: (1-eps) I + (eps/k) J."""
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"eps must be in [0, 1], got {eps}")
-    return ConfusionModel(k, (1.0 - eps) * np.eye(k) + (eps / k) * np.ones((k, k)))
+    return ConfusionModel(k, (1.0 - eps) * np.eye(check_k(k)) + (eps / k) * np.ones((k, k)))
 
 
 def from_accuracies(acc) -> ConfusionModel:
@@ -216,7 +215,7 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     `tests/test_classifier.py::TestSampledStreams` checks every row against a
     fresh `default_rng` per row (`oracles.reference_sample`).
     """
-    rows = as_rows(rows)
+    rows = np.asarray(rows, dtype=float)
     if rows.shape[-1] != model.k:
         raise ValidationError(f"confusion model is {model.k}x{model.k}, distribution has k={rows.shape[-1]}")
     if isinstance(mode, Expectation):
@@ -250,10 +249,11 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
 
 @dataclass(frozen=True, eq=False)
 class Predictions:
-    """Ingested records in file order: soft `probs` (N, k) or None, predicted
-    labels `pred` (N,), the argmax for soft records, and `truth` (N,) or None
-    unless every record has a truth label."""
+    """Ingested records in file order, read with `k` outcomes: soft `probs`
+    (N, k) or None, predicted labels `pred` (N,), the argmax for soft records,
+    and `truth` (N,) or None unless every record has a truth label."""
 
+    k: int
     probs: np.ndarray | None
     pred: np.ndarray
     truth: np.ndarray | None
@@ -271,6 +271,7 @@ def load_predictions(path, k: int) -> Predictions:
     (N, k) block of soft probabilities is checked once for finite, non-negative
     rows that sum to 1 within PROBS_SUM_TOL. Each error names the first bad line.
     """
+    check_k(k)
     probs, lines, pred, truth = array("d"), array("q"), array("q"), array("q")
     soft = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -313,7 +314,7 @@ def load_predictions(path, k: int) -> Predictions:
             raise ValidationError("prediction stream is empty")
         truth = None if -1 in truth else np.frombuffer(truth, dtype=np.int64)
         if not soft:
-            return Predictions(None, np.frombuffer(pred, dtype=np.int64), truth)
+            return Predictions(k, None, np.frombuffer(pred, dtype=np.int64), truth)
         block = np.frombuffer(probs).reshape(-1, k)
         with np.errstate(invalid="ignore"):
             sums = block.sum(axis=1)
@@ -326,7 +327,7 @@ def load_predictions(path, k: int) -> Predictions:
                 raise ValidationError(f"line {lines[row]}: {what}")
             fh.seek(0)
             raise _record_error(lines[row], json.loads(next(itertools.islice(fh, lines[row] - 1, None)))["id"], what)
-    return Predictions(block, block.argmax(axis=1), truth)
+    return Predictions(k, block, block.argmax(axis=1), truth)
 
 
 def _record_error(lineno: int, record_id, what: str) -> ValidationError:
@@ -338,9 +339,8 @@ def _check_label(name: str, value, lineno: int) -> None:
         raise ValidationError(f"line {lineno}: {name} must be an integer label, got {value!r}")
 
 
-def ingest_predictions(space: AttributeSpace, preds: Predictions
-                       ) -> tuple[CategoricalDistribution, ConfusionModel | None]:
-    """Aggregate predictions read with k = space.k into an estimated distribution.
+def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel | None]:
+    """Aggregate predictions into an estimated distribution, a (k,) array checked by `normalized_rows`.
 
     Soft records average their probability vectors; hard records tally
     predicted labels. When every record carries a truth label, a
@@ -348,14 +348,14 @@ def ingest_predictions(space: AttributeSpace, preds: Predictions
     returned as well; truth classes that never occur keep an identity row
     (no error evidence for them).
     """
-    k = space.k
+    k = preds.k
     if preds.probs is not None:
         # cumsum adds the rows in file order, as a running total would. Each row may be
         # off by PROBS_SUM_TOL, so renormalize the sum rather than divide by the count.
         total = np.cumsum(preds.probs, axis=0)[-1]
-        estimated = CategoricalDistribution(space, total / total.sum())
+        estimated = normalized_rows(total / total.sum())
     else:
-        estimated = CategoricalDistribution(space, np.bincount(preds.pred, minlength=k) / len(preds))
+        estimated = normalized_rows(np.bincount(preds.pred, minlength=k) / len(preds))
     if preds.truth is None:
         return estimated, None
     counts = np.bincount(preds.truth * k + preds.pred, minlength=k * k).reshape(k, k)

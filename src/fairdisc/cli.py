@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import classifier as clf
-from .attrspace import AttributeSpace, check_k, load_distribution, load_space, read_json
+from .attrspace import AttributeSpace, CategoricalDistribution, check_k, load_distribution, load_space, read_json
 from .bench import BenchConfig, format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_confusion, load_predictions
 from .errors import ValidationError
@@ -228,7 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     ks = cfg.ks or DEFAULT_KS
-    models = {k: cfg.model_for_k(k) for k in ks}
+    models = [cfg.model_for_k(k) for k in ks]
     bench_cfg = BenchConfig(models=models, metrics=cfg.metrics, mode=cfg.estimation_mode(),
                             trials=cfg.trials, step=cfg.step, classifier_label=cfg.classifier_label())
     report = run_benchmark(bench_cfg)
@@ -246,8 +246,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         space = AttributeSpace.of_size(cfg.ks[0])
     else:
         raise ValidationError("ingest needs --space FILE or a single --k")
-    dist, confusion = ingest_predictions(space, load_predictions(args.predictions, space.k))
-    _write_out(json.dumps(dist.to_dict(), indent=2) + "\n", cfg.out)
+    p, confusion = ingest_predictions(load_predictions(args.predictions, space.k))
+    _write_out(json.dumps(CategoricalDistribution(space, p).to_dict(), indent=2) + "\n", cfg.out)
     if args.confusion_out:
         if confusion is None:
             raise ValidationError("cannot write a confusion matrix: records lack truth labels")

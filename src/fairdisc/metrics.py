@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import transport
-from .attrspace import as_rows, check_k
+from .attrspace import check_k
 from .errors import ValidationError
 
 DEFAULT_ALPHA = 0.5
@@ -53,7 +53,7 @@ def parse_metrics(spec: str) -> tuple[Metric, ...]:
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    p, q = as_rows(p), as_rows(q)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.shape[-1] != q.shape[-1]:
         raise ValidationError(f"rows have k={p.shape[-1]} and k={q.shape[-1]}")
     return p, q
@@ -98,7 +98,7 @@ def specificity(p):
 
     Zero for the uniform distribution, one for a point mass.
     """
-    p = as_rows(p)
+    p = np.asarray(p, dtype=float)
     s = np.sort(p, axis=-1)[..., ::-1]
     # One vector dot per row, (1, k-1) @ (k-1, 1), so a row scores the same alone or in a block.
     return s[..., 0] - (s[..., None, 1:] @ _spread_weights(p.shape[-1])[:, None])[..., 0, 0]
@@ -123,8 +123,7 @@ _MEASURES = {Metric.L1: l1, Metric.L2: l2, Metric.WD: wd,
 
 def raw_score(metric: Metric, rows):
     """The metric between the uniform reference and each row, unnormalized."""
-    rows = as_rows(rows)
-    k = rows.shape[-1]
+    k = np.shape(rows)[-1]
     return _MEASURES[metric](np.full(k, 1.0 / k), rows)
 
 
@@ -144,5 +143,4 @@ def fd_score(metric: Metric, rows):
     `rows` is a distribution or an array of shape (..., k); the result has
     shape rows.shape[:-1].
     """
-    rows = as_rows(rows)
-    return raw_score(metric, rows) / n_factor(metric, rows.shape[-1])
+    return raw_score(metric, rows) / n_factor(metric, np.shape(rows)[-1])

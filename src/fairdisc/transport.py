@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .attrspace import as_rows
 from .errors import ValidationError
 
 MARGINAL_TOL = 1e-9
@@ -64,7 +63,7 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     plan entries are just zero), which is what extreme-point sources
     produce.
     """
-    p, q = as_rows(p), as_rows(q)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.ndim != 1 or p.shape != q.shape:
         raise ValidationError(f"transport needs two vectors of one length, got shapes {p.shape} and {q.shape}")
     k = len(p)

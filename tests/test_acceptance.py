@@ -18,7 +18,6 @@ from fairdisc import (
     CostMatrix,
     Metric,
     Sampled,
-    ab_extreme_points,
     ep_var,
     estimate,
     fd_score,
@@ -31,7 +30,6 @@ from fairdisc import (
     run_ep_analysis,
     run_sweep,
     solve,
-    uniform,
     uniform_noise,
 )
 from fairdisc.cli import main
@@ -77,7 +75,7 @@ def test_criterion_3_wd_equals_l1_under_default_cost(acceptance):
     worst_raw = worst_norm = 0.0
     for k in KS:
         space = AttributeSpace.of_size(k)
-        u = uniform(space)
+        u = np.full(k, 1.0 / k)
         for _ in range(1000):
             p = CategoricalDistribution(space, rng.dirichlet(np.ones(k)))
             raw_gap = abs(wd(u, p) - l1(u, p))
@@ -154,7 +152,7 @@ def test_criterion_7_sampled_convergence(acceptance, capsys):
         model = preset(name)
         k = model.k
         space = AttributeSpace.of_size(k)
-        probes = [uniform(space), ab_extreme_points(space)[0],
+        probes = [np.full(k, 1.0 / k), np.eye(k)[0],
                   CategoricalDistribution(space, np.arange(k, 0, -1.0) / (k * (k + 1) / 2))]
         for j, p_true in enumerate(probes):
             want = estimate(model, p_true)
@@ -175,7 +173,7 @@ def test_criterion_7_sampled_convergence(acceptance, capsys):
 
 def test_criterion_8_qualitative_report_orderings(acceptance):
     t0 = time.perf_counter()
-    cfg = BenchConfig(models={k: preset("set2", k) for k in KS}, classifier_label="set2")
+    cfg = BenchConfig(models=[preset("set2", k) for k in KS], classifier_label="set2")
     report = run_benchmark(cfg)
     elapsed = time.perf_counter() - t0
 

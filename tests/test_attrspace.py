@@ -12,12 +12,12 @@ from fairdisc import (
     ConfusionModel,
     Metric,
     ValidationError,
-    ab_extreme_points,
     load_distribution,
     load_space,
     n_factor,
+    perfect,
     sweep,
-    uniform,
+    uniform_noise,
 )
 from fairdisc.attrspace import MAX_BLOCK_ENTRIES, MAX_OUTCOMES, check_block, space_from_dict
 from oracles import reference_sweep
@@ -51,7 +51,8 @@ class TestAttributeSpace:
         # Every other entry of k checks it by value too: no matrix, path or row is built.
         for build in (lambda: ConfusionModel(1, [[1.0]]), lambda: ConfusionModel(MAX_OUTCOMES + 1, None),
                       lambda: ConfusionModel(10**400, None), lambda: sweep(1, 0.5),
-                      lambda: sweep(MAX_OUTCOMES + 1, 1e-3), lambda: n_factor(Metric.L1, MAX_OUTCOMES + 1)):
+                      lambda: sweep(MAX_OUTCOMES + 1, 1e-3), lambda: n_factor(Metric.L1, MAX_OUTCOMES + 1),
+                      lambda: perfect(10**400), lambda: uniform_noise(10**400, 0.1), lambda: perfect(MAX_OUTCOMES + 1)):
             with pytest.raises(ValidationError, match=rf"k must be in \[2, {MAX_OUTCOMES}\]"):
                 build()
         with pytest.raises(ValidationError):
@@ -94,18 +95,18 @@ class TestCategoricalDistribution:
         d = dist(2, [0.5, 0.5])
         with pytest.raises(ValueError):
             d.p[0] = 1.0
+        # A distribution is its rows: no copy on the way in, a writable copy on request.
+        assert np.asarray(d, dtype=float) is d.p
+        copied = np.array(d)
+        assert np.array_equal(copied.view(np.uint64), d.p.view(np.uint64))
+        copied[0] = 1.0
+        assert d.p[0] == 0.5
 
     def test_uniform_entries_exact(self):
         # no renormalization may touch the exact 1/k entries
         for k in range(2, 18):
-            u = uniform(AttributeSpace.of_size(k))
+            u = dist(k, np.full(k, 1.0 / k))
             assert all(x == 1.0 / k for x in u.p)
-
-    def test_extreme_points(self):
-        pts = ab_extreme_points(AttributeSpace.of_size(4))
-        assert len(pts) == 4
-        for i, pt in enumerate(pts):
-            assert pt.p[i] == 1.0 and pt.p.sum() == 1.0
 
 
 class TestSweep:
@@ -129,7 +130,7 @@ class TestSweep:
     def test_endpoints(self, space):
         path = sweep(space.k, 0.03)
         assert path[0][0] == 1.0
-        assert np.array_equal(path[-1], uniform(space).p)
+        assert np.array_equal(path[-1], np.full(space.k, 1.0 / space.k))
 
     def test_drained_mass_non_increasing(self, space):
         path = sweep(space.k, 0.02)

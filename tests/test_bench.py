@@ -189,7 +189,7 @@ class TestSweepRunner:
 
 class TestBenchmarkReport:
     def test_perfect_everywhere_is_all_zero(self):
-        cfg = BenchConfig(models={k: perfect(k) for k in (2, 4)}, step=0.05)
+        cfg = BenchConfig(models=[perfect(k) for k in (2, 4)], step=0.05)
         report = run_benchmark(cfg)
         for row in report.rows:
             tol = 1e-24 if row.benchmark == "ep-var" else 1e-12
@@ -197,14 +197,14 @@ class TestBenchmarkReport:
                 assert abs(v) <= tol, (row.label(), v)
 
     def test_ab_pool_size_for_k_2_and_4(self):
-        cfg = BenchConfig(models={2: perfect(2), 4: perfect(4)}, step=0.05)
+        cfg = BenchConfig(models=[perfect(2), perfect(4)], step=0.05)
         report = run_benchmark(cfg)
         assert report.meta["n_ab_pool"] == "6"
         assert report.meta["n_fair_pool"] == "2"
         assert report.meta["mode"] == "expectation"
 
     def test_row_structure(self):
-        cfg = BenchConfig(models={2: perfect(2), 4: perfect(4)}, step=0.05)
+        cfg = BenchConfig(models=[perfect(2), perfect(4)], step=0.05)
         report = run_benchmark(cfg)
         assert report.row("mepe", "fair", (2, 4))
         assert report.row("mepe", "ab", (2, 4))
@@ -215,39 +215,41 @@ class TestBenchmarkReport:
         assert report.row("mepe", "ab", (2,))  # per-k breakdown
 
     def test_best_worst_tags_with_strict_ordering(self):
-        cfg = BenchConfig(models={4: preset_like_set2_k4()}, step=0.05)
+        cfg = BenchConfig(models=[preset_like_set2_k4()], step=0.05)
         report = run_benchmark(cfg)
         row = report.row("mem", "sweep", (4,))
         assert row.best == (Metric.SPECIFICITY,)
         assert row.worst == (Metric.L2,)
 
     def test_complete_tie_tags_every_metric(self):
-        cfg = BenchConfig(models={2: uniform_noise(2, 0.1)}, step=0.1)
+        cfg = BenchConfig(models=[uniform_noise(2, 0.1)], step=0.1)
         report = run_benchmark(cfg)
         row = report.row("mem", "sweep", (2,))
         assert set(row.best) == set(REPORT_ORDER)
         assert set(row.worst) == set(REPORT_ORDER)
 
-    @pytest.mark.parametrize("ks,step,metric,match", [
-        ((2, 1000), 1e-6, Metric.L1, r"sweep step 1e-06 needs 999001 x 1000 floats"),
-        ((2, 128), 0.01, Metric.WD, r"transport needs 2 <= k <= 64, got k=128"),
+    @pytest.mark.parametrize("ks,step,metric,match,mode,trials", [
+        ((2, 1000), 1e-6, Metric.L1, r"sweep step 1e-06 needs 999001 x 1000 floats", EXPECTATION, 30),
+        ((2, 128), 0.01, Metric.WD, r"transport needs 2 <= k <= 64, got k=128", EXPECTATION, 30),
+        ((2, 1000), 0.001, Metric.L1, r"3 trials at k=1000 needs 3000 x 1000 floats", Sampled(100, 0), 3),
     ])
-    def test_limits_refused_before_any_estimate(self, monkeypatch, ks, step, metric, match):
+    def test_limits_refused_before_any_estimate(self, monkeypatch, ks, step, metric, match, mode, trials):
         # The k = 2 block would be scored first if limits were checked per k.
         calls = []
         monkeypatch.setattr(bench, "estimate", lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValidationError, match=match):
-            run_benchmark(BenchConfig(models={k: perfect(k) for k in ks}, step=step, metrics=(metric,)))
+            run_benchmark(BenchConfig(models=[perfect(k) for k in ks], mode=mode, trials=trials, step=step,
+                                      metrics=(metric,)))
         assert calls == []
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            BenchConfig(models={})
-        with pytest.raises(ValidationError):
-            BenchConfig(models={4: perfect(2)})
+        with pytest.raises(ValidationError, match="at least one k"):
+            BenchConfig(models=[])
+        with pytest.raises(ValidationError, match="repeats a k: 2 4 2"):
+            BenchConfig(models=[perfect(2), perfect(4), perfect(2)])
 
     def test_csv_deterministic_and_well_formed(self):
-        cfg = BenchConfig(models={2: uniform_noise(2, 0.2)}, mode=Sampled(n=200, seed=3),
+        cfg = BenchConfig(models=[uniform_noise(2, 0.2)], mode=Sampled(n=200, seed=3),
                           trials=2, step=0.1)
         a = report_to_csv(run_benchmark(cfg))
         b = report_to_csv(run_benchmark(cfg))
@@ -257,7 +259,7 @@ class TestBenchmarkReport:
         assert all(len(l.split(",")) == 5 for l in body[1:])
 
     def test_sampled_meta_records_parameters(self):
-        cfg = BenchConfig(models={2: perfect(2)}, mode=Sampled(n=200, seed=3), trials=2, step=0.1)
+        cfg = BenchConfig(models=[perfect(2)], mode=Sampled(n=200, seed=3), trials=2, step=0.1)
         report = run_benchmark(cfg)
         assert report.meta["mode"] == "sampled"
         assert report.meta["n"] == "200"
@@ -265,7 +267,7 @@ class TestBenchmarkReport:
         assert report.meta["trials"] == "2"
 
     def test_markdown_sections(self):
-        cfg = BenchConfig(models={2: perfect(2)}, step=0.1)
+        cfg = BenchConfig(models=[perfect(2)], step=0.1)
         md = report_to_markdown(run_benchmark(cfg))
         assert "## MEPE" in md and "## EP variance" in md and "## Sweep MEM" in md
         assert "| L2 | L1 | IS | Spec | WD |" in md

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import conftest
 from conftest import dist
 from fairdisc import (
-    AttributeSpace,
     ConfusionModel,
     Sampled,
     ValidationError,
@@ -19,7 +18,6 @@ from fairdisc import (
     per_class_accuracy,
     perfect,
     preset,
-    uniform,
     uniform_noise,
 )
 from fairdisc.classifier import PRESET_ACCURACIES, derive_seed, load_predictions
@@ -78,8 +76,8 @@ class TestEstimate:
         assert est.tolist() == pytest.approx([0.98, 0.02])
 
     def test_perfect_returns_input_exactly(self, space):
-        d = uniform(space)
-        assert np.array_equal(estimate(perfect(space.k), d), d.p)
+        p = np.full(space.k, 1.0 / space.k)
+        assert np.array_equal(estimate(perfect(space.k), p), p)
 
     def test_k_mismatch(self):
         with pytest.raises(ValidationError):
@@ -213,24 +211,24 @@ def write_jsonl(tmp_path, *records, name="p.jsonl"):
 
 
 def ingest(tmp_path, *records, k=2):
-    return ingest_predictions(AttributeSpace.of_size(k), load_predictions(write_jsonl(tmp_path, *records), k))
+    return ingest_predictions(load_predictions(write_jsonl(tmp_path, *records), k))
 
 
 class TestIngest:
     def test_hard_tally(self, tmp_path):
         est, confusion = ingest(tmp_path, *({"id": str(i), "pred": i % 2} for i in range(4)))
-        assert est.p.tolist() == [0.5, 0.5]
+        assert est.tolist() == [0.5, 0.5]
         assert confusion is None  # no truth labels
 
     def test_soft_mean(self, tmp_path):
         est, _ = ingest(tmp_path, {"id": "a", "probs": [0.8, 0.2]}, {"id": "b", "probs": [0.4, 0.6]})
-        assert est.p.tolist() == pytest.approx([0.6, 0.4])
+        assert est.tolist() == pytest.approx([0.6, 0.4])
 
     def test_soft_mean_absorbs_per_record_drift(self, tmp_path):
         # each record is within the 1e-6 record tolerance, their plain mean is
         # not within the 1e-9 distribution tolerance
         est, _ = ingest(tmp_path, *({"id": str(i), "probs": [0.3333333] * 3} for i in range(3)), k=3)
-        assert est.p.tolist() == pytest.approx([1 / 3] * 3, abs=1e-15)
+        assert est.tolist() == pytest.approx([1 / 3] * 3, abs=1e-15)
 
     def test_mixed_kinds_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match=r"^line 2: prediction stream mixes"):
@@ -292,7 +290,7 @@ class TestIngest:
             ingest(tmp_path, {"id": "a", "probs": [1.5, -0.5]})
         # within tolerance on either side
         est, _ = ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5000004]}, {"id": "b", "probs": [0.5, 0.4999996]})
-        assert est.p.sum() == pytest.approx(1.0, abs=1e-15)
+        assert est.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_value_errors_name_the_first_bad_row(self, tmp_path):
         # the per-line checks see the whole file before the value checks run
@@ -324,7 +322,7 @@ class TestIngest:
             records.append(rec)
         est, confusion = ingest(tmp_path_factory.mktemp("ingest"), *records, k=k)
         want_p, want_m = reference_ingest(k, records)
-        assert np.array_equal(est.p, want_p)
+        assert np.array_equal(est, want_p)
         if want_m is None:
             assert confusion is None
         else:

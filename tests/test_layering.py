@@ -1,4 +1,4 @@
-"""The scoring core takes k from its rows and confusion models, never from an attribute space."""
+"""Past the file boundary, code sees arrays and confusion models: no attribute space or distribution object."""
 
 import ast
 import pathlib
@@ -6,11 +6,11 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairdisc"
-# Attribute spaces are built at the file boundary only (attrspace, classifier, cli).
-SPACE_NAMES = {"AttributeSpace", "of_size"}
+# Attribute spaces and distributions are built at the file boundary only (attrspace, cli).
+SPACE_NAMES = {"AttributeSpace", "of_size", "CategoricalDistribution", "as_rows"}
 
 
-@pytest.mark.parametrize("module", ["bench", "metrics", "transport"])
+@pytest.mark.parametrize("module", ["bench", "classifier", "metrics", "transport"])
 def test_scoring_core_names_no_attribute_space(module):
     named = set()
     for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
