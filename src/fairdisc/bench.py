@@ -158,6 +158,11 @@ class BenchConfig:
     classifier_label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.models, Sequence):
+            raise ValidationError(f"models must be a sequence, got {type(self.models).__name__}")
+        for model in self.models:
+            if not isinstance(model, ConfusionModel):
+                raise ValidationError(f"models must be ConfusionModel items, got {type(model).__name__}")
         if not self.models:
             raise ValidationError("benchmark needs at least one k")
         ks = [model.k for model in self.models]
@@ -175,10 +180,6 @@ class ReportRow:
     values: Mapping[Metric, float]
     best: tuple[Metric, ...]
     worst: tuple[Metric, ...]
-
-    def label(self) -> str:
-        ks = "|".join(str(k) for k in self.k_set)
-        return f"{self.benchmark}/{self.kind} k={ks}"
 
 
 @dataclass

@@ -9,10 +9,8 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 from . import classifier as clf
 from .attrspace import AttributeSpace, CategoricalDistribution, check_k, load_distribution, load_space, read_json
@@ -22,11 +20,11 @@ from .errors import ValidationError
 from .metrics import Metric, fd_score, n_factor, parse_metrics, raw_score
 
 DEFAULT_KS = (2, 4, 8, 16)
-DEFAULT_STEP = 0.01
-DEFAULT_TRIALS = 30
-DEFAULT_PRECISION = 6
 # A float64 carries at most 17 significant decimal digits.
 MAX_PRECISION = 17
+MODES = ("expectation", "sampled")
+COMMANDS = ("nfactor", "score", "ep", "sweep", "bench", "ingest")
+RUNS = ("ep", "sweep", "bench")
 
 
 def _number(name: str, value, kind: type):
@@ -40,89 +38,108 @@ def _number(name: str, value, kind: type):
     raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
+def _int(name: str, value) -> int:
+    return _number(name, value, int)
+
+
+def _float(name: str, value) -> float:
+    return _number(name, value, float)
+
+
 def _as_list(value) -> list | tuple:
     return value if isinstance(value, (list, tuple)) else [value]
 
 
-def _string(name: str, value):
-    if value is not None and not isinstance(value, str):
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
         raise ValidationError(f"{name} must be a string, got {value!r}")
     return value
 
 
-@dataclass
+def _ks(name: str, value) -> tuple[int, ...]:
+    ks = tuple(check_k(_int(name, k)) for k in _as_list(value))
+    if not ks:
+        raise ValidationError("k set must not be empty")
+    if len(set(ks)) < len(ks):
+        raise ValidationError(f"k set repeats a k: {' '.join(map(str, ks))}")
+    return ks
+
+
+def _metrics(name: str, value) -> tuple[Metric, ...]:
+    metrics = _as_list(value)
+    return parse_metrics(",".join(_string(name, m) for m in metrics) if metrics else "all")
+
+
+def _accs(name: str, value) -> tuple[float, ...]:
+    return tuple(_float(name, a) for a in (value.split(",") if isinstance(value, str) else _as_list(value)))
+
+
+def _mode(name: str, value) -> str:
+    if value not in MODES:
+        raise ValidationError(f'{name} must be "expectation" or "sampled", got {value!r}')
+    return value
+
+
+def _seed(name: str, value) -> int:
+    seed = _int(name, value)
+    if seed < 0:
+        raise ValidationError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
+def _precision(name: str, value) -> int:
+    precision = _int(name, value)
+    if not 0 <= precision <= MAX_PRECISION:
+        raise ValidationError(f"{name} must be in [0, {MAX_PRECISION}], got {precision}")
+    return precision
+
+
+# Every shared option, once: name -> (convert, default, commands that take it, help, extra argparse keywords).
+# A flag and a config key both go through convert(name, value); an unset option with a default None stays None.
+OPTIONS = {
+    "k": (_ks, None, ("nfactor", *RUNS, "ingest"), "outcome count(s)", {"type": int, "nargs": "+", "metavar": "K"}),
+    "metrics": (_metrics, "all", ("nfactor", "score", *RUNS), 'comma-separated metric names or "all" (default)', {}),
+    "classifier": (_string, None, RUNS, 'preset name ("perfect", "set1-a".."set1-d", "set2", "set2-k2".."set2-k16") '
+                                        "or confusion JSON path", {"metavar": "PRESET|FILE"}),
+    "eps": (_float, None, RUNS, "uniform-noise level in [0,1]", {"type": float}),
+    "accs": (_accs, None, RUNS, "per-class accuracies (fixes k)", {"metavar": "A1,A2,.."}),
+    "mode": (_mode, "expectation", RUNS, None, {"choices": MODES}),
+    "n": (_int, None, RUNS, "samples per estimate (sampled mode)", {"type": int}),
+    "seed": (_seed, 0, RUNS, "base seed (default 0)", {"type": int}),
+    "trials": (_int, 30, RUNS, "sampling repeats per point (default 30)", {"type": int}),
+    "step": (_float, 0.01, ("sweep", "bench"), "sweep step size (default 0.01)", {"type": float}),
+    "start": (_int, 0, ("sweep",), "AB extreme point the sweep drains (default 0)", {"type": int}),
+    "out": (_string, None, COMMANDS, "write output here instead of stdout", {"metavar": "FILE"}),
+    "markdown": (_string, None, ("bench",), "also write a Markdown rendering of the report", {"metavar": "FILE"}),
+    "precision": (_precision, 6, ("nfactor", "score", *RUNS), "significant digits for floats (default 6)", {"type": int}),
+}
+
+
+def _read_config(path: str, command: str) -> dict:
+    """The config file's values by option name; every key must be one that the command takes."""
+    file_cfg = read_json(path)
+    if not isinstance(file_cfg, dict):
+        raise ValidationError(f"{path}: config must be a JSON object")
+    given = {}
+    for key, value in file_cfg.items():
+        name = key[:-1] if key == "ks" else key  # "ks", the plural, names the same option
+        if name not in OPTIONS:
+            raise ValidationError(f"{path}: unknown config key {key!r}")
+        if command not in OPTIONS[name][2]:
+            raise ValidationError(f"{path}: {command} takes no config key {key!r}")
+        given[name] = value
+    return given
+
+
 class RunConfig:
-    """Merged view of the config file and command-line flags (flags win)."""
+    """Merged view of the config file and command-line flags (flags win), one attribute per option."""
 
-    ks: tuple[int, ...] | None = None
-    metrics: tuple[Metric, ...] = ()
-    classifier: str | None = None
-    eps: float | None = None
-    accs: tuple[float, ...] | None = None
-    mode: str = "expectation"
-    n: int | None = None
-    seed: int = 0
-    trials: int = DEFAULT_TRIALS
-    step: float = DEFAULT_STEP
-    start: int = 0
-    out: str | None = None
-    markdown: str | None = None
-    precision: int = DEFAULT_PRECISION
-
-    _CONFIG_KEYS = {
-        "k": "ks", "ks": "ks", "metrics": "metrics", "classifier": "classifier",
-        "eps": "eps", "accs": "accs", "mode": "mode", "n": "n", "seed": "seed",
-        "trials": "trials", "step": "step", "start": "start", "out": "out",
-        "markdown": "markdown", "precision": "precision",
-    }
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
-        if getattr(args, "config", None):
-            file_cfg = read_json(args.config)
-            if not isinstance(file_cfg, dict):
-                raise ValidationError(f"{args.config}: config must be a JSON object")
-            for key, value in file_cfg.items():
-                if key not in cls._CONFIG_KEYS:
-                    raise ValidationError(f"{args.config}: unknown config key {key!r}")
-                setattr(cfg, cls._CONFIG_KEYS[key], value)
-        for field in dataclasses.fields(cls):
-            if field.name.startswith("_"):
-                continue
-            flag = "k" if field.name == "ks" else field.name
-            value = getattr(args, flag, None)
-            if value is not None:
-                setattr(cfg, field.name, value)
-        cfg._normalize()
-        return cfg
-
-    def _normalize(self):
-        if self.ks is not None:
-            self.ks = tuple(check_k(_number("k", k, int)) for k in _as_list(self.ks))
-            if not self.ks:
-                raise ValidationError("k set must not be empty")
-            if len(set(self.ks)) < len(self.ks):
-                raise ValidationError(f"k set repeats a k: {' '.join(map(str, self.ks))}")
-        metrics = _as_list(self.metrics)
-        self.metrics = parse_metrics(",".join(_string("metrics", m) for m in metrics) if metrics else "all")
-        if self.accs is not None:
-            accs = self.accs.split(",") if isinstance(self.accs, str) else _as_list(self.accs)
-            self.accs = tuple(_number("accs", a, float) for a in accs)
-        for name, kind in (("eps", float), ("step", float), ("n", int), ("seed", int),
-                           ("trials", int), ("start", int), ("precision", int)):
-            value = getattr(self, name)
-            # eps and n may stay unset; every other field has a default to keep.
-            if value is not None or name not in ("eps", "n"):
-                setattr(self, name, _number(name, value, kind))
-        for name in ("classifier", "out", "markdown"):
-            _string(name, getattr(self, name))
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.precision <= MAX_PRECISION:
-            raise ValidationError(f"precision must be in [0, {MAX_PRECISION}], got {self.precision}")
-        if self.mode not in ("expectation", "sampled"):
-            raise ValidationError(f'mode must be "expectation" or "sampled", got {self.mode!r}')
+    def __init__(self, args: argparse.Namespace):
+        given = _read_config(args.config, args.command) if args.config else {}
+        given.update((name, v) for name in OPTIONS if (v := getattr(args, name, None)) is not None)
+        for name, (convert, default, *_) in OPTIONS.items():
+            value = given.get(name, default)
+            setattr(self, name, None if value is None and default is None else convert(name, value))
         if self.mode == "sampled" and self.n is None:
             raise ValidationError("sampled mode needs an explicit --n")
         chosen = [name for name, v in (("--classifier", self.classifier),
@@ -169,8 +186,8 @@ def _csv(header: str, rows, out: str | None) -> None:
 
 
 def cmd_nfactor(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    ks = cfg.ks or DEFAULT_KS
+    cfg = RunConfig(args)
+    ks = cfg.k or DEFAULT_KS
     fmt = lambda v: format_float(v, cfg.precision)
     rows = [f"{k},{m},{fmt(n_factor(m, k))}" for k in ks for m in cfg.metrics]
     _csv("k,metric,n_factor", rows, cfg.out)
@@ -178,7 +195,7 @@ def cmd_nfactor(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
+    cfg = RunConfig(args)
     dist = load_distribution(args.dist)
     fmt = lambda v: format_float(v, cfg.precision)
     rows = []
@@ -194,8 +211,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_ep(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    ks = cfg.ks or DEFAULT_KS
+    cfg = RunConfig(args)
+    ks = cfg.k or DEFAULT_KS
     mode = cfg.estimation_mode()
     # Expectation mode runs one trial and leaves the trial column empty.
     sampled = isinstance(mode, Sampled)
@@ -213,8 +230,8 @@ def cmd_ep(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    ks = cfg.ks or (2,)
+    cfg = RunConfig(args)
+    ks = cfg.k or (2,)
     if len(ks) != 1:
         raise ValidationError("sweep runs one k at a time")
     f, f_star = run_sweep(cfg.model_for_k(ks[0]), cfg.estimation_mode(), cfg.metrics, cfg.step, starts=cfg.start)
@@ -226,8 +243,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    ks = cfg.ks or DEFAULT_KS
+    cfg = RunConfig(args)
+    ks = cfg.k or DEFAULT_KS
     models = [cfg.model_for_k(k) for k in ks]
     bench_cfg = BenchConfig(models=models, metrics=cfg.metrics, mode=cfg.estimation_mode(),
                             trials=cfg.trials, step=cfg.step, classifier_label=cfg.classifier_label())
@@ -239,11 +256,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
+    cfg = RunConfig(args)
     if args.space:
         space = load_space(args.space)
-    elif cfg.ks and len(cfg.ks) == 1:
-        space = AttributeSpace.of_size(cfg.ks[0])
+    elif cfg.k and len(cfg.k) == 1:
+        space = AttributeSpace.of_size(cfg.k[0])
     else:
         raise ValidationError("ingest needs --space FILE or a single --k")
     p, confusion = ingest_predictions(load_predictions(args.predictions, space.k))
@@ -255,37 +272,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, k: bool = True, classifier: bool = False,
-                mode: bool = False, step: bool = False) -> None:
-    if k:
-        p.add_argument("--k", type=int, nargs="+", default=None, metavar="K",
-                       help="outcome count(s)")
-    p.add_argument("--metrics", default=None,
-                   help='comma-separated metric names or "all" (default)')
-    if classifier:
-        p.add_argument("--classifier", default=None, metavar="PRESET|FILE",
-                       help='preset name ("perfect", "set1-a".."set1-d", "set2", '
-                            '"set2-k2".."set2-k16") or confusion JSON path')
-        p.add_argument("--eps", type=float, default=None,
-                       help="uniform-noise level in [0,1]")
-        p.add_argument("--accs", default=None, metavar="A1,A2,..",
-                       help="per-class accuracies (fixes k)")
-    if mode:
-        p.add_argument("--mode", choices=("expectation", "sampled"), default=None)
-        p.add_argument("--n", type=int, default=None, help="samples per estimate (sampled mode)")
-        p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-        p.add_argument("--trials", type=int, default=None,
-                       help=f"sampling repeats per point (default {DEFAULT_TRIALS})")
-    if step:
-        p.add_argument("--step", type=float, default=None,
-                       help=f"sweep step size (default {DEFAULT_STEP})")
-    p.add_argument("--out", default=None, metavar="FILE", help="write output here instead of stdout")
-    p.add_argument("--precision", type=int, default=None,
-                   help=f"significant digits for floats (default {DEFAULT_PRECISION})")
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="JSON config file; flags override its fields")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairdisc",
@@ -293,40 +279,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "with a classifier-noise benchmark harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("nfactor", help="normalization factors per (metric, k)")
-    _add_common(p)
-    p.set_defaults(func=cmd_nfactor)
+    sub.add_parser("nfactor", help="normalization factors per (metric, k)").set_defaults(func=cmd_nfactor)
 
     p = sub.add_parser("score", help="score a distribution file against uniform")
     p.add_argument("dist", help="distribution JSON file")
     p.add_argument("--raw", action="store_true", help="include raw value and n_factor columns")
-    _add_common(p, k=False)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("ep", help="extreme-point analysis (fair EP and all AB EPs)")
-    _add_common(p, classifier=True, mode=True)
-    p.set_defaults(func=cmd_ep)
-
-    p = sub.add_parser("sweep", help="AB-to-fair sweep trace for one k")
-    _add_common(p, classifier=True, mode=True, step=True)
-    p.add_argument("--start", type=int, default=None,
-                   help="AB extreme point the sweep drains (default 0)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("bench", help="full benchmark report (MEPE, EP variance, sweep MEM)")
-    _add_common(p, classifier=True, mode=True, step=True)
-    p.add_argument("--markdown", default=None, metavar="FILE",
-                   help="also write a Markdown rendering of the report")
-    p.set_defaults(func=cmd_bench)
+    sub.add_parser("ep", help="extreme-point analysis (fair EP and all AB EPs)").set_defaults(func=cmd_ep)
+    sub.add_parser("sweep", help="AB-to-fair sweep trace for one k").set_defaults(func=cmd_sweep)
+    sub.add_parser("bench", help="full benchmark report (MEPE, EP variance, sweep MEM)").set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ingest", help="aggregate classifier predictions into a distribution")
     p.add_argument("predictions", help="JSONL prediction records")
     p.add_argument("--space", default=None, metavar="FILE", help="attribute-space JSON")
     p.add_argument("--confusion-out", default=None, metavar="FILE",
                    help="write the empirical confusion matrix here (needs truth labels)")
-    _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
+    for command, p in sub.choices.items():
+        for name, (_, _, commands, text, extra) in OPTIONS.items():
+            if command in commands:
+                p.add_argument(f"--{name}", help=text, **extra)
+        p.add_argument("--config", metavar="FILE", help="JSON config file; flags override its fields")
     return parser
 
 

@@ -194,7 +194,7 @@ class TestBenchmarkReport:
         for row in report.rows:
             tol = 1e-24 if row.benchmark == "ep-var" else 1e-12
             for v in row.values.values():
-                assert abs(v) <= tol, (row.label(), v)
+                assert abs(v) <= tol, (row.benchmark, row.kind, row.k_set, v)
 
     def test_ab_pool_size_for_k_2_and_4(self):
         cfg = BenchConfig(models=[perfect(2), perfect(4)], step=0.05)
@@ -247,6 +247,14 @@ class TestBenchmarkReport:
             BenchConfig(models=[])
         with pytest.raises(ValidationError, match="repeats a k: 2 4 2"):
             BenchConfig(models=[perfect(2), perfect(4), perfect(2)])
+
+    # The old {k: model} mapping, a bare int, and an int among models.
+    @pytest.mark.parametrize("models,match", [({2: perfect(2)}, "a sequence, got dict"), (4, "a sequence, got int"),
+                                              ([perfect(2), 4], "ConfusionModel items, got int")],
+                             ids=["mapping", "int", "int-item"])
+    def test_models_must_be_confusion_models(self, models, match):
+        with pytest.raises(ValidationError, match=f"models must be {match}"):
+            BenchConfig(models=models)
 
     def test_csv_deterministic_and_well_formed(self):
         cfg = BenchConfig(models=[uniform_noise(2, 0.2)], mode=Sampled(n=200, seed=3),

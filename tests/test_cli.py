@@ -1,13 +1,14 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 from fairdisc import load_distribution, n_factor
-from fairdisc.cli import main
+from fairdisc.cli import COMMANDS, OPTIONS, main
 from fairdisc.metrics import Metric
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -332,6 +333,7 @@ BAD_INPUTS = {
     "ep-k-repeated": ("ep", "--k", "2", "2"),
     "bench-k-repeated": ("bench", "--k", "2", "2"),
     "config-k-repeated": ("config", '{"k": [4, 4]}'),
+    "config-metrics-null": ("config", '{"metrics": null}'),
 }
 
 
@@ -402,3 +404,62 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0
     assert proc.stdout.startswith("k,metric,n_factor")
+
+
+# Each command's own arguments: its positional files and the flags that are not
+# table options.
+OWN_ARGUMENTS = {"score": (["dist"], {"--raw"}), "ingest": (["predictions"], {"--space", "--confusion-out"})}
+
+
+def command_argv(tmp_path, command):
+    """argv for `command` with its positional file, valid but for the options under test."""
+    if command == "score":
+        return [command, write_dist(tmp_path, [0.5, 0.5])]
+    if command == "ingest":
+        preds = tmp_path / "p.jsonl"
+        preds.write_text('{"id": "a", "pred": 0}\n')
+        return [command, str(preds)]
+    return [command]
+
+
+def takes(command, name):
+    return command in OPTIONS[name][2]
+
+
+@pytest.mark.parametrize("command,key", [(c, key) for c in COMMANDS for key in [*OPTIONS, "ks"]
+                                         if not takes(c, "k" if key == "ks" else key)])
+def test_config_key_the_command_does_not_take_exits_2(capsys, tmp_path, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    code, out, err = run_cli(capsys, *command_argv(tmp_path, command), "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}: {command} takes no config key {key!r}\n"
+
+
+def test_not_taken_keys_are_refused_before_any_value_is_converted(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"precision": "x", "step": 0.5, "markdown": "x.md", "start": 9, "classifier": "nope"}))
+    code, out, err = run_cli(capsys, "nfactor", "--k", "2", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}: nfactor takes no config key 'step'\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_exactly_the_commands_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    positionals, own_flags = OWN_ARGUMENTS.get(command, ([], set()))
+    want = {f"--{name}" for name in OPTIONS if takes(command, name)} | own_flags | {"--config", "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == want
+    usage = out.split("\n\n")[0]
+    assert all(re.search(rf"\b{p}\b", usage) for p in positionals)
+
+
+@pytest.mark.parametrize("flag", ["--metrics", "--precision"])
+def test_ingest_takes_no_output_format_flags(capsys, tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*command_argv(tmp_path, "ingest"), "--k", "2", flag, "l1" if flag == "--metrics" else "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdisc.cli import main
+from fairdisc import cli
+from fairdisc.cli import COMMANDS, main
 
 JUNK = st.sampled_from(["x", "", "nan", "inf", "-inf", "1e999", "2.5", "-1", "0"])
 
@@ -167,7 +168,10 @@ HUGE_OR_NEGATIVE = st.sampled_from([2**63, -2**63 - 1, 10**400, -1])
 NUMERIC_FLAGS = {"nfactor": ["--k", "--precision"],
                  "ep": ["--k", "--n", "--seed", "--trials", "--precision"],
                  "sweep": ["--k", "--n", "--seed", "--trials", "--start", "--precision"]}
-NUMERIC_KEYS = ["k", "ks", "eps", "accs", "n", "seed", "trials", "step", "start", "precision"]
+# The config keys of numeric options that each command takes, "ks" with "k".
+NUMERIC_KEYS = {command: [key for key in ("k", "ks", "eps", "accs", "n", "seed", "trials", "step", "start", "precision")
+                          if command in cli.OPTIONS["k" if key == "ks" else key][2]]
+                for command in COMMANDS}
 
 
 @pytest.mark.parametrize("command", ["nfactor", "ep", "sweep"])
@@ -179,17 +183,49 @@ def test_huge_and_negative_flags_exit_cleanly(command, data):
     check(data.draw(argvs(command)) + [t for name in names for t in (name, str(data.draw(HUGE_OR_NEGATIVE)))])
 
 
-@pytest.mark.parametrize("command", ["ep", "sweep"])
+def config_argv(tmp_path_factory, command, cfg):
+    """argv that runs `command` on the config file `cfg` and small valid positional files."""
+    work = tmp_path_factory.mktemp("config")
+    (work / "cfg.json").write_text(json.dumps(cfg))
+    (work / "d.json").write_text('{"k": 2, "p": [0.5, 0.5]}')
+    (work / "p.jsonl").write_text('{"id": "a", "pred": 0}\n')
+    files = {"score": [str(work / "d.json")], "ingest": [str(work / "p.jsonl")]}
+    return [command, *files.get(command, []), "--config", str(work / "cfg.json")]
+
+
+def base_config(command, data):
+    """A small valid config of the keys the command takes: k = 2 and a coarse step keep bench fast."""
+    cfg = data.draw(st.sampled_from([{}, {"mode": "sampled", "n": 10, "trials": 2}]))
+    cfg.update({"k": [2], "step": 0.5} if command == "bench" else {})
+    return {key: v for key, v in cfg.items() if command in cli.OPTIONS[key][2]}
+
+
+@pytest.mark.parametrize("command", ["nfactor", "ep", "sweep", "bench"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_huge_and_negative_config_values_exit_cleanly(tmp_path_factory, command, data):
-    cfg = data.draw(st.sampled_from([{}, {"mode": "sampled", "n": 10, "trials": 2}]))
-    for key in data.draw(st.lists(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=3, unique=True)):
+    cfg = base_config(command, data)
+    for key in data.draw(st.lists(st.sampled_from(NUMERIC_KEYS[command]), min_size=1, max_size=3, unique=True)):
         value = data.draw(HUGE_OR_NEGATIVE)
         cfg[key] = [value, 0.5] if key == "accs" else value
-    path = tmp_path_factory.mktemp("config") / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    check([command, "--config", str(path), "--metrics", "l1,spec"])
+    check(config_argv(tmp_path_factory, command, cfg) + ["--metrics", "l1,spec"])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_config_keys_the_command_does_not_take_exit_2(tmp_path_factory, command, data):
+    # Taken keys may hold huge or negative values; a key that is not taken is refused first.
+    cfg = base_config(command, data)
+    for key in data.draw(st.lists(st.sampled_from(NUMERIC_KEYS[command]), max_size=2, unique=True)):
+        cfg[key] = data.draw(HUGE_OR_NEGATIVE)
+    not_taken = [name for name in cli.OPTIONS if command not in cli.OPTIONS[name][2]]
+    for key in data.draw(st.lists(st.sampled_from(not_taken), min_size=1, max_size=3, unique=True)):
+        cfg[key] = data.draw(st.one_of(HUGE_OR_NEGATIVE, WRONG))
+    keys = data.draw(st.permutations(list(cfg)))
+    code, err = check(config_argv(tmp_path_factory, command, {key: cfg[key] for key in keys}))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and f"{command} takes no config key" in err, err
 
 
 @settings(max_examples=50, deadline=None)
