@@ -106,7 +106,7 @@ OPTIONS = {
     "mode": (_mode, "expectation", RUNS, None, {"choices": MODES}),
     "n": (_int, None, RUNS, "samples per estimate (sampled mode)", {"type": int}),
     "seed": (_seed, 0, RUNS, "base seed (default 0)", {"type": int}),
-    "trials": (_int, 30, RUNS, "sampling repeats per point (default 30)", {"type": int}),
+    "trials": (_int, 30, ("ep", "bench"), "sampling repeats per point (default 30)", {"type": int}),
     "step": (_float, 0.01, ("sweep", "bench"), "sweep step size (default 0.01)", {"type": float}),
     "start": (_int, 0, ("sweep",), "AB extreme point the sweep drains (default 0)", {"type": int}),
     "out": (_string, None, COMMANDS, "write output here instead of stdout", {"metavar": "FILE"}),

@@ -1,20 +1,31 @@
 """Exact discrete optimal transport between categorical distributions.
 
-Small problems only (k <= 64); solved as a linear program with HiGHS.
+Small problems only (k <= 64); solved as a linear program with HiGHS,
+driven directly through scipy's bindings with the sparse model and the
+options of scipy.optimize's "highs" LP method, so plans are bit-identical
+to that method's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .errors import ValidationError
 
 MARGINAL_TOL = 1e-9
-# The LP has k^2 variables and a dense 2k x k^2 constraint matrix.
+# The LP has k^2 variables and 2k equality rows, two nonzeros per column.
 MAX_K = 64
+
+# scipy.optimize's options for its "highs" LP method: presolve on, dual simplex, no output.
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,28 +81,47 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     _check_k(k)
     if cost.k != k:
         raise ValidationError(f"cost matrix is {cost.k}x{cost.k}, distributions have k={k}")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValidationError("transport marginals must be finite")
 
-    a_rows = np.zeros((k, k * k))
-    a_cols = np.zeros((k, k * k))
-    for i in range(k):
-        a_rows[i, i * k:(i + 1) * k] = 1.0
-        a_cols[i, i::k] = 1.0
-    res = linprog(
-        cost.c.ravel(),
-        A_eq=np.vstack([a_rows, a_cols]),
-        b_eq=np.concatenate([p, q]),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise ValidationError(f"transport solve failed: {res.message}")
+    lp = highs.HighsLp()
+    lp.num_col_ = k * k
+    lp.num_row_ = 2 * k
+    lp.a_matrix_ = _constraints(k)
+    lp.col_cost_ = cost.c.ravel()
+    lp.col_lower_ = np.zeros(k * k)
+    lp.col_upper_ = np.full(k * k, np.inf)
+    lp.row_lower_ = lp.row_upper_ = np.concatenate([p, q])
+    # A fresh solver per call: no basis or warm start carries over between solves.
+    solver = highs._Highs()
+    solver.passOptions(_OPTIONS)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise ValidationError("transport solve failed: HiGHS rejected the model")
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise ValidationError(f"transport solve failed: HiGHS model status {solver.modelStatusToString(status)}")
 
-    w = res.x.reshape(k, k)
+    w = np.array(solver.getSolution().col_value).reshape(k, k)
     # Clip solver dust so the plan is a clean non-negative matrix.
     w = np.where(np.abs(w) < 1e-15, 0.0, w)
     value = float(np.sum(w * cost.c))
     _check_marginals(w, p, q)
     return TransportPlan(w=w, value=value)
+
+
+@cache
+def _constraints(k: int) -> highs.HighsSparseMatrix:
+    """Row sums then column sums of the k x k plan, column-wise: column i*k+j has ones in rows i and k+j."""
+    a = highs.HighsSparseMatrix()
+    a.format_ = highs.MatrixFormat.kColwise
+    a.num_col_ = k * k
+    a.num_row_ = 2 * k
+    a.start_ = np.arange(0, 2 * k * k + 1, 2)
+    i, j = np.divmod(np.arange(k * k), k)
+    a.index_ = np.stack([i, k + j], axis=1).ravel()
+    a.value_ = np.ones(2 * k * k)
+    return a
 
 
 def _check_k(k: int) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def bruteforce_transport_cost(a: list[int], b: list[int], cost, denom: int) -> float:
@@ -45,6 +46,28 @@ def bruteforce_transport_cost(a: list[int], b: list[int], cost, denom: int) -> f
 
     place(0, list(b), 0.0)
     return best[0] / denom
+
+
+def reference_transport(p, q, cost) -> tuple[np.ndarray, float]:
+    """Transport plan and cost from p to q through `scipy.optimize.linprog`.
+
+    The LP in its textbook form: a dense 2k x k^2 equality matrix (row sums,
+    then column sums) handed to linprog's HiGHS method, with plan entries
+    below 1e-15 clipped to zero and the cost summed over the clipped plan.
+    """
+    p, q, cost = np.asarray(p, dtype=float), np.asarray(q, dtype=float), np.asarray(cost, dtype=float)
+    k = len(p)
+    a_rows = np.zeros((k, k * k))
+    a_cols = np.zeros((k, k * k))
+    for i in range(k):
+        a_rows[i, i * k:(i + 1) * k] = 1.0
+        a_cols[i, i::k] = 1.0
+    res = linprog(cost.ravel(), A_eq=np.vstack([a_rows, a_cols]), b_eq=np.concatenate([p, q]),
+                  bounds=(0, None), method="highs")
+    assert res.success, res.message
+    w = res.x.reshape(k, k)
+    w = np.where(np.abs(w) < 1e-15, 0.0, w)
+    return w, float(np.sum(w * cost))
 
 
 def reference_sweep(k: int, step: float) -> list[list[float]]:

@@ -334,6 +334,8 @@ BAD_INPUTS = {
     "bench-k-repeated": ("bench", "--k", "2", "2"),
     "config-k-repeated": ("config", '{"k": [4, 4]}'),
     "config-metrics-null": ("config", '{"metrics": null}'),
+    # A config case may name its command; bench is the default.
+    "sweep-config-trials": ("config", '{"trials": 7}', "sweep"),
 }
 
 
@@ -349,7 +351,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     elif argv[0] == "config":
         cfg = tmp_path / "cfg.json"
         cfg.write_text(argv[1])
-        argv = ["bench", "--config", str(cfg)]
+        argv = [argv[2] if len(argv) > 2 else "bench", "--config", str(cfg)]
     elif argv[0] == "confusion":
         conf = tmp_path / "conf.json"
         conf.write_text(argv[1])
@@ -463,3 +465,11 @@ def test_ingest_takes_no_output_format_flags(capsys, tmp_path, flag):
         main([*command_argv(tmp_path, "ingest"), "--k", "2", flag, "l1" if flag == "--metrics" else "3"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_sweep_takes_no_trials_flag(capsys):
+    # sweep draws each point once; argparse refuses --trials like any unknown flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--k", "2", "--step", "0.25", "--mode", "sampled", "--n", "50", "--trials", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials 7" in capsys.readouterr().err

@@ -167,7 +167,7 @@ def test_cli_exits_cleanly(command, data):
 HUGE_OR_NEGATIVE = st.sampled_from([2**63, -2**63 - 1, 10**400, -1])
 NUMERIC_FLAGS = {"nfactor": ["--k", "--precision"],
                  "ep": ["--k", "--n", "--seed", "--trials", "--precision"],
-                 "sweep": ["--k", "--n", "--seed", "--trials", "--start", "--precision"]}
+                 "sweep": ["--k", "--n", "--seed", "--start", "--precision"]}
 # The config keys of numeric options that each command takes, "ks" with "k".
 NUMERIC_KEYS = {command: [key for key in ("k", "ks", "eps", "accs", "n", "seed", "trials", "step", "start", "precision")
                           if command in cli.OPTIONS["k" if key == "ks" else key][2]]
