@@ -181,69 +181,50 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _csv(header: str, rows, out: str | None) -> None:
-    _write_out(header + "\n" + "".join(r + "\n" for r in rows), out)
+def _csv(cfg: RunConfig, header: str, rows) -> None:
+    """Write a header and rows of cells: a float cell prints at cfg.precision, any other cell as str()."""
+    lines = (",".join(format_float(v, cfg.precision) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    _write_out(header + "\n" + "".join(line + "\n" for line in lines), cfg.out)
 
 
-def cmd_nfactor(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
-    ks = cfg.k or DEFAULT_KS
-    fmt = lambda v: format_float(v, cfg.precision)
-    rows = [f"{k},{m},{fmt(n_factor(m, k))}" for k in ks for m in cfg.metrics]
-    _csv("k,metric,n_factor", rows, cfg.out)
-    return 0
+def cmd_nfactor(cfg: RunConfig, args: argparse.Namespace) -> None:
+    _csv(cfg, "k,metric,n_factor", [(k, m, n_factor(m, k)) for k in cfg.k or DEFAULT_KS for m in cfg.metrics])
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
+def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> None:
     dist = load_distribution(args.dist)
-    fmt = lambda v: format_float(v, cfg.precision)
-    rows = []
-    for m in cfg.metrics:
-        if args.raw:
-            raw, factor = raw_score(m, dist), n_factor(m, dist.k)
-            rows.append(f"{m},{fmt(raw)},{fmt(factor)},{fmt(raw / factor)}")
-        else:
-            rows.append(f"{m},{fmt(fd_score(m, dist))}")
-    header = "metric,raw,n_factor,normalized" if args.raw else "metric,normalized"
-    _csv(header, rows, cfg.out)
-    return 0
+    if args.raw:
+        scores = [(m, raw_score(m, dist), n_factor(m, dist.k)) for m in cfg.metrics]
+        _csv(cfg, "metric,raw,n_factor,normalized", [(m, raw, factor, raw / factor) for m, raw, factor in scores])
+    else:
+        _csv(cfg, "metric,normalized", [(m, fd_score(m, dist)) for m in cfg.metrics])
 
 
-def cmd_ep(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
-    ks = cfg.k or DEFAULT_KS
+def cmd_ep(cfg: RunConfig, args: argparse.Namespace) -> None:
     mode = cfg.estimation_mode()
     # Expectation mode runs one trial and leaves the trial column empty.
     sampled = isinstance(mode, Sampled)
-    fmt = lambda v: format_float(v, cfg.precision)
     rows = []
-    for k in ks:
+    for k in cfg.k or DEFAULT_KS:
         fair, ab = run_ep_analysis(cfg.model_for_k(k), mode, cfg.metrics, cfg.trials)
         trials = range(len(fair[cfg.metrics[0]]))
-        rows += [f"fair,{k},,{t if sampled else ''},{m},{fmt(fair[m][t])}"
-                 for t in trials for m in cfg.metrics]
-        rows += [f"ab,{k},{i},{t if sampled else ''},{m},{fmt(ab[m][t, i])}"
+        rows += [("fair", k, "", t if sampled else "", m, fair[m][t]) for t in trials for m in cfg.metrics]
+        rows += [("ab", k, i, t if sampled else "", m, ab[m][t, i])
                  for t in trials for i in range(k) for m in cfg.metrics]
-    _csv("kind,k,outcome,trial,metric,f", rows, cfg.out)
-    return 0
+    _csv(cfg, "kind,k,outcome,trial,metric,f", rows)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
+def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
     ks = cfg.k or (2,)
     if len(ks) != 1:
         raise ValidationError("sweep runs one k at a time")
     f, f_star = run_sweep(cfg.model_for_k(ks[0]), cfg.estimation_mode(), cfg.metrics, cfg.step, starts=cfg.start)
-    fmt = lambda v: format_float(v, cfg.precision)
-    rows = [f"{e},{m},{fmt(f[m][0, e])},{fmt(f_star[m][0, e])},{fmt(abs(f[m][0, e] - f_star[m][0, e]))}"
+    rows = [(e, m, f[m][0, e], f_star[m][0, e], abs(f[m][0, e] - f_star[m][0, e]))
             for e in range(f[cfg.metrics[0]].shape[1]) for m in cfg.metrics]
-    _csv("epoch,metric,f,f_star,abs_err", rows, cfg.out)
-    return 0
+    _csv(cfg, "epoch,metric,f,f_star,abs_err", rows)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
+def cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> None:
     ks = cfg.k or DEFAULT_KS
     models = [cfg.model_for_k(k) for k in ks]
     bench_cfg = BenchConfig(models=models, metrics=cfg.metrics, mode=cfg.estimation_mode(),
@@ -252,11 +233,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _write_out(report_to_csv(report, cfg.precision), cfg.out)
     if cfg.markdown:
         _write_out(report_to_markdown(report, cfg.precision), cfg.markdown)
-    return 0
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = RunConfig(args)
+def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
     if args.space:
         space = load_space(args.space)
     elif cfg.k and len(cfg.k) == 1:
@@ -269,7 +248,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if confusion is None:
             raise ValidationError("cannot write a confusion matrix: records lack truth labels")
         _write_out(json.dumps({"k": confusion.k, "m": confusion.m.tolist()}, indent=2) + "\n", args.confusion_out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,13 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(RunConfig(args), args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -110,11 +110,9 @@ def delta_specificity(p, q):
     return np.abs(specificity(p) - specificity(q))
 
 
-def info_specificity(p, q, alpha: float = DEFAULT_ALPHA):
-    """alpha * l1 + (1 - alpha) * delta_specificity"""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha * l1(p, q) + (1.0 - alpha) * delta_specificity(p, q)
+def info_specificity(p, q):
+    """DEFAULT_ALPHA * l1 + (1 - DEFAULT_ALPHA) * delta_specificity"""
+    return DEFAULT_ALPHA * l1(p, q) + (1.0 - DEFAULT_ALPHA) * delta_specificity(p, q)
 
 
 _MEASURES = {Metric.L1: l1, Metric.L2: l2, Metric.WD: wd,

@@ -26,6 +26,10 @@ _OPTIONS.presolve = "on"
 _OPTIONS.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
+# HiGHS meets each constraint only to its absolute primal feasibility tolerance (1e-7), so it can leave a
+# small marginal entry unmet or a plan entry negative, or call such an LP infeasible. A plan off by more than
+# MARGINAL_TOL is solved again on marginals scaled by this power of two, which scales them exactly.
+_RETRY_SCALE = 2.0**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +88,18 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise ValidationError("transport marginals must be finite")
 
+    w, status = _plan(p, q, cost)
+    if w is None or _violation(w, p, q) > MARGINAL_TOL:
+        w, status = _plan(p, q, cost, _RETRY_SCALE)
+        if w is None:
+            raise ValidationError(f"transport solve failed: HiGHS model status {status}")
+        _check_marginals(w, p, q)
+    return TransportPlan(w=w, value=float(np.sum(w * cost.c)))
+
+
+def _plan(p: np.ndarray, q: np.ndarray, cost: CostMatrix, scale: float = 1.0) -> tuple[np.ndarray | None, str]:
+    """HiGHS's model status and, if optimal, its plan for marginals scale*p and scale*q divided by scale, else None."""
+    k = len(p)
     lp = highs.HighsLp()
     lp.num_col_ = k * k
     lp.num_row_ = 2 * k
@@ -91,7 +107,7 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     lp.col_cost_ = cost.c.ravel()
     lp.col_lower_ = np.zeros(k * k)
     lp.col_upper_ = np.full(k * k, np.inf)
-    lp.row_lower_ = lp.row_upper_ = np.concatenate([p, q])
+    lp.row_lower_ = lp.row_upper_ = np.concatenate([p, q]) * scale
     # A fresh solver per call: no basis or warm start carries over between solves.
     solver = highs._Highs()
     solver.passOptions(_OPTIONS)
@@ -100,14 +116,10 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
-        raise ValidationError(f"transport solve failed: HiGHS model status {solver.modelStatusToString(status)}")
-
-    w = np.array(solver.getSolution().col_value).reshape(k, k)
+        return None, solver.modelStatusToString(status)
+    w = np.array(solver.getSolution().col_value).reshape(k, k) / scale
     # Clip solver dust so the plan is a clean non-negative matrix.
-    w = np.where(np.abs(w) < 1e-15, 0.0, w)
-    value = float(np.sum(w * cost.c))
-    _check_marginals(w, p, q)
-    return TransportPlan(w=w, value=value)
+    return np.where(np.abs(w) < 1e-15, 0.0, w), solver.modelStatusToString(status)
 
 
 @cache
@@ -127,6 +139,11 @@ def _constraints(k: int) -> highs.HighsSparseMatrix:
 def _check_k(k: int) -> None:
     if not 2 <= k <= MAX_K:
         raise ValidationError(f"transport needs 2 <= k <= {MAX_K}, got k={k}")
+
+
+def _violation(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """The plan's largest marginal miss or negative entry."""
+    return max(np.max(np.abs(w.sum(axis=1) - p)), np.max(np.abs(w.sum(axis=0) - q)), -w.min())
 
 
 def _check_marginals(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:

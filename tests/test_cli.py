@@ -76,6 +76,15 @@ class TestScore:
         assert code == 0
         assert all(float(r["normalized"]) == 0.0 for r in csv_rows(out))
 
+    def test_sparse_distribution_scores_wd_as_l1(self, capsys, tmp_path):
+        # The first LP leaves the 4.5e-08 entry unmet within HiGHS's 1e-7 tolerance; the scaled retry meets it.
+        dist = write_dist(tmp_path, [0.956240768747121, 0.0007661392069729324, 0.042993047321408566,
+                                     4.472449743633052e-08])
+        code, out, err = run_cli(capsys, "score", dist, "--precision", "17")
+        assert code == 0, err
+        normalized = {r["metric"]: r["normalized"] for r in csv_rows(out)}
+        assert normalized["wd"] == normalized["l1"]
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "score", str(tmp_path / "nope.json"))
         assert code == 3
@@ -194,9 +203,9 @@ class TestBench:
         assert code == 2
         assert "stepp" in err
 
-    # Byte-exact stdout goldens for bench, ep and sweep: row order, metadata
-    # and every printed value. A golden's name starts with the command that
-    # wrote it; `extra` holds the flags that followed.
+    # Byte-exact stdout goldens for every command that writes CSV: row order,
+    # metadata and every printed value. A golden's name starts with the command
+    # that wrote it; `extra` holds the arguments that followed.
     @pytest.mark.parametrize("golden,extra", [
         ("bench-k2-4-step0.05-expect.csv", ("--k", "2", "4", "--step", "0.05")),
         ("bench-k2-4-step0.05-sampled-n1000-seed3.csv",
@@ -217,6 +226,10 @@ class TestBench:
         ("sweep-k4-drift-step0.05-start1-precision17.csv",
          ("--k", "4", "--classifier", str(GOLDEN / "drift.json"), "--step", "0.05", "--start", "1",
           "--precision", "17")),
+        ("nfactor-k2-3-16-64-precision17.csv", ("--k", "2", "3", "16", "64", "--precision", "17")),
+        ("nfactor-k5-l1-spec-precision0.csv", ("--k", "5", "--metrics", "l1,spec", "--precision", "0")),
+        ("score-skewed-k4-raw-precision17.csv", (str(GOLDEN / "skewed-k4.json"), "--raw", "--precision", "17")),
+        ("score-skewed-k4.csv", (str(GOLDEN / "skewed-k4.json"),)),
     ])
     def test_stdout_pinned(self, capsys, golden, extra):
         code, out, _ = run_cli(capsys, golden.split("-")[0], *extra)

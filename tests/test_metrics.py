@@ -102,16 +102,6 @@ class TestInfoSpecificity:
         want = 0.5 * l1(p, q) + 0.5 * delta_specificity(p, q)
         assert info_specificity(p, q) == pytest.approx(want)
 
-    def test_alpha_extremes(self):
-        p, q = dist(4, [0.25, 0.25, 0.25, 0.25]), dist(4, [0.7, 0.1, 0.1, 0.1])
-        assert info_specificity(p, q, alpha=1.0) == pytest.approx(l1(p, q))
-        assert info_specificity(p, q, alpha=0.0) == pytest.approx(delta_specificity(p, q))
-
-    def test_alpha_out_of_range(self):
-        p = dist(2, [0.5, 0.5])
-        with pytest.raises(ValidationError):
-            info_specificity(p, p, alpha=1.5)
-
 
 class TestNormalizationFactor:
     @pytest.mark.parametrize("k", range(2, 33))

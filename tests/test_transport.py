@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import conftest
 from conftest import dist
 from fairdisc import AttributeSpace, CategoricalDistribution, CostMatrix, ValidationError
-from fairdisc.transport import default_cost, solve
+from fairdisc.metrics import l1
+from fairdisc.transport import _RETRY_SCALE, MARGINAL_TOL, default_cost, solve
 from oracles import bruteforce_transport_cost, reference_transport
 
 
@@ -123,9 +124,28 @@ def _assert_matches_linprog(data, low: int, high: int) -> None:
     q = _row(data.draw(st.sampled_from(ROW_KINDS), label="q"), k, rng)
     cost = _cost(data.draw(st.sampled_from(["default", "line", "random"]), label="cost"), k, rng)
     plan = solve(p, q, cost)
-    w, value = reference_transport(p, q, cost.c)
+    w, value = _reference_solve(p, q, cost.c)
     assert np.array_equal(plan.w, w)
     assert plan.value == value
+
+
+def _violation(w, p, q) -> float:
+    return max(np.abs(w.sum(axis=1) - p).max(), np.abs(w.sum(axis=0) - q).max(), -w.min())
+
+
+def _reference_solve(p, q, c) -> tuple[np.ndarray, float]:
+    """The oracle's plan and cost; where linprog fails or its plan is off by more than MARGINAL_TOL,
+    solve's retry: the oracle on the marginals scaled by _RETRY_SCALE, divided back and dust-clipped."""
+    try:
+        w, value = reference_transport(p, q, c)
+        if _violation(w, p, q) <= MARGINAL_TOL:
+            return w, value
+    except AssertionError:  # linprog found no optimum
+        pass
+    w, _ = reference_transport(p * _RETRY_SCALE, q * _RETRY_SCALE, c)
+    w = w / _RETRY_SCALE
+    w = np.where(np.abs(w) < 1e-15, 0.0, w)
+    return w, float(np.sum(w * c))
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,6 +164,48 @@ def test_solve_matches_linprog_k_9_to_24(data):
 @given(data=st.data())
 def test_solve_matches_linprog_k_25_to_64(data):
     _assert_matches_linprog(data, 25, 64)
+
+
+def _sparse_row(data, k: int, rng: np.random.Generator, label: str) -> np.ndarray:
+    """A Dirichlet(0.05..0.1) row, some with one entry set as low as 1e-30, then renormalized."""
+    row = rng.dirichlet(np.full(k, data.draw(st.floats(0.05, 0.1), label=f"{label} concentration")))
+    exponent = data.draw(st.none() | st.floats(8.0, 30.0), label=f"{label} tiny entry exponent")
+    if exponent is not None:
+        row[data.draw(st.integers(0, k - 1), label=f"{label} tiny entry")] = 10.0 ** -exponent
+    return row / row.sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_plans_meet_marginals_and_cost_l1(data):
+    """HiGHS can leave entries below its 1e-7 tolerance unmet; solve's plan still meets both marginals."""
+    k = data.draw(st.integers(2, 64), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    p, q = _sparse_row(data, k, rng, "p"), _sparse_row(data, k, rng, "q")
+    cost = data.draw(st.sampled_from(["default", "line", "random"]), label="cost")
+    plan = solve(p, q, _cost(cost, k, rng))
+    assert np.abs(plan.w.sum(axis=1) - p).max() <= MARGINAL_TOL
+    assert np.abs(plan.w.sum(axis=0) - q).max() <= MARGINAL_TOL
+    assert plan.w.min() >= -MARGINAL_TOL
+    if cost == "default":
+        # Marginals met within MARGINAL_TOL move the optimal cost, l1 under this cost, by at most 2 * MARGINAL_TOL.
+        assert abs(plan.value - l1(p, q)) <= 2 * MARGINAL_TOL
+
+
+@pytest.mark.parametrize("p,q", [
+    # HiGHS leaves the 4.5e-08 row entry unmet.
+    ([0.956240768747121, 0.0007661392069729324, 0.042993047321408566, 4.472449743633052e-08], [0.25] * 4),
+    # HiGHS meets both marginals with a plan entry of -1.5e-08.
+    ([5.222786166677077e-07, 1.4629154426641895e-08, 0.9999994630922289],
+     [5.385078046965402e-13, 6.717536932026284e-27, 0.9999999999994615]),
+], ids=["unmet-entry", "negative-entry"])
+def test_plans_off_by_more_than_tolerance_are_solved_again(p, q):
+    p, q = np.array(p), np.array(q)
+    plan = solve(p, q, default_cost(len(p)))
+    assert np.abs(plan.w.sum(axis=1) - p).max() <= MARGINAL_TOL
+    assert np.abs(plan.w.sum(axis=0) - q).max() <= MARGINAL_TOL
+    assert plan.w.min() >= 0.0
+    assert abs(plan.value - l1(p, q)) <= 1e-15
 
 
 @pytest.mark.parametrize("k", [2, 3, 16, 64])
