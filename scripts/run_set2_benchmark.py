@@ -9,7 +9,7 @@ import argparse
 import pathlib
 import time
 
-from fairdisc import BenchConfig, preset, report_to_csv, report_to_markdown, run_benchmark
+from fairdisc import preset, report_to_csv, report_to_markdown, run_benchmark
 
 
 def main() -> None:
@@ -19,10 +19,8 @@ def main() -> None:
     ap.add_argument("--ks", type=int, nargs="+", default=[2, 4, 8, 16])
     args = ap.parse_args()
 
-    cfg = BenchConfig(models=[preset("set2", k) for k in args.ks],
-                      step=args.step, classifier_label="set2")
     t0 = time.perf_counter()
-    report = run_benchmark(cfg)
+    report = run_benchmark([preset("set2", k) for k in args.ks], step=args.step, classifier_label="set2")
     elapsed = time.perf_counter() - t0
 
     outdir = pathlib.Path(args.outdir)

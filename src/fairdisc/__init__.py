@@ -14,7 +14,6 @@ from .attrspace import (
     sweep,
 )
 from .bench import (
-    BenchConfig,
     BenchmarkReport,
     ep_var,
     mem,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributeSpace",
-    "BenchConfig",
     "BenchmarkReport",
     "CategoricalDistribution",
     "ConfusionModel",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -156,6 +157,8 @@ class CategoricalDistribution:
 def check_sweep(k: int, step: float) -> int:
     """Check k, the step and the path's floats for `sweep(k, step)`; return its transfers per outcome."""
     target = 1.0 / check_k(k)
+    if isinstance(step, bool) or not isinstance(step, numbers.Real):
+        raise ValidationError(f"step must be a number, got {step!r}")
     if not (step > 0):
         raise ValidationError(f"step must be positive, got {step}")
     if step > target + _DRIFT_TOL:

@@ -12,8 +12,8 @@ Three experiment families:
 from __future__ import annotations
 
 import io
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -79,9 +79,23 @@ def _seeds(mode: EstimationMode, k: int, kind_tag: int, cell, trial) -> np.ndarr
     return derive_seed(mode.seed, k, kind_tag, cell, trial).ravel()
 
 
+def _checked_call(model: ConfusionModel, mode: EstimationMode, metrics: Iterable[Metric]) -> tuple[Metric, ...]:
+    """Reject a harness call whose model, mode or metrics have the wrong type; return the metrics as a tuple."""
+    if not isinstance(model, ConfusionModel):
+        raise ValidationError(f"model must be a ConfusionModel, got {type(model).__name__}")
+    if not isinstance(mode, (Expectation, Sampled)):
+        raise ValidationError(f"mode must be Expectation or Sampled, got {type(mode).__name__}")
+    checked = tuple(metrics) if isinstance(metrics, Iterable) else ()
+    if not checked or not all(isinstance(m, Metric) for m in checked):
+        raise ValidationError(f"metrics must be one or more Metric values, got {metrics!r}")
+    return checked
+
+
 def _trial_count(mode: EstimationMode, trials: int, k: int) -> int:
     """Trials per point: `trials` in sampled mode, with its AB block checked at k; 1 in expectation mode."""
     n_trials = trials if isinstance(mode, Sampled) else 1
+    if type(n_trials) is not int:
+        raise ValidationError(f"trials must be an integer, got {trials!r}")
     if n_trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     check_block(n_trials * k, k, f"{n_trials} trials at k={k}")
@@ -100,7 +114,7 @@ def run_ep_analysis(model: ConfusionModel, mode: EstimationMode, metrics: Sequen
     MAX_BLOCK_ENTRIES (`check_block`), so k = 2 allows 500,000 trials and
     k = 1000 two.
     """
-    metrics = tuple(metrics)
+    metrics = _checked_call(model, mode, metrics)
     k = model.k
     n_trials = _trial_count(mode, trials, k)
 
@@ -123,8 +137,10 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
     f. Returns `(f, f_star)`, one `(starts, epochs)` array per metric:
     row s holds the s-th selected start, column e the e-th path epoch.
     """
-    metrics = tuple(metrics)
+    metrics = _checked_call(model, mode, metrics)
     k = model.k
+    if not (type(starts) is int or isinstance(starts, str) and starts == "all"):
+        raise ValidationError(f'sweep start must be "all" or an integer, got {starts!r}')
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
     starts = range(k) if starts == "all" else [starts]
@@ -145,30 +161,6 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
 # ---------------------------------------------------------------------------
 # Summary report
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BenchConfig:
-    """One benchmark run: a k x k classifier for each k, distinct k, plus experiment parameters."""
-
-    models: Sequence[ConfusionModel]
-    metrics: tuple[Metric, ...] = REPORT_ORDER
-    mode: EstimationMode = EXPECTATION
-    trials: int = 30
-    step: float = 0.01
-    classifier_label: str = ""
-
-    def __post_init__(self):
-        if not isinstance(self.models, Sequence):
-            raise ValidationError(f"models must be a sequence, got {type(self.models).__name__}")
-        for model in self.models:
-            if not isinstance(model, ConfusionModel):
-                raise ValidationError(f"models must be ConfusionModel items, got {type(model).__name__}")
-        if not self.models:
-            raise ValidationError("benchmark needs at least one k")
-        ks = [model.k for model in self.models]
-        if len(set(ks)) < len(ks):
-            raise ValidationError(f"benchmark repeats a k: {' '.join(map(str, ks))}")
-
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -200,9 +192,6 @@ def _make_row(benchmark: str, kind: str, k_set: tuple[int, ...],
     lo, hi = min(values.values()), max(values.values())
     best = tuple(m for m, v in values.items() if v <= lo + TIE_TOL)
     worst = tuple(m for m, v in values.items() if v >= hi - TIE_TOL)
-    for v in values.values():
-        if v < -SCORE_TOL:
-            raise ValidationError(f"negative benchmark value {v!r} in {benchmark}/{kind}")
     return ReportRow(benchmark, kind, k_set, values, best, worst)
 
 
@@ -215,26 +204,36 @@ def _ep_rows(k_set: tuple[int, ...], fair: Scores, ab: Scores,
             for benchmark, kind, stat, s in stats]
 
 
-def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
-    """Run EP analysis and sweeps for every configured k and assemble the report.
+def run_benchmark(models: Sequence[ConfusionModel], metrics: Iterable[Metric] = REPORT_ORDER,
+                  mode: EstimationMode = EXPECTATION, trials: int = 30, step: float = 0.01,
+                  classifier_label: str = "custom") -> BenchmarkReport:
+    """Run EP analysis and sweeps with one k x k classifier per k, each k once, and assemble the report.
 
     MEPE and EP-variance are pooled across the whole k set (and broken out
     per k); sweep MEM is reported per k, averaged over all k starting
     points.
     """
-    metrics = tuple(m for m in REPORT_ORDER if m in set(cfg.metrics))
-    models = {model.k: model for model in cfg.models}
-    ks = tuple(sorted(models))
+    if not isinstance(models, Sequence):
+        raise ValidationError(f"models must be a sequence, got {type(models).__name__}")
+    if not models:
+        raise ValidationError("benchmark needs at least one k")
+    for model in models:
+        metrics = _checked_call(model, mode, metrics)
+    by_k = {model.k: model for model in models}
+    if len(by_k) < len(models):
+        raise ValidationError(f"benchmark repeats a k: {' '.join(str(model.k) for model in models)}")
+    metrics = tuple(m for m in REPORT_ORDER if m in metrics)
+    ks = tuple(sorted(by_k))
     # Refuse any k's metric limit, sweep step or trials block before scoring; fd_score reuses the cached n_factor.
     for k in ks:
         for m in metrics:
             n_factor(m, k)
-        check_sweep(k, cfg.step)
-        _trial_count(cfg.mode, cfg.trials, k)
+        check_sweep(k, step)
+        _trial_count(mode, trials, k)
     fair, ab, sweeps = {}, {}, {}
     for k in ks:
-        fair[k], ab[k] = run_ep_analysis(models[k], cfg.mode, metrics, cfg.trials)
-        sweeps[k] = run_sweep(models[k], cfg.mode, metrics, cfg.step)
+        fair[k], ab[k] = run_ep_analysis(by_k[k], mode, metrics, trials)
+        sweeps[k] = run_sweep(by_k[k], mode, metrics, step)
 
     # Pool in (k, trial, outcome) order, one array per metric.
     fair_pool = {m: np.concatenate([fair[k][m].ravel() for k in ks]) for m in metrics}
@@ -250,18 +249,18 @@ def run_benchmark(cfg: BenchConfig) -> BenchmarkReport:
 
     meta = {
         "k_set": "|".join(str(k) for k in ks),
-        "classifier": cfg.classifier_label or "custom",
-        "mode": "expectation" if isinstance(cfg.mode, Expectation) else "sampled",
-        "step": repr(cfg.step),
+        "classifier": classifier_label,
+        "mode": "expectation" if isinstance(mode, Expectation) else "sampled",
+        "step": repr(step),
         "sweep_starts": "all",
         "alpha": repr(DEFAULT_ALPHA),
         "n_fair_pool": str(fair_pool[metrics[0]].size),
         "n_ab_pool": str(ab_pool[metrics[0]].size),
     }
-    if isinstance(cfg.mode, Sampled):
-        meta["n"] = str(cfg.mode.n)
-        meta["seed"] = str(cfg.mode.seed)
-        meta["trials"] = str(cfg.trials)
+    if isinstance(mode, Sampled):
+        meta["n"] = str(mode.n)
+        meta["seed"] = str(mode.seed)
+        meta["trials"] = str(trials)
     return BenchmarkReport(metrics=metrics, rows=rows, meta=meta)
 
 

@@ -59,6 +59,8 @@ class Sampled:
     seed: int
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.seed) is not int:
+            raise ValidationError(f"Sampled needs an integer n and seed, got n={self.n!r}, seed={self.seed!r}")
         if not 1 <= self.n <= MAX_SAMPLES:
             raise ValidationError(f"sample count must be in [1, 2**63 - 1], got {self.n}")
         if self.seed < 0:

@@ -14,7 +14,7 @@ import sys
 
 from . import classifier as clf
 from .attrspace import AttributeSpace, CategoricalDistribution, check_k, load_distribution, load_space, read_json
-from .bench import BenchConfig, format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
+from .bench import format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_confusion, load_predictions
 from .errors import ValidationError
 from .metrics import Metric, fd_score, n_factor, parse_metrics, raw_score
@@ -225,11 +225,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> None:
-    ks = cfg.k or DEFAULT_KS
-    models = [cfg.model_for_k(k) for k in ks]
-    bench_cfg = BenchConfig(models=models, metrics=cfg.metrics, mode=cfg.estimation_mode(),
-                            trials=cfg.trials, step=cfg.step, classifier_label=cfg.classifier_label())
-    report = run_benchmark(bench_cfg)
+    report = run_benchmark([cfg.model_for_k(k) for k in cfg.k or DEFAULT_KS], metrics=cfg.metrics, mode=cfg.estimation_mode(),
+                           trials=cfg.trials, step=cfg.step, classifier_label=cfg.classifier_label())
     _write_out(report_to_csv(report, cfg.precision), cfg.out)
     if cfg.markdown:
         _write_out(report_to_markdown(report, cfg.precision), cfg.markdown)

@@ -88,13 +88,12 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise ValidationError("transport marginals must be finite")
 
-    w, status = _plan(p, q, cost)
-    if w is None or _violation(w, p, q) > MARGINAL_TOL:
-        w, status = _plan(p, q, cost, _RETRY_SCALE)
-        if w is None:
-            raise ValidationError(f"transport solve failed: HiGHS model status {status}")
-        _check_marginals(w, p, q)
-    return TransportPlan(w=w, value=float(np.sum(w * cost.c)))
+    for scale in (1.0, _RETRY_SCALE):
+        w, status = _plan(p, q, cost, scale)
+        if w is not None and (miss := _violation(w, p, q)) <= MARGINAL_TOL:
+            return TransportPlan(w=w, value=float(np.sum(w * cost.c)))
+    reason = f"HiGHS model status {status}" if w is None else f"plan violates its constraints by {miss:.3g}"
+    raise ValidationError(f"transport solve failed: {reason}")
 
 
 def _plan(p: np.ndarray, q: np.ndarray, cost: CostMatrix, scale: float = 1.0) -> tuple[np.ndarray | None, str]:
@@ -145,10 +144,4 @@ def _violation(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
     """The plan's largest marginal miss or negative entry."""
     return max(np.max(np.abs(w.sum(axis=1) - p)), np.max(np.abs(w.sum(axis=0) - q)), -w.min())
 
-
-def _check_marginals(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
-    if np.max(np.abs(w.sum(axis=1) - p)) > MARGINAL_TOL:
-        raise ValidationError("transport plan violates row marginals")
-    if np.max(np.abs(w.sum(axis=0) - q)) > MARGINAL_TOL:
-        raise ValidationError("transport plan violates column marginals")
 

@@ -13,7 +13,6 @@ from conftest import dist
 from fairdisc import (
     EXPECTATION,
     AttributeSpace,
-    BenchConfig,
     CategoricalDistribution,
     CostMatrix,
     Metric,
@@ -173,8 +172,7 @@ def test_criterion_7_sampled_convergence(acceptance, capsys):
 
 def test_criterion_8_qualitative_report_orderings(acceptance):
     t0 = time.perf_counter()
-    cfg = BenchConfig(models=[preset("set2", k) for k in KS], classifier_label="set2")
-    report = run_benchmark(cfg)
+    report = run_benchmark([preset("set2", k) for k in KS], classifier_label="set2")
     elapsed = time.perf_counter() - t0
 
     checks = {

@@ -3,11 +3,11 @@ import pytest
 
 from fairdisc import (
     EXPECTATION,
-    BenchConfig,
     Metric,
     Sampled,
     ValidationError,
     ep_var,
+    estimate,
     from_accuracies,
     mem,
     mepe_ab,
@@ -189,23 +189,20 @@ class TestSweepRunner:
 
 class TestBenchmarkReport:
     def test_perfect_everywhere_is_all_zero(self):
-        cfg = BenchConfig(models=[perfect(k) for k in (2, 4)], step=0.05)
-        report = run_benchmark(cfg)
+        report = run_benchmark([perfect(k) for k in (2, 4)], step=0.05)
         for row in report.rows:
             tol = 1e-24 if row.benchmark == "ep-var" else 1e-12
             for v in row.values.values():
                 assert abs(v) <= tol, (row.benchmark, row.kind, row.k_set, v)
 
     def test_ab_pool_size_for_k_2_and_4(self):
-        cfg = BenchConfig(models=[perfect(2), perfect(4)], step=0.05)
-        report = run_benchmark(cfg)
+        report = run_benchmark([perfect(2), perfect(4)], step=0.05)
         assert report.meta["n_ab_pool"] == "6"
         assert report.meta["n_fair_pool"] == "2"
         assert report.meta["mode"] == "expectation"
 
     def test_row_structure(self):
-        cfg = BenchConfig(models=[perfect(2), perfect(4)], step=0.05)
-        report = run_benchmark(cfg)
+        report = run_benchmark([perfect(2), perfect(4)], step=0.05)
         assert report.row("mepe", "fair", (2, 4))
         assert report.row("mepe", "ab", (2, 4))
         assert report.row("ep-var", "fair", (2, 4))
@@ -215,15 +212,13 @@ class TestBenchmarkReport:
         assert report.row("mepe", "ab", (2,))  # per-k breakdown
 
     def test_best_worst_tags_with_strict_ordering(self):
-        cfg = BenchConfig(models=[preset_like_set2_k4()], step=0.05)
-        report = run_benchmark(cfg)
+        report = run_benchmark([preset_like_set2_k4()], step=0.05)
         row = report.row("mem", "sweep", (4,))
         assert row.best == (Metric.SPECIFICITY,)
         assert row.worst == (Metric.L2,)
 
     def test_complete_tie_tags_every_metric(self):
-        cfg = BenchConfig(models=[uniform_noise(2, 0.1)], step=0.1)
-        report = run_benchmark(cfg)
+        report = run_benchmark([uniform_noise(2, 0.1)], step=0.1)
         row = report.row("mem", "sweep", (2,))
         assert set(row.best) == set(REPORT_ORDER)
         assert set(row.worst) == set(REPORT_ORDER)
@@ -238,47 +233,87 @@ class TestBenchmarkReport:
         calls = []
         monkeypatch.setattr(bench, "estimate", lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValidationError, match=match):
-            run_benchmark(BenchConfig(models=[perfect(k) for k in ks], mode=mode, trials=trials, step=step,
-                                      metrics=(metric,)))
+            run_benchmark([perfect(k) for k in ks], mode=mode, trials=trials, step=step, metrics=(metric,))
         assert calls == []
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="at least one k"):
-            BenchConfig(models=[])
+            run_benchmark([])
         with pytest.raises(ValidationError, match="repeats a k: 2 4 2"):
-            BenchConfig(models=[perfect(2), perfect(4), perfect(2)])
+            run_benchmark([perfect(2), perfect(4), perfect(2)])
 
     # The old {k: model} mapping, a bare int, and an int among models.
-    @pytest.mark.parametrize("models,match", [({2: perfect(2)}, "a sequence, got dict"), (4, "a sequence, got int"),
-                                              ([perfect(2), 4], "ConfusionModel items, got int")],
+    @pytest.mark.parametrize("models,match", [({2: perfect(2)}, "models must be a sequence, got dict"),
+                                              (4, "models must be a sequence, got int"),
+                                              ([perfect(2), 4], "model must be a ConfusionModel, got int")],
                              ids=["mapping", "int", "int-item"])
     def test_models_must_be_confusion_models(self, models, match):
-        with pytest.raises(ValidationError, match=f"models must be {match}"):
-            BenchConfig(models=models)
+        with pytest.raises(ValidationError, match=match):
+            run_benchmark(models)
 
     def test_csv_deterministic_and_well_formed(self):
-        cfg = BenchConfig(models=[uniform_noise(2, 0.2)], mode=Sampled(n=200, seed=3),
-                          trials=2, step=0.1)
-        a = report_to_csv(run_benchmark(cfg))
-        b = report_to_csv(run_benchmark(cfg))
+        kwargs = dict(mode=Sampled(n=200, seed=3), trials=2, step=0.1)
+        a = report_to_csv(run_benchmark([uniform_noise(2, 0.2)], **kwargs))
+        b = report_to_csv(run_benchmark([uniform_noise(2, 0.2)], **kwargs))
         assert a == b
         body = [l for l in a.splitlines() if not l.startswith("#")]
         assert body[0] == "benchmark,kind,k_set,metric,value"
         assert all(len(l.split(",")) == 5 for l in body[1:])
 
     def test_sampled_meta_records_parameters(self):
-        cfg = BenchConfig(models=[perfect(2)], mode=Sampled(n=200, seed=3), trials=2, step=0.1)
-        report = run_benchmark(cfg)
+        report = run_benchmark([perfect(2)], mode=Sampled(n=200, seed=3), trials=2, step=0.1)
         assert report.meta["mode"] == "sampled"
         assert report.meta["n"] == "200"
         assert report.meta["seed"] == "3"
         assert report.meta["trials"] == "2"
 
     def test_markdown_sections(self):
-        cfg = BenchConfig(models=[perfect(2)], step=0.1)
-        md = report_to_markdown(run_benchmark(cfg))
+        md = report_to_markdown(run_benchmark([perfect(2)], step=0.1))
         assert "## MEPE" in md and "## EP variance" in md and "## Sweep MEM" in md
         assert "| L2 | L1 | IS | Spec | WD |" in md
+
+
+L1 = (Metric.L1,)
+SAMPLED = r"Sampled needs an integer n and seed, got "
+METRICS = r"metrics must be one or more Metric values, got "
+# Inputs of the wrong type and empty or unknown metrics: each is one ValidationError that names it.
+BAD_INPUTS = [
+    ("seed-float", lambda: estimate(perfect(2), [0.5, 0.5], Sampled(10, 1.5)), SAMPLED + "n=10, seed=1.5"),
+    ("n-str", lambda: Sampled("5", 0), SAMPLED + "n='5', seed=0"),
+    ("n-float", lambda: estimate(perfect(2), [0.5, 0.5], Sampled(1.5, 0)), SAMPLED + "n=1.5, seed=0"),
+    ("trials-float", lambda: run_ep_analysis(perfect(2), Sampled(10, 0), L1, trials=2.5),
+     "trials must be an integer, got 2.5"),
+    ("start-float", lambda: run_sweep(perfect(2), EXPECTATION, L1, 0.1, starts=1.5),
+     "sweep start must be \"all\" or an integer, got 1.5"),
+    ("start-str", lambda: run_sweep(perfect(2), EXPECTATION, L1, 0.1, starts="0"),
+     "sweep start must be \"all\" or an integer, got '0'"),
+    ("step-str", lambda: run_sweep(perfect(2), EXPECTATION, L1, "0.1"), "step must be a number, got '0.1'"),
+    ("bench-no-metrics", lambda: run_benchmark([perfect(2)], metrics=()), METRICS + r"\(\)"),
+    ("bench-bogus-metric", lambda: run_benchmark([perfect(2)], metrics=["bogus"]), METRICS + r"\['bogus'\]"),
+    ("bench-mode-none", lambda: run_benchmark([perfect(2)], mode=None),
+     "mode must be Expectation or Sampled, got NoneType"),
+    ("ep-mode-none", lambda: run_ep_analysis(perfect(2), None, L1),
+     "mode must be Expectation or Sampled, got NoneType"),
+    ("ep-bogus-metric", lambda: run_ep_analysis(perfect(2), EXPECTATION, ["bogus"]), METRICS + r"\['bogus'\]"),
+    ("ep-array-model", lambda: run_ep_analysis(np.eye(2), EXPECTATION, L1),
+     "model must be a ConfusionModel, got ndarray"),
+]
+
+
+@pytest.mark.parametrize("call,match", [row[1:] for row in BAD_INPUTS], ids=[row[0] for row in BAD_INPUTS])
+def test_bad_library_input_refused_before_any_estimate(monkeypatch, call, match):
+    # As in test_limits_refused_before_any_estimate: the harness draws no estimate.
+    calls = []
+    monkeypatch.setattr(bench, "estimate", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValidationError, match=f"^{match}$"):
+        call()
+    assert calls == []
+
+
+def test_score_outside_unit_interval_refused(monkeypatch):
+    monkeypatch.setattr(bench, "fd_score", lambda m, rows: np.full(np.shape(rows)[:-1], 1.5))
+    with pytest.raises(ValidationError, match=r"^score 1.5 outside \[0, 1\] for l1 at k=2$"):
+        run_ep_analysis(perfect(2), EXPECTATION, L1)
 
 
 def preset_like_set2_k4():
