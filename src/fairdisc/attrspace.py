@@ -5,13 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 
 # Input limits, each checked at one site before anything of its size is built.
 # Most outcomes a space may have (check_k).
@@ -37,18 +36,18 @@ def is_number_list(value) -> bool:
 
 
 def float_array(value, what: str) -> np.ndarray:
-    """A new float array of `value`; a JSON integer beyond float range is a ValidationError."""
+    """A new float array of `value`; an entry that is not a number, or an int beyond float range, is a ValidationError."""
     try:
         return np.array(value, dtype=float)
     except OverflowError:
         raise ValidationError(f"{what} must be finite numbers") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an array of numbers") from None
 
 
 def check_k(k: int) -> int:
-    """`k` if a space may have k outcomes, 2 <= k <= MAX_OUTCOMES; else a ValidationError."""
-    if not 2 <= k <= MAX_OUTCOMES:
-        raise ValidationError(f"k must be in [2, {MAX_OUTCOMES}], got {k}")
-    return k
+    """`k` if a space may have k outcomes, an integer 2 <= k <= MAX_OUTCOMES; else a ValidationError."""
+    return check_int("k", k, 2, MAX_OUTCOMES)
 
 
 def check_block(rows: int, k: int, what: str) -> None:
@@ -157,8 +156,7 @@ class CategoricalDistribution:
 def check_sweep(k: int, step: float) -> int:
     """Check k, the step and the path's floats for `sweep(k, step)`; return its transfers per outcome."""
     target = 1.0 / check_k(k)
-    if isinstance(step, bool) or not isinstance(step, numbers.Real):
-        raise ValidationError(f"step must be a number, got {step!r}")
+    check_real("step", step)
     if not (step > 0):
         raise ValidationError(f"step must be positive, got {step}")
     if step > target + _DRIFT_TOL:

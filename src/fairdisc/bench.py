@@ -20,7 +20,7 @@ import numpy as np
 from .attrspace import check_block, check_sweep
 from .attrspace import sweep as sweep_path
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate
-from .errors import ValidationError
+from .errors import ValidationError, check_int, is_int
 from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score, n_factor
 
 SCORE_TOL = 1e-9
@@ -93,11 +93,7 @@ def _checked_call(model: ConfusionModel, mode: EstimationMode, metrics: Iterable
 
 def _trial_count(mode: EstimationMode, trials: int, k: int) -> int:
     """Trials per point: `trials` in sampled mode, with its AB block checked at k; 1 in expectation mode."""
-    n_trials = trials if isinstance(mode, Sampled) else 1
-    if type(n_trials) is not int:
-        raise ValidationError(f"trials must be an integer, got {trials!r}")
-    if n_trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    n_trials = check_int("trials", trials, 1) if isinstance(mode, Sampled) else 1
     check_block(n_trials * k, k, f"{n_trials} trials at k={k}")
     return n_trials
 
@@ -139,7 +135,7 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
     """
     metrics = _checked_call(model, mode, metrics)
     k = model.k
-    if not (type(starts) is int or isinstance(starts, str) and starts == "all"):
+    if not (is_int(starts) or isinstance(starts, str) and starts == "all"):
         raise ValidationError(f'sweep start must be "all" or an integer, got {starts!r}')
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")

@@ -12,14 +12,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attrspace import MAX_SAMPLES, check_k, float_array, is_number_list, normalized_rows, read_json
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real, is_int
 
 ROW_SUM_TOL = 1e-9
 PROBS_SUM_TOL = 1e-6
@@ -59,12 +58,9 @@ class Sampled:
     seed: int
 
     def __post_init__(self):
-        if type(self.n) is not int or type(self.seed) is not int:
-            raise ValidationError(f"Sampled needs an integer n and seed, got n={self.n!r}, seed={self.seed!r}")
-        if not 1 <= self.n <= MAX_SAMPLES:
+        if not 1 <= check_int("n", self.n) <= MAX_SAMPLES:
             raise ValidationError(f"sample count must be in [1, 2**63 - 1], got {self.n}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_int("seed", self.seed, 0)
 
 
 EstimationMode = Expectation | Sampled
@@ -79,14 +75,13 @@ def perfect(k: int) -> ConfusionModel:
 
 def uniform_noise(k: int, eps: float) -> ConfusionModel:
     """Mix the identity with a fully random classifier: (1-eps) I + (eps/k) J."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValidationError(f"eps must be in [0, 1], got {eps}")
+    check_real("eps", eps, 0, 1)
     return ConfusionModel(k, (1.0 - eps) * np.eye(check_k(k)) + (eps / k) * np.ones((k, k)))
 
 
 def from_accuracies(acc) -> ConfusionModel:
     """Diagonal of per-class accuracies, errors spread uniformly off-diagonal."""
-    a = np.asarray(acc, dtype=float)
+    a = float_array(acc, "accuracies")
     if a.ndim != 1 or len(a) < 2:
         raise ValidationError("need a vector of at least 2 per-class accuracies")
     if (a < 0).any() or (a > 1).any():
@@ -172,9 +167,7 @@ def derive_seed(base_seed: int, *parts):
     word. `tests/test_classifier.py::TestSeedDerivation` checks the result
     against numpy's SeedSequence.
     """
-    base = int(base_seed)
-    if base < 0:
-        raise ValidationError(f"base seed must be >= 0, got {base}")
+    base = check_int("base seed", base_seed, 0)
     parts = np.broadcast_arrays(*(np.asarray(p) for p in parts))
     for p in parts:
         if p.dtype.kind not in "iu" or (p.size and (p.min() < 0 or p.max() > _MASK32)):
@@ -192,10 +185,8 @@ def _row_seeds(seeds, n_rows: int) -> np.ndarray:
     """`seeds` as an (n_rows,) uint64 array; anything but n_rows integers in [0, 2**64) is a ValidationError."""
     if not isinstance(seeds, np.ndarray) or seeds.dtype.kind not in "iu":
         # Python ints as objects: np.asarray([0, 2**63]) would round them to float64.
-        try:
-            seeds = np.array([operator.index(s) for s in seeds], dtype=object)
-        except TypeError:
-            seeds = None
+        items = list(seeds) if np.iterable(seeds) else [None]
+        seeds = np.array(items, dtype=object) if all(map(is_int, items)) else None
     if seeds is None or seeds.shape != (n_rows,) or (n_rows and not 0 <= seeds.min() <= seeds.max() < 2**64):
         raise ValidationError(f"seeds must be {n_rows} integers in [0, 2**64), one per row")
     return seeds.astype(np.uint64)
@@ -372,9 +363,7 @@ def load_confusion(path) -> ConfusionModel:
     obj = read_json(path)
     if not isinstance(obj, dict) or "k" not in obj or "m" not in obj:
         raise ValidationError(f'{path}: confusion JSON must contain "k" and "m"')
-    k, m = obj["k"], obj["m"]
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValidationError(f'{path}: "k" must be an integer, got {k!r}')
+    k, m = check_int(f'{path}: "k"', obj["k"]), obj["m"]
     if not (isinstance(m, list) and len(m) == k and all(is_number_list(row) and len(row) == k for row in m)):
         raise ValidationError(f'{path}: "m" must be {k} rows of {k} numbers')
     return ConfusionModel(k, m)
@@ -401,6 +390,8 @@ def preset(name: str, k: int | None = None) -> ConfusionModel:
     "perfect" works at any k (k required). "set2" picks the family member
     matching k. Fixed-k presets reject a mismatching k.
     """
+    if k is not None:
+        check_int("k", k)
     if name == "perfect":
         if k is None:
             raise ValidationError('preset "perfect" needs an explicit k')

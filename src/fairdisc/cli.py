@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import classifier as clf
 from .attrspace import AttributeSpace, CategoricalDistribution, check_k, load_distribution, load_space, read_json
 from .bench import format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_confusion, load_predictions
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 from .metrics import Metric, fd_score, n_factor, parse_metrics, raw_score
 
 DEFAULT_KS = (2, 4, 8, 16)
@@ -25,25 +26,6 @@ MAX_PRECISION = 17
 MODES = ("expectation", "sampled")
 COMMANDS = ("nfactor", "score", "ep", "sweep", "bench", "ingest")
 RUNS = ("ep", "sweep", "bench")
-
-
-def _number(name: str, value, kind: type):
-    """Convert a flag or config value to int or float, or raise ValidationError."""
-    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    what = "an integer" if kind is int else "a number"
-    raise ValidationError(f"{name} must be {what}, got {value!r}")
-
-
-def _int(name: str, value) -> int:
-    return _number(name, value, int)
-
-
-def _float(name: str, value) -> float:
-    return _number(name, value, float)
 
 
 def _as_list(value) -> list | tuple:
@@ -57,7 +39,7 @@ def _string(name: str, value) -> str:
 
 
 def _ks(name: str, value) -> tuple[int, ...]:
-    ks = tuple(check_k(_int(name, k)) for k in _as_list(value))
+    ks = tuple(check_k(k) for k in _as_list(value))
     if not ks:
         raise ValidationError("k set must not be empty")
     if len(set(ks)) < len(ks):
@@ -70,28 +52,24 @@ def _metrics(name: str, value) -> tuple[Metric, ...]:
     return parse_metrics(",".join(_string(name, m) for m in metrics) if metrics else "all")
 
 
+def _parsed(text: str):
+    """One piece of the --accs flag string: a float if float() parses it, else the text, for check_real to refuse."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _accs(name: str, value) -> tuple[float, ...]:
-    return tuple(_float(name, a) for a in (value.split(",") if isinstance(value, str) else _as_list(value)))
+    """The --accs flag is one string "a1,a2,..": each piece is parsed, then checked as a number."""
+    items = map(_parsed, value.split(",")) if isinstance(value, str) else _as_list(value)
+    return tuple(check_real(name, a) for a in items)
 
 
 def _mode(name: str, value) -> str:
     if value not in MODES:
         raise ValidationError(f'{name} must be "expectation" or "sampled", got {value!r}')
     return value
-
-
-def _seed(name: str, value) -> int:
-    seed = _int(name, value)
-    if seed < 0:
-        raise ValidationError(f"{name} must be >= 0, got {seed}")
-    return seed
-
-
-def _precision(name: str, value) -> int:
-    precision = _int(name, value)
-    if not 0 <= precision <= MAX_PRECISION:
-        raise ValidationError(f"{name} must be in [0, {MAX_PRECISION}], got {precision}")
-    return precision
 
 
 # Every shared option, once: name -> (convert, default, commands that take it, help, extra argparse keywords).
@@ -101,17 +79,18 @@ OPTIONS = {
     "metrics": (_metrics, "all", ("nfactor", "score", *RUNS), 'comma-separated metric names or "all" (default)', {}),
     "classifier": (_string, None, RUNS, 'preset name ("perfect", "set1-a".."set1-d", "set2", "set2-k2".."set2-k16") '
                                         "or confusion JSON path", {"metavar": "PRESET|FILE"}),
-    "eps": (_float, None, RUNS, "uniform-noise level in [0,1]", {"type": float}),
+    "eps": (check_real, None, RUNS, "uniform-noise level in [0,1]", {"type": float}),
     "accs": (_accs, None, RUNS, "per-class accuracies (fixes k)", {"metavar": "A1,A2,.."}),
     "mode": (_mode, "expectation", RUNS, None, {"choices": MODES}),
-    "n": (_int, None, RUNS, "samples per estimate (sampled mode)", {"type": int}),
-    "seed": (_seed, 0, RUNS, "base seed (default 0)", {"type": int}),
-    "trials": (_int, 30, ("ep", "bench"), "sampling repeats per point (default 30)", {"type": int}),
-    "step": (_float, 0.01, ("sweep", "bench"), "sweep step size (default 0.01)", {"type": float}),
-    "start": (_int, 0, ("sweep",), "AB extreme point the sweep drains (default 0)", {"type": int}),
+    "n": (check_int, None, RUNS, "samples per estimate (sampled mode)", {"type": int}),
+    "seed": (partial(check_int, lo=0), 0, RUNS, "base seed (default 0)", {"type": int}),
+    "trials": (check_int, 30, ("ep", "bench"), "sampling repeats per point (default 30)", {"type": int}),
+    "step": (check_real, 0.01, ("sweep", "bench"), "sweep step size (default 0.01)", {"type": float}),
+    "start": (check_int, 0, ("sweep",), "AB extreme point the sweep drains (default 0)", {"type": int}),
     "out": (_string, None, COMMANDS, "write output here instead of stdout", {"metavar": "FILE"}),
     "markdown": (_string, None, ("bench",), "also write a Markdown rendering of the report", {"metavar": "FILE"}),
-    "precision": (_precision, 6, ("nfactor", "score", *RUNS), "significant digits for floats (default 6)", {"type": int}),
+    "precision": (partial(check_int, lo=0, hi=MAX_PRECISION), 6, ("nfactor", "score", *RUNS),
+                  "significant digits for floats (default 6)", {"type": int}),
 }
 
 

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the one rule for integer and number inputs."""
+
+import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -7,3 +10,32 @@ class ValidationError(ValueError):
     The CLI maps this to exit code 2. Genuine I/O failures (missing files,
     unreadable paths) stay OSError and map to exit code 3.
     """
+
+
+def is_int(value) -> bool:
+    """An integer is a Python int that is not a bool; a numpy integer scalar is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, lo=None, hi=None):
+    """`value` if it is an integer, at least `lo` and at most `hi` when given; else a ValidationError."""
+    if not is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return _in_range(name, value, lo, hi)
+
+
+def check_real(name: str, value, lo=None, hi=None):
+    """As check_int, for a number: a numbers.Real that is neither a bool nor an int past float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return _in_range(name, value, lo, hi)
+
+
+def _in_range(name: str, value, lo, hi):
+    # `not lo <= value` also refuses NaN. A bound `hi` comes with a bound `lo`.
+    if hi is not None and not lo <= value <= hi:
+        raise ValidationError(f"{name} must be in [{lo}, {hi}], got {value}")
+    elif lo is not None and not lo <= value:
+        raise ValidationError(f"{name} must be >= {lo}, got {value}")
+    return value

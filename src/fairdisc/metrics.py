@@ -125,7 +125,8 @@ def raw_score(metric: Metric, rows):
     return _MEASURES[metric](np.full(k, 1.0 / k), rows)
 
 
-@lru_cache(maxsize=None)
+# typed: n_factor(m, 2.0) must miss the entry of n_factor(m, 2) and reach check_k.
+@lru_cache(maxsize=None, typed=True)
 def n_factor(metric: Metric, k: int) -> float:
     """Normalization factor: the metric from a one-hot row to uniform.
 

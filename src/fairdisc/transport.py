@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 from scipy.optimize._highspy import _core as highs
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 MARGINAL_TOL = 1e-9
 # The LP has k^2 variables and 2k equality rows, two nonzeros per column.
@@ -40,6 +40,7 @@ class CostMatrix:
     c: np.ndarray
 
     def __post_init__(self):
+        check_int("k", self.k)
         arr = np.array(self.c, dtype=float)
         if arr.shape != (self.k, self.k):
             raise ValidationError(f"cost matrix has shape {arr.shape}, expected ({self.k}, {self.k})")
@@ -136,7 +137,7 @@ def _constraints(k: int) -> highs.HighsSparseMatrix:
 
 
 def _check_k(k: int) -> None:
-    if not 2 <= k <= MAX_K:
+    if not 2 <= check_int("k", k) <= MAX_K:
         raise ValidationError(f"transport needs 2 <= k <= {MAX_K}, got k={k}")
 
 

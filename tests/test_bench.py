@@ -1,23 +1,34 @@
+import re
+
 import numpy as np
 import pytest
 
 from fairdisc import (
     EXPECTATION,
+    AttributeSpace,
+    CategoricalDistribution,
+    ConfusionModel,
+    CostMatrix,
     Metric,
     Sampled,
     ValidationError,
+    default_cost,
+    derive_seed,
     ep_var,
     estimate,
     from_accuracies,
     mem,
     mepe_ab,
     mepe_fair,
+    n_factor,
     perfect,
+    preset,
     report_to_csv,
     report_to_markdown,
     run_benchmark,
     run_ep_analysis,
     run_sweep,
+    sweep,
     uniform_noise,
 )
 from fairdisc import bench
@@ -274,13 +285,12 @@ class TestBenchmarkReport:
 
 
 L1 = (Metric.L1,)
-SAMPLED = r"Sampled needs an integer n and seed, got "
 METRICS = r"metrics must be one or more Metric values, got "
 # Inputs of the wrong type and empty or unknown metrics: each is one ValidationError that names it.
 BAD_INPUTS = [
-    ("seed-float", lambda: estimate(perfect(2), [0.5, 0.5], Sampled(10, 1.5)), SAMPLED + "n=10, seed=1.5"),
-    ("n-str", lambda: Sampled("5", 0), SAMPLED + "n='5', seed=0"),
-    ("n-float", lambda: estimate(perfect(2), [0.5, 0.5], Sampled(1.5, 0)), SAMPLED + "n=1.5, seed=0"),
+    ("seed-float", lambda: estimate(perfect(2), [0.5, 0.5], Sampled(10, 1.5)), "seed must be an integer, got 1.5"),
+    ("n-str", lambda: Sampled("5", 0), "n must be an integer, got '5'"),
+    ("n-float", lambda: estimate(perfect(2), [0.5, 0.5], Sampled(1.5, 0)), "n must be an integer, got 1.5"),
     ("trials-float", lambda: run_ep_analysis(perfect(2), Sampled(10, 0), L1, trials=2.5),
      "trials must be an integer, got 2.5"),
     ("start-float", lambda: run_sweep(perfect(2), EXPECTATION, L1, 0.1, starts=1.5),
@@ -308,6 +318,39 @@ def test_bad_library_input_refused_before_any_estimate(monkeypatch, call, match)
     with pytest.raises(ValidationError, match=f"^{match}$"):
         call()
     assert calls == []
+
+
+# A scalar that is not an integer, or not a number, where the library takes one; and entries
+# that are not numbers. Each is one ValidationError, never a TypeError, a ValueError or a float k.
+K_FLOAT = "k must be an integer, got "
+NOT_NUMBERS = " must be an array of numbers"
+BAD_SCALARS = [
+    ("sweep-k-float", lambda: sweep(2.5, 0.1), K_FLOAT + "2.5"),
+    ("perfect-k-float", lambda: perfect(2.5), K_FLOAT + "2.5"),
+    ("perfect-k-numpy", lambda: perfect(np.int64(3)), K_FLOAT + repr(np.int64(3))),
+    ("n_factor-k-float", lambda: n_factor(Metric.L1, 2.5), K_FLOAT + "2.5"),
+    # The cached factor of k = 2 must not answer for k = 2.0.
+    ("n_factor-k-float-after-int", lambda: [n_factor(Metric.L1, 2), n_factor(Metric.L1, 2.0)], K_FLOAT + "2.0"),
+    ("of_size-k-float", lambda: AttributeSpace.of_size(2.5), K_FLOAT + "2.5"),
+    ("confusion-k-float", lambda: ConfusionModel(2.0, np.eye(2)), K_FLOAT + "2.0"),
+    ("cost-k-float", lambda: CostMatrix(2.0, default_cost(2).c), K_FLOAT + "2.0"),
+    ("preset-k-float", lambda: preset("set2", 4.0), K_FLOAT + "4.0"),
+    ("eps-str", lambda: uniform_noise(2, "0.1"), "eps must be a number, got '0.1'"),
+    ("base-seed-float", lambda: derive_seed(1.5, 2), "base seed must be an integer, got 1.5"),
+    ("base-seed-bool", lambda: derive_seed(True, 2), "base seed must be an integer, got True"),
+    ("seeds-bool", lambda: estimate(perfect(2), np.eye(2), Sampled(10, 0), [True, False]),
+     "seeds must be 2 integers in [0, 2**64), one per row"),
+    ("confusion-str-entries", lambda: ConfusionModel(2, [["a", "b"], ["c", "d"]]), "confusion entries" + NOT_NUMBERS),
+    ("dist-str-entries", lambda: CategoricalDistribution(AttributeSpace.of_size(2), ["a", "b"]),
+     "distribution entries" + NOT_NUMBERS),
+    ("accs-str", lambda: from_accuracies(["a", "b"]), "accuracies" + NOT_NUMBERS),
+]
+
+
+@pytest.mark.parametrize("call,message", [row[1:] for row in BAD_SCALARS], ids=[row[0] for row in BAD_SCALARS])
+def test_bad_scalar_or_entry_is_one_validation_error(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_score_outside_unit_interval_refused(monkeypatch):

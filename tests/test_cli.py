@@ -304,6 +304,7 @@ BAD_INPUTS = {
     "score-precision": ("score", "--precision", "-1"),
     "accs-not-number": ("ep", "--k", "2", "--accs", "0.9,x"),
     "config-k-string": ("config", '{"k": "a"}'),
+    "config-seed-string": ("config", '{"seed": "7"}'),
     "seed-negative": ("ep", "--k", "2", "--mode", "sampled", "--n", "10", "--seed", "-1"),
     "wd-k-above-64": ("nfactor", "--k", "65", "--metrics", "wd"),
     "confusion-k-string": ("confusion", '{"k": "a", "m": [[1, 0], [0, 1]]}'),
@@ -380,6 +381,22 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if argv[0] == "ingest":
         assert err.startswith("error: line 1: ")
+
+
+# A number in a config file is a JSON number: a numeric string is refused, as on the library side.
+@pytest.mark.parametrize("cfg,message", [
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"mode": "sampled", "n": "50"}, "n must be an integer, got '50'"),
+    ({"mode": "sampled", "n": 10, "trials": "2"}, "trials must be an integer, got '2'"),
+    ({"k": ["4"]}, "k must be an integer, got '4'"),
+    ({"step": "0.5"}, "step must be a number, got '0.5'"),
+    ({"eps": "0.1"}, "eps must be a number, got '0.1'"),
+    ({"accs": ["0.9", "0.8"]}, "accs must be a number, got '0.9'"),
+])
+def test_config_numeric_string_exits_2(capsys, tmp_path, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(capsys, "bench", "--config", str(path)) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("text", ['{"k": 2, "m": [[1.0000000005, 0], [0, 1]]}',

@@ -228,6 +228,37 @@ def test_config_keys_the_command_does_not_take_exit_2(tmp_path_factory, command,
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and f"{command} takes no config key" in err, err
 
 
+# Each numeric option's kind, from the argparse type of its flag; --accs takes a list of numbers.
+KINDS = {name: "an integer" if extra.get("type") is int else "a number"
+         for name, (*_, extra) in cli.OPTIONS.items() if "type" in extra or name == "accs"}
+# Config values of the wrong JSON type: numeric strings, bools, lists for scalars and, for an
+# integer option, floats. k and accs take a list, so theirs hold one wrong item among right ones.
+NUMERIC_TEXT = st.sampled_from(["7", "2", "0.5", "1e3", "-1", " 3", "nan"])
+WRONG_NUMBER = st.one_of(NUMERIC_TEXT, st.booleans(), st.lists(st.floats(0, 1), max_size=2))
+WRONG_INTEGER = st.one_of(NUMERIC_TEXT, st.booleans(), st.lists(st.integers(0, 9), max_size=2),
+                          st.floats(allow_nan=True, allow_infinity=True))
+
+
+def wrong_config_value(name):
+    wrong = WRONG_INTEGER if KINDS[name] == "an integer" else WRONG_NUMBER
+    if name not in ("k", "accs"):
+        return wrong
+    right = st.integers(2, 8) if name == "k" else st.floats(0, 1)
+    return st.tuples(st.lists(right, max_size=2), wrong).map(lambda t: [*t[0], t[1]])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_wrong_typed_config_values_exit_2(tmp_path_factory, command, data):
+    name = data.draw(st.sampled_from([name for name in KINDS if command in cli.OPTIONS[name][2]]))
+    cfg = base_config(command, data)
+    cfg[name] = data.draw(wrong_config_value(name))
+    code, err = check(config_argv(tmp_path_factory, command, cfg))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {name} must be {KINDS[name]}, got "), (cfg, err)
+
+
 @settings(max_examples=50, deadline=None)
 @given(dist=dist_files(), data=st.data())
 def test_score_exits_cleanly(tmp_path_factory, dist, data):

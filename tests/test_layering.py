@@ -1,5 +1,6 @@
 """Past the file boundary, code sees arrays and confusion models: no attribute space or distribution object.
-The package exports each public name it defines in `__all__`."""
+The package exports each public name it defines in `__all__`. Only errors.py decides what an integer or a
+number input is."""
 
 import ast
 import pathlib
@@ -31,3 +32,36 @@ def test_all_lists_every_public_name():
     public = {name for name, value in vars(fairdisc).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(fairdisc.__all__) == sorted(public)
+
+
+def own_scalar_rules(source: str) -> list[str]:
+    """Each place in `source` that decides "integer" or "number" itself: numbers.*, operator.index,
+    or type(x) is / is not int."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            hit = node.value.id == "numbers" or (node.value.id, node.attr) == ("operator", "index")
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numbers" or node.module == "operator" and any(a.name == "index" for a in node.names)
+        elif isinstance(node, ast.Compare):
+            hit = (isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+                   and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                   and any(isinstance(c, ast.Name) and c.id == "int" for c in node.comparators))
+        else:
+            hit = False
+        if hit:
+            found.append(ast.unparse(node))
+    return found
+
+
+# The rule for integer and number inputs is written once, in errors.py (is_int, check_int, check_real).
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.name != "errors.py"))
+def test_scalar_rule_lives_in_errors_only(module):
+    assert own_scalar_rules((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", ["if type(trials) is not int:\n    pass", "ok = type(n) is int",
+                                     "import numbers\nok = isinstance(x, numbers.Real)", "from numbers import Real",
+                                     "import operator\nn = operator.index(x)", "from operator import index"])
+def test_scalar_rule_lint_finds_a_rule_put_back(snippet):
+    assert own_scalar_rules(snippet)
