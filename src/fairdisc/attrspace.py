@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -116,9 +115,6 @@ class AttributeSpace:
         """Anonymous single-attribute space "u" with k outcomes labelled 0..k-1; k is checked first."""
         return cls((("u", tuple(str(i) for i in range(check_k(k)))),))
 
-    def outcome_labels(self) -> list[tuple[str, ...]]:
-        return list(itertools.product(*(values for _, values in self.attributes)))
-
     def to_dict(self) -> dict:
         return {"attributes": [{"name": n, "values": list(vs)} for n, vs in self.attributes]}
 
@@ -229,8 +225,8 @@ def load_distribution(path) -> CategoricalDistribution:
     elif isinstance(ref, str):
         # join keeps an absolute `ref` as it is.
         space = load_space(os.path.join(os.path.dirname(str(path)), ref))
-    elif isinstance(obj.get("k"), int):
-        if obj["k"] != len(obj["p"]):
+    elif "k" in obj:
+        if check_k(obj["k"]) != len(obj["p"]):
             raise ValidationError(f'{path}: "k" does not match the {len(obj["p"])} entries of "p"')
         space = AttributeSpace.of_size(obj["k"])
     else:

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attrspace import check_block, check_sweep
+from .attrspace import check_block, check_sweep, float_array
 from .attrspace import sweep as sweep_path
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate
 from .errors import ValidationError, check_int, is_int
 from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score, n_factor
 
-SCORE_TOL = 1e-9
 TIE_TOL = 1e-12
 
 # seed-derivation tags so fair/AB/sweep cells never share a stream
@@ -33,17 +32,8 @@ _KIND_FAIR, _KIND_AB, _KIND_SWEEP = 0, 1, 2
 Scores = dict[Metric, np.ndarray]
 
 
-def _checked(scores: Scores, k: int) -> Scores:
-    """Reject any score outside [0, 1] (to SCORE_TOL); return the scores unchanged."""
-    for m, f in scores.items():
-        bad = f[(f < -SCORE_TOL) | (f > 1.0 + SCORE_TOL)]
-        if bad.size:
-            raise ValidationError(f"score {float(bad[0])!r} outside [0, 1] for {m} at k={k}")
-    return scores
-
-
 def _flat(scores, op: str) -> np.ndarray:
-    f = np.asarray(scores, dtype=float).ravel()
+    f = float_array(scores, f"{op}: scores").ravel()
     if not f.size:
         raise ValidationError(f"{op}: empty score array")
     return f
@@ -92,8 +82,9 @@ def _checked_call(model: ConfusionModel, mode: EstimationMode, metrics: Iterable
 
 
 def _trial_count(mode: EstimationMode, trials: int, k: int) -> int:
-    """Trials per point: `trials` in sampled mode, with its AB block checked at k; 1 in expectation mode."""
-    n_trials = check_int("trials", trials, 1) if isinstance(mode, Sampled) else 1
+    """Trials per point, checked in both modes: `trials` in sampled mode, its AB block checked at k; 1 in expectation."""
+    check_int("trials", trials, 1)
+    n_trials = trials if isinstance(mode, Sampled) else 1
     check_block(n_trials * k, k, f"{n_trials} trials at k={k}")
     return n_trials
 
@@ -118,8 +109,7 @@ def run_ep_analysis(model: ConfusionModel, mode: EstimationMode, metrics: Sequen
     est_fair = estimate(model, np.full((n_trials, k), 1.0 / k), mode, _seeds(mode, k, _KIND_FAIR, 0, trial))
     est_ab = estimate(model, np.broadcast_to(np.eye(k), (n_trials, k, k)), mode,
                       _seeds(mode, k, _KIND_AB, np.arange(k), trial[:, None]))
-    return (_checked({m: fd_score(m, est_fair) for m in metrics}, k),
-            _checked({m: fd_score(m, est_ab) for m in metrics}, k))
+    return {m: fd_score(m, est_fair) for m in metrics}, {m: fd_score(m, est_ab) for m in metrics}
 
 
 def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Metric],
@@ -151,7 +141,7 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
         for m in metrics:
             f[m][s] = fd_score(m, est)
             f_star[m][s] = fd_score(m, p_true)
-    return _checked(f, k), _checked(f_star, k)
+    return f, f_star
 
 
 # ---------------------------------------------------------------------------

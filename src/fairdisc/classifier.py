@@ -208,7 +208,7 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     `tests/test_classifier.py::TestSampledStreams` checks every row against a
     fresh `default_rng` per row (`oracles.reference_sample`).
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = float_array(rows, "rows")
     if rows.shape[-1] != model.k:
         raise ValidationError(f"confusion model is {model.k}x{model.k}, distribution has k={rows.shape[-1]}")
     if isinstance(mode, Expectation):

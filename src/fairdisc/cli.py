@@ -173,8 +173,8 @@ def cmd_nfactor(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> None:
     dist = load_distribution(args.dist)
     if args.raw:
-        scores = [(m, raw_score(m, dist), n_factor(m, dist.k)) for m in cfg.metrics]
-        _csv(cfg, "metric,raw,n_factor,normalized", [(m, raw, factor, raw / factor) for m, raw, factor in scores])
+        _csv(cfg, "metric,raw,n_factor,normalized",
+             [(m, raw_score(m, dist), n_factor(m, dist.k), fd_score(m, dist)) for m in cfg.metrics])
     else:
         _csv(cfg, "metric,normalized", [(m, fd_score(m, dist)) for m in cfg.metrics])
 

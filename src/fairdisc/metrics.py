@@ -2,8 +2,9 @@
 
 Five measures: mean absolute difference (l1), mean euclidean difference (l2),
 transport distance (wd), sorted-weighted spread difference (spec), and the
-l1/spread hybrid (is). Each is normalized by its value at an extreme point
-against the uniform reference, so scores land in [0, 1].
+l1/spread hybrid (is). Rows enter through `attrspace.float_array`. `fd_score` alone
+normalizes, by the value at an extreme point against uniform; it clips to [0, 1]
+and refuses a score past that by more than SCORE_TOL, or NaN.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import transport
-from .attrspace import check_k
+from .attrspace import check_k, float_array
 from .errors import ValidationError
 
 DEFAULT_ALPHA = 0.5
+# A normalized score may miss [0, 1] by this much from rounding; fd_score refuses more.
+SCORE_TOL = 1e-9
 
 
 class Metric(str, Enum):
@@ -53,7 +56,7 @@ def parse_metrics(spec: str) -> tuple[Metric, ...]:
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    p, q = float_array(p, "rows"), float_array(q, "rows")
     if p.shape[-1] != q.shape[-1]:
         raise ValidationError(f"rows have k={p.shape[-1]} and k={q.shape[-1]}")
     return p, q
@@ -98,7 +101,7 @@ def specificity(p):
 
     Zero for the uniform distribution, one for a point mass.
     """
-    p = np.asarray(p, dtype=float)
+    p = float_array(p, "rows")
     s = np.sort(p, axis=-1)[..., ::-1]
     # One vector dot per row, (1, k-1) @ (k-1, 1), so a row scores the same alone or in a block.
     return s[..., 0] - (s[..., None, 1:] @ _spread_weights(p.shape[-1])[:, None])[..., 0, 0]
@@ -140,6 +143,11 @@ def fd_score(metric: Metric, rows):
     """Normalized fairness discrepancy of each row against uniform: 0 fair, 1 one-hot.
 
     `rows` is a distribution or an array of shape (..., k); the result has
-    shape rows.shape[:-1].
+    shape rows.shape[:-1]. A quotient outside [-SCORE_TOL, 1 + SCORE_TOL],
+    or NaN, is a ValidationError; the rest is clipped to [0, 1].
     """
-    return raw_score(metric, rows) / n_factor(metric, np.shape(rows)[-1])
+    rows = float_array(rows, "rows")
+    f = raw_score(metric, rows) / n_factor(metric, rows.shape[-1])
+    if (bad := ~((f >= -SCORE_TOL) & (f <= 1.0 + SCORE_TOL))).any():
+        raise ValidationError(f"score {float(f[bad][0])!r} outside [0, 1] for {metric} at k={rows.shape[-1]}")
+    return np.clip(f, 0.0, 1.0)

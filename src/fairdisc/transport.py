@@ -14,6 +14,7 @@ from functools import cache
 import numpy as np
 from scipy.optimize._highspy import _core as highs
 
+from .attrspace import float_array
 from .errors import ValidationError, check_int
 
 MARGINAL_TOL = 1e-9
@@ -41,7 +42,7 @@ class CostMatrix:
 
     def __post_init__(self):
         check_int("k", self.k)
-        arr = np.array(self.c, dtype=float)
+        arr = float_array(self.c, "costs")
         if arr.shape != (self.k, self.k):
             raise ValidationError(f"cost matrix has shape {arr.shape}, expected ({self.k}, {self.k})")
         if not np.isfinite(arr).all() or (arr < 0).any():
@@ -79,7 +80,7 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     plan entries are just zero), which is what extreme-point sources
     produce.
     """
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    p, q = float_array(p, "transport marginals"), float_array(q, "transport marginals")
     if p.ndim != 1 or p.shape != q.shape:
         raise ValidationError(f"transport needs two vectors of one length, got shapes {p.shape} and {q.shape}")
     k = len(p)

@@ -16,6 +16,7 @@ from fairdisc import (
     derive_seed,
     ep_var,
     estimate,
+    fd_score,
     from_accuracies,
     mem,
     mepe_ab,
@@ -28,12 +29,12 @@ from fairdisc import (
     run_benchmark,
     run_ep_analysis,
     run_sweep,
+    solve,
     sweep,
     uniform_noise,
 )
-from fairdisc import bench
-from fairdisc.bench import _checked
-from fairdisc.metrics import REPORT_ORDER
+from fairdisc import bench, metrics
+from fairdisc.metrics import REPORT_ORDER, specificity
 
 ALL_KS = (2, 4, 8, 16)
 POINTWISE = (Metric.L1, Metric.L2, Metric.WD)
@@ -80,13 +81,18 @@ class TestStatistics:
         with pytest.raises(ValidationError):
             mem(np.array([]), np.array([]))
 
-    def test_score_bounds_enforced(self):
-        with pytest.raises(ValidationError, match="1.1 outside"):
-            _checked({Metric.L1: np.array([0.5, 1.1])}, 2)
-        with pytest.raises(ValidationError, match="for l2 at k=4"):
-            _checked({Metric.L1: np.zeros((2, 4)), Metric.L2: np.full((2, 4), -0.2)}, 4)
-        edge = {Metric.L1: np.array([-1e-10, 1.0 + 1e-10])}
-        assert _checked(edge, 2) is edge
+    def test_score_bounds_enforced(self, monkeypatch):
+        # fd_score divides raw_score by n_factor, so a patched raw score of f * n_factor is the quotient f.
+        def quotients(f):
+            monkeypatch.setattr(metrics, "raw_score", lambda m, rows: np.asarray(f) * n_factor(m, np.shape(rows)[-1]))
+        quotients([0.5, 1.1])
+        with pytest.raises(ValidationError, match="^score 1.1 outside"):
+            fd_score(Metric.L1, np.zeros((2, 2)))
+        quotients(np.full((2, 4), -0.2))
+        with pytest.raises(ValidationError, match="for l2 at k=4$"):
+            fd_score(Metric.L2, np.zeros((2, 4, 4)))
+        quotients([-1e-10, 1.0 + 1e-10])
+        assert np.array_equal(fd_score(Metric.L1, np.zeros((2, 2))), [0.0, 1.0])
 
     def test_permutation_invariance(self):
         scores = np.array([0.1, 0.7, 0.3, 0.9])
@@ -344,6 +350,18 @@ BAD_SCALARS = [
     ("dist-str-entries", lambda: CategoricalDistribution(AttributeSpace.of_size(2), ["a", "b"]),
      "distribution entries" + NOT_NUMBERS),
     ("accs-str", lambda: from_accuracies(["a", "b"]), "accuracies" + NOT_NUMBERS),
+    ("estimate-str-entries", lambda: estimate(perfect(2), ["a", "b"]), "rows" + NOT_NUMBERS),
+    ("fd_score-str-entries", lambda: fd_score(Metric.L1, ["a", "b"]), "rows" + NOT_NUMBERS),
+    ("specificity-str-entries", lambda: specificity(["a", "b"]), "rows" + NOT_NUMBERS),
+    ("solve-str-entries", lambda: solve(["a", "b"], [0.5, 0.5], default_cost(2)), "transport marginals" + NOT_NUMBERS),
+    ("cost-str-entries", lambda: CostMatrix(2, [["a", "b"], ["c", "d"]]), "costs" + NOT_NUMBERS),
+    ("mepe_fair-str-entries", lambda: mepe_fair(["a", "b"]), "mepe_fair: scores" + NOT_NUMBERS),
+    ("mem-str-entries", lambda: mem(["a", "b"], [0.5, 0.5]), "mem: scores" + NOT_NUMBERS),
+    # fd_score returns a score in [0, 1] or refuses, never NaN or a value past 1.
+    ("fd_score-nan", lambda: fd_score(Metric.L1, [np.nan, np.nan]), "score nan outside [0, 1] for l1 at k=2"),
+    ("fd_score-past-one", lambda: fd_score(Metric.L1, [2.0, -1.0]), "score 3.0 outside [0, 1] for l1 at k=2"),
+    ("ep-trials-str-expectation", lambda: run_ep_analysis(perfect(2), EXPECTATION, L1, trials="x"),
+     "trials must be an integer, got 'x'"),
 ]
 
 
@@ -354,7 +372,8 @@ def test_bad_scalar_or_entry_is_one_validation_error(call, message):
 
 
 def test_score_outside_unit_interval_refused(monkeypatch):
-    monkeypatch.setattr(bench, "fd_score", lambda m, rows: np.full(np.shape(rows)[:-1], 1.5))
+    # raw 0.75 over n_factor(l1, 2) = 0.5 is the quotient 1.5.
+    monkeypatch.setattr(metrics, "raw_score", lambda m, rows: np.full(np.shape(rows)[:-1], 0.75))
     with pytest.raises(ValidationError, match=r"^score 1.5 outside \[0, 1\] for l1 at k=2$"):
         run_ep_analysis(perfect(2), EXPECTATION, L1)
 

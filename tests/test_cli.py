@@ -95,6 +95,11 @@ class TestScore:
         code, _, _ = run_cli(capsys, "score", str(path))
         assert code == 2
 
+    def test_file_k_follows_the_integer_rule(self, capsys, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"k": 2.0, "p": [0.5, 0.5]}')
+        assert run_cli(capsys, "score", str(path)) == (2, "", "error: k must be an integer, got 2.0\n")
+
 
 class TestEp:
     def test_expectation_shape(self, capsys):
@@ -114,6 +119,11 @@ class TestEp:
         code, out, _ = run_cli(capsys, "ep", "--k", "4", "--eps", "0.1", "--metrics", "l1")
         ab = [float(r["f"]) for r in csv_rows(out) if r["kind"] == "ab"]
         assert ab == pytest.approx([0.9] * 4)
+
+    def test_one_hot_scores_print_exactly_one(self, capsys):
+        code, out, _ = run_cli(capsys, "ep", "--k", "3", "--metrics", "l1", "--precision", "17")
+        assert code == 0
+        assert "ab,3,2,,l1,1\n" in out
 
     def test_sampled_requires_n(self, capsys):
         code, _, err = run_cli(capsys, "ep", "--k", "2", "--mode", "sampled")
@@ -347,6 +357,7 @@ BAD_INPUTS = {
     "ep-k-repeated": ("ep", "--k", "2", "2"),
     "bench-k-repeated": ("bench", "--k", "2", "2"),
     "config-k-repeated": ("config", '{"k": [4, 4]}'),
+    "ep-trials-0-expectation": ("ep", "--k", "2", "--trials", "0", "--metrics", "l1"),
     "config-metrics-null": ("config", '{"metrics": null}'),
     # A config case may name its command; bench is the default.
     "sweep-config-trials": ("config", '{"trials": 7}', "sweep"),

@@ -1,6 +1,6 @@
 """Past the file boundary, code sees arrays and confusion models: no attribute space or distribution object.
 The package exports each public name it defines in `__all__`. Only errors.py decides what an integer or a
-number input is."""
+number input is, and only attrspace.py turns an outside array into floats."""
 
 import ast
 import pathlib
@@ -65,3 +65,28 @@ def test_scalar_rule_lives_in_errors_only(module):
                                      "import operator\nn = operator.index(x)", "from operator import index"])
 def test_scalar_rule_lint_finds_a_rule_put_back(snippet):
     assert own_scalar_rules(snippet)
+
+
+def own_float_reads(source: str) -> list[str]:
+    """Each np.array or np.asarray call in `source` that reads its input as floats, by dtype=float or a
+    positional float dtype."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("array", "asarray")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")):
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+            if any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes):
+                found.append(ast.unparse(node))
+    return found
+
+
+# Outside arrays become floats in one place, attrspace.float_array, which turns a bad entry into a ValidationError.
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.name != "attrspace.py"))
+def test_float_reads_live_in_attrspace_only(module):
+    assert own_float_reads((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", ["p = np.asarray(p, dtype=float)", "c = np.array(c, dtype=float)",
+                                     "rows = numpy.asarray(rows, float)"])
+def test_float_read_lint_finds_a_read_put_back(snippet):
+    assert own_float_reads(snippet)

@@ -12,6 +12,7 @@ from fairdisc import (
     Metric,
     ValidationError,
     estimate,
+    uniform_noise,
 )
 from fairdisc.metrics import (
     REPORT_ORDER,
@@ -29,6 +30,23 @@ from fairdisc.metrics import (
 from oracles import sorted_spread
 
 ALL_KS = (2, 4, 8, 16)
+
+
+@st.composite
+def score_rows(draw):
+    """(k, row) for k in 2..64, the largest k every metric takes: a one-hot row, a row one ulp
+    off one-hot, or a Dirichlet row of small concentration."""
+    k = draw(st.integers(2, 64))
+    i = draw(st.integers(0, k - 1))
+    kind = draw(st.sampled_from(["one-hot", "off-one-hot", "dirichlet"]))
+    if kind == "dirichlet":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return k, rng.dirichlet(np.full(k, draw(st.sampled_from([0.05, 0.3, 1.0]))))
+    row = np.eye(k)[i]
+    if kind == "off-one-hot":
+        row[i] = np.nextafter(1.0, 0.0)
+        row[(i + 1) % k] = 1.0 - row[i]
+    return k, row
 
 
 class TestParseMetrics:
@@ -134,10 +152,22 @@ class TestFdScore:
         assert raw_score(Metric.L2, p) == pytest.approx(0.2828427, abs=1e-6)
         assert fd_score(Metric.L2, p) == pytest.approx(0.8, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(k_row=score_rows(), m=st.sampled_from(REPORT_ORDER))
+    def test_normalized_in_unit_interval(self, k_row, m):
+        assert 0.0 <= fd_score(m, k_row[1]) <= 1.0
+
     @settings(max_examples=60, deadline=None)
-    @given(p=conftest.distributions(4), m=st.sampled_from(REPORT_ORDER))
-    def test_normalized_in_unit_interval(self, p, m):
-        assert -1e-12 <= fd_score(m, p) <= 1.0 + 1e-9
+    @given(k=st.integers(2, 64), m=st.sampled_from(REPORT_ORDER))
+    def test_uniform_row_scores_exactly_zero(self, k, m):
+        assert fd_score(m, np.full(k, 1.0 / k)) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(k_row=score_rows(), m=st.sampled_from(REPORT_ORDER), eps=st.floats(0.0, 1.0))
+    def test_uniform_noise_scales_the_score(self, k_row, m, eps):
+        # The estimate through (1 - eps) I + (eps/k) J is (1 - eps) p + eps/k, which scores (1 - eps) f(p).
+        k, p = k_row
+        assert fd_score(m, estimate(uniform_noise(k, eps), p)) == pytest.approx((1 - eps) * fd_score(m, p), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(p=conftest.distributions(4))
