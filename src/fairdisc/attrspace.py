@@ -20,7 +20,7 @@ MAX_BLOCK_ENTRIES = 2 * 10**6
 # Most samples per estimate; Generator.multinomial takes a C long (Sampled).
 MAX_SAMPLES = 2**63 - 1
 
-# Entries must sum to 1 within this tolerance to count as a distribution.
+# Entries must sum to 1 within this tolerance to count as a distribution, or as a confusion row.
 SUM_TOL = 1e-9
 # Below this deviation we keep the entries as given instead of renormalizing,
 # so exact constructions (uniform and one-hot rows) stay bit-exact.
@@ -42,6 +42,14 @@ def float_array(value, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be finite numbers") from None
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be an array of numbers") from None
+
+
+def float_rows(value, what: str = "rows") -> np.ndarray:
+    """`float_array(value, what)` as rows over a last axis of outcomes; a scalar, or no outcomes, is a ValidationError."""
+    rows = float_array(value, what)
+    if not rows.shape or not rows.shape[-1]:
+        raise ValidationError(f"{what} must have a last axis of at least one outcome, got shape {rows.shape}")
+    return rows
 
 
 def check_k(k: int) -> int:

@@ -61,12 +61,12 @@ def mem(f, f_star) -> float:
     return float(np.mean(np.abs(_flat(f, "mem") - _flat(f_star, "mem"))))
 
 
-def _seeds(mode: EstimationMode, k: int, kind_tag: int, cell, trial) -> np.ndarray | None:
-    """Derived seeds of a block in sampled mode, flattened in C order over the
-    broadcast (cell, trial) arrays; None in expectation mode."""
-    if isinstance(mode, Expectation):
-        return None
-    return derive_seed(mode.seed, k, kind_tag, cell, trial).ravel()
+def _scored(model: ConfusionModel, mode: EstimationMode, metrics, rows, kind_tag: int, cell, trial) -> Scores:
+    """Score the estimates of true distributions `rows` through `model`, one array per metric. In sampled mode
+    the rows, in C order, draw on `derive_seed(mode.seed, model.k, kind_tag, cell, trial)` over broadcast cells."""
+    seeds = None if isinstance(mode, Expectation) else derive_seed(mode.seed, model.k, kind_tag, cell, trial).ravel()
+    est = estimate(model, rows, mode, seeds)
+    return {m: fd_score(m, est) for m in metrics}
 
 
 def _checked_call(model: ConfusionModel, mode: EstimationMode, metrics: Iterable[Metric]) -> tuple[Metric, ...]:
@@ -103,13 +103,10 @@ def run_ep_analysis(model: ConfusionModel, mode: EstimationMode, metrics: Sequen
     """
     metrics = _checked_call(model, mode, metrics)
     k = model.k
-    n_trials = _trial_count(mode, trials, k)
-
-    trial = np.arange(n_trials)
-    est_fair = estimate(model, np.full((n_trials, k), 1.0 / k), mode, _seeds(mode, k, _KIND_FAIR, 0, trial))
-    est_ab = estimate(model, np.broadcast_to(np.eye(k), (n_trials, k, k)), mode,
-                      _seeds(mode, k, _KIND_AB, np.arange(k), trial[:, None]))
-    return {m: fd_score(m, est_fair) for m in metrics}, {m: fd_score(m, est_ab) for m in metrics}
+    trial = np.arange(_trial_count(mode, trials, k))
+    return (_scored(model, mode, metrics, np.full((len(trial), k), 1.0 / k), _KIND_FAIR, 0, trial),
+            _scored(model, mode, metrics, np.broadcast_to(np.eye(k), (len(trial), k, k)), _KIND_AB,
+                    np.arange(k), trial[:, None]))
 
 
 def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Metric],
@@ -129,19 +126,14 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
         raise ValidationError(f'sweep start must be "all" or an integer, got {starts!r}')
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
-    starts = range(k) if starts == "all" else [starts]
     path = sweep_path(k, step)
-    epochs = len(path)
-    f = {m: np.empty((len(starts), epochs)) for m in metrics}
-    f_star = {m: np.empty((len(starts), epochs)) for m in metrics}
-    for s, start in enumerate(starts):
+    f, f_star = [], []
+    for start in (range(k) if starts == "all" else [starts]):
         p_true = path.copy()
         p_true[:, [0, start]] = path[:, [start, 0]]
-        est = estimate(model, p_true, mode, _seeds(mode, k, _KIND_SWEEP, start, np.arange(epochs)))
-        for m in metrics:
-            f[m][s] = fd_score(m, est)
-            f_star[m][s] = fd_score(m, p_true)
-    return f, f_star
+        f.append(_scored(model, mode, metrics, p_true, _KIND_SWEEP, start, np.arange(len(path))))
+        f_star.append({m: fd_score(m, p_true) for m in metrics})
+    return tuple({m: np.array([s[m] for s in per_start]) for m in metrics} for per_start in (f, f_star))
 
 
 # ---------------------------------------------------------------------------

@@ -13,32 +13,31 @@ import itertools
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attrspace import MAX_SAMPLES, check_k, float_array, is_number_list, normalized_rows, read_json
+from .attrspace import MAX_SAMPLES, SUM_TOL, check_k, float_array, float_rows, is_number_list, normalized_rows, read_json
 from .errors import ValidationError, check_int, check_real, is_int
 
-ROW_SUM_TOL = 1e-9
 PROBS_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
 class ConfusionModel:
-    """k x k row-stochastic matrix; m[i][j] = P(predict j | true i), 2 <= k <= MAX_OUTCOMES."""
+    """k x k row-stochastic matrix, k read from its square shape; m[i][j] = P(predict j | true i), 2 <= k <= MAX_OUTCOMES."""
 
-    k: int
     m: np.ndarray
+    k: int = field(init=False)
 
     def __post_init__(self):
-        check_k(self.k)
         arr = float_array(self.m, "confusion entries")
-        if arr.shape != (self.k, self.k):
-            raise ValidationError(f"confusion matrix has shape {arr.shape}, expected ({self.k}, {self.k})")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValidationError(f"confusion matrix has shape {arr.shape}, expected a square matrix")
+        object.__setattr__(self, "k", check_k(len(arr)))
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise ValidationError("confusion entries must be finite and non-negative")
-        bad = np.abs(arr.sum(axis=1) - 1.0) > ROW_SUM_TOL
+        bad = np.abs(arr.sum(axis=1) - 1.0) > SUM_TOL
         if bad.any():
             raise ValidationError(f"confusion rows {np.flatnonzero(bad).tolist()} do not sum to 1")
         arr.setflags(write=False)
@@ -70,13 +69,13 @@ EXPECTATION = Expectation()
 
 def perfect(k: int) -> ConfusionModel:
     """The identity: every outcome classified correctly."""
-    return ConfusionModel(k, np.eye(check_k(k)))
+    return ConfusionModel(np.eye(check_k(k)))
 
 
 def uniform_noise(k: int, eps: float) -> ConfusionModel:
     """Mix the identity with a fully random classifier: (1-eps) I + (eps/k) J."""
     check_real("eps", eps, 0, 1)
-    return ConfusionModel(k, (1.0 - eps) * np.eye(check_k(k)) + (eps / k) * np.ones((k, k)))
+    return ConfusionModel((1.0 - eps) * np.eye(check_k(k)) + (eps / k) * np.ones((k, k)))
 
 
 def from_accuracies(acc) -> ConfusionModel:
@@ -86,10 +85,9 @@ def from_accuracies(acc) -> ConfusionModel:
         raise ValidationError("need a vector of at least 2 per-class accuracies")
     if (a < 0).any() or (a > 1).any():
         raise ValidationError("accuracies must be in [0, 1]")
-    k = len(a)
-    m = np.tile(((1.0 - a) / (k - 1))[:, None], (1, k))
+    m = np.tile(((1.0 - a) / (len(a) - 1))[:, None], (1, len(a)))
     np.fill_diagonal(m, a)
-    return ConfusionModel(k, m)
+    return ConfusionModel(m)
 
 
 def per_class_accuracy(model: ConfusionModel) -> np.ndarray:
@@ -208,7 +206,7 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     `tests/test_classifier.py::TestSampledStreams` checks every row against a
     fresh `default_rng` per row (`oracles.reference_sample`).
     """
-    rows = float_array(rows, "rows")
+    rows = float_rows(rows)
     if rows.shape[-1] != model.k:
         raise ValidationError(f"confusion model is {model.k}x{model.k}, distribution has k={rows.shape[-1]}")
     if isinstance(mode, Expectation):
@@ -223,7 +221,7 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
         # A seed below 2**32 is one entropy word to SeedSequence; a zero high word
         # mixes the same, because mix_entropy pads short entropy with zero words.
         states = _seed_sequence(np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32), 4)
-    # Confusion rows may be off 1 by ROW_SUM_TOL, more than multinomial allows.
+    # Confusion rows may be off 1 by SUM_TOL, more than multinomial allows.
     m = normalized_rows(model.m)
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
@@ -343,9 +341,9 @@ def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel |
     """
     k = preds.k
     if preds.probs is not None:
-        # cumsum adds the rows in file order, as a running total would. Each row may be
-        # off by PROBS_SUM_TOL, so renormalize the sum rather than divide by the count.
-        total = np.cumsum(preds.probs, axis=0)[-1]
+        # Over axis 0 of the C-contiguous block numpy adds whole rows in file order, not pairwise, as a running
+        # total would. Each row may be off by PROBS_SUM_TOL, so renormalize the sum rather than divide by the count.
+        total = preds.probs.sum(axis=0)
         estimated = normalized_rows(total / total.sum())
     else:
         estimated = normalized_rows(np.bincount(preds.pred, minlength=k) / len(preds))
@@ -355,7 +353,7 @@ def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel |
     m = np.eye(k)
     seen = counts.sum(axis=1) > 0
     m[seen] = counts[seen] / counts[seen].sum(axis=1, keepdims=True)
-    return estimated, ConfusionModel(k, m)
+    return estimated, ConfusionModel(m)
 
 
 def load_confusion(path) -> ConfusionModel:
@@ -366,7 +364,7 @@ def load_confusion(path) -> ConfusionModel:
     k, m = check_int(f'{path}: "k"', obj["k"]), obj["m"]
     if not (isinstance(m, list) and len(m) == k and all(is_number_list(row) and len(row) == k for row in m)):
         raise ValidationError(f'{path}: "m" must be {k} rows of {k} numbers')
-    return ConfusionModel(k, m)
+    return ConfusionModel(m)
 
 
 # Bundled accuracy presets: (k, average accuracy), spread uniformly

@@ -2,7 +2,7 @@
 
 Five measures: mean absolute difference (l1), mean euclidean difference (l2),
 transport distance (wd), sorted-weighted spread difference (spec), and the
-l1/spread hybrid (is). Rows enter through `attrspace.float_array`. `fd_score` alone
+l1/spread hybrid (is). Rows enter through `attrspace.float_rows`. `fd_score` alone
 normalizes, by the value at an extreme point against uniform; it clips to [0, 1]
 and refuses a score past that by more than SCORE_TOL, or NaN.
 """
@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import transport
-from .attrspace import check_k, float_array
+from .attrspace import check_k, float_rows
 from .errors import ValidationError
 
 DEFAULT_ALPHA = 0.5
@@ -56,7 +56,7 @@ def parse_metrics(spec: str) -> tuple[Metric, ...]:
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    p, q = float_array(p, "rows"), float_array(q, "rows")
+    p, q = float_rows(p), float_rows(q)
     if p.shape[-1] != q.shape[-1]:
         raise ValidationError(f"rows have k={p.shape[-1]} and k={q.shape[-1]}")
     return p, q
@@ -101,7 +101,7 @@ def specificity(p):
 
     Zero for the uniform distribution, one for a point mass.
     """
-    p = float_array(p, "rows")
+    p = float_rows(p)
     s = np.sort(p, axis=-1)[..., ::-1]
     # One vector dot per row, (1, k-1) @ (k-1, 1), so a row scores the same alone or in a block.
     return s[..., 0] - (s[..., None, 1:] @ _spread_weights(p.shape[-1])[:, None])[..., 0, 0]
@@ -124,7 +124,8 @@ _MEASURES = {Metric.L1: l1, Metric.L2: l2, Metric.WD: wd,
 
 def raw_score(metric: Metric, rows):
     """The metric between the uniform reference and each row, unnormalized."""
-    k = np.shape(rows)[-1]
+    rows = float_rows(rows)
+    k = rows.shape[-1]
     return _MEASURES[metric](np.full(k, 1.0 / k), rows)
 
 
@@ -146,7 +147,7 @@ def fd_score(metric: Metric, rows):
     shape rows.shape[:-1]. A quotient outside [-SCORE_TOL, 1 + SCORE_TOL],
     or NaN, is a ValidationError; the rest is clipped to [0, 1].
     """
-    rows = float_array(rows, "rows")
+    rows = float_rows(rows)
     f = raw_score(metric, rows) / n_factor(metric, rows.shape[-1])
     if (bad := ~((f >= -SCORE_TOL) & (f <= 1.0 + SCORE_TOL))).any():
         raise ValidationError(f"score {float(f[bad][0])!r} outside [0, 1] for {metric} at k={rows.shape[-1]}")

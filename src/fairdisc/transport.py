@@ -8,7 +8,7 @@ to that method's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -35,16 +35,16 @@ _RETRY_SCALE = 2.0**20
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Ground cost c[i][j] of moving one unit of mass from outcome i to j."""
+    """Ground cost c[i][j] of moving one unit of mass from outcome i to j; k is read from the square matrix."""
 
-    k: int
     c: np.ndarray
+    k: int = field(init=False)
 
     def __post_init__(self):
-        check_int("k", self.k)
         arr = float_array(self.c, "costs")
-        if arr.shape != (self.k, self.k):
-            raise ValidationError(f"cost matrix has shape {arr.shape}, expected ({self.k}, {self.k})")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValidationError(f"cost matrix has shape {arr.shape}, expected a square matrix")
+        object.__setattr__(self, "k", len(arr))
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise ValidationError("costs must be finite and non-negative")
         if np.any(np.diag(arr) != 0):
@@ -69,7 +69,7 @@ def default_cost(k: int) -> CostMatrix:
     (extreme point vs uniform) at 2(k-1)/k^2.
     """
     _check_k(k)
-    return CostMatrix(k, (2.0 / k) * (1.0 - np.eye(k)))
+    return CostMatrix((2.0 / k) * (1.0 - np.eye(k)))
 
 
 def solve(p, q, cost: CostMatrix) -> TransportPlan:

@@ -100,7 +100,7 @@ def test_criterion_4_transport_matches_bruteforce(acceptance):
         space = AttributeSpace.of_size(k)
         p = CategoricalDistribution(space, a / denom)
         q = CategoricalDistribution(space, b / denom)
-        got = solve(p, q, CostMatrix(k, c)).value
+        got = solve(p, q, CostMatrix(c)).value
         want = bruteforce_transport_cost(a.tolist(), b.tolist(), c.tolist(), denom)
         worst = max(worst, abs(got - want))
     acceptance(4, worst <= 1e-9,

@@ -46,12 +46,15 @@ class TestAttributeSpace:
             with pytest.raises(ValidationError, match=rf"k must be in \[2, {MAX_OUTCOMES}\]"):
                 AttributeSpace.of_size(k)
         # Every other entry of k checks it by value too: no matrix, path or row is built.
-        for build in (lambda: ConfusionModel(1, [[1.0]]), lambda: ConfusionModel(MAX_OUTCOMES + 1, None),
-                      lambda: ConfusionModel(10**400, None), lambda: sweep(1, 0.5),
-                      lambda: sweep(MAX_OUTCOMES + 1, 1e-3), lambda: n_factor(Metric.L1, MAX_OUTCOMES + 1),
-                      lambda: perfect(10**400), lambda: uniform_noise(10**400, 0.1), lambda: perfect(MAX_OUTCOMES + 1)):
+        for build in (lambda: sweep(1, 0.5), lambda: sweep(MAX_OUTCOMES + 1, 1e-3),
+                      lambda: n_factor(Metric.L1, MAX_OUTCOMES + 1), lambda: perfect(10**400),
+                      lambda: uniform_noise(10**400, 0.1), lambda: perfect(MAX_OUTCOMES + 1)):
             with pytest.raises(ValidationError, match=rf"k must be in \[2, {MAX_OUTCOMES}\]"):
                 build()
+        # A confusion model reads k from its square matrix.
+        for m in ([[1.0]], np.eye(MAX_OUTCOMES + 1)):
+            with pytest.raises(ValidationError, match=rf"k must be in \[2, {MAX_OUTCOMES}\]"):
+                ConfusionModel(m)
         with pytest.raises(ValidationError):
             AttributeSpace((("a", ("x", "y")), ("b", tuple(map(str, range(MAX_OUTCOMES // 2 + 1))))))
 

@@ -18,12 +18,14 @@ from fairdisc import (
     estimate,
     fd_score,
     from_accuracies,
+    l1,
     mem,
     mepe_ab,
     mepe_fair,
     n_factor,
     perfect,
     preset,
+    raw_score,
     report_to_csv,
     report_to_markdown,
     run_benchmark,
@@ -330,6 +332,7 @@ def test_bad_library_input_refused_before_any_estimate(monkeypatch, call, match)
 # that are not numbers. Each is one ValidationError, never a TypeError, a ValueError or a float k.
 K_FLOAT = "k must be an integer, got "
 NOT_NUMBERS = " must be an array of numbers"
+NO_OUTCOMES = " must have a last axis of at least one outcome, got shape "
 BAD_SCALARS = [
     ("sweep-k-float", lambda: sweep(2.5, 0.1), K_FLOAT + "2.5"),
     ("perfect-k-float", lambda: perfect(2.5), K_FLOAT + "2.5"),
@@ -338,15 +341,16 @@ BAD_SCALARS = [
     # The cached factor of k = 2 must not answer for k = 2.0.
     ("n_factor-k-float-after-int", lambda: [n_factor(Metric.L1, 2), n_factor(Metric.L1, 2.0)], K_FLOAT + "2.0"),
     ("of_size-k-float", lambda: AttributeSpace.of_size(2.5), K_FLOAT + "2.5"),
-    ("confusion-k-float", lambda: ConfusionModel(2.0, np.eye(2)), K_FLOAT + "2.0"),
-    ("cost-k-float", lambda: CostMatrix(2.0, default_cost(2).c), K_FLOAT + "2.0"),
+    ("confusion-not-square", lambda: ConfusionModel(np.full((2, 3), 1 / 3)),
+     "confusion matrix has shape (2, 3), expected a square matrix"),
+    ("cost-not-square", lambda: CostMatrix(np.zeros((2, 3))), "cost matrix has shape (2, 3), expected a square matrix"),
     ("preset-k-float", lambda: preset("set2", 4.0), K_FLOAT + "4.0"),
     ("eps-str", lambda: uniform_noise(2, "0.1"), "eps must be a number, got '0.1'"),
     ("base-seed-float", lambda: derive_seed(1.5, 2), "base seed must be an integer, got 1.5"),
     ("base-seed-bool", lambda: derive_seed(True, 2), "base seed must be an integer, got True"),
     ("seeds-bool", lambda: estimate(perfect(2), np.eye(2), Sampled(10, 0), [True, False]),
      "seeds must be 2 integers in [0, 2**64), one per row"),
-    ("confusion-str-entries", lambda: ConfusionModel(2, [["a", "b"], ["c", "d"]]), "confusion entries" + NOT_NUMBERS),
+    ("confusion-str-entries", lambda: ConfusionModel([["a", "b"], ["c", "d"]]), "confusion entries" + NOT_NUMBERS),
     ("dist-str-entries", lambda: CategoricalDistribution(AttributeSpace.of_size(2), ["a", "b"]),
      "distribution entries" + NOT_NUMBERS),
     ("accs-str", lambda: from_accuracies(["a", "b"]), "accuracies" + NOT_NUMBERS),
@@ -354,9 +358,16 @@ BAD_SCALARS = [
     ("fd_score-str-entries", lambda: fd_score(Metric.L1, ["a", "b"]), "rows" + NOT_NUMBERS),
     ("specificity-str-entries", lambda: specificity(["a", "b"]), "rows" + NOT_NUMBERS),
     ("solve-str-entries", lambda: solve(["a", "b"], [0.5, 0.5], default_cost(2)), "transport marginals" + NOT_NUMBERS),
-    ("cost-str-entries", lambda: CostMatrix(2, [["a", "b"], ["c", "d"]]), "costs" + NOT_NUMBERS),
+    ("cost-str-entries", lambda: CostMatrix([["a", "b"], ["c", "d"]]), "costs" + NOT_NUMBERS),
     ("mepe_fair-str-entries", lambda: mepe_fair(["a", "b"]), "mepe_fair: scores" + NOT_NUMBERS),
     ("mem-str-entries", lambda: mem(["a", "b"], [0.5, 0.5]), "mem: scores" + NOT_NUMBERS),
+    # Rows need a last axis of outcomes, and are read before their shape is taken.
+    ("fd_score-scalar", lambda: fd_score(Metric.L1, 0.5), "rows" + NO_OUTCOMES + "()"),
+    ("estimate-scalar", lambda: estimate(perfect(2), 0.5), "rows" + NO_OUTCOMES + "()"),
+    ("l1-scalars", lambda: l1(0.5, 0.5), "rows" + NO_OUTCOMES + "()"),
+    ("specificity-scalar", lambda: specificity(0.5), "rows" + NO_OUTCOMES + "()"),
+    ("raw_score-ragged", lambda: raw_score(Metric.L1, [[0.5, 0.5], [1.0]]), "rows" + NOT_NUMBERS),
+    ("fd_score-no-outcomes", lambda: fd_score(Metric.L1, []), "rows" + NO_OUTCOMES + "(0,)"),
     # fd_score returns a score in [0, 1] or refuses, never NaN or a value past 1.
     ("fd_score-nan", lambda: fd_score(Metric.L1, [np.nan, np.nan]), "score nan outside [0, 1] for l1 at k=2"),
     ("fd_score-past-one", lambda: fd_score(Metric.L1, [2.0, -1.0]), "score 3.0 outside [0, 1] for l1 at k=2"),

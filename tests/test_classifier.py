@@ -27,15 +27,18 @@ from oracles import reference_ingest, reference_sample
 class TestConfusionModel:
     def test_rejects_non_stochastic_rows(self):
         with pytest.raises(ValidationError):
-            ConfusionModel(2, np.array([[0.9, 0.2], [0.1, 0.9]]))
+            ConfusionModel(np.array([[0.9, 0.2], [0.1, 0.9]]))
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            ConfusionModel(2, np.array([[1.2, -0.2], [0.0, 1.0]]))
+            ConfusionModel(np.array([[1.2, -0.2], [0.0, 1.0]]))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            ConfusionModel(3, np.eye(2))
+        # k is read from the matrix, so the only mismatch is a matrix that is not square.
+        for m in (np.full((2, 3), 1 / 3), [0.5, 0.5], np.eye(2)[None]):
+            with pytest.raises(ValidationError, match=r"^confusion matrix has shape \(.*\), expected a square matrix$"):
+                ConfusionModel(m)
+        assert ConfusionModel(np.eye(3)).k == 3
 
     def test_perfect_is_identity(self):
         assert np.array_equal(perfect(4).m, np.eye(4))
@@ -131,7 +134,7 @@ def confusion_models(k):
         rng = np.random.default_rng(draw_seed)
         m = rng.dirichlet(np.ones(k), size=k) * (rng.random((k, k)) < 0.6)
         m[np.arange(k), rng.integers(0, k, size=k)] += 1e-3
-        return ConfusionModel(k, m / m.sum(axis=1, keepdims=True))
+        return ConfusionModel(m / m.sum(axis=1, keepdims=True))
     return st.integers(0, 2**32 - 1).map(build)
 
 
@@ -163,8 +166,8 @@ class TestSampledStreams:
     @pytest.mark.parametrize("m", [[[1.0000000005, 0], [0, 1]],
                                    [[0.6, 0.4000000005, 0], [0, 1, 0], [0, 0, 1]]])
     def test_rows_off_by_tolerance_draw_from_renormalized_rows(self, m):
-        # Accepted rows may sum to 1 +- ROW_SUM_TOL; multinomial rejects those itself.
-        model = ConfusionModel(len(m), m)
+        # Accepted rows may sum to 1 +- SUM_TOL; multinomial rejects those itself.
+        model = ConfusionModel(m)
         rows = np.vstack([np.eye(model.k), np.full(model.k, 1.0 / model.k)])
         seeds = list(range(len(rows)))
         got = estimate(model, rows, Sampled(1000, 0), seeds)
@@ -320,13 +323,25 @@ class TestIngest:
             if truth == "full" or (truth == "partial" and data.draw(st.booleans())):
                 rec["true"] = data.draw(st.integers(0, k - 1))
             records.append(rec)
-        est, confusion = ingest(tmp_path_factory.mktemp("ingest"), *records, k=k)
-        want_p, want_m = reference_ingest(k, records)
-        assert np.array_equal(est, want_p)
-        if want_m is None:
-            assert confusion is None
-        else:
-            assert np.array_equal(confusion.m, want_m)
+        assert_matches_reference(tmp_path_factory.mktemp("ingest"), k, records)
+
+    def test_matches_sequential_reference_on_many_records(self, tmp_path):
+        # Enough soft rows that a pairwise sum would round differently from the running total.
+        rng = np.random.default_rng(0)
+        w = rng.random((5_000, 5)) * rng.choice([1.0, 1e-3], size=(5_000, 5))
+        records = [{"id": f"r{i}", "probs": row.tolist(), "true": i % 5}
+                   for i, row in enumerate(w / w.sum(axis=1, keepdims=True))]
+        assert_matches_reference(tmp_path, 5, records)
+
+
+def assert_matches_reference(tmp_path, k, records):
+    est, confusion = ingest(tmp_path, *records, k=k)
+    want_p, want_m = reference_ingest(k, records)
+    assert np.array_equal(est, want_p)
+    if want_m is None:
+        assert confusion is None
+    else:
+        assert np.array_equal(confusion.m, want_m)
 
 
 class TestPredictionFiles:

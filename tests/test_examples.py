@@ -1,4 +1,4 @@
-"""The README's library example and the scripts run as documented."""
+"""The README's library example and the scripts run as documented, and the benchmark tracer finds what it wraps."""
 
 import ast
 import os
@@ -59,3 +59,13 @@ def test_noise_response_study_script(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == "k,eps,metric,mean_ab_score,mepe_ab,sweep_mem"
     assert len(rows) == 1 + 5
+
+
+# perfbench/tracer.py wraps bindings such as bench.estimate and cli.load_predictions by name; a renamed or
+# deleted one breaks only `perfbench/run.py --trace 1`, unless this check catches it.
+def test_perfbench_tracer_installs():
+    code = "import fairdisc.cli\nfrom tracer import Tracer, install\ninstall(Tracer())\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -188,7 +188,7 @@ def test_block_matches_rows_alone(k, n, seed):
         assert block.shape == (n,)
         assert np.array_equal(block, [fd_score(m, row) for row in rows])
     # Rows summing to 1 - 5e-10 make every estimate go through renormalization.
-    model = ConfusionModel(k, rng.dirichlet(np.ones(k), size=k) * (1 - 5e-10))
+    model = ConfusionModel(rng.dirichlet(np.ones(k), size=k) * (1 - 5e-10))
     assert np.array_equal(estimate(model, rows), [estimate(model, row) for row in rows])
 
 

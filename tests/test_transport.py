@@ -20,11 +20,11 @@ def test_default_cost_entries():
 
 def test_cost_validation():
     with pytest.raises(ValidationError):
-        CostMatrix(2, np.array([[0.0, 1.0]]))
+        CostMatrix(np.array([[0.0, 1.0]]))
     with pytest.raises(ValidationError):
-        CostMatrix(2, np.array([[0.0, -1.0], [1.0, 0.0]]))
+        CostMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(ValidationError):
-        CostMatrix(2, np.array([[0.5, 1.0], [1.0, 0.0]]))
+        CostMatrix(np.array([[0.5, 1.0], [1.0, 0.0]]))
 
 
 def test_zero_cost_between_identical():
@@ -38,7 +38,7 @@ def test_line_cost_example():
     space = AttributeSpace.of_size(3)
     p = dist(space, [0.7, 0.2, 0.1])
     q = dist(space, [0.1, 0.2, 0.7])
-    line = CostMatrix(3, np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0))))
+    line = CostMatrix(np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0))))
     assert solve(p, q, line).value == pytest.approx(1.2, abs=1e-9)
 
 
@@ -67,7 +67,7 @@ def test_matches_bruteforce_enumeration():
         space = AttributeSpace.of_size(k)
         p = CategoricalDistribution(space, a / denom)
         q = CategoricalDistribution(space, b / denom)
-        got = solve(p, q, CostMatrix(k, c)).value
+        got = solve(p, q, CostMatrix(c)).value
         want = bruteforce_transport_cost(a.tolist(), b.tolist(), c.tolist(), denom)
         assert got == pytest.approx(want, abs=1e-9), (a, b, c)
 
@@ -84,7 +84,7 @@ def test_k_above_64_rejected():
         default_cost(65)
     u = np.full(65, 1.0 / 65)
     with pytest.raises(ValidationError, match="k <= 64"):
-        solve(u, u, CostMatrix(65, np.zeros((65, 65))))
+        solve(u, u, CostMatrix(np.zeros((65, 65))))
 
 
 def _row(kind: str, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,10 +107,10 @@ def _cost(kind: str, k: int, rng: np.random.Generator) -> CostMatrix:
     if kind == "default":
         return default_cost(k)
     if kind == "line":
-        return CostMatrix(k, np.abs(np.subtract.outer(np.arange(k), np.arange(k))).astype(float))
+        return CostMatrix(np.abs(np.subtract.outer(np.arange(k), np.arange(k))).astype(float))
     c = rng.uniform(0.0, 3.0, size=(k, k))
     np.fill_diagonal(c, 0.0)
-    return CostMatrix(k, c)
+    return CostMatrix(c)
 
 
 ROW_KINDS = ["dirichlet", "zero-mass", "one-hot", "uniform", "short"]
