@@ -32,8 +32,9 @@ _KIND_FAIR, _KIND_AB, _KIND_SWEEP = 0, 1, 2
 Scores = dict[Metric, np.ndarray]
 
 
-def _flat(scores, op: str) -> np.ndarray:
-    f = float_array(scores, f"{op}: scores").ravel()
+def _read(scores, op: str) -> np.ndarray:
+    """`scores` read by `float_array`; an array without entries is a ValidationError."""
+    f = float_array(scores, f"{op}: scores")
     if not f.size:
         raise ValidationError(f"{op}: empty score array")
     return f
@@ -41,24 +42,25 @@ def _flat(scores, op: str) -> np.ndarray:
 
 def mepe_fair(f) -> float:
     """Mean deviation from the fair boundary: (1/N) sum |f_i - 0|."""
-    return float(np.mean(np.abs(_flat(f, "mepe_fair"))))
+    return float(np.mean(np.abs(_read(f, "mepe_fair").ravel())))
 
 
 def mepe_ab(f) -> float:
     """Mean deviation from the biased boundary: (1/N) sum |f_i - 1|."""
-    return float(np.mean(np.abs(_flat(f, "mepe_ab") - 1.0)))
+    return float(np.mean(np.abs(_read(f, "mepe_ab").ravel() - 1.0)))
 
 
 def ep_var(f) -> float:
     """Population variance (divide by N) of the scores."""
-    return float(np.var(_flat(f, "ep_var")))
+    return float(np.var(_read(f, "ep_var").ravel()))
 
 
 def mem(f, f_star) -> float:
     """Mean error against the perfect-classifier score: (1/N) sum |f_i - f*_i|."""
-    if np.shape(f) != np.shape(f_star):
-        raise ValidationError(f"mem: scores of shape {np.shape(f)} against f* of shape {np.shape(f_star)}")
-    return float(np.mean(np.abs(_flat(f, "mem") - _flat(f_star, "mem"))))
+    f, f_star = _read(f, "mem"), _read(f_star, "mem")
+    if f.shape != f_star.shape:
+        raise ValidationError(f"mem: scores of shape {f.shape} against f* of shape {f_star.shape}")
+    return float(np.mean(np.abs(f.ravel() - f_star.ravel())))
 
 
 def _scored(model: ConfusionModel, mode: EstimationMode, metrics, rows, kind_tag: int, cell, trial) -> Scores:

@@ -196,7 +196,8 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
 
     `rows` is a distribution or an array of shape (..., k); the result has
     the same shape. Expectation mode returns m^T p for every row exactly.
-    Sampled mode draws n true outcomes per row, pushes each through the
+    Sampled mode checks that every row is a distribution, as expectation mode
+    checks its result, then draws n true outcomes per row, pushes each through the
     matching confusion row, and returns the normalized prediction tallies;
     `seeds` holds one integer in [0, 2**64) per row (default `mode.seed` for
     every row). Row r draws from the stream of `np.random.default_rng(seeds[r])`:
@@ -212,7 +213,10 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     if isinstance(mode, Expectation):
         # One matrix-vector product per row: P @ m rounds differently for k >= 4.
         return normalized_rows((model.m.T @ rows[..., None])[..., 0])
-    flat = rows.reshape(-1, model.k)
+    # The rule expectation mode applies to its result: finite, non-negative rows that sum to 1 within SUM_TOL.
+    # A row within 1e-12 of sum 1 is drawn on as given; one off by more is divided by its sum, because
+    # multinomial refuses an entry past 1.
+    flat = normalized_rows(rows.reshape(-1, model.k))
     if seeds is None:
         states = np.broadcast_to(_seed_sequence(np.array([_int_words(mode.seed)], dtype=np.uint32), 4),
                                  (len(flat), 4))
@@ -326,7 +330,7 @@ def _record_error(lineno: int, record_id, what: str) -> ValidationError:
 
 
 def _check_label(name: str, value, lineno: int) -> None:
-    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+    if value is not None and not is_int(value):
         raise ValidationError(f"line {lineno}: {name} must be an integer label, got {value!r}")
 
 

@@ -4,15 +4,26 @@ Small problems only (k <= 64); solved as a linear program with HiGHS,
 driven directly through scipy's bindings with the sparse model and the
 options of scipy.optimize's "highs" LP method, so plans are bit-identical
 to that method's.
+
+The bindings are one extension module, scipy.optimize._highspy._core. A
+plain import of it first runs scipy.optimize's package init, which loads
+scipy.linalg, scipy.sparse, scipy.fft and numpy.f2py: about 0.5 s and
+40 MB that the LP never uses. So `_load_highs` loads the extension from its
+file and registers it under its own name, and a later `import scipy.optimize`
+gets that same module.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
+import scipy
 
 from .attrspace import float_array
 from .errors import ValidationError, check_int
@@ -20,6 +31,24 @@ from .errors import ValidationError, check_int
 MARGINAL_TOL = 1e-9
 # The LP has k^2 variables and 2k equality rows, two nonzeros per column.
 MAX_K = 64
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS bindings: the module already imported, else the one loaded from its extension file."""
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    where = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_HIGHS_MODULE)
+    if spec is None:
+        raise ImportError(f"scipy's HiGHS extension _core is not in {where}", name=_HIGHS_MODULE, path=str(where))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_HIGHS_MODULE] = module
+    return module
+
+
+highs = _load_highs()
 
 # scipy.optimize's options for its "highs" LP method: presolve on, dual simplex, no output.
 _OPTIONS = highs.HighsOptions()

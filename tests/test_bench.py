@@ -373,6 +373,14 @@ BAD_SCALARS = [
     ("fd_score-past-one", lambda: fd_score(Metric.L1, [2.0, -1.0]), "score 3.0 outside [0, 1] for l1 at k=2"),
     ("ep-trials-str-expectation", lambda: run_ep_analysis(perfect(2), EXPECTATION, L1, trials="x"),
      "trials must be an integer, got 'x'"),
+    ("mem-ragged", lambda: mem([[0.5, 0.5], [1.0]], [[0.5, 0.5], [1.0]]), "mem: scores" + NOT_NUMBERS),
+    # Sampled mode checks its rows by the rule expectation mode applies to its result, before any draw.
+    ("sampled-rows-sum-past-one", lambda: estimate(ConfusionModel(np.eye(2)), [0.7, 0.7], Sampled(10, 0)),
+     "distribution entries sum to 1.4, expected 1"),
+    ("sampled-rows-negative", lambda: estimate(ConfusionModel(np.eye(2)), [2.0, -1.0], Sampled(10, 0)),
+     "distribution entries must be non-negative"),
+    ("sampled-rows-nan", lambda: estimate(ConfusionModel(np.eye(2)), [np.nan, np.nan], Sampled(10, 0)),
+     "distribution entries must be finite"),
 ]
 
 

@@ -175,6 +175,13 @@ class TestSampledStreams:
         for r, p in enumerate(rows):
             assert np.array_equal(got[r], reference_sample(renormalized, p, 1000, seeds[r]))
 
+    @pytest.mark.parametrize("p", [[1.0000000005, 0.0], [0.0, 1.0000000005]])
+    def test_true_rows_off_by_tolerance_draw_from_renormalized_rows(self, p):
+        # A true row may sum to 1 +- SUM_TOL, as the confusion rows above; multinomial rejects an entry past 1.
+        model = uniform_noise(2, 0.5)
+        got = estimate(model, [p], Sampled(1000, 3))
+        assert np.array_equal(got[0], reference_sample(model.m, np.array(p) / sum(p), 1000, 3))
+
 
 class TestSeedDerivation:
     def test_deterministic(self):

@@ -34,9 +34,17 @@ def test_all_lists_every_public_name():
     assert sorted(fairdisc.__all__) == sorted(public)
 
 
+def _isinstance_of(node, name: str) -> bool:
+    """`node` is isinstance(x, name), or not isinstance(x, name)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        node = node.operand
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+            and len(node.args) == 2 and isinstance(node.args[1], ast.Name) and node.args[1].id == name)
+
+
 def own_scalar_rules(source: str) -> list[str]:
     """Each place in `source` that decides "integer" or "number" itself: numbers.*, operator.index,
-    or type(x) is / is not int."""
+    type(x) is / is not int, or isinstance(x, int) and isinstance(x, bool) in one boolean expression."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -47,6 +55,8 @@ def own_scalar_rules(source: str) -> list[str]:
             hit = (isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
                    and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
                    and any(isinstance(c, ast.Name) and c.id == "int" for c in node.comparators))
+        elif isinstance(node, ast.BoolOp):
+            hit = any(_isinstance_of(v, "int") for v in node.values) and any(_isinstance_of(v, "bool") for v in node.values)
         else:
             hit = False
         if hit:
@@ -62,7 +72,9 @@ def test_scalar_rule_lives_in_errors_only(module):
 
 @pytest.mark.parametrize("snippet", ["if type(trials) is not int:\n    pass", "ok = type(n) is int",
                                      "import numbers\nok = isinstance(x, numbers.Real)", "from numbers import Real",
-                                     "import operator\nn = operator.index(x)", "from operator import index"])
+                                     "import operator\nn = operator.index(x)", "from operator import index",
+                                     "ok = isinstance(v, int) and not isinstance(v, bool)",
+                                     "if v is not None and (not isinstance(v, int) or isinstance(v, bool)):\n    pass"])
 def test_scalar_rule_lint_finds_a_rule_put_back(snippet):
     assert own_scalar_rules(snippet)
 

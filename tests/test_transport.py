@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +11,20 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import dist
-from fairdisc import AttributeSpace, CategoricalDistribution, CostMatrix, ValidationError
+from fairdisc import AttributeSpace, CategoricalDistribution, CostMatrix, ValidationError, transport
 from fairdisc.metrics import l1
-from fairdisc.transport import _RETRY_SCALE, MARGINAL_TOL, default_cost, solve
+from fairdisc.transport import _HIGHS_MODULE, _RETRY_SCALE, MARGINAL_TOL, default_cost, solve
 from oracles import bruteforce_transport_cost, reference_transport
+
+TESTS = pathlib.Path(__file__).resolve().parent
+# Child interpreters import the package from the source tree and the oracles from this directory.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(TESTS.parent / "src"), str(TESTS),
+                                                                 os.environ.get("PYTHONPATH")]))}
+
+
+def run_python(code: str) -> None:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_default_cost_entries():
@@ -249,3 +265,47 @@ def test_non_finite_marginals_rejected(bad):
         solve(p, np.array([0.5, 0.5]), default_cost(2))
     with pytest.raises(ValidationError, match="must be finite"):
         solve(np.array([0.5, 0.5]), p, default_cost(2))
+
+
+def test_cli_solves_lps_without_scipy_optimize():
+    # scipy.optimize's package init loads scipy.linalg and scipy.sparse; transport loads only the HiGHS extension.
+    run_python("""
+import sys
+import fairdisc.cli
+from fairdisc import transport
+calls = []
+solve = transport.solve
+transport.solve = lambda *args: calls.append(1) or solve(*args)
+assert fairdisc.cli.main(["bench", "--classifier", "set2", "--k", "2"]) == 0
+assert calls, "bench solved no LP"
+loaded = [name for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse") if name in sys.modules]
+assert loaded == [], loaded
+assert "scipy.optimize._highspy._core" in sys.modules
+""")
+
+
+# Here scipy.optimize is imported first. In the tier-1 session conftest imports fairdisc before oracles imports
+# linprog, so there scipy.optimize finds the extension transport loaded from its file, and every test that
+# checks solve against oracles.reference_transport covers that order.
+def test_scipy_optimize_imported_first_shares_the_extension():
+    run_python("""
+import sys
+import numpy as np
+import scipy.optimize
+from fairdisc import transport
+from oracles import reference_transport
+assert transport.highs is sys.modules["scipy.optimize._highspy._core"]
+rng = np.random.default_rng(17)
+for k in (2, 3, 8, 16):
+    p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+    plan = transport.solve(p, q, transport.default_cost(k))
+    w, value = reference_transport(p, q, transport.default_cost(k).c)
+    assert np.array_equal(plan.w, w) and plan.value == value, k
+""")
+
+
+def test_missing_highs_extension_names_its_directory(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, _HIGHS_MODULE)
+    monkeypatch.setattr(transport, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    with pytest.raises(ImportError, match=f"not in {tmp_path / 'optimize' / '_highspy'}$"):
+        transport._load_highs()
