@@ -101,9 +101,11 @@ class AttributeSpace:
     def __post_init__(self):
         if not self.attributes:
             raise ValidationError("attribute space needs at least one attribute")
-        attrs = tuple((str(name), tuple(str(v) for v in values)) for name, values in self.attributes)
-        object.__setattr__(self, "attributes", attrs)
-        for name, values in attrs:
+        for name, values in self.attributes:
+            if not isinstance(name, str):
+                raise ValidationError(f"attribute name must be a string, got {name!r}")
+            if not isinstance(values, tuple) or not all(isinstance(v, str) for v in values):
+                raise ValidationError(f"attribute {name!r} values must be a tuple of strings, got {values!r}")
             if not values:
                 raise ValidationError(f"attribute {name!r} has no values")
             if len(set(values)) != len(values):
@@ -202,15 +204,12 @@ def sweep(k: int, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def space_from_dict(obj) -> AttributeSpace:
-    if not isinstance(obj, dict) or not isinstance(obj.get("attributes"), list):
-        raise ValidationError('attribute-space JSON must be {"attributes": [...]}')
-    attrs = []
-    for entry in obj["attributes"]:
-        try:
-            attrs.append((entry["name"], tuple(entry["values"])))
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"bad attribute entry {entry!r}: {exc}") from exc
-    return AttributeSpace(tuple(attrs))
+    """The space of a decoded JSON object {"attributes": [{"name": ..., "values": [...]}, ...]}."""
+    entries = obj.get("attributes") if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("values"), list)
+                                                for e in entries):
+        raise ValidationError('attribute-space JSON must be {"attributes": [{"name": ..., "values": [...]}, ...]}')
+    return AttributeSpace(tuple((e.get("name"), tuple(e["values"])) for e in entries))
 
 
 def load_space(path) -> AttributeSpace:
@@ -220,7 +219,7 @@ def load_space(path) -> AttributeSpace:
 def load_distribution(path) -> CategoricalDistribution:
     """Read a distribution file: {"space": <path or inline>, "p": [...]}, or {"k": k, "p": [...]}.
 
-    A relative "space" path is resolved against the distribution file's directory.
+    A relative "space" path is resolved against the file's directory; a "k" beside a "space" must equal its k.
     """
     obj = read_json(path)
     if not isinstance(obj, dict) or "p" not in obj:
@@ -233,10 +232,12 @@ def load_distribution(path) -> CategoricalDistribution:
     elif isinstance(ref, str):
         # join keeps an absolute `ref` as it is.
         space = load_space(os.path.join(os.path.dirname(str(path)), ref))
+    elif "space" in obj:
+        raise ValidationError(f'{path}: "space" must be an object or a path, got {ref!r}')
     elif "k" in obj:
-        if check_k(obj["k"]) != len(obj["p"]):
-            raise ValidationError(f'{path}: "k" does not match the {len(obj["p"])} entries of "p"')
         space = AttributeSpace.of_size(obj["k"])
     else:
-        raise ValidationError(f'{path}: no "space" given and none supplied')
+        raise ValidationError(f'{path}: no "space" or "k" given')
+    if check_k(obj.get("k", space.k)) != space.k:
+        raise ValidationError(f'{path}: "k" is {obj["k"]}, but the space has {space.k} outcomes')
     return CategoricalDistribution(space, obj["p"])

@@ -33,10 +33,12 @@ Scores = dict[Metric, np.ndarray]
 
 
 def _read(scores, op: str) -> np.ndarray:
-    """`scores` read by `float_array`; an array without entries is a ValidationError."""
+    """`scores` read by `float_array`; an array without entries, or with a non-finite one, is a ValidationError."""
     f = float_array(scores, f"{op}: scores")
     if not f.size:
         raise ValidationError(f"{op}: empty score array")
+    if not np.isfinite(f).all():
+        raise ValidationError(f"{op}: scores must be finite")
     return f
 
 
@@ -71,8 +73,10 @@ def _scored(model: ConfusionModel, mode: EstimationMode, metrics, rows, kind_tag
     return {m: fd_score(m, est) for m in metrics}
 
 
-def _checked_call(model: ConfusionModel, mode: EstimationMode, metrics: Iterable[Metric]) -> tuple[Metric, ...]:
-    """Reject a harness call whose model, mode or metrics have the wrong type; return the metrics as a tuple."""
+def _checked_call(model: ConfusionModel, mode: EstimationMode, metrics: Iterable[Metric], trials: int = 1,
+                  step: float | None = None) -> tuple[tuple[Metric, ...], int]:
+    """Check a harness run before its first estimate: the types, each metric's limit at model.k, the sweep at
+    `step` if given, and `trials` in either mode. Return the metrics and the trials per point (1 in expectation)."""
     if not isinstance(model, ConfusionModel):
         raise ValidationError(f"model must be a ConfusionModel, got {type(model).__name__}")
     if not isinstance(mode, (Expectation, Sampled)):
@@ -80,15 +84,14 @@ def _checked_call(model: ConfusionModel, mode: EstimationMode, metrics: Iterable
     checked = tuple(metrics) if isinstance(metrics, Iterable) else ()
     if not checked or not all(isinstance(m, Metric) for m in checked):
         raise ValidationError(f"metrics must be one or more Metric values, got {metrics!r}")
-    return checked
-
-
-def _trial_count(mode: EstimationMode, trials: int, k: int) -> int:
-    """Trials per point, checked in both modes: `trials` in sampled mode, its AB block checked at k; 1 in expectation."""
+    for m in checked:
+        n_factor(m, model.k)
+    if step is not None:
+        check_sweep(model.k, step)
     check_int("trials", trials, 1)
     n_trials = trials if isinstance(mode, Sampled) else 1
-    check_block(n_trials * k, k, f"{n_trials} trials at k={k}")
-    return n_trials
+    check_block(n_trials * model.k, model.k, f"{n_trials} trials at k={model.k}")
+    return checked, n_trials
 
 
 def run_ep_analysis(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Metric],
@@ -103,9 +106,9 @@ def run_ep_analysis(model: ConfusionModel, mode: EstimationMode, metrics: Sequen
     MAX_BLOCK_ENTRIES (`check_block`), so k = 2 allows 500,000 trials and
     k = 1000 two.
     """
-    metrics = _checked_call(model, mode, metrics)
+    metrics, n_trials = _checked_call(model, mode, metrics, trials)
     k = model.k
-    trial = np.arange(_trial_count(mode, trials, k))
+    trial = np.arange(n_trials)
     return (_scored(model, mode, metrics, np.full((len(trial), k), 1.0 / k), _KIND_FAIR, 0, trial),
             _scored(model, mode, metrics, np.broadcast_to(np.eye(k), (len(trial), k, k)), _KIND_AB,
                     np.arange(k), trial[:, None]))
@@ -122,7 +125,7 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
     f. Returns `(f, f_star)`, one `(starts, epochs)` array per metric:
     row s holds the s-th selected start, column e the e-th path epoch.
     """
-    metrics = _checked_call(model, mode, metrics)
+    metrics, _ = _checked_call(model, mode, metrics)
     k = model.k
     if not (is_int(starts) or isinstance(starts, str) and starts == "all"):
         raise ValidationError(f'sweep start must be "all" or an integer, got {starts!r}')
@@ -197,19 +200,14 @@ def run_benchmark(models: Sequence[ConfusionModel], metrics: Iterable[Metric] = 
         raise ValidationError(f"models must be a sequence, got {type(models).__name__}")
     if not models:
         raise ValidationError("benchmark needs at least one k")
+    # Every k is checked before the first is scored.
     for model in models:
-        metrics = _checked_call(model, mode, metrics)
+        metrics, _ = _checked_call(model, mode, metrics, trials, step)
     by_k = {model.k: model for model in models}
     if len(by_k) < len(models):
         raise ValidationError(f"benchmark repeats a k: {' '.join(str(model.k) for model in models)}")
     metrics = tuple(m for m in REPORT_ORDER if m in metrics)
     ks = tuple(sorted(by_k))
-    # Refuse any k's metric limit, sweep step or trials block before scoring; fd_score reuses the cached n_factor.
-    for k in ks:
-        for m in metrics:
-            n_factor(m, k)
-        check_sweep(k, step)
-        _trial_count(mode, trials, k)
     fair, ab, sweeps = {}, {}, {}
     for k in ks:
         fair[k], ab[k] = run_ep_analysis(by_k[k], mode, metrics, trials)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,17 @@ class TestAttributeSpace:
     def test_rejects_duplicate_values(self):
         with pytest.raises(ValidationError):
             AttributeSpace((("a", ("x", "x")),))
+
+    # Labels are kept as given: nothing is read through str() or iterated out of a string.
+    @pytest.mark.parametrize("attributes,message", [
+        (((1, ("x", "y")),), "attribute name must be a string, got 1"),
+        ((("a", ("x", 1)),), "attribute 'a' values must be a tuple of strings, got ('x', 1)"),
+        ((("a", ["x", "y"]),), "attribute 'a' values must be a tuple of strings, got ['x', 'y']"),
+        ((("a", "xy"),), "attribute 'a' values must be a tuple of strings, got 'xy'"),
+    ])
+    def test_rejects_labels_that_are_not_strings(self, attributes, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            AttributeSpace(attributes)
 
 
 class TestCategoricalDistribution:
@@ -215,3 +227,14 @@ class TestFileFormats:
             space_from_dict({"wrong": []})
         with pytest.raises(ValidationError):
             space_from_dict({"attributes": [{"name": "a"}]})
+        with pytest.raises(ValidationError, match="^attribute name must be a string, got None$"):
+            space_from_dict({"attributes": [{"values": ["x", "y"]}]})
+
+    def test_k_beside_space_must_match(self, tmp_path):
+        path = tmp_path / "d.json"
+        space = AttributeSpace((("hair", ("black", "blond")), ("smile", ("yes", "no"))))
+        path.write_text(json.dumps({**dist(space, [0.25] * 4).to_dict(), "k": 4}))
+        assert load_distribution(path).space == space
+        path.write_text(json.dumps({**dist(space, [0.25] * 4).to_dict(), "k": 2}))
+        with pytest.raises(ValidationError, match='"k" is 2, but the space has 4 outcomes$'):
+            load_distribution(path)

@@ -294,7 +294,8 @@ class TestBenchmarkReport:
 
 L1 = (Metric.L1,)
 METRICS = r"metrics must be one or more Metric values, got "
-# Inputs of the wrong type and empty or unknown metrics: each is one ValidationError that names it.
+# Inputs of the wrong type, empty or unknown metrics, and a metric past its k limit: each is one
+# ValidationError that names it.
 BAD_INPUTS = [
     ("seed-float", lambda: estimate(perfect(2), [0.5, 0.5], Sampled(10, 1.5)), "seed must be an integer, got 1.5"),
     ("n-str", lambda: Sampled("5", 0), "n must be an integer, got '5'"),
@@ -315,6 +316,10 @@ BAD_INPUTS = [
     ("ep-bogus-metric", lambda: run_ep_analysis(perfect(2), EXPECTATION, ["bogus"]), METRICS + r"\['bogus'\]"),
     ("ep-array-model", lambda: run_ep_analysis(np.eye(2), EXPECTATION, L1),
      "model must be a ConfusionModel, got ndarray"),
+    ("ep-wd-k-65", lambda: run_ep_analysis(perfect(65), EXPECTATION, (Metric.WD,)),
+     "transport needs 2 <= k <= 64, got k=65"),
+    ("sweep-wd-k-65", lambda: run_sweep(perfect(65), EXPECTATION, (Metric.WD,), 0.01),
+     "transport needs 2 <= k <= 64, got k=65"),
 ]
 
 
@@ -361,6 +366,9 @@ BAD_SCALARS = [
     ("cost-str-entries", lambda: CostMatrix([["a", "b"], ["c", "d"]]), "costs" + NOT_NUMBERS),
     ("mepe_fair-str-entries", lambda: mepe_fair(["a", "b"]), "mepe_fair: scores" + NOT_NUMBERS),
     ("mem-str-entries", lambda: mem(["a", "b"], [0.5, 0.5]), "mem: scores" + NOT_NUMBERS),
+    ("mepe_fair-nan", lambda: mepe_fair([np.nan, 0.1]), "mepe_fair: scores must be finite"),
+    ("mepe_ab-inf", lambda: mepe_ab([np.inf]), "mepe_ab: scores must be finite"),
+    ("mem-nan", lambda: mem([np.nan], [0.0]), "mem: scores must be finite"),
     # Rows need a last axis of outcomes, and are read before their shape is taken.
     ("fd_score-scalar", lambda: fd_score(Metric.L1, 0.5), "rows" + NO_OUTCOMES + "()"),
     ("estimate-scalar", lambda: estimate(perfect(2), 0.5), "rows" + NO_OUTCOMES + "()"),

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fairdisc import load_distribution, n_factor
+from fairdisc import load_distribution, load_space, n_factor
 from fairdisc.cli import COMMANDS, OPTIONS, main
 from fairdisc.metrics import Metric
 
@@ -246,6 +246,13 @@ class TestBench:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    def test_markdown_pinned(self, capsys, tmp_path):
+        md = tmp_path / "report.md"
+        code, _, _ = run_cli(capsys, "bench", "--k", "2", "4", "--classifier", "set2", "--step", "0.05",
+                             "--markdown", str(md))
+        assert code == 0
+        assert md.read_bytes() == (GOLDEN / "bench-k2-4-set2-step0.05-expect.md").read_bytes()
+
 
 class TestIngest:
     def test_hard_predictions(self, capsys, tmp_path):
@@ -290,9 +297,12 @@ class TestIngest:
         space.write_text(json.dumps({"attributes": [{"name": "hair", "values": ["a", "b", "c"]}]}))
         preds = tmp_path / "p.jsonl"
         preds.write_text('{"id": "a", "pred": 2}\n')
-        code, out, _ = run_cli(capsys, "ingest", str(preds), "--space", str(space))
+        out_path = tmp_path / "dist.json"
+        code, _, _ = run_cli(capsys, "ingest", str(preds), "--space", str(space), "--out", str(out_path))
         assert code == 0
-        assert json.loads(out)["p"] == [0.0, 0.0, 1.0]
+        assert json.loads(out_path.read_text())["p"] == [0.0, 0.0, 1.0]
+        # What ingest writes loads back with its space.
+        assert load_distribution(out_path).space == load_space(space)
 
     def test_needs_space_or_k(self, capsys, tmp_path):
         preds = tmp_path / "p.jsonl"
@@ -326,6 +336,11 @@ BAD_INPUTS = {
     "dist-p-item-string": ("dist", '{"k": 2, "p": [0.5, "x"]}'),
     "dist-p-bool": ("dist", '{"k": 2, "p": [true, false]}'),
     "dist-space-not-list": ("dist", '{"space": {"attributes": 5}, "p": [0.5, 0.5]}'),
+    "dist-space-number": ("dist", '{"space": 5, "k": 2, "p": [0.5, 0.5]}'),
+    "dist-k-beside-space-3": ("dist", '{"space": {"attributes": [{"name": "a", "values": ["x", "y"]}]}, '
+                                      '"k": 3, "p": [0.5, 0.5]}'),
+    "dist-k-beside-space-float": ("dist", '{"space": {"attributes": [{"name": "a", "values": ["x", "y"]}]}, '
+                                          '"k": 2.0, "p": [0.5, 0.5]}'),
     "dist-p-huge-int": ("dist", f'{{"k": 2, "p": [{HUGE}, 0.5]}}'),
     "dist-k-huge-int": ("dist", f'{{"k": {HUGE}, "p": [0.5, 0.5]}}'),
     "probs-huge-int": ("ingest", f'{{"id": "a", "probs": [{HUGE}, 0.5]}}'),
@@ -361,13 +376,29 @@ BAD_INPUTS = {
     "config-metrics-null": ("config", '{"metrics": null}'),
     # A config case may name its command; bench is the default.
     "sweep-config-trials": ("config", '{"trials": 7}', "sweep"),
+    # A space case names the command that reads the space file: score or ingest --space.
+    **{f"space-{name}-{command}": ("space", f'{{"attributes": [{attribute}]}}', command)
+       for name, attribute in (("values-string", '{"name": "a", "values": "ab"}'),
+                               ("values-object", '{"name": "a", "values": {"a": 1, "b": 2}}'),
+                               ("name-list", '{"name": ["x"], "values": ["a", "b"]}'),
+                               ("values-not-strings", '{"name": "a", "values": ["a", 1.5, null]}'))
+       for command in ("score", "ingest")},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     argv = list(BAD_INPUTS[case])
-    if argv[0] == "ingest":
+    kind = argv[0]
+    if kind == "space":
+        (tmp_path / "space.json").write_text(argv[1])
+        # One entry of "p" per value given, so only the space itself is at fault.
+        k = len(json.loads(argv[1])["attributes"][0]["values"])
+        (tmp_path / "d.json").write_text(json.dumps({"space": "space.json", "p": [1 / k] * k}))
+        (tmp_path / "p.jsonl").write_text('{"id": "a", "pred": 0}\n')
+        argv = (["score", str(tmp_path / "d.json")] if argv[2] == "score" else
+                ["ingest", str(tmp_path / "p.jsonl"), "--space", str(tmp_path / "space.json")])
+    elif argv[0] == "ingest":
         preds = tmp_path / "p.jsonl"
         preds.write_text(argv[1] + "\n")
         argv = ["ingest", str(preds), "--k", "2"]
@@ -390,7 +421,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert out == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    if argv[0] == "ingest":
+    if kind == "ingest":
         assert err.startswith("error: line 1: ")
 
 

@@ -44,13 +44,6 @@ def run_script(name, *args):
                           capture_output=True, text=True, env=env)
 
 
-def test_run_set2_benchmark_script(tmp_path):
-    proc = run_script("run_set2_benchmark.py", "--ks", "2", "--step", "0.1", "--outdir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "set2_benchmark.csv").read_text().startswith("# alpha=0.5")
-    assert "## Sweep MEM" in (tmp_path / "set2_benchmark.md").read_text()
-
-
 def test_noise_response_study_script(tmp_path):
     out = tmp_path / "n.csv"
     proc = run_script("noise_response_study.py", "--ks", "2", "--eps", "0.1", "--step", "0.1",

@@ -12,7 +12,7 @@ import fairdisc
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairdisc"
 # Attribute spaces and distributions are built at the file boundary only (attrspace, cli).
-SPACE_NAMES = {"AttributeSpace", "of_size", "CategoricalDistribution", "as_rows"}
+SPACE_NAMES = {"AttributeSpace", "of_size", "CategoricalDistribution"}
 
 
 @pytest.mark.parametrize("module", ["bench", "classifier", "metrics", "transport"])

@@ -14,6 +14,7 @@ from fairdisc import (
     estimate,
     uniform_noise,
 )
+from fairdisc.attrspace import MAX_OUTCOMES
 from fairdisc.metrics import (
     REPORT_ORDER,
     delta_specificity,
@@ -168,6 +169,17 @@ class TestFdScore:
         # The estimate through (1 - eps) I + (eps/k) J is (1 - eps) p + eps/k, which scores (1 - eps) f(p).
         k, p = k_row
         assert fd_score(m, estimate(uniform_noise(k, eps), p)) == pytest.approx((1 - eps) * fd_score(m, p), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.sampled_from(REPORT_ORDER), alpha=st.one_of(st.none(), st.floats(0.05, 1.0)), data=st.data())
+    def test_permutation_invariant(self, m, alpha, data):
+        # spec sorts its row, so it is bit-equal; the sums of l1, l2 and is run in another order, and the
+        # wd LP may land on another vertex (the wd/l1 gap reaches 1.7e-10). wd takes k <= 64 only.
+        tol = {Metric.SPECIFICITY: 0.0, Metric.WD: 1e-9}.get(m, 1e-15)
+        k = data.draw(st.integers(2, 64 if m is Metric.WD else MAX_OUTCOMES), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        row = np.eye(k)[rng.integers(k)] if alpha is None else rng.dirichlet(np.full(k, alpha))
+        assert abs(fd_score(m, row[rng.permutation(k)]) - fd_score(m, row)) <= tol
 
     @settings(max_examples=40, deadline=None)
     @given(p=conftest.distributions(4))
