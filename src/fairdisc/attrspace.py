@@ -73,17 +73,17 @@ def read_json(path):
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def normalized_rows(arr: np.ndarray) -> np.ndarray:
-    """Check each row over the last axis is finite, non-negative and sums to 1 within
-    SUM_TOL; divide a row whose sum is off by more than _DRIFT_TOL by that sum."""
+def normalized_rows(arr: np.ndarray, what: str = "distribution entries") -> np.ndarray:
+    """Check each row over the last axis of `what` is finite, non-negative and sums to 1
+    within SUM_TOL; divide a row whose sum is off by more than _DRIFT_TOL by that sum."""
     if not np.isfinite(arr).all():
-        raise ValidationError("distribution entries must be finite")
+        raise ValidationError(f"{what} must be finite")
     if (arr < 0).any():
-        raise ValidationError("distribution entries must be non-negative")
+        raise ValidationError(f"{what} must be non-negative")
     total = arr.sum(axis=-1, keepdims=True)
     off = np.abs(total - 1.0)
     if (off > SUM_TOL).any():
-        raise ValidationError(f"distribution entries sum to {float(total[off > SUM_TOL][0])}, expected 1")
+        raise ValidationError(f"{what} sum to {float(total[off > SUM_TOL][0])}, expected 1")
     return np.where(off > _DRIFT_TOL, arr / total, arr)
 
 
@@ -99,6 +99,8 @@ class AttributeSpace:
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self):
+        if not (isinstance(self.attributes, tuple) and all(isinstance(a, tuple) and len(a) == 2 for a in self.attributes)):
+            raise ValidationError(f"attribute space must be a tuple of (name, values) pairs, got {self.attributes!r}")
         if not self.attributes:
             raise ValidationError("attribute space needs at least one attribute")
         for name, values in self.attributes:

@@ -9,7 +9,6 @@ instead.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from array import array
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attrspace import MAX_SAMPLES, SUM_TOL, check_k, float_array, float_rows, is_number_list, normalized_rows, read_json
+from .attrspace import MAX_SAMPLES, check_k, float_array, float_rows, is_number_list, normalized_rows, read_json
 from .errors import ValidationError, check_int, check_real, is_int
 
 PROBS_SUM_TOL = 1e-6
@@ -35,11 +34,8 @@ class ConfusionModel:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"confusion matrix has shape {arr.shape}, expected a square matrix")
         object.__setattr__(self, "k", check_k(len(arr)))
-        if not np.isfinite(arr).all() or (arr < 0).any():
-            raise ValidationError("confusion entries must be finite and non-negative")
-        bad = np.abs(arr.sum(axis=1) - 1.0) > SUM_TOL
-        if bad.any():
-            raise ValidationError(f"confusion rows {np.flatnonzero(bad).tolist()} do not sum to 1")
+        # A check only: m is kept as given, so rows off 1 by up to SUM_TOL stay as they are.
+        normalized_rows(arr, "confusion rows")
         arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
 
@@ -285,13 +281,13 @@ def load_predictions(path, k: int) -> Predictions:
             _check_label("pred", label, lineno)
             _check_label("true", t, lineno)
             if (p is None) == (label is None):
-                raise _record_error(lineno, obj["id"], "exactly one of probs/pred is required")
+                raise ValidationError(f"line {lineno}: exactly one of probs/pred is required")
             if p is not None and len(p) != k:
-                raise _record_error(lineno, obj["id"], f"probs have length {len(p)}, expected {k}")
+                raise ValidationError(f"line {lineno}: probs have length {len(p)}, expected {k}")
             if label is not None and not 0 <= label < k:
-                raise _record_error(lineno, obj["id"], f"pred {label} out of range for k={k}")
+                raise ValidationError(f"line {lineno}: pred {label} out of range for k={k}")
             if t is not None and not 0 <= t < k:
-                raise _record_error(lineno, obj["id"], f"truth {t} out of range for k={k}")
+                raise ValidationError(f"line {lineno}: truth {t} out of range for k={k}")
             if soft is None:
                 soft = p is not None
             if soft != (p is not None):
@@ -300,33 +296,26 @@ def load_predictions(path, k: int) -> Predictions:
                 try:
                     probs.extend(p)
                 except OverflowError:
-                    raise _record_error(lineno, obj["id"], "probs must be finite numbers") from None
+                    raise ValidationError(f"line {lineno}: probs must be finite numbers") from None
                 lines.append(lineno)
             else:
                 pred.append(label)
             truth.append(-1 if t is None else t)
-        if soft is None:
-            raise ValidationError("prediction stream is empty")
-        truth = None if -1 in truth else np.frombuffer(truth, dtype=np.int64)
-        if not soft:
-            return Predictions(k, None, np.frombuffer(pred, dtype=np.int64), truth)
-        block = np.frombuffer(probs).reshape(-1, k)
-        with np.errstate(invalid="ignore"):
-            sums = block.sum(axis=1)
-        not_vector = ~np.isfinite(block).all(axis=1) | (block < 0).any(axis=1)
-        bad = np.flatnonzero(not_vector | (np.abs(sums - 1.0) > PROBS_SUM_TOL))
-        if len(bad):
-            row = bad[0]
-            what = "probs must be a non-negative vector" if not_vector[row] else f"probs sum to {float(sums[row])}, expected 1"
-            if not fh.seekable():  # a pipe cannot be re-read for the record's id
-                raise ValidationError(f"line {lines[row]}: {what}")
-            fh.seek(0)
-            raise _record_error(lines[row], json.loads(next(itertools.islice(fh, lines[row] - 1, None)))["id"], what)
+    if soft is None:
+        raise ValidationError("prediction stream is empty")
+    truth = None if -1 in truth else np.frombuffer(truth, dtype=np.int64)
+    if not soft:
+        return Predictions(k, None, np.frombuffer(pred, dtype=np.int64), truth)
+    block = np.frombuffer(probs).reshape(-1, k)
+    with np.errstate(invalid="ignore"):
+        sums = block.sum(axis=1)
+    not_vector = ~np.isfinite(block).all(axis=1) | (block < 0).any(axis=1)
+    bad = np.flatnonzero(not_vector | (np.abs(sums - 1.0) > PROBS_SUM_TOL))
+    if len(bad):
+        row = bad[0]
+        what = "probs must be a non-negative vector" if not_vector[row] else f"probs sum to {float(sums[row])}, expected 1"
+        raise ValidationError(f"line {lines[row]}: {what}")
     return Predictions(k, block, block.argmax(axis=1), truth)
-
-
-def _record_error(lineno: int, record_id, what: str) -> ValidationError:
-    return ValidationError(f"line {lineno}: record {str(record_id)!r}: {what}")
 
 
 def _check_label(name: str, value, lineno: int) -> None:

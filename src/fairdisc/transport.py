@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .attrspace import float_array
+from .attrspace import float_array, normalized_rows
 from .errors import ValidationError, check_int
 
 MARGINAL_TOL = 1e-9
@@ -104,10 +104,10 @@ def default_cost(k: int) -> CostMatrix:
 def solve(p, q, cost: CostMatrix) -> TransportPlan:
     """Minimize sum_ij w_ij c_ij subject to row sums p and column sums q.
 
-    `p` and `q` are distributions or probability vectors. Returns an exact
-    LP minimizer. Zero-mass rows or columns are fine (the corresponding
-    plan entries are just zero), which is what extreme-point sources
-    produce.
+    `p` and `q` are distributions, checked and renormalized by
+    `normalized_rows` like any other. Returns an exact LP minimizer.
+    Zero-mass rows or columns are fine (their plan entries are zero), which
+    is what extreme-point sources produce.
     """
     p, q = float_array(p, "transport marginals"), float_array(q, "transport marginals")
     if p.ndim != 1 or p.shape != q.shape:
@@ -116,8 +116,7 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     _check_k(k)
     if cost.k != k:
         raise ValidationError(f"cost matrix is {cost.k}x{cost.k}, distributions have k={k}")
-    if not (np.isfinite(p).all() and np.isfinite(q).all()):
-        raise ValidationError("transport marginals must be finite")
+    p, q = normalized_rows(np.stack([p, q]), "transport marginals")
 
     for scale in (1.0, _RETRY_SCALE):
         w, status = _plan(p, q, cost, scale)

@@ -356,6 +356,16 @@ BAD_SCALARS = [
     ("seeds-bool", lambda: estimate(perfect(2), np.eye(2), Sampled(10, 0), [True, False]),
      "seeds must be 2 integers in [0, 2**64), one per row"),
     ("confusion-str-entries", lambda: ConfusionModel([["a", "b"], ["c", "d"]]), "confusion entries" + NOT_NUMBERS),
+    # Confusion rows pass the distribution check, normalized_rows, and are kept as given.
+    ("confusion-row-sum", lambda: ConfusionModel([[0.9, 0.2], [0.1, 0.9]]), "confusion rows sum to 1.1, expected 1"),
+    ("confusion-negative", lambda: ConfusionModel([[1.2, -0.2], [0.0, 1.0]]), "confusion rows must be non-negative"),
+    ("confusion-nan", lambda: ConfusionModel([[np.nan, 0.0], [0.0, 1.0]]), "confusion rows must be finite"),
+    # An attribute space is a tuple of (name, values) pairs, so it unpacks and hashes.
+    ("space-str", lambda: AttributeSpace("ab"), "attribute space must be a tuple of (name, values) pairs, got 'ab'"),
+    ("space-short-pair", lambda: AttributeSpace((("a",),)),
+     "attribute space must be a tuple of (name, values) pairs, got (('a',),)"),
+    ("space-list", lambda: AttributeSpace([("a", ("x", "y"))]),
+     "attribute space must be a tuple of (name, values) pairs, got [('a', ('x', 'y'))]"),
     ("dist-str-entries", lambda: CategoricalDistribution(AttributeSpace.of_size(2), ["a", "b"]),
      "distribution entries" + NOT_NUMBERS),
     ("accs-str", lambda: from_accuracies(["a", "b"]), "accuracies" + NOT_NUMBERS),
@@ -363,6 +373,13 @@ BAD_SCALARS = [
     ("fd_score-str-entries", lambda: fd_score(Metric.L1, ["a", "b"]), "rows" + NOT_NUMBERS),
     ("specificity-str-entries", lambda: specificity(["a", "b"]), "rows" + NOT_NUMBERS),
     ("solve-str-entries", lambda: solve(["a", "b"], [0.5, 0.5], default_cost(2)), "transport marginals" + NOT_NUMBERS),
+    # Transport marginals are distributions; equal masses far from 1 are refused like any other.
+    ("solve-negative-p", lambda: solve([1.5, -0.5], [0.5, 0.5], default_cost(2)),
+     "transport marginals must be non-negative"),
+    ("solve-negative-q", lambda: solve([0.5, 0.5], [-0.5, 1.5], default_cost(2)),
+     "transport marginals must be non-negative"),
+    ("solve-equal-mass-past-one", lambda: solve([0.6, 0.6], [0.6, 0.6], default_cost(2)),
+     "transport marginals sum to 1.2, expected 1"),
     ("cost-str-entries", lambda: CostMatrix([["a", "b"], ["c", "d"]]), "costs" + NOT_NUMBERS),
     ("mepe_fair-str-entries", lambda: mepe_fair(["a", "b"]), "mepe_fair: scores" + NOT_NUMBERS),
     ("mem-str-entries", lambda: mem(["a", "b"], [0.5, 0.5]), "mem: scores" + NOT_NUMBERS),

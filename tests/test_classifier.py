@@ -253,13 +253,13 @@ class TestIngest:
             ingest(tmp_path, "", "  ")
 
     def test_out_of_range_label(self, tmp_path):
-        with pytest.raises(ValidationError, match=r"^line 1: record 'a': pred 2 out of range for k=2$"):
+        with pytest.raises(ValidationError, match=r"^line 1: pred 2 out of range for k=2$"):
             ingest(tmp_path, {"id": "a", "pred": 2})
-        with pytest.raises(ValidationError, match=r"^line 2: record 'b': pred -1 out of range"):
+        with pytest.raises(ValidationError, match=r"^line 2: pred -1 out of range"):
             ingest(tmp_path, {"id": "a", "pred": 0}, {"id": "b", "pred": -1})
-        with pytest.raises(ValidationError, match=r"^line 1: record 'a': truth 9 out of range for k=2$"):
+        with pytest.raises(ValidationError, match=r"^line 1: truth 9 out of range for k=2$"):
             ingest(tmp_path, {"id": "a", "pred": 0, "truth": 9})
-        with pytest.raises(ValidationError, match=r"^line 1: record 'a': probs have length 3, expected 2$"):
+        with pytest.raises(ValidationError, match=r"^line 1: probs have length 3, expected 2$"):
             ingest(tmp_path, {"id": "a", "probs": [0.5, 0.25, 0.25]})
 
     def test_confusion_from_full_truth(self, tmp_path):
@@ -286,17 +286,17 @@ class TestIngest:
         assert confusion.m[1].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_record_validation(self, tmp_path):
-        with pytest.raises(ValidationError, match=r"^line 1: record 'a': exactly one of probs/pred"):
+        with pytest.raises(ValidationError, match=r"^line 1: exactly one of probs/pred"):
             ingest(tmp_path, {"id": "a"})  # neither probs nor pred
-        with pytest.raises(ValidationError, match=r"^line 1: record 'a': exactly one of probs/pred"):
+        with pytest.raises(ValidationError, match=r"^line 1: exactly one of probs/pred"):
             ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5], "pred": 1})  # both
-        with pytest.raises(ValidationError, match=r"^line 2: record 'b': probs sum to 1\.01, expected 1$"):
+        with pytest.raises(ValidationError, match=r"^line 2: probs sum to 1\.01, expected 1$"):
             ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5]}, {"id": "b", "probs": [0.5, 0.51]})
-        with pytest.raises(ValidationError, match=r"^line 1: record 'a': probs sum to 0\.99, expected 1$"):
+        with pytest.raises(ValidationError, match=r"^line 1: probs sum to 0\.99, expected 1$"):
             ingest(tmp_path, {"id": "a", "probs": [0.5, 0.49]})
-        with pytest.raises(ValidationError, match=r"^line 1: record '7': probs must be a non-negative vector$"):
+        with pytest.raises(ValidationError, match=r"^line 1: probs must be a non-negative vector$"):
             ingest(tmp_path, '{"id": 7, "probs": [NaN, 1]}')
-        with pytest.raises(ValidationError, match=r"^line 1: record 'a': probs must be a non-negative vector$"):
+        with pytest.raises(ValidationError, match=r"^line 1: probs must be a non-negative vector$"):
             ingest(tmp_path, {"id": "a", "probs": [1.5, -0.5]})
         # within tolerance on either side
         est, _ = ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5000004]}, {"id": "b", "probs": [0.5, 0.4999996]})
@@ -304,10 +304,10 @@ class TestIngest:
 
     def test_value_errors_name_the_first_bad_row(self, tmp_path):
         # the per-line checks see the whole file before the value checks run
-        with pytest.raises(ValidationError, match=r"^line 3: record 'c': probs have length 1"):
+        with pytest.raises(ValidationError, match=r"^line 3: probs have length 1"):
             ingest(tmp_path, {"id": "a", "probs": [0.5, 0.6]}, {"id": "b", "probs": [-1, 2]},
                    {"id": "c", "probs": [1]})
-        with pytest.raises(ValidationError, match=r"^line 3: record 'b': probs sum to 1\.1"):
+        with pytest.raises(ValidationError, match=r"^line 3: probs sum to 1\.1"):
             ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5]}, "", {"id": "b", "probs": [0.5, 0.6]},
                    {"id": "c", "probs": [-1, 2]})
 

@@ -461,16 +461,29 @@ def test_ingest_errors_name_line_and_record(capsys, tmp_path):
     preds.write_text('{"id": "a", "pred": 0}\n\n{"id": "b", "pred": 2}\n')
     code, _, err = run_cli(capsys, "ingest", str(preds), "--k", "2")
     assert code == 2
-    assert err == "error: line 3: record 'b': pred 2 out of range for k=2\n"
+    assert err == "error: line 3: pred 2 out of range for k=2\n"
 
 
 def test_ingest_from_pipe_names_line():
-    # A pipe cannot be re-read for the record id, so a value error names the line only.
     proc = subprocess.run([sys.executable, "-m", "fairdisc", "ingest", "/dev/stdin", "--k", "2"],
                           input='{"id": "a", "probs": [0.5, 0.5]}\n{"id": "b", "probs": [0.5, 0.6]}\n',
                           capture_output=True, text=True, env=ENV)
     assert proc.returncode == 2
     assert proc.stderr == "error: line 2: probs sum to 1.1, expected 1\n"
+
+
+@pytest.mark.parametrize("text", ['{"id": "a", "probs": [0.5, 0.5]}\n{"id": "b", "probs": [0.5, 0.6]}\n',
+                                  '{"id": "a", "pred": 0}\n\n{"id": "b", "pred": 2}\n'],
+                         ids=["value-error", "line-error"])
+def test_ingest_error_is_the_same_from_a_file_and_a_pipe(tmp_path, text):
+    preds = tmp_path / "p.jsonl"
+    preds.write_text(text)
+    cmd = [sys.executable, "-m", "fairdisc", "ingest"]
+    from_file = subprocess.run([*cmd, str(preds), "--k", "2"], capture_output=True, env=ENV)
+    from_pipe = subprocess.run([*cmd, "/dev/stdin", "--k", "2"], input=text.encode(), capture_output=True, env=ENV)
+    assert from_file.returncode == from_pipe.returncode == 2
+    assert from_file.stderr == from_pipe.stderr
+    assert from_file.stderr.startswith(b"error: line ")
 
 
 def test_module_entry_point():

@@ -1,6 +1,7 @@
 """Past the file boundary, code sees arrays and confusion models: no attribute space or distribution object.
 The package exports each public name it defines in `__all__`. Only errors.py decides what an integer or a
-number input is, and only attrspace.py turns an outside array into floats."""
+number input is, only attrspace.py turns an outside array into floats, and only attrspace.py reads the tolerances
+that make rows of probabilities distributions."""
 
 import ast
 import pathlib
@@ -102,3 +103,36 @@ def test_float_reads_live_in_attrspace_only(module):
                                      "rows = numpy.asarray(rows, float)"])
 def test_float_read_lint_finds_a_read_put_back(snippet):
     assert own_float_reads(snippet)
+
+
+# Rows of probabilities are checked in one place, attrspace.normalized_rows, so its tolerances have no other reader.
+TOLERANCES = {"SUM_TOL", "_DRIFT_TOL"}
+
+
+def own_tolerance_reads(source: str) -> list[str]:
+    """Each name, attribute or import in `source` that names SUM_TOL or _DRIFT_TOL."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in TOLERANCES:
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.name != "attrspace.py"))
+def test_distribution_tolerances_live_in_attrspace_only(module):
+    assert own_tolerance_reads((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", ["from .attrspace import SUM_TOL", "from .attrspace import _DRIFT_TOL as tol",
+                                     "bad = np.abs(arr.sum(axis=1) - 1.0) > SUM_TOL",
+                                     "ok = off <= attrspace._DRIFT_TOL"])
+def test_tolerance_lint_finds_a_read_put_back(snippet):
+    assert own_tolerance_reads(snippet)
