@@ -73,18 +73,23 @@ def read_json(path):
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def normalized_rows(arr: np.ndarray, what: str = "distribution entries") -> np.ndarray:
-    """Check each row over the last axis of `what` is finite, non-negative and sums to 1
-    within SUM_TOL; divide a row whose sum is off by more than _DRIFT_TOL by that sum."""
+def check_rows(arr: np.ndarray, what: str = "distribution entries") -> np.ndarray:
+    """The row sums over the last axis of `what`, each row checked finite, non-negative and summing to 1 within SUM_TOL."""
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} must be finite")
     if (arr < 0).any():
         raise ValidationError(f"{what} must be non-negative")
     total = arr.sum(axis=-1, keepdims=True)
-    off = np.abs(total - 1.0)
-    if (off > SUM_TOL).any():
-        raise ValidationError(f"{what} sum to {float(total[off > SUM_TOL][0])}, expected 1")
-    return np.where(off > _DRIFT_TOL, arr / total, arr)
+    off = np.abs(total - 1.0) > SUM_TOL
+    if off.any():
+        raise ValidationError(f"{what} sum to {float(total[off][0])}, expected 1")
+    return total
+
+
+def normalized_rows(arr: np.ndarray, what: str = "distribution entries") -> np.ndarray:
+    """`arr` checked by `check_rows`, with each row whose sum is off 1 by more than _DRIFT_TOL divided by that sum."""
+    total = check_rows(arr, what)
+    return np.where(np.abs(total - 1.0) > _DRIFT_TOL, arr / total, arr)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attrspace import MAX_SAMPLES, check_k, float_array, float_rows, is_number_list, normalized_rows, read_json
+from .attrspace import MAX_SAMPLES, check_k, check_rows, float_array, float_rows, is_number_list, normalized_rows, read_json
 from .errors import ValidationError, check_int, check_real, is_int
 
 PROBS_SUM_TOL = 1e-6
@@ -34,8 +34,8 @@ class ConfusionModel:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError(f"confusion matrix has shape {arr.shape}, expected a square matrix")
         object.__setattr__(self, "k", check_k(len(arr)))
-        # A check only: m is kept as given, so rows off 1 by up to SUM_TOL stay as they are.
-        normalized_rows(arr, "confusion rows")
+        # m is kept as given, so rows off 1 by up to SUM_TOL stay as they are.
+        check_rows(arr, "confusion rows")
         arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
 

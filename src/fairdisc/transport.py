@@ -3,27 +3,29 @@
 Small problems only (k <= 64); solved as a linear program with HiGHS,
 driven directly through scipy's bindings with the sparse model and the
 options of scipy.optimize's "highs" LP method, so plans are bit-identical
-to that method's.
+to that method's. Each thread keeps one solver, set to those options once,
+and passes it each LP as arrays cached per k; passing a model clears the
+solver's basis and solution, so no solve warm-starts another.
 
 The bindings are one extension module, scipy.optimize._highspy._core. A
 plain import of it first runs scipy.optimize's package init, which loads
 scipy.linalg, scipy.sparse, scipy.fft and numpy.f2py: about 0.5 s and
 40 MB that the LP never uses. So `_load_highs` loads the extension from its
 file and registers it under its own name, and a later `import scipy.optimize`
-gets that same module.
+gets that same module. Nothing of scipy is loaded before the first solve.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .attrspace import float_array, normalized_rows
 from .errors import ValidationError, check_int
@@ -32,30 +34,41 @@ MARGINAL_TOL = 1e-9
 # The LP has k^2 variables and 2k equality rows, two nonzeros per column.
 MAX_K = 64
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
+_LOAD_LOCK = threading.Lock()
+_THREAD = threading.local()
 
 
 def _load_highs():
     """scipy's HiGHS bindings: the module already imported, else the one loaded from its extension file."""
-    if _HIGHS_MODULE in sys.modules:
-        return sys.modules[_HIGHS_MODULE]
-    where = Path(scipy.__file__).parent / "optimize" / "_highspy"
-    spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_HIGHS_MODULE)
-    if spec is None:
-        raise ImportError(f"scipy's HiGHS extension _core is not in {where}", name=_HIGHS_MODULE, path=str(where))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_HIGHS_MODULE] = module
-    return module
+    with _LOAD_LOCK:
+        if _HIGHS_MODULE in sys.modules:
+            return sys.modules[_HIGHS_MODULE]
+        import scipy
+        where = Path(scipy.__file__).parent / "optimize" / "_highspy"
+        spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_HIGHS_MODULE)
+        if spec is None:
+            raise ImportError(f"scipy's HiGHS extension _core is not in {where}", name=_HIGHS_MODULE, path=str(where))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_HIGHS_MODULE] = module
+        return module
 
 
-highs = _load_highs()
+def _solver():
+    """This thread's HiGHS bindings and solver, with scipy's "highs" options: presolve on, dual simplex, no output."""
+    if not hasattr(_THREAD, "solver"):
+        highs = _load_highs()
+        options = highs.HighsOptions()
+        options.presolve = "on"
+        options.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        options.output_flag = False
+        options.log_to_console = False
+        solver = highs._Highs()
+        solver.passOptions(options)
+        _THREAD.solver = highs, solver
+    return _THREAD.solver
 
-# scipy.optimize's options for its "highs" LP method: presolve on, dual simplex, no output.
-_OPTIONS = highs.HighsOptions()
-_OPTIONS.presolve = "on"
-_OPTIONS.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-_OPTIONS.output_flag = False
-_OPTIONS.log_to_console = False
+
 # HiGHS meets each constraint only to its absolute primal feasibility tolerance (1e-7), so it can leave a
 # small marginal entry unmet or a plan entry negative, or call such an LP infeasible. A plan off by more than
 # MARGINAL_TOL is solved again on marginals scaled by this power of two, which scales them exactly.
@@ -129,18 +142,12 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
 def _plan(p: np.ndarray, q: np.ndarray, cost: CostMatrix, scale: float = 1.0) -> tuple[np.ndarray | None, str]:
     """HiGHS's model status and, if optimal, its plan for marginals scale*p and scale*q divided by scale, else None."""
     k = len(p)
-    lp = highs.HighsLp()
-    lp.num_col_ = k * k
-    lp.num_row_ = 2 * k
-    lp.a_matrix_ = _constraints(k)
-    lp.col_cost_ = cost.c.ravel()
-    lp.col_lower_ = np.zeros(k * k)
-    lp.col_upper_ = np.full(k * k, np.inf)
-    lp.row_lower_ = lp.row_upper_ = np.concatenate([p, q]) * scale
-    # A fresh solver per call: no basis or warm start carries over between solves.
-    solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    highs, solver = _solver()
+    start, index, value, lower, upper, integrality = _model(k)
+    rows = np.concatenate([p, q]) * scale
+    passed = solver.passModel(k * k, 2 * k, 2 * k * k, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+                              cost.c.ravel(), lower, upper, rows, rows, start, index, value, integrality)
+    if passed == highs.HighsStatus.kError:
         raise ValidationError("transport solve failed: HiGHS rejected the model")
     solver.run()
     status = solver.getModelStatus()
@@ -152,17 +159,15 @@ def _plan(p: np.ndarray, q: np.ndarray, cost: CostMatrix, scale: float = 1.0) ->
 
 
 @cache
-def _constraints(k: int) -> highs.HighsSparseMatrix:
-    """Row sums then column sums of the k x k plan, column-wise: column i*k+j has ones in rows i and k+j."""
-    a = highs.HighsSparseMatrix()
-    a.format_ = highs.MatrixFormat.kColwise
-    a.num_col_ = k * k
-    a.num_row_ = 2 * k
-    a.start_ = np.arange(0, 2 * k * k + 1, 2)
-    i, j = np.divmod(np.arange(k * k), k)
-    a.index_ = np.stack([i, k + j], axis=1).ravel()
-    a.value_ = np.ones(2 * k * k)
-    return a
+def _model(k: int) -> tuple[np.ndarray, ...]:
+    """The k x k plan's constraint matrix, column-wise (start, index, value: column i*k+j has ones in rows i and
+    k+j, the row sums then the column sums), its [0, inf) column bounds and all-continuous integrality, read-only."""
+    i, j = np.divmod(np.arange(k * k, dtype=np.int32), k)
+    arrays = (np.arange(0, 2 * k * k + 1, 2, dtype=np.int32), np.stack([i, k + j], axis=1).ravel(),
+              np.ones(2 * k * k), np.zeros(k * k), np.full(k * k, np.inf), np.zeros(k * k, dtype=np.int32))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _check_k(k: int) -> None:

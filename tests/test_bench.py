@@ -356,7 +356,7 @@ BAD_SCALARS = [
     ("seeds-bool", lambda: estimate(perfect(2), np.eye(2), Sampled(10, 0), [True, False]),
      "seeds must be 2 integers in [0, 2**64), one per row"),
     ("confusion-str-entries", lambda: ConfusionModel([["a", "b"], ["c", "d"]]), "confusion entries" + NOT_NUMBERS),
-    # Confusion rows pass the distribution check, normalized_rows, and are kept as given.
+    # Confusion rows pass the distribution check, check_rows, and are kept as given.
     ("confusion-row-sum", lambda: ConfusionModel([[0.9, 0.2], [0.1, 0.9]]), "confusion rows sum to 1.1, expected 1"),
     ("confusion-negative", lambda: ConfusionModel([[1.2, -0.2], [0.0, 1.0]]), "confusion rows must be non-negative"),
     ("confusion-nan", lambda: ConfusionModel([[np.nan, 0.0], [0.0, 1.0]]), "confusion rows must be finite"),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ class TestConfusionModel:
             with pytest.raises(ValidationError, match=r"^confusion matrix has shape \(.*\), expected a square matrix$"):
                 ConfusionModel(m)
         assert ConfusionModel(np.eye(3)).k == 3
+
+    def test_checks_build_no_copy_of_the_matrix(self):
+        # The model's own 8 MB float copy and the checks' boolean masks, but no renormalized copy of the matrix.
+        m = np.eye(1000)
+        tracemalloc.start()
+        try:
+            ConfusionModel(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_perfect_is_identity(self):
         assert np.array_equal(perfect(4).m, np.eye(4))

@@ -105,7 +105,8 @@ def test_float_read_lint_finds_a_read_put_back(snippet):
     assert own_float_reads(snippet)
 
 
-# Rows of probabilities are checked in one place, attrspace.normalized_rows, so its tolerances have no other reader.
+# Rows of probabilities are checked and renormalized only in attrspace (check_rows, normalized_rows), so the
+# tolerances have no other reader.
 TOLERANCES = {"SUM_TOL", "_DRIFT_TOL"}
 
 

@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -223,13 +224,17 @@ def test_sparse_plans_meet_marginals_and_cost_l1(data):
         assert abs(plan.value - l1(p, q)) <= 2 * MARGINAL_TOL
 
 
-@pytest.mark.parametrize("p,q", [
+RETRY_CASES = {
     # HiGHS leaves the 4.5e-08 row entry unmet.
-    ([0.956240768747121, 0.0007661392069729324, 0.042993047321408566, 4.472449743633052e-08], [0.25] * 4),
+    "unmet-entry": ([0.956240768747121, 0.0007661392069729324, 0.042993047321408566, 4.472449743633052e-08],
+                    [0.25] * 4),
     # HiGHS meets both marginals with a plan entry of -1.5e-08.
-    ([5.222786166677077e-07, 1.4629154426641895e-08, 0.9999994630922289],
-     [5.385078046965402e-13, 6.717536932026284e-27, 0.9999999999994615]),
-], ids=["unmet-entry", "negative-entry"])
+    "negative-entry": ([5.222786166677077e-07, 1.4629154426641895e-08, 0.9999994630922289],
+                       [5.385078046965402e-13, 6.717536932026284e-27, 0.9999999999994615]),
+}
+
+
+@pytest.mark.parametrize("p,q", RETRY_CASES.values(), ids=RETRY_CASES)
 def test_plans_off_by_more_than_tolerance_are_solved_again(p, q):
     p, q = np.array(p), np.array(q)
     plan = solve(p, q, default_cost(len(p)))
@@ -252,18 +257,46 @@ def test_solve_matches_linprog_on_n_factor_inputs(k):
             assert plan.value == value
 
 
+def _mixed_lps(rng: np.random.Generator) -> list[tuple]:
+    """B, a random-cost LP at k = 9; C, a line-cost LP at k = 6; a k = 64 LP; the retry path's unmet-entry case."""
+    p, q = RETRY_CASES["unmet-entry"]
+    return [(rng.dirichlet(np.ones(9)), np.full(9, 1.0 / 9), _cost("random", 9, rng)),
+            (np.eye(6)[2], rng.dirichlet(np.ones(6)), _cost("line", 6, rng)),
+            (rng.dirichlet(np.ones(64)), np.full(64, 1.0 / 64), default_cost(64)),
+            (np.array(p), np.array(q), default_cost(4))]
+
+
 def test_solve_does_not_depend_on_earlier_solves():
-    """A, B at another k, C at A's k, then A again: both A plans are bit-equal, so no solver state carries over."""
+    """A at k = 6, the mixed LPs, then A again: both A plans are bit-equal to linprog's, so no solver state
+    carries over from one solve to the next."""
     rng = np.random.default_rng(5)
     a = (rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6)), default_cost(6))
-    b = (rng.dirichlet(np.ones(9)), np.full(9, 1.0 / 9), _cost("random", 9, rng))
-    c = (np.eye(6)[2], rng.dirichlet(np.ones(6)), _cost("line", 6, rng))
+    want, value = reference_transport(*a[:2], a[2].c)
     first = solve(*a)
-    solve(*b)
-    solve(*c)
+    for lp in _mixed_lps(rng):
+        solve(*lp)
     again = solve(*a)
-    assert np.array_equal(first.w, again.w)
-    assert first.value == again.value
+    for plan in (first, again):
+        assert np.array_equal(plan.w, want)
+        assert plan.value == value
+
+
+def test_threads_solving_at_once_get_the_serial_plans():
+    """Each thread has its own solver: every plan of threads that solve at once is bit-equal to the serial plan."""
+    lps = _mixed_lps(np.random.default_rng(23))
+    serial = [solve(*lp) for lp in lps]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(lambda: [solve(*lp) for lp in lps + lps]) for _ in range(4)]
+            plans = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in plans:
+        for plan, want in zip(got, serial + serial, strict=True):
+            assert np.array_equal(plan.w, want.w)
+            assert plan.value == want.value
 
 
 def test_unequal_mass_fails_with_validation_error():
@@ -280,6 +313,27 @@ def test_non_finite_marginals_rejected(bad):
         solve(p, np.array([0.5, 0.5]), default_cost(2))
     with pytest.raises(ValidationError, match="must be finite"):
         solve(np.array([0.5, 0.5]), p, default_cost(2))
+
+
+def test_commands_without_lps_load_no_scipy():
+    run_python(f"""
+import sys
+from fairdisc.cli import main
+for argv in (["sweep", "--k", "4"], ["ep"], ["nfactor"], ["score", {str(TESTS / "golden" / "skewed-k4.json")!r}, "--raw"]):
+    assert main(argv + ["--metrics", "l1,l2,spec,is"]) == 0, argv
+assert "scipy" not in sys.modules
+""")
+
+
+def test_wd_loads_only_the_highs_extension():
+    run_python("""
+import sys
+import numpy as np
+from fairdisc import metrics
+assert metrics.wd(np.eye(3)[0], np.full(3, 1 / 3)) > 0
+assert "scipy.optimize._highspy._core" in sys.modules
+assert "scipy.optimize" not in sys.modules
+""")
 
 
 def test_cli_solves_lps_without_scipy_optimize():
@@ -309,18 +363,35 @@ import numpy as np
 import scipy.optimize
 from fairdisc import transport
 from oracles import reference_transport
-assert transport.highs is sys.modules["scipy.optimize._highspy._core"]
+core = sys.modules["scipy.optimize._highspy._core"]
 rng = np.random.default_rng(17)
 for k in (2, 3, 8, 16):
     p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
     plan = transport.solve(p, q, transport.default_cost(k))
     w, value = reference_transport(p, q, transport.default_cost(k).c)
     assert np.array_equal(plan.w, w) and plan.value == value, k
+assert transport._solver()[0] is core is sys.modules["scipy.optimize._highspy._core"]
+""")
+
+
+# After a solve the extension is in sys.modules but not an attribute of its package, so the attribute path
+# scipy.optimize._highspy._core does not resolve; these forms do.
+def test_scipy_imports_after_a_solve_get_the_loaded_extension():
+    run_python("""
+import sys
+import numpy as np
+from fairdisc import transport
+transport.solve(np.eye(3)[0], np.full(3, 1 / 3), transport.default_cost(3))
+core = sys.modules["scipy.optimize._highspy._core"]
+from scipy.optimize._highspy import _core
+from scipy.optimize import linprog
+assert _core is core
+assert linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs").x.tolist() == [1.0, 0.0]
 """)
 
 
 def test_missing_highs_extension_names_its_directory(monkeypatch, tmp_path):
-    monkeypatch.delitem(sys.modules, _HIGHS_MODULE)
-    monkeypatch.setattr(transport, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    monkeypatch.delitem(sys.modules, _HIGHS_MODULE, raising=False)
+    monkeypatch.setitem(sys.modules, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
     with pytest.raises(ImportError, match=f"not in {tmp_path / 'optimize' / '_highspy'}$"):
         transport._load_highs()
