@@ -220,13 +220,23 @@ def space_from_dict(obj) -> AttributeSpace:
 
 
 def load_space(path) -> AttributeSpace:
-    return space_from_dict(read_json(path))
+    """The space in the JSON file at `path`; its errors name the file."""
+    return _from_file(path, space_from_dict, read_json(path))
+
+
+def _from_file(path, build, *args):
+    """`build(*args)`, with the message of a ValidationError it raises prefixed by `path`."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_distribution(path) -> CategoricalDistribution:
     """Read a distribution file: {"space": <path or inline>, "p": [...]}, or {"k": k, "p": [...]}.
 
     A relative "space" path is resolved against the file's directory; a "k" beside a "space" must equal its k.
+    An error in the space or in "p" names the file it is in.
     """
     obj = read_json(path)
     if not isinstance(obj, dict) or "p" not in obj:
@@ -235,7 +245,7 @@ def load_distribution(path) -> CategoricalDistribution:
         raise ValidationError(f'{path}: "p" must be a list of numbers')
     ref = obj.get("space")
     if isinstance(ref, dict):
-        space = space_from_dict(ref)
+        space = _from_file(path, space_from_dict, ref)
     elif isinstance(ref, str):
         # join keeps an absolute `ref` as it is.
         space = load_space(os.path.join(os.path.dirname(str(path)), ref))
@@ -247,4 +257,4 @@ def load_distribution(path) -> CategoricalDistribution:
         raise ValidationError(f'{path}: no "space" or "k" given')
     if check_k(obj.get("k", space.k)) != space.k:
         raise ValidationError(f'{path}: "k" is {obj["k"]}, but the space has {space.k} outcomes')
-    return CategoricalDistribution(space, obj["p"])
+    return _from_file(path, CategoricalDistribution, space, obj["p"])

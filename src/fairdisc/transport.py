@@ -7,6 +7,12 @@ to that method's. Each thread keeps one solver, set to those options once,
 and passes it each LP as arrays cached per k; passing a model clears the
 solver's basis and solution, so no solve warm-starts another.
 
+`solve_rows` takes a block of marginal pairs, `solve` one pair. Both go
+through one path: the block is checked and renormalized once, each LP is
+passed and run on its own, and the plans of a chunk of at most
+MAX_BLOCK_ENTRIES floats are dust-clipped, verified against their marginals
+and valued as arrays. Only a pair whose plan misses is solved again.
+
 The bindings are one extension module, scipy.optimize._highspy._core. A
 plain import of it first runs scipy.optimize's package init, which loads
 scipy.linalg, scipy.sparse, scipy.fft and numpy.f2py: about 0.5 s and
@@ -27,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attrspace import float_array, normalized_rows
+from .attrspace import MAX_BLOCK_ENTRIES, float_array, normalized_rows
 from .errors import ValidationError, check_int
 
 MARGINAL_TOL = 1e-9
@@ -122,40 +128,82 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     Zero-mass rows or columns are fine (their plan entries are zero), which
     is what extreme-point sources produce.
     """
+    w, value = _solved(_marginals(p, q, cost, 1, "vectors of one length"), cost)
+    return TransportPlan(w=w[0], value=float(value[0]))
+
+
+def solve_rows(p, q, cost: CostMatrix) -> np.ndarray:
+    """The optimal value of `solve(p[r], q[r], cost)` for each row r of two (N, k) blocks, as an (N,) array.
+
+    The blocks are checked as one, so the first kind of fault in them is named before the first faulty row.
+    """
+    pq = _marginals(p, q, cost, 2, "(N, k) blocks of one shape")
+    n, _, k = pq.shape
+    values = np.empty(n)
+    step = max(1, MAX_BLOCK_ENTRIES // (k * k))
+    for i in range(0, n, step):
+        values[i:i + step] = _solved(pq[i:i + step], cost)[1]
+    return values
+
+
+def _marginals(p, q, cost: CostMatrix, ndim: int, shapes: str) -> np.ndarray:
+    """The (N, 2, k) stack of each row pair of p and q, blocks of `ndim` axes, checked and renormalized."""
     p, q = float_array(p, "transport marginals"), float_array(q, "transport marginals")
-    if p.ndim != 1 or p.shape != q.shape:
-        raise ValidationError(f"transport needs two vectors of one length, got shapes {p.shape} and {q.shape}")
-    k = len(p)
+    if p.ndim != ndim or p.shape != q.shape:
+        raise ValidationError(f"transport needs two {shapes}, got shapes {p.shape} and {q.shape}")
+    k = p.shape[-1]
     _check_k(k)
     if cost.k != k:
         raise ValidationError(f"cost matrix is {cost.k}x{cost.k}, distributions have k={k}")
-    p, q = normalized_rows(np.stack([p, q]), "transport marginals")
-
-    for scale in (1.0, _RETRY_SCALE):
-        w, status = _plan(p, q, cost, scale)
-        if w is not None and (miss := _violation(w, p, q)) <= MARGINAL_TOL:
-            return TransportPlan(w=w, value=float(np.sum(w * cost.c)))
-    reason = f"HiGHS model status {status}" if w is None else f"plan violates its constraints by {miss:.3g}"
-    raise ValidationError(f"transport solve failed: {reason}")
+    # Pair r's p then q, in the order each pair was checked when solved alone.
+    return normalized_rows(np.stack([p, q], axis=-2).reshape(-1, 2, k), "transport marginals")
 
 
-def _plan(p: np.ndarray, q: np.ndarray, cost: CostMatrix, scale: float = 1.0) -> tuple[np.ndarray | None, str]:
-    """HiGHS's model status and, if optimal, its plan for marginals scale*p and scale*q divided by scale, else None."""
-    k = len(p)
+def _solved(pq: np.ndarray, cost: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, k, k) plans and (n,) values of n marginal pairs; a plan off by more than MARGINAL_TOL is solved
+    again at _RETRY_SCALE, and one still off fails with the first such pair's reason."""
+    w, failed = _plans(pq, cost, 1.0)
+    # A failed solve's NaN plan counts as a miss.
+    redo = np.flatnonzero(~(_violation(w, pq) <= MARGINAL_TOL))
+    if redo.size:
+        w_redo, failed = _plans(pq[redo], cost, _RETRY_SCALE)
+        miss = _violation(w_redo, pq[redo])
+        if (bad := np.flatnonzero(~(miss <= MARGINAL_TOL))).size:
+            r = int(bad[0])
+            reason = f"HiGHS model status {failed[r]}" if r in failed else f"plan violates its constraints by {miss[r]:.3g}"
+            raise ValidationError(f"transport solve failed: {reason}")
+        w[redo] = w_redo
+    return w, (w * cost.c).reshape(len(w), -1).sum(axis=1)
+
+
+def _plans(pq: np.ndarray, cost: CostMatrix, scale: float) -> tuple[np.ndarray, dict[int, str]]:
+    """HiGHS's plans for marginals scale*pq divided by scale, dust-clipped, and the model status of each pair it
+    did not solve to optimality, whose plan is NaN."""
+    n, _, k = pq.shape
     highs, solver = _solver()
     start, index, value, lower, upper, integrality = _model(k)
-    rows = np.concatenate([p, q]) * scale
-    passed = solver.passModel(k * k, 2 * k, 2 * k * k, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
-                              cost.c.ravel(), lower, upper, rows, rows, start, index, value, integrality)
-    if passed == highs.HighsStatus.kError:
-        raise ValidationError("transport solve failed: HiGHS rejected the model")
-    solver.run()
-    status = solver.getModelStatus()
-    if status != highs.HighsModelStatus.kOptimal:
-        return None, solver.modelStatusToString(status)
-    w = np.array(solver.getSolution().col_value).reshape(k, k) / scale
-    # Clip solver dust so the plan is a clean non-negative matrix.
-    return np.where(np.abs(w) < 1e-15, 0.0, w), solver.modelStatusToString(status)
+    colwise, minimize = highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize
+    c = cost.c.ravel()
+    rows = pq.reshape(n, 2 * k) * scale
+    w = np.empty((n, k * k))
+    failed = {}
+    for r in range(n):
+        passed = solver.passModel(k * k, 2 * k, 2 * k * k, colwise, minimize, 0.0,
+                                  c, lower, upper, rows[r], rows[r], start, index, value, integrality)
+        if passed == highs.HighsStatus.kError:
+            raise ValidationError("transport solve failed: HiGHS rejected the model")
+        solver.run()
+        status = solver.getModelStatus()
+        if status == highs.HighsModelStatus.kOptimal:
+            w[r] = solver.getSolution().col_value
+        else:
+            w[r] = np.nan
+            failed[r] = solver.modelStatusToString(status)
+    w = w.reshape(n, k, k)
+    w /= scale
+    # Clip solver dust so each plan is a clean non-negative matrix.
+    w[np.abs(w) < 1e-15] = 0.0
+    return w, failed
 
 
 @cache
@@ -175,8 +223,7 @@ def _check_k(k: int) -> None:
         raise ValidationError(f"transport needs 2 <= k <= {MAX_K}, got k={k}")
 
 
-def _violation(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    """The plan's largest marginal miss or negative entry."""
-    return max(np.max(np.abs(w.sum(axis=1) - p)), np.max(np.abs(w.sum(axis=0) - q)), -w.min())
-
-
+def _violation(w: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Each plan's largest marginal miss or negative entry; NaN for a NaN plan."""
+    rows, cols = np.abs(w.sum(axis=2) - pq[:, 0]).max(axis=1), np.abs(w.sum(axis=1) - pq[:, 1]).max(axis=1)
+    return np.maximum.reduce([rows, cols, -w.min(axis=(1, 2))])

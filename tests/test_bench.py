@@ -35,7 +35,7 @@ from fairdisc import (
     sweep,
     uniform_noise,
 )
-from fairdisc import bench, metrics
+from fairdisc import bench, metrics, transport
 from fairdisc.metrics import REPORT_ORDER, specificity
 
 ALL_KS = (2, 4, 8, 16)
@@ -380,6 +380,8 @@ BAD_SCALARS = [
      "transport marginals must be non-negative"),
     ("solve-equal-mass-past-one", lambda: solve([0.6, 0.6], [0.6, 0.6], default_cost(2)),
      "transport marginals sum to 1.2, expected 1"),
+    ("solve_rows-vectors", lambda: transport.solve_rows([0.5, 0.5], [0.5, 0.5], default_cost(2)),
+     "transport needs two (N, k) blocks of one shape, got shapes (2,) and (2,)"),
     ("cost-str-entries", lambda: CostMatrix([["a", "b"], ["c", "d"]]), "costs" + NOT_NUMBERS),
     ("mepe_fair-str-entries", lambda: mepe_fair(["a", "b"]), "mepe_fair: scores" + NOT_NUMBERS),
     ("mem-str-entries", lambda: mem(["a", "b"], [0.5, 0.5]), "mem: scores" + NOT_NUMBERS),

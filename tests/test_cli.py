@@ -95,6 +95,17 @@ class TestScore:
         code, _, _ = run_cli(capsys, "score", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("text,named,message", [
+        ('{"space": "space.json", "p": [0.5, 0.5]}', "space.json", "attribute name must be a string, got ['x']"),
+        ('{"k": 2, "p": [0.2, 0.3, 0.5]}', "d.json", "distribution has shape (3,), expected (2,)"),
+        ('{"k": 2, "p": [0.5, 0.6]}', "d.json", "distribution entries sum to 1.1, expected 1"),
+    ], ids=["space-file", "shape", "sum"])
+    def test_distribution_file_errors_name_the_file(self, capsys, tmp_path, text, named, message):
+        (tmp_path / "space.json").write_text('{"attributes": [{"name": ["x"], "values": ["a", "b"]}]}')
+        (tmp_path / "d.json").write_text(text)
+        code, out, err = run_cli(capsys, "score", str(tmp_path / "d.json"))
+        assert (code, out, err) == (2, "", f"error: {tmp_path / named}: {message}\n")
+
     def test_file_k_follows_the_integer_rule(self, capsys, tmp_path):
         path = tmp_path / "d.json"
         path.write_text('{"k": 2.0, "p": [0.5, 0.5]}')

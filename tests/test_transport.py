@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import dist
-from fairdisc import AttributeSpace, CategoricalDistribution, CostMatrix, ValidationError, transport
+from fairdisc import AttributeSpace, CategoricalDistribution, CostMatrix, ValidationError, metrics, transport
 from fairdisc.metrics import l1
 from fairdisc.transport import _HIGHS_MODULE, _RETRY_SCALE, MARGINAL_TOL, default_cost, solve
 from oracles import bruteforce_transport_cost, reference_transport
@@ -244,6 +244,96 @@ def test_plans_off_by_more_than_tolerance_are_solved_again(p, q):
     assert abs(plan.value - l1(p, q)) <= 1e-15
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 16, 32, 64])
+def test_wd_block_equals_the_oracle_and_solve_row_by_row(k):
+    """metrics.wd solves a whole block at once; each of its values is linprog's and solve's for that pair alone."""
+    rng = np.random.default_rng(k)
+    u, first, last = np.full(k, 1.0 / k), np.eye(k)[0], np.eye(k)[k - 1]
+    p = np.vstack([rng.dirichlet(np.ones(k), size=6), u, first, last, u, first])
+    q = np.vstack([rng.dirichlet(np.full(k, 0.5), size=6), first, u, u, u, last])
+    cost = default_cost(k)
+    values = metrics.wd(p, q)
+    assert values.shape == (len(p),)
+    for value, a, b in zip(values, p, q, strict=True):
+        assert value == reference_transport(a, b, cost.c)[1]
+        assert value == solve(a, b, cost).value
+
+
+def test_retry_case_in_the_middle_of_a_block_gets_the_value_solve_gives(monkeypatch):
+    p0, q0 = RETRY_CASES["unmet-entry"]
+    rng = np.random.default_rng(29)
+    p, q = rng.dirichlet(np.ones(4), size=7), rng.dirichlet(np.ones(4), size=7)
+    p[3], q[3] = p0, q0
+    passes = []
+    plans = transport._plans
+    monkeypatch.setattr(transport, "_plans", lambda pq, cost, scale: passes.append((len(pq), scale)) or
+                        plans(pq, cost, scale))
+    values = metrics.wd(p, q)
+    # Only the unmet-entry pair is solved again.
+    assert passes == [(7, 1.0), (1, _RETRY_SCALE)]
+    assert values[3] == solve(p0, q0, default_cost(4)).value
+    for value, a, b in zip(values, p, q, strict=True):
+        assert value == solve(a, b, default_cost(4)).value
+
+
+def test_a_block_split_into_chunks_gives_the_values_of_the_whole_block(monkeypatch):
+    k = 8
+    rng = np.random.default_rng(31)
+    p, q = rng.dirichlet(np.ones(k), size=10), rng.dirichlet(np.full(k, 0.5), size=10)
+    p[[2, 3, 6]] = np.full(k, 1.0 / k)
+    whole = transport.solve_rows(p, q, default_cost(k))
+    sizes = []
+    solved = transport._solved
+    monkeypatch.setattr(transport, "_solved", lambda pq, cost: sizes.append(len(pq)) or solved(pq, cost))
+    # Room for 3 plans of k * k floats but not 4.
+    monkeypatch.setattr(transport, "MAX_BLOCK_ENTRIES", 4 * k * k - 1)
+    split = transport.solve_rows(p, q, default_cost(k))
+    assert sizes == [3, 3, 3, 1]
+    assert split.tobytes() == whole.tobytes()
+
+
+def test_block_errors_name_the_kind_of_error_before_the_row():
+    """The block is checked as one: a negative entry in a later pair is named before a bad sum in an earlier one."""
+    p, q = np.full((4, 2), 0.5), np.full((4, 2), 0.5)
+    p[1] = [0.5, 0.6]
+    with pytest.raises(ValidationError, match=r"^transport marginals sum to 1\.1, expected 1$"):
+        metrics.wd(p, q)
+    q[3] = [1.5, -0.5]
+    with pytest.raises(ValidationError, match=r"^transport marginals must be non-negative$"):
+        metrics.wd(p, q)
+
+
+class _SkippedRun:
+    """This thread's solver with `run` skipped: every LP gets `status`, and an optimal plan is all zeros."""
+
+    def __init__(self, solver, status):
+        self._solver, self._status = solver, status
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+    def run(self):
+        pass
+
+    def getModelStatus(self):
+        return self._status
+
+    def getSolution(self):
+        return types.SimpleNamespace(col_value=[0.0] * self._solver.getNumCol())
+
+
+@pytest.mark.parametrize("status,reason", [("kInfeasible", "HiGHS model status Infeasible"),
+                                           ("kOptimal", "plan violates its constraints by 1")])
+def test_an_lp_missed_twice_fails_with_the_reason_of_its_retry(monkeypatch, status, reason):
+    highs, solver = transport._solver()
+    skipped = _SkippedRun(solver, getattr(highs.HighsModelStatus, status))
+    monkeypatch.setattr(transport._THREAD, "solver", (highs, skipped))
+    with pytest.raises(ValidationError, match=f"^transport solve failed: {reason}$"):
+        metrics.wd(np.eye(3), np.full(3, 1.0 / 3))
+    with pytest.raises(ValidationError, match=f"^transport solve failed: {reason}$"):
+        solve(np.eye(3)[0], np.full(3, 1.0 / 3), default_cost(3))
+
+
 @pytest.mark.parametrize("k", [2, 3, 16, 64])
 def test_solve_matches_linprog_on_n_factor_inputs(k):
     """One-hot against uniform in both orders, the rows n_factor scores, at both ends of k."""
@@ -343,8 +433,8 @@ import sys
 import fairdisc.cli
 from fairdisc import transport
 calls = []
-solve = transport.solve
-transport.solve = lambda *args: calls.append(1) or solve(*args)
+solve_rows = transport.solve_rows
+transport.solve_rows = lambda *args: calls.append(1) or solve_rows(*args)
 assert fairdisc.cli.main(["bench", "--classifier", "set2", "--k", "2"]) == 0
 assert calls, "bench solved no LP"
 loaded = [name for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse") if name in sys.modules]
