@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +64,21 @@ def check_block(rows: int, k: int, what: str) -> None:
         raise ValidationError(f"{what} needs {rows} x {k} floats, more than {MAX_BLOCK_ENTRIES} in one block")
 
 
-def read_json(path):
-    """The decoded JSON file at `path`; an I/O failure stays an OSError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        # Bad JSON, bytes that are not UTF-8 and integers over Python's digit limit.
-        except ValueError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+@contextmanager
+def json_file(path):
+    """Yield the decoded JSON file at `path`; each ValidationError, of the file or the caller's block, names it once."""
+    try:
+        what = "invalid path"  # open refuses a path with a NUL byte by ValueError.
+        with open(path, "r", encoding="utf-8") as fh:
+            what = "invalid JSON"
+            obj = json.load(fh)
+    # Bad JSON, bytes that are not UTF-8, integers over Python's digit limit, too deep nesting; an OSError passes.
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path}: {what}: {exc}") from exc
+    try:
+        yield obj
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def check_rows(arr: np.ndarray, what: str = "distribution entries") -> np.ndarray:
@@ -221,40 +229,33 @@ def space_from_dict(obj) -> AttributeSpace:
 
 def load_space(path) -> AttributeSpace:
     """The space in the JSON file at `path`; its errors name the file."""
-    return _from_file(path, space_from_dict, read_json(path))
-
-
-def _from_file(path, build, *args):
-    """`build(*args)`, with the message of a ValidationError it raises prefixed by `path`."""
-    try:
-        return build(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    with json_file(path) as obj:
+        return space_from_dict(obj)
 
 
 def load_distribution(path) -> CategoricalDistribution:
     """Read a distribution file: {"space": <path or inline>, "p": [...]}, or {"k": k, "p": [...]}.
 
     A relative "space" path is resolved against the file's directory; a "k" beside a "space" must equal its k.
-    An error in the space or in "p" names the file it is in.
+    Every error in the file names it, and one in a referenced space file names both files, this one first.
     """
-    obj = read_json(path)
-    if not isinstance(obj, dict) or "p" not in obj:
-        raise ValidationError(f'{path}: distribution JSON must contain "p"')
-    if not is_number_list(obj["p"]):
-        raise ValidationError(f'{path}: "p" must be a list of numbers')
-    ref = obj.get("space")
-    if isinstance(ref, dict):
-        space = _from_file(path, space_from_dict, ref)
-    elif isinstance(ref, str):
-        # join keeps an absolute `ref` as it is.
-        space = load_space(os.path.join(os.path.dirname(str(path)), ref))
-    elif "space" in obj:
-        raise ValidationError(f'{path}: "space" must be an object or a path, got {ref!r}')
-    elif "k" in obj:
-        space = AttributeSpace.of_size(obj["k"])
-    else:
-        raise ValidationError(f'{path}: no "space" or "k" given')
-    if check_k(obj.get("k", space.k)) != space.k:
-        raise ValidationError(f'{path}: "k" is {obj["k"]}, but the space has {space.k} outcomes')
-    return _from_file(path, CategoricalDistribution, space, obj["p"])
+    with json_file(path) as obj:
+        if not isinstance(obj, dict) or "p" not in obj:
+            raise ValidationError('distribution JSON must contain "p"')
+        if not is_number_list(obj["p"]):
+            raise ValidationError('"p" must be a list of numbers')
+        ref = obj.get("space")
+        if isinstance(ref, dict):
+            space = space_from_dict(ref)
+        elif isinstance(ref, str):
+            # join keeps an absolute `ref` as it is.
+            space = load_space(os.path.join(os.path.dirname(str(path)), ref))
+        elif "space" in obj:
+            raise ValidationError(f'"space" must be an object or a path, got {ref!r}')
+        elif "k" in obj:
+            space = AttributeSpace.of_size(obj["k"])
+        else:
+            raise ValidationError('no "space" or "k" given')
+        if check_k(obj.get("k", space.k)) != space.k:
+            raise ValidationError(f'"k" is {obj["k"]}, but the space has {space.k} outcomes')
+        return CategoricalDistribution(space, obj["p"])

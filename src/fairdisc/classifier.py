@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attrspace import MAX_SAMPLES, check_k, check_rows, float_array, float_rows, is_number_list, normalized_rows, read_json
+from .attrspace import MAX_SAMPLES, check_k, check_rows, float_array, float_rows, is_number_list, json_file, normalized_rows
 from .errors import ValidationError, check_int, check_real, is_int
 
 PROBS_SUM_TOL = 1e-6
@@ -265,21 +265,25 @@ def load_predictions(path, k: int) -> Predictions:
     check_k(k)
     probs, lines, pred, truth = array("d"), array("q"), array("q"), array("q")
     soft = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                # A byte that is not UTF-8 came in as a surrogate escape, and fails here on the line that holds it.
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
                 raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict) or "id" not in obj:
                 raise ValidationError(f'line {lineno}: record must be an object with an "id"')
             p, label, t = obj.get("probs"), obj.get("pred"), obj.get("true", obj.get("truth"))
             if p is not None and not is_number_list(p):
                 raise ValidationError(f"line {lineno}: probs must be a list of numbers")
-            _check_label("pred", label, lineno)
-            _check_label("true", t, lineno)
+            for name, value in (("pred", label), ("true", t)):
+                if value is not None and not is_int(value):
+                    raise ValidationError(f"line {lineno}: {name} must be an integer label, got {value!r}")
             if (p is None) == (label is None):
                 raise ValidationError(f"line {lineno}: exactly one of probs/pred is required")
             if p is not None and len(p) != k:
@@ -318,11 +322,6 @@ def load_predictions(path, k: int) -> Predictions:
     return Predictions(k, block, block.argmax(axis=1), truth)
 
 
-def _check_label(name: str, value, lineno: int) -> None:
-    if value is not None and not is_int(value):
-        raise ValidationError(f"line {lineno}: {name} must be an integer label, got {value!r}")
-
-
 def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel | None]:
     """Aggregate predictions into an estimated distribution, a (k,) array checked by `normalized_rows`.
 
@@ -350,14 +349,14 @@ def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel |
 
 
 def load_confusion(path) -> ConfusionModel:
-    """Read a confusion file: {"k": 2, "m": [[...], ...]}."""
-    obj = read_json(path)
-    if not isinstance(obj, dict) or "k" not in obj or "m" not in obj:
-        raise ValidationError(f'{path}: confusion JSON must contain "k" and "m"')
-    k, m = check_int(f'{path}: "k"', obj["k"]), obj["m"]
-    if not (isinstance(m, list) and len(m) == k and all(is_number_list(row) and len(row) == k for row in m)):
-        raise ValidationError(f'{path}: "m" must be {k} rows of {k} numbers')
-    return ConfusionModel(m)
+    """Read a confusion file: {"k": 2, "m": [[...], ...]}; its errors name the file."""
+    with json_file(path) as obj:
+        if not isinstance(obj, dict) or "k" not in obj or "m" not in obj:
+            raise ValidationError('confusion JSON must contain "k" and "m"')
+        k, m = check_int('"k"', obj["k"]), obj["m"]
+        if not (isinstance(m, list) and len(m) == k and all(is_number_list(row) and len(row) == k for row in m)):
+            raise ValidationError(f'"m" must be {k} rows of {k} numbers')
+        return ConfusionModel(m)
 
 
 # Bundled accuracy presets: (k, average accuracy), spread uniformly

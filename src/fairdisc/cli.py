@@ -14,7 +14,7 @@ import sys
 from functools import partial
 
 from . import classifier as clf
-from .attrspace import AttributeSpace, CategoricalDistribution, check_k, load_distribution, load_space, read_json
+from .attrspace import AttributeSpace, CategoricalDistribution, check_k, json_file, load_distribution, load_space
 from .bench import format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_confusion, load_predictions
 from .errors import ValidationError, check_int, check_real
@@ -96,17 +96,17 @@ OPTIONS = {
 
 def _read_config(path: str, command: str) -> dict:
     """The config file's values by option name; every key must be one that the command takes."""
-    file_cfg = read_json(path)
-    if not isinstance(file_cfg, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
     given = {}
-    for key, value in file_cfg.items():
-        name = key[:-1] if key == "ks" else key  # "ks", the plural, names the same option
-        if name not in OPTIONS:
-            raise ValidationError(f"{path}: unknown config key {key!r}")
-        if command not in OPTIONS[name][2]:
-            raise ValidationError(f"{path}: {command} takes no config key {key!r}")
-        given[name] = value
+    with json_file(path) as file_cfg:
+        if not isinstance(file_cfg, dict):
+            raise ValidationError("config must be a JSON object")
+        for key, value in file_cfg.items():
+            name = key[:-1] if key == "ks" else key  # "ks", the plural, names the same option
+            if name not in OPTIONS:
+                raise ValidationError(f"unknown config key {key!r}")
+            if command not in OPTIONS[name][2]:
+                raise ValidationError(f"{command} takes no config key {key!r}")
+            given[name] = value
     return given
 
 

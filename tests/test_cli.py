@@ -95,21 +95,24 @@ class TestScore:
         code, _, _ = run_cli(capsys, "score", str(path))
         assert code == 2
 
+    # An error in a space file that the distribution file references names both files, the outer one first.
     @pytest.mark.parametrize("text,named,message", [
-        ('{"space": "space.json", "p": [0.5, 0.5]}', "space.json", "attribute name must be a string, got ['x']"),
-        ('{"k": 2, "p": [0.2, 0.3, 0.5]}', "d.json", "distribution has shape (3,), expected (2,)"),
-        ('{"k": 2, "p": [0.5, 0.6]}', "d.json", "distribution entries sum to 1.1, expected 1"),
+        ('{"space": "space.json", "p": [0.5, 0.5]}', ("d.json", "space.json"),
+         "attribute name must be a string, got ['x']"),
+        ('{"k": 2, "p": [0.2, 0.3, 0.5]}', ("d.json",), "distribution has shape (3,), expected (2,)"),
+        ('{"k": 2, "p": [0.5, 0.6]}', ("d.json",), "distribution entries sum to 1.1, expected 1"),
     ], ids=["space-file", "shape", "sum"])
     def test_distribution_file_errors_name_the_file(self, capsys, tmp_path, text, named, message):
         (tmp_path / "space.json").write_text('{"attributes": [{"name": ["x"], "values": ["a", "b"]}]}')
         (tmp_path / "d.json").write_text(text)
         code, out, err = run_cli(capsys, "score", str(tmp_path / "d.json"))
-        assert (code, out, err) == (2, "", f"error: {tmp_path / named}: {message}\n")
+        prefix = "".join(f"{tmp_path / name}: " for name in named)
+        assert (code, out, err) == (2, "", f"error: {prefix}{message}\n")
 
     def test_file_k_follows_the_integer_rule(self, capsys, tmp_path):
         path = tmp_path / "d.json"
         path.write_text('{"k": 2.0, "p": [0.5, 0.5]}')
-        assert run_cli(capsys, "score", str(path)) == (2, "", "error: k must be an integer, got 2.0\n")
+        assert run_cli(capsys, "score", str(path)) == (2, "", f"error: {path}: k must be an integer, got 2.0\n")
 
 
 class TestEp:
@@ -434,6 +437,47 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, case):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if kind == "ingest":
         assert err.startswith("error: line 1: ")
+
+
+# JSON nested deeper than the decoder's recursion limit.
+DEEP = "[" * 200_000 + "]" * 200_000
+# Each case: the files to write (name -> text or bytes), the argv, and what the one error line names first: the
+# file or files, outer first, or the line of a prediction file.
+FILE_DEFECTS = {
+    "dist-too-deep": ({"d.json": f'{{"k": 2, "p": {DEEP}}}'}, ["score", "d.json"], ["d.json"]),
+    "space-too-deep": ({"space.json": f'{{"attributes": {DEEP}}}', "d.json": '{"space": "space.json", "p": [1]}'},
+                       ["score", "d.json"], ["d.json", "space.json"]),
+    "confusion-too-deep": ({"conf.json": f'{{"k": 2, "m": {DEEP}}}'},
+                           ["ep", "--k", "2", "--classifier", "conf.json"], ["conf.json"]),
+    "config-too-deep": ({"cfg.json": f'{{"k": {DEEP}}}'}, ["bench", "--config", "cfg.json"], ["cfg.json"]),
+    "config-classifier-nul": ({"cfg.json": '{"k": 2, "classifier": "a\\u0000b"}'}, ["ep", "--config", "cfg.json"],
+                              ["a\0b"]),
+    "dist-space-nul": ({"d.json": '{"space": "a\\u0000b", "p": [0.5, 0.5]}'}, ["score", "d.json"],
+                       ["d.json", "a\0b"]),
+    "confusion-rows-sum-1.1": ({"conf.json": '{"k": 2, "m": [[0.6, 0.5], [0, 1]]}'},
+                               ["ep", "--k", "2", "--classifier", "conf.json"], ["conf.json"]),
+    "confusion-k-1": ({"conf.json": '{"k": 1, "m": [[1]]}'}, ["ep", "--k", "2", "--classifier", "conf.json"],
+                      ["conf.json"]),
+    "dist-k-2.0": ({"d.json": '{"k": 2.0, "p": [0.5, 0.5]}'}, ["score", "d.json"], ["d.json"]),
+    # Inside a string, so only the UTF-8 check can refuse them.
+    "jsonl-not-utf-8": ({"p.jsonl": b'{"id": "a", "pred": 0}\n{"id": "\xff\xfe", "pred": 0}\n'},
+                        ["ingest", "p.jsonl", "--k", "2"], ["line 2"]),
+    "jsonl-too-deep": ({"p.jsonl": f'{{"id": "a", "pred": 0}}\n{{"id": "b", "x": {DEEP}}}\n'},
+                       ["ingest", "p.jsonl", "--k", "2"], ["line 2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_DEFECTS))
+def test_file_defect_exits_2_with_one_line_naming_its_source(capsys, tmp_path, monkeypatch, case):
+    files, argv, named = FILE_DEFECTS[case]
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    # Relative paths, so a message names the files as they were given.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " + "".join(f"{name}: " for name in named)), err
 
 
 # A number in a config file is a JSON number: a numeric string is refused, as on the library side.

@@ -1,7 +1,7 @@
 """Past the file boundary, code sees arrays and confusion models: no attribute space or distribution object.
 The package exports each public name it defines in `__all__`. Only errors.py decides what an integer or a
-number input is, only attrspace.py turns an outside array into floats, and only attrspace.py reads the tolerances
-that make rows of probabilities distributions."""
+number input is, only attrspace.py turns an outside array into floats, only attrspace.py reads the tolerances
+that make rows of probabilities distributions, and only attrspace.json_file writes a file's path into an error."""
 
 import ast
 import pathlib
@@ -137,3 +137,41 @@ def test_distribution_tolerances_live_in_attrspace_only(module):
                                      "ok = off <= attrspace._DRIFT_TOL"])
 def test_tolerance_lint_finds_a_read_put_back(snippet):
     assert own_tolerance_reads(snippet)
+
+
+def _starts_with_path(node) -> bool:
+    """`node` is an f-string that starts with a formatted `path` followed by ": "."""
+    return (isinstance(node, ast.JoinedStr) and len(node.values) >= 2
+            and isinstance(node.values[0], ast.FormattedValue) and isinstance(node.values[0].value, ast.Name)
+            and node.values[0].value.id == "path"
+            and isinstance(node.values[1], ast.Constant) and node.values[1].value.startswith(": "))
+
+
+def path_prefixes(source: str) -> list[tuple[str, str]]:
+    """Each f-string in `source` that starts with a formatted `path` followed by ": ", with the name of the innermost
+    function that holds it ("" at module level)."""
+    tree = ast.parse(source)
+    found = {}
+    # ast.walk visits an outer function before the functions inside it, so the innermost name is written last.
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+        for node in ast.walk(scope):
+            if _starts_with_path(node):
+                found[id(node)] = (getattr(scope, "name", ""), ast.unparse(node))
+    return list(found.values())
+
+
+# A JSON input file is read only inside attrspace.json_file, which puts the file's path in front of every error of
+# the file and of the block that reads it, once. Its two f-strings are the only ones that write that prefix.
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_only_json_file_writes_a_path_into_an_error(module):
+    scopes = [scope for scope, _ in path_prefixes((SRC / f"{module}.py").read_text(encoding="utf-8"))]
+    assert scopes == (["json_file", "json_file"] if module == "attrspace" else [])
+
+
+@pytest.mark.parametrize("snippet", ['raise ValidationError(f"{path}: config must be a JSON object")',
+                                     "k = check_int(f'{path}: \"k\"', obj['k'])",
+                                     'def load(path):\n    raise ValidationError(f"{path}: {exc}")',
+                                     'def json_file(path):\n    def build(path):\n        return f"{path}: {x}"'])
+def test_path_prefix_lint_finds_a_prefix_put_back(snippet):
+    scopes = [scope for scope, _ in path_prefixes(snippet)]
+    assert scopes and "json_file" not in scopes
