@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field
 
@@ -253,6 +254,25 @@ class Predictions:
         return len(self.pred)
 
 
+_scan_once = json.JSONDecoder().scan_once
+_end_of_whitespace = json.decoder.WHITESPACE.match
+
+
+def _json_line(line: str):
+    """`json.loads(line)`, by one C scan when the line is one JSON value followed only by JSON whitespace.
+
+    The scan is the one `json.loads` runs, without its wrapper. Any other line, valid or not (leading whitespace,
+    a BOM, extra data, no value), goes to `json.loads`, which decides its value or writes its error.
+    """
+    try:
+        obj, end = _scan_once(line, 0)
+        if _end_of_whitespace(line, end).end() == len(line):
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
+
+
 def load_predictions(path, k: int) -> Predictions:
     """Read a JSONL prediction file: one {"id", "probs"|"pred", "true"?} per line.
 
@@ -262,8 +282,9 @@ def load_predictions(path, k: int) -> Predictions:
     (N, k) block of soft probabilities is checked once for finite, non-negative
     rows that sum to 1 within PROBS_SUM_TOL. Each error names the first bad line.
     """
-    check_k(k)
-    probs, lines, pred, truth = array("d"), array("q"), array("q"), array("q")
+    # One record's probabilities packed as k doubles, as an array("d") holds them: faster than extending one.
+    packed = struct.Struct(f"{check_k(k)}d").pack
+    probs, lines, pred, truth = bytearray(), array("q"), array("q"), array("q")
     soft = None
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -273,7 +294,7 @@ def load_predictions(path, k: int) -> Predictions:
                 # A byte that is not UTF-8 came in as a surrogate escape, and fails here on the line that holds it.
                 if not line.isascii():
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
-                obj = json.loads(line)
+                obj = _json_line(line)
             except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
                 raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict) or "id" not in obj:
@@ -281,14 +302,16 @@ def load_predictions(path, k: int) -> Predictions:
             p, label, t = obj.get("probs"), obj.get("pred"), obj.get("true", obj.get("truth"))
             if p is not None and not is_number_list(p):
                 raise ValidationError(f"line {lineno}: probs must be a list of numbers")
-            for name, value in (("pred", label), ("true", t)):
-                if value is not None and not is_int(value):
-                    raise ValidationError(f"line {lineno}: {name} must be an integer label, got {value!r}")
+            if label is not None and not is_int(label):
+                raise ValidationError(f"line {lineno}: pred must be an integer label, got {label!r}")
+            if t is not None and not is_int(t):
+                raise ValidationError(f"line {lineno}: true must be an integer label, got {t!r}")
             if (p is None) == (label is None):
                 raise ValidationError(f"line {lineno}: exactly one of probs/pred is required")
-            if p is not None and len(p) != k:
-                raise ValidationError(f"line {lineno}: probs have length {len(p)}, expected {k}")
-            if label is not None and not 0 <= label < k:
+            if p is not None:
+                if len(p) != k:
+                    raise ValidationError(f"line {lineno}: probs have length {len(p)}, expected {k}")
+            elif not 0 <= label < k:
                 raise ValidationError(f"line {lineno}: pred {label} out of range for k={k}")
             if t is not None and not 0 <= t < k:
                 raise ValidationError(f"line {lineno}: truth {t} out of range for k={k}")
@@ -298,8 +321,8 @@ def load_predictions(path, k: int) -> Predictions:
                 raise ValidationError(f"line {lineno}: prediction stream mixes soft (probs) and hard (pred) records")
             if soft:
                 try:
-                    probs.extend(p)
-                except OverflowError:
+                    probs += packed(*p)
+                except struct.error:  # an int past float range; p holds only ints and floats
                     raise ValidationError(f"line {lineno}: probs must be finite numbers") from None
                 lines.append(lineno)
             else:

@@ -94,8 +94,15 @@ OPTIONS = {
 }
 
 
-def _read_config(path: str, command: str) -> dict:
-    """The config file's values by option name; every key must be one that the command takes."""
+def _converted(name: str, value):
+    """`value` through the option's convert; an unset option with a default None stays None."""
+    convert, default = OPTIONS[name][:2]
+    return None if value is None and default is None else convert(name, value)
+
+
+def _read_config(path: str, args: argparse.Namespace) -> dict:
+    """The config file's converted values by option name, except those a flag overrides; every key must be one
+    that the command takes. Each value is converted inside `json_file`, so its error names the file."""
     given = {}
     with json_file(path) as file_cfg:
         if not isinstance(file_cfg, dict):
@@ -104,21 +111,21 @@ def _read_config(path: str, command: str) -> dict:
             name = key[:-1] if key == "ks" else key  # "ks", the plural, names the same option
             if name not in OPTIONS:
                 raise ValidationError(f"unknown config key {key!r}")
-            if command not in OPTIONS[name][2]:
-                raise ValidationError(f"{command} takes no config key {key!r}")
+            if args.command not in OPTIONS[name][2]:
+                raise ValidationError(f"{args.command} takes no config key {key!r}")
             given[name] = value
-    return given
+        # A later key wins, and a value that a flag overrides is not read.
+        return {name: _converted(name, value) for name, value in given.items() if getattr(args, name) is None}
 
 
 class RunConfig:
     """Merged view of the config file and command-line flags (flags win), one attribute per option."""
 
     def __init__(self, args: argparse.Namespace):
-        given = _read_config(args.config, args.command) if args.config else {}
-        given.update((name, v) for name in OPTIONS if (v := getattr(args, name, None)) is not None)
-        for name, (convert, default, *_) in OPTIONS.items():
-            value = given.get(name, default)
-            setattr(self, name, None if value is None and default is None else convert(name, value))
+        given = _read_config(args.config, args) if args.config else {}
+        for name, (_, default, *_) in OPTIONS.items():
+            flag = getattr(args, name, None)
+            setattr(self, name, given[name] if name in given else _converted(name, default if flag is None else flag))
         if self.mode == "sampled" and self.n is None:
             raise ValidationError("sampled mode needs an explicit --n")
         chosen = [name for name, v in (("--classifier", self.classifier),
@@ -156,7 +163,11 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="\n")
+        except ValueError as exc:  # A NUL byte or a lone surrogate in the path; an OSError passes.
+            raise ValidationError(f"invalid output path {out!r}: {exc}") from exc
+        with fh:
             fh.write(text)
 
 

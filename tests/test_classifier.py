@@ -21,7 +21,7 @@ from fairdisc import (
     preset,
     uniform_noise,
 )
-from fairdisc.classifier import PRESET_ACCURACIES, derive_seed, load_predictions
+from fairdisc.classifier import PRESET_ACCURACIES, _json_line, derive_seed, load_predictions
 from oracles import reference_ingest, reference_sample
 
 
@@ -310,6 +310,8 @@ class TestIngest:
             ingest(tmp_path, '{"id": 7, "probs": [NaN, 1]}')
         with pytest.raises(ValidationError, match=r"^line 1: probs must be a non-negative vector$"):
             ingest(tmp_path, {"id": "a", "probs": [1.5, -0.5]})
+        with pytest.raises(ValidationError, match=r"^line 2: probs must be finite numbers$"):
+            ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5]}, {"id": "b", "probs": [10 ** 400, 0.5]})
         # within tolerance on either side
         est, _ = ingest(tmp_path, {"id": "a", "probs": [0.5, 0.5000004]}, {"id": "b", "probs": [0.5, 0.4999996]})
         assert est.sum() == pytest.approx(1.0, abs=1e-15)
@@ -395,6 +397,70 @@ class TestPredictionFiles:
         path.write_text("[1, 2]")
         with pytest.raises(ValidationError):
             load_confusion(path)
+
+
+def decoded(decode, s):
+    """("ok", repr of the value) or (exception type, message) of decode(s); repr, so NaN equals NaN."""
+    try:
+        return "ok", repr(decode(s))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+# Lines built from JSON values, broken tokens, whitespace that JSON does and does not allow, a BOM, NaN, trailing
+# text and nesting on both sides of the decoder's recursion limit.
+JSON_VALUES = st.recursive(st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+                           lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                                      max_size=3),
+                           max_leaves=8).map(json.dumps)
+JSON_FRAGMENTS = st.sampled_from(["{", "}", "[", "]", ",", ":", '"', '"id"', "NaN", "-Infinity", "tru", "1e", "-",
+                                  "0x1", "\\u12", "x", "{} {}", "[" * 50 + "]" * 50, "[" * 100_000 + "]" * 100_000,
+                                  "[" * 100_000])
+SEPARATORS = st.sampled_from([" ", "\t", "\r", "\n", "\r\n", "\x0c", "\u00a0", "\ufeff"])
+
+
+class TestJsonLine:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.one_of(JSON_VALUES, JSON_FRAGMENTS, SEPARATORS), max_size=5))
+    def test_matches_json_loads(self, parts):
+        s = "".join(parts)
+        assert decoded(_json_line, s) == decoded(json.loads, s)
+
+    @pytest.mark.parametrize("s,want", [
+        ("{}\r\n", ("ok", "{}")),
+        (" {}", ("ok", "{}")),
+        ("{}\x0c", (json.JSONDecodeError, "Extra data: line 1 column 3 (char 2)")),
+        ("\ufeff{}", (json.JSONDecodeError, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")),
+        ("{} {}", (json.JSONDecodeError, "Extra data: line 1 column 4 (char 3)")),
+    ])
+    def test_edge_lines(self, s, want):
+        assert decoded(_json_line, s) == decoded(json.loads, s) == want
+
+    # One line of each kind json.loads refuses, after a good first line. The bad line ends the file, with no newline.
+    @pytest.mark.parametrize("line,message", [
+        ('{"id": "b", "pred": }', "Expecting value: line 1 column 21 (char 20)"),
+        ('{"id": "b", "pred": 0} {}', "Extra data: line 1 column 24 (char 23)"),
+        ('{"id": "b", "pred": 0}\x0c', "Extra data: line 1 column 23 (char 22)"),
+        ('\ufeff{"id": "b", "pred": 0}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("{'id': 'b'}", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ('{"id" "b"}', "Expecting ':' delimiter: line 1 column 7 (char 6)"),
+        ('{"id": "b" "pred": 0}', "Expecting ',' delimiter: line 1 column 12 (char 11)"),
+        ('{"id": "b', "Unterminated string starting at: line 1 column 8 (char 7)"),
+        ('{"id": "b\tc", "pred": 0}', "Invalid control character at: line 1 column 10 (char 9)"),
+        ('{"id": "b\\q", "pred": 0}', "Invalid \\escape: line 1 column 10 (char 9)"),
+        ('{"id": "\\u12", "pred": 0}', "Invalid \\uXXXX escape: line 1 column 10 (char 9)"),
+        ('{"id": "b", "pred": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits) for integer string conversion: "
+         "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+        ('{"id": "b", "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    ], ids=["no-value", "extra-data", "form-feed", "bom", "property-name", "colon", "comma", "unterminated",
+            "control-character", "escape", "u-escape", "int-digits", "too-deep"])
+    def test_load_predictions_error_messages(self, tmp_path, line, message):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"id": "a", "pred": 0}\n' + line, encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_predictions(path, 2)
+        assert str(exc.value) == f"line 2: invalid JSON: {message}"
 
 
 class TestPresets:

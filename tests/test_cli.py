@@ -467,6 +467,30 @@ FILE_DEFECTS = {
 }
 
 
+# An output path that open refuses by ValueError, from each option that names one. `main` takes argv with a NUL
+# byte, which no shell can pass; a config file can.
+OUT_PATH_DEFECTS = {
+    "out": ({"cfg.json": '{"out": "a\\u0000b"}'}, ["nfactor", "--config", "cfg.json"], "'a\\x00b': embedded null byte"),
+    "markdown": ({"cfg.json": '{"k": 2, "step": 0.5, "out": "r.csv", "markdown": "a\\u0000b"}'},
+                 ["bench", "--config", "cfg.json"], "'a\\x00b': embedded null byte"),
+    "confusion-out": ({"p.jsonl": '{"id": "a", "pred": 0, "true": 0}\n'},
+                      ["ingest", "p.jsonl", "--k", "2", "--out", "d.json", "--confusion-out", "a\0b"],
+                      "'a\\x00b': embedded null byte"),
+    "out-surrogate": ({"cfg.json": '{"out": "\\ud800"}'}, ["nfactor", "--config", "cfg.json"],
+                      "'\\ud800': 'utf-8' codec can't encode character '\\ud800' in position 0: "
+                      "surrogates not allowed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_PATH_DEFECTS))
+def test_output_path_defect_exits_2_with_one_line(capsys, tmp_path, monkeypatch, case):
+    files, argv, what = OUT_PATH_DEFECTS[case]
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (2, "", f"error: invalid output path {what}\n")
+
+
 @pytest.mark.parametrize("case", sorted(FILE_DEFECTS))
 def test_file_defect_exits_2_with_one_line_naming_its_source(capsys, tmp_path, monkeypatch, case):
     files, argv, named = FILE_DEFECTS[case]
@@ -480,7 +504,8 @@ def test_file_defect_exits_2_with_one_line_naming_its_source(capsys, tmp_path, m
     assert err.startswith("error: " + "".join(f"{name}: " for name in named)), err
 
 
-# A number in a config file is a JSON number: a numeric string is refused, as on the library side.
+# A number in a config file is a JSON number: a numeric string is refused, as on the library side. The error names
+# the config file, as every other error of the file does.
 @pytest.mark.parametrize("cfg,message", [
     ({"seed": "7"}, "seed must be an integer, got '7'"),
     ({"mode": "sampled", "n": "50"}, "n must be an integer, got '50'"),
@@ -493,7 +518,16 @@ def test_file_defect_exits_2_with_one_line_naming_its_source(capsys, tmp_path, m
 def test_config_numeric_string_exits_2(capsys, tmp_path, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert run_cli(capsys, "bench", "--config", str(path)) == (2, "", f"error: {message}\n")
+    assert run_cli(capsys, "bench", "--config", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+# A flag overrides its config value before the value is read, so a bad one is no error.
+@pytest.mark.parametrize("cfg,flag", [({"step": "x"}, ["--step", "0.5"]), ({"k": [1]}, ["--k", "2"]),
+                                      ({"metrics": None}, ["--metrics", "l1"]), ({"out": 7}, ["--out", "r.csv"])])
+def test_config_value_a_flag_overrides_is_not_read(capsys, tmp_path, monkeypatch, cfg, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"k": [2], "step": 0.5, **cfg}))
+    assert run_cli(capsys, "sweep", "--config", "cfg.json", *flag)[0] == 0
 
 
 @pytest.mark.parametrize("text", ['{"k": 2, "m": [[1.0000000005, 0], [0, 1]]}',

@@ -254,9 +254,12 @@ def test_wrong_typed_config_values_exit_2(tmp_path_factory, command, data):
     name = data.draw(st.sampled_from([name for name in KINDS if command in cli.OPTIONS[name][2]]))
     cfg = base_config(command, data)
     cfg[name] = data.draw(wrong_config_value(name))
-    code, err = check(config_argv(tmp_path_factory, command, cfg))
+    argv = config_argv(tmp_path_factory, command, cfg)
+    code, err = check(argv)
     assert code == 2
-    assert len(err.splitlines()) == 1 and err.startswith(f"error: {name} must be {KINDS[name]}, got "), (cfg, err)
+    # The config file, the last argument, names the error.
+    want = f"error: {argv[-1]}: {name} must be {KINDS[name]}, got "
+    assert len(err.splitlines()) == 1 and err.startswith(want), (cfg, err)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,7 +1,8 @@
 """Past the file boundary, code sees arrays and confusion models: no attribute space or distribution object.
 The package exports each public name it defines in `__all__`. Only errors.py decides what an integer or a
 number input is, only attrspace.py turns an outside array into floats, only attrspace.py reads the tolerances
-that make rows of probabilities distributions, and only attrspace.json_file writes a file's path into an error."""
+that make rows of probabilities distributions, only attrspace.json_file writes a file's path into an error, and
+only attrspace.json_file and classifier._json_line decode JSON text."""
 
 import ast
 import pathlib
@@ -147,17 +148,22 @@ def _starts_with_path(node) -> bool:
             and isinstance(node.values[1], ast.Constant) and node.values[1].value.startswith(": "))
 
 
-def path_prefixes(source: str) -> list[tuple[str, str]]:
-    """Each f-string in `source` that starts with a formatted `path` followed by ": ", with the name of the innermost
-    function that holds it ("" at module level)."""
+def scoped(source: str, hit) -> list[tuple[str, str]]:
+    """Each node of `source` for which `hit(node)` holds, with the name of the innermost function that holds it
+    ("" at module level)."""
     tree = ast.parse(source)
     found = {}
     # ast.walk visits an outer function before the functions inside it, so the innermost name is written last.
     for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
         for node in ast.walk(scope):
-            if _starts_with_path(node):
+            if hit(node):
                 found[id(node)] = (getattr(scope, "name", ""), ast.unparse(node))
     return list(found.values())
+
+
+def path_prefixes(source: str) -> list[tuple[str, str]]:
+    """Each f-string in `source` that starts with a formatted `path` followed by ": ", with its innermost function."""
+    return scoped(source, _starts_with_path)
 
 
 # A JSON input file is read only inside attrspace.json_file, which puts the file's path in front of every error of
@@ -175,3 +181,40 @@ def test_only_json_file_writes_a_path_into_an_error(module):
 def test_path_prefix_lint_finds_a_prefix_put_back(snippet):
     scopes = [scope for scope, _ in path_prefixes(snippet)]
     assert scopes and "json_file" not in scopes
+
+
+def _is_json_decode(node) -> bool:
+    """`node` is json.load or json.loads, or imports either from json."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr in ("load", "loads")
+    return (isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(alias.name in ("load", "loads") for alias in node.names))
+
+
+def json_decodes(source: str) -> list[tuple[str, str]]:
+    """Each json.load or json.loads in `source`, with its innermost function."""
+    return scoped(source, _is_json_decode)
+
+
+# JSON text is decoded in two places: attrspace.json_file for a whole input file and classifier._json_line for one
+# prediction line, whose fast path is the scan json.loads runs and whose every other line goes to json.loads.
+DECODERS = {"attrspace": ["json_file"], "classifier": ["_json_line"]}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_only_json_file_and_json_line_decode_json(module):
+    scopes = [scope for scope, _ in json_decodes((SRC / f"{module}.py").read_text(encoding="utf-8"))]
+    assert scopes == DECODERS.get(module, [])
+
+
+def test_decode_lint_finds_json_loads_put_back_into_load_predictions():
+    source = (SRC / "classifier.py").read_text(encoding="utf-8")
+    assert "obj = _json_line(line)" in source
+    found = json_decodes(source.replace("obj = _json_line(line)", "obj = json.loads(line)"))
+    assert [scope for scope, _ in found] == ["_json_line", "load_predictions"]
+
+
+@pytest.mark.parametrize("snippet", ["obj = json.load(fh)", "from json import loads", "from json import dumps, load",
+                                     "def read(fh):\n    return json.loads(fh.read())"])
+def test_decode_lint_finds_a_decode_put_back(snippet):
+    assert json_decodes(snippet)
