@@ -9,9 +9,13 @@ instead.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import stat
 import struct
+import threading
 from array import array
 from dataclasses import dataclass, field
 
@@ -273,20 +277,47 @@ def _json_line(line: str):
     return json.loads(line)
 
 
-def load_predictions(path, k: int) -> Predictions:
-    """Read a JSONL prediction file: one {"id", "probs"|"pred", "true"?} per line.
+# A regular prediction file is read in ranges of about this many bytes, in parallel where `_workers` allows.
+_CHUNK_BYTES = 4 << 20
+_MIXED = "prediction stream mixes soft (probs) and hard (pred) records"
 
-    Each line is checked as it is read: JSON, an object with an "id", `probs`
-    a list of numbers, `pred`/`true` integer labels, exactly one of probs/pred,
-    len(probs) == k, labels in [0, k) and one record kind throughout. Then the
-    (N, k) block of soft probabilities is checked once for finite, non-negative
-    rows that sum to 1 within PROBS_SUM_TOL. Each error names the first bad line.
+
+class _Range(io.RawIOBase):
+    """The bytes [start, stop) of the regular file open at `fd` (stop None: to its end), read by `os.pread`, which
+    leaves the descriptor's offset alone, so forked readers can share the descriptor."""
+
+    def __init__(self, fd: int, start: int, stop: int | None):
+        super().__init__()
+        self.fd, self.pos, self.stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self.fd, len(buf) if self.stop is None else min(len(buf), self.stop - self.pos), self.pos)
+        buf[:len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _read_range(fd: int, k: int, start: int | None, stop: int | None):
+    """Read one range of a prediction file line by line, with every per-line check of `load_predictions`.
+
+    The range is the bytes [start, stop) of the regular file open at `fd` (stop None: to its end), or with start
+    None the stream at `fd` from where it stands to its end. Line numbers count from the range's first line.
+    Returns (soft, first, probs, lines, pred, truth, n_lines, error): the range's record kind (None without a
+    record), the line of its first record, the packed soft probabilities and the line of each soft record, the hard
+    labels, the truth labels (-1 where absent), the range's line count, and its first error as (line, message) or
+    None. Reading stops at that error.
     """
     # One record's probabilities packed as k doubles, as an array("d") holds them: faster than extending one.
-    packed = struct.Struct(f"{check_k(k)}d").pack
+    packed = struct.Struct(f"{k}d").pack
     probs, lines, pred, truth = bytearray(), array("q"), array("q"), array("q")
-    soft = None
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    soft = first = error = None
+    lineno = 0
+    raw = io.FileIO(fd, closefd=False) if start is None else _Range(fd, start, stop)
+    fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape")
+    try:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -296,38 +327,96 @@ def load_predictions(path, k: int) -> Predictions:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 obj = _json_line(line)
             except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
-                raise ValidationError(f"line {lineno}: invalid JSON: {exc}") from exc
+                raise ValidationError(f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict) or "id" not in obj:
-                raise ValidationError(f'line {lineno}: record must be an object with an "id"')
+                raise ValidationError('record must be an object with an "id"')
             p, label, t = obj.get("probs"), obj.get("pred"), obj.get("true", obj.get("truth"))
             if p is not None and not is_number_list(p):
-                raise ValidationError(f"line {lineno}: probs must be a list of numbers")
+                raise ValidationError("probs must be a list of numbers")
             if label is not None and not is_int(label):
-                raise ValidationError(f"line {lineno}: pred must be an integer label, got {label!r}")
+                raise ValidationError(f"pred must be an integer label, got {label!r}")
             if t is not None and not is_int(t):
-                raise ValidationError(f"line {lineno}: true must be an integer label, got {t!r}")
+                raise ValidationError(f"true must be an integer label, got {t!r}")
             if (p is None) == (label is None):
-                raise ValidationError(f"line {lineno}: exactly one of probs/pred is required")
+                raise ValidationError("exactly one of probs/pred is required")
             if p is not None:
                 if len(p) != k:
-                    raise ValidationError(f"line {lineno}: probs have length {len(p)}, expected {k}")
+                    raise ValidationError(f"probs have length {len(p)}, expected {k}")
             elif not 0 <= label < k:
-                raise ValidationError(f"line {lineno}: pred {label} out of range for k={k}")
+                raise ValidationError(f"pred {label} out of range for k={k}")
             if t is not None and not 0 <= t < k:
-                raise ValidationError(f"line {lineno}: truth {t} out of range for k={k}")
+                raise ValidationError(f"truth {t} out of range for k={k}")
             if soft is None:
-                soft = p is not None
+                soft, first = p is not None, lineno
             if soft != (p is not None):
-                raise ValidationError(f"line {lineno}: prediction stream mixes soft (probs) and hard (pred) records")
+                raise ValidationError(_MIXED)
             if soft:
                 try:
                     probs += packed(*p)
                 except struct.error:  # an int past float range; p holds only ints and floats
-                    raise ValidationError(f"line {lineno}: probs must be finite numbers") from None
+                    raise ValidationError("probs must be finite numbers") from None
                 lines.append(lineno)
             else:
                 pred.append(label)
             truth.append(-1 if t is None else t)
+    except ValidationError as exc:
+        error = lineno, str(exc)
+    finally:
+        fh.close()
+    return soft, first, probs, lines, pred, truth, lineno, error
+
+
+def _read_task(task):
+    """`_read_range(*task)`, for `map` and `Pool.imap`, which pass one argument."""
+    return _read_range(*task)
+
+
+def _ranges(fd: int, size: int) -> list[tuple[int, int | None]]:
+    """Byte ranges that split the regular file of `size` bytes open at `fd` into chunks of whole lines.
+
+    Each cut falls just after the first newline byte at or past byte i * _CHUNK_BYTES - 1, so no UTF-8 sequence,
+    CR LF pair or line straddles two ranges. The last range reads to the end of the file.
+    """
+    starts = [0]
+    for mark in range(_CHUNK_BYTES - 1, size, _CHUNK_BYTES):
+        if mark < starts[-1]:
+            continue  # inside the line that ends at the last cut, so it would cut there again
+        pos = mark
+        while (block := os.pread(fd, 1 << 12, pos)) and b"\n" not in block:
+            pos += len(block)
+        if not block or pos + block.index(b"\n") + 1 >= size:
+            break
+        starts.append(pos + block.index(b"\n") + 1)
+    return list(zip(starts, [*starts[1:], None]))
+
+
+def _workers(n_ranges: int) -> int:
+    """How many processes read `n_ranges` ranges: one per CPU this process may run on, at most one per range,
+    when there are several of each, "fork" exists and no other thread runs (a forked child would lack it); else 1,
+    this process."""
+    if n_ranges < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(n_ranges, len(os.sched_getaffinity(0))) if threading.active_count() == 1 else 1
+
+
+def _merge(k: int, results) -> Predictions:
+    """One `Predictions` from the `_read_range` results of consecutive ranges, in file order, with the errors and
+    their precedence of one pass over the whole file."""
+    probs, lines, pred, truth = bytearray(), [], array("q"), array("q")
+    soft, offset = None, 0
+    for r_soft, first, r_probs, r_lines, r_pred, r_truth, n_lines, error in results:
+        # A range's first record meets the stream's kind check before any later line can fail; a range whose
+        # error comes before its first record has no kind.
+        if soft is not None and r_soft not in (None, soft):
+            error = first, _MIXED
+        if error is not None:
+            raise ValidationError(f"line {offset + error[0]}: {error[1]}")
+        soft = r_soft if soft is None else soft
+        probs += r_probs
+        lines.append(np.frombuffer(r_lines, dtype=np.int64) + offset)
+        pred += r_pred
+        truth += r_truth
+        offset += n_lines
     if soft is None:
         raise ValidationError("prediction stream is empty")
     truth = None if -1 in truth else np.frombuffer(truth, dtype=np.int64)
@@ -341,8 +430,45 @@ def load_predictions(path, k: int) -> Predictions:
     if len(bad):
         row = bad[0]
         what = "probs must be a non-negative vector" if not_vector[row] else f"probs sum to {float(sums[row])}, expected 1"
-        raise ValidationError(f"line {lines[row]}: {what}")
+        raise ValidationError(f"line {np.concatenate(lines)[row]}: {what}")
     return Predictions(k, block, block.argmax(axis=1), truth)
+
+
+def load_predictions(path, k: int) -> Predictions:
+    """Read a JSONL prediction file: one {"id", "probs"|"pred", "true"?} per line.
+
+    Each line is checked as it is read: JSON, an object with an "id", `probs`
+    a list of numbers, `pred`/`true` integer labels, exactly one of probs/pred,
+    len(probs) == k, labels in [0, k) and one record kind throughout. Then the
+    (N, k) block of soft probabilities is checked once for finite, non-negative
+    rows that sum to 1 within PROBS_SUM_TOL. Each error names the first bad line.
+
+    A regular file larger than `_CHUNK_BYTES` is read in ranges of whole lines, one `_read_range` each. They run in
+    forked worker processes when there is more than one CPU, "fork" is available and the caller runs no other
+    thread, and in this process otherwise; the ranges are merged in file order, so the result and every error are
+    the same either way. A pipe or another stream that is not a regular file is read in one pass, in this process.
+    """
+    check_k(k)
+    with open(path, "rb") as fh:
+        fd, st = fh.fileno(), os.fstat(fh.fileno())
+        tasks = [(fd, k, start, stop) for start, stop in
+                 (_ranges(fd, st.st_size) if stat.S_ISREG(st.st_mode) else [(None, None)])]
+        workers = _workers(len(tasks))
+        if workers == 1:
+            return _merge(k, map(_read_task, tasks))
+        import multiprocessing
+
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        try:
+            preds = _merge(k, pool.imap(_read_task, tasks))
+        except BaseException:
+            pool.terminate()
+            raise
+        else:
+            pool.close()
+        finally:
+            pool.join()
+        return preds
 
 
 def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel | None]:

@@ -230,10 +230,10 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
     else:
         raise ValidationError("ingest needs --space FILE or a single --k")
     p, confusion = ingest_predictions(load_predictions(args.predictions, space.k))
+    if args.confusion_out and confusion is None:
+        raise ValidationError("cannot write a confusion matrix: records lack truth labels")
     _write_out(json.dumps(CategoricalDistribution(space, p).to_dict(), indent=2) + "\n", cfg.out)
     if args.confusion_out:
-        if confusion is None:
-            raise ValidationError("cannot write a confusion matrix: records lack truth labels")
         _write_out(json.dumps({"k": confusion.k, "m": confusion.m.tolist()}, indent=2) + "\n", args.confusion_out)
 
 

@@ -1,9 +1,13 @@
 import json
+import multiprocessing
+import multiprocessing.pool
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -21,6 +25,7 @@ from fairdisc import (
     preset,
     uniform_noise,
 )
+from fairdisc import classifier
 from fairdisc.classifier import PRESET_ACCURACIES, _json_line, derive_seed, load_predictions
 from oracles import reference_ingest, reference_sample
 
@@ -356,8 +361,12 @@ class TestIngest:
 
 
 def assert_matches_reference(tmp_path, k, records):
-    est, confusion = ingest(tmp_path, *records, k=k)
-    want_p, want_m = reference_ingest(k, records)
+    assert_ingests_to_reference(load_predictions(write_jsonl(tmp_path, *records), k), records)
+
+
+def assert_ingests_to_reference(preds, records):
+    est, confusion = ingest_predictions(preds)
+    want_p, want_m = reference_ingest(preds.k, records)
     assert np.array_equal(est, want_p)
     if want_m is None:
         assert confusion is None
@@ -397,6 +406,147 @@ class TestPredictionFiles:
         path.write_text("[1, 2]")
         with pytest.raises(ValidationError):
             load_confusion(path)
+
+
+def loaded(path, k):
+    """The Predictions of load_predictions(path, k), or the message of its ValidationError."""
+    try:
+        return load_predictions(path, k)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def assert_same_read(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert (got.k, len(got)) == (want.k, len(want))
+    for name in ("probs", "pred", "truth"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+
+
+@st.composite
+def prediction_files(draw):
+    """(k, file bytes): soft or hard records with full, partial or no truth, blank lines, records of the other kind,
+    bad JSON, a byte that is not UTF-8, a bad sum or label, and LF, CR LF or CR line ends."""
+    k = draw(st.integers(2, 4))
+    soft = draw(st.booleans())
+    truth = draw(st.sampled_from(["full", "partial", "none"]))
+    lines = []
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["record"] * 8 + ["blank", "other-kind", "bad-json", "not-utf8", "bad-value"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])).encode())
+            continue
+        if kind in ("bad-json", "not-utf8"):
+            lines.append(b'{"id": ' if kind == "bad-json" else b'{"id": "\xff", "pred": 0}')
+            continue
+        rec = {"id": draw(st.sampled_from([f"r{i}", "é€"]))}
+        if soft != (kind == "other-kind"):
+            w = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+            rec["probs"] = [x / sum(w) + (0.5 * (j == 0) if kind == "bad-value" else 0) for j, x in enumerate(w)]
+        else:
+            rec["pred"] = k if kind == "bad-value" else draw(st.integers(0, k - 1))
+        if truth == "full" or (truth == "partial" and draw(st.booleans())):
+            rec["true"] = draw(st.integers(0, k - 1))
+        lines.append(json.dumps(rec, ensure_ascii=False).encode())
+    ends = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = b""
+    return k, b"".join(line + end for line, end in zip(lines, ends))
+
+
+# Files small enough to be one range, and files cut after a single line, as their bytes alone decide.
+CHUNKED_FILES = {
+    "soft-with-truth": b"".join(b'{"id": "r%d", "probs": [0.25, 0.75], "true": %d}\n' % (i, i % 2) for i in range(9)),
+    "hard-crlf-partial-truth": b'{"id": "a", "pred": 0, "true": 1}\r\n\r\n{"id": "b", "pred": 1}\r'
+                               b'{"id": "c", "pred": 1}',
+    "second-kind-starts-a-chunk": b'{"id": "a", "pred": 0}\n{"id": "b", "pred": 1}\n{"id": "c", "probs": [0.5, 0.5]}\n',
+    "error-before-the-chunks-first-record": b'{"id": "a", "pred": 0}\n\n{oops\n{"id": "c", "probs": [0.5, 0.5]}\n',
+    "bad-sum-then-bad-json-later": b'{"id": "a", "probs": [0.5, 0.6]}\n' + b'{"id": "b", "probs": [0.5, 0.5]}\n' * 4
+                                   + b'{"id": "c", "probs": }\n',
+    "bad-sum-in-a-later-chunk": b'{"id": "a", "probs": [0.5, 0.5]}\n' * 3 + b'\n{"id": "b", "probs": [0.5, 0.6]}\n',
+    "not-utf8-in-a-later-chunk": b'{"id": "a", "pred": 0}\n' * 3 + b'{"id": "\xe2\x82", "pred": 0}\n',
+}
+
+
+class TestChunkedRead:
+    """A file read in ranges of whole lines gives what one pass over it gives: the same arrays, the same ingest and
+    the same first error, whether the ranges are read in this process or by forked workers."""
+
+    def read_both(self, path, k, chunk_bytes, mp):
+        want = loaded(path, k)
+        mp.setattr(classifier, "_CHUNK_BYTES", chunk_bytes)
+        return loaded(path, k), want
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=prediction_files(), chunk_bytes=st.integers(1, 200))
+    @example(case=(2, CHUNKED_FILES["bad-sum-in-a-later-chunk"]), chunk_bytes=1)
+    @example(case=(2, CHUNKED_FILES["second-kind-starts-a-chunk"]), chunk_bytes=1)
+    def test_chunks_read_in_process_equal_one_pass(self, tmp_path_factory, case, chunk_bytes):
+        k, data = case
+        path = tmp_path_factory.mktemp("chunks") / "p.jsonl"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifier, "_workers", lambda n_ranges: 1)
+            got, want = self.read_both(path, k, chunk_bytes, mp)
+        assert_same_read(got, want)
+        if not isinstance(got, str):
+            records = [json.loads(line) for line in data.decode().splitlines() if line.strip()]
+            assert_ingests_to_reference(got, records)
+
+    @pytest.mark.parametrize("name", CHUNKED_FILES)
+    def test_chunks_read_by_a_fork_pool_equal_one_pass(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(CHUNKED_FILES[name])
+        imaps = []
+        original = multiprocessing.pool.Pool.imap
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        got, want = self.read_both(path, 2, 1, monkeypatch)
+        assert imaps == [1]
+        assert_same_read(got, want)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("name, want", [
+        ("second-kind-starts-a-chunk", "line 3: prediction stream mixes soft (probs) and hard (pred) records"),
+        ("error-before-the-chunks-first-record", "line 3: invalid JSON: Expecting property name enclosed in double "
+                                                 "quotes: line 1 column 2 (char 1)"),
+        ("bad-sum-in-a-later-chunk", "line 5: probs sum to 1.1, expected 1"),
+        ("bad-sum-then-bad-json-later", "line 6: invalid JSON: Expecting value: line 1 column 22 (char 21)"),
+        ("not-utf8-in-a-later-chunk", "line 4: invalid JSON: 'utf-8' codec can't decode bytes in position 8-9: "
+                                      "invalid continuation byte"),
+    ])
+    def test_pinned_errors(self, tmp_path, name, want):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(CHUNKED_FILES[name])
+        assert loaded(path, 2) == want
+
+    def test_cuts_fall_after_a_newline(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b"ab\r\ncd\n\n" + b"x" * 20 + b"\nlast")
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 3)
+        with open(path, "rb") as fh:
+            assert classifier._ranges(fh.fileno(), 33) == [(0, 4), (4, 7), (7, 29), (29, None)]
+
+    def test_fifo_is_read_in_one_pass(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 4)
+        fifo = tmp_path / "p.fifo"
+        os.mkfifo(fifo)
+        for text, want in [('{"id": "a", "probs": [0.5, 0.5]}\n{"id": "b", "probs": [0.5, 0.6]}\n',
+                            "line 2: probs sum to 1.1, expected 1"),
+                           ('{"id": "a", "pred": 0, "true": 1}\n\n{"id": "b", "pred": 1, "true": 1}', None)]:
+            writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+            writer.start()
+            got = loaded(fifo, 2)
+            writer.join(10)
+            assert not writer.is_alive()
+            if want is None:
+                assert got.pred.tolist() == [0, 1] and got.truth.tolist() == [1, 1]
+            else:
+                assert got == want
 
 
 def decoded(decode, s):

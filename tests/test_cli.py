@@ -295,9 +295,11 @@ class TestIngest:
     def test_confusion_without_truth_exits_2(self, capsys, tmp_path):
         preds = tmp_path / "p.jsonl"
         preds.write_text('{"id": "a", "pred": 0}\n')
-        code, _, err = run_cli(capsys, "ingest", str(preds), "--k", "2",
+        code, _, err = run_cli(capsys, "ingest", str(preds), "--k", "2", "--out", str(tmp_path / "d.json"),
                                "--confusion-out", str(tmp_path / "c.json"))
         assert code == 2
+        # The error comes before any output is written.
+        assert not (tmp_path / "d.json").exists() and not (tmp_path / "c.json").exists()
 
     def test_malformed_line_reports_number(self, capsys, tmp_path):
         preds = tmp_path / "p.jsonl"
@@ -573,6 +575,25 @@ def test_ingest_error_is_the_same_from_a_file_and_a_pipe(tmp_path, text):
     assert from_file.returncode == from_pipe.returncode == 2
     assert from_file.stderr == from_pipe.stderr
     assert from_file.stderr.startswith(b"error: line ")
+
+
+def test_ingest_forks_no_pool_for_one_chunk_or_one_cpu(tmp_path):
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("".join(f'{{"id": "r{i}", "probs": [0.25, 0.75], "true": {i % 2}}}\n' for i in range(20)))
+    script = f"""
+import os, sys
+import fairdisc.cli
+from fairdisc import classifier
+assert "multiprocessing" not in sys.modules
+assert fairdisc.cli.main(["ingest", {str(preds)!r}, "--k", "2", "--out", "one-chunk.json"]) == 0
+classifier._CHUNK_BYTES = 8
+os.sched_getaffinity = lambda pid: {{0}}
+assert fairdisc.cli.main(["ingest", {str(preds)!r}, "--k", "2", "--out", "one-cpu.json"]) == 0
+assert "multiprocessing" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "one-chunk.json").read_bytes() == (tmp_path / "one-cpu.json").read_bytes()
 
 
 def test_module_entry_point():
