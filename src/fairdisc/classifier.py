@@ -245,17 +245,19 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
 
 @dataclass(frozen=True, eq=False)
 class Predictions:
-    """Ingested records in file order, read with `k` outcomes: soft `probs`
-    (N, k) or None, predicted labels `pred` (N,), the argmax for soft records,
-    and `truth` (N,) or None unless every record has a truth label."""
+    """Ingested records, reduced as they were read with `k` outcomes: `soft` says whether they are soft (probs) or
+    hard (pred) records and `n` counts them. `total` (k,) is the sum of the soft rows, added in file order, or the
+    count of each predicted label; `pairs` (k * k,) counts each (truth, prediction) pair at truth * k + prediction,
+    the argmax for soft records, or is None unless every record has a truth label."""
 
     k: int
-    probs: np.ndarray | None
-    pred: np.ndarray
-    truth: np.ndarray | None
+    soft: bool
+    n: int
+    total: np.ndarray
+    pairs: np.ndarray | None
 
     def __len__(self) -> int:
-        return len(self.pred)
+        return self.n
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -282,100 +284,94 @@ _CHUNK_BYTES = 4 << 20
 _MIXED = "prediction stream mixes soft (probs) and hard (pred) records"
 
 
-class _Range(io.RawIOBase):
-    """The bytes [start, stop) of the regular file open at `fd` (stop None: to its end), read by `os.pread`, which
-    leaves the descriptor's offset alone, so forked readers can share the descriptor."""
+def _read_range(task):
+    """Read one range of a prediction file line by line, with every check of `load_predictions`, and reduce it.
 
-    def __init__(self, fd: int, start: int, stop: int | None):
-        super().__init__()
-        self.fd, self.pos, self.stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        data = os.pread(self.fd, len(buf) if self.stop is None else min(len(buf), self.stop - self.pos), self.pos)
-        buf[:len(data)] = data
-        self.pos += len(data)
-        return len(data)
-
-
-def _read_range(fd: int, k: int, start: int | None, stop: int | None):
-    """Read one range of a prediction file line by line, with every per-line check of `load_predictions`.
-
-    The range is the bytes [start, stop) of the regular file open at `fd` (stop None: to its end), or with start
-    None the stream at `fd` from where it stands to its end. Line numbers count from the range's first line.
-    Returns (soft, first, probs, lines, pred, truth, n_lines, error): the range's record kind (None without a
-    record), the line of its first record, the packed soft probabilities and the line of each soft record, the hard
-    labels, the truth labels (-1 where absent), the range's line count, and its first error as (line, message) or
-    None. Reading stops at that error.
+    `task` is (fd, k, start, stop): the bytes [start, stop) of the regular file open at `fd`, read by `os.pread`,
+    which leaves the descriptor's offset alone, so forked readers can share the descriptor; or, with start None,
+    the stream at `fd` from where it stands to its end. Line numbers count from the range's first line. Returns
+    (soft, first, error, bad, n_lines, reduced, pairs): the range's record kind (None without a record), the line
+    of its first record, its first per-line error as (line, message) or None (reading stops there), its first soft
+    row that is not a distribution as (line, message) or None, its line count, its soft rows (n, k) or its predicted
+    label counts (k,), and its (truth, prediction) counts (k * k,), or None when a record lacks truth.
     """
+    fd, k, start, stop = task
+    if start is None:
+        raw = io.BufferedReader(io.FileIO(fd, closefd=False))
+    else:
+        chunks = []
+        # One pread returns at most 0x7ffff000 bytes on Linux, and may return fewer.
+        while start < stop and (data := os.pread(fd, stop - start, start)):
+            chunks.append(data)
+            start += len(data)
+        raw = io.BytesIO(b"".join(chunks))
     # One record's probabilities packed as k doubles, as an array("d") holds them: faster than extending one.
     packed = struct.Struct(f"{k}d").pack
-    probs, lines, pred, truth = bytearray(), array("q"), array("q"), array("q")
+    probs, lines, labels, truth = bytearray(), array("q"), array("q"), array("q")
     soft = first = error = None
     lineno = 0
-    raw = io.FileIO(fd, closefd=False) if start is None else _Range(fd, start, stop)
-    fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape")
-    try:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                # A byte that is not UTF-8 came in as a surrogate escape, and fails here on the line that holds it.
-                if not line.isascii():
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                obj = _json_line(line)
-            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
-                raise ValidationError(f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "id" not in obj:
-                raise ValidationError('record must be an object with an "id"')
-            p, label, t = obj.get("probs"), obj.get("pred"), obj.get("true", obj.get("truth"))
-            if p is not None and not is_number_list(p):
-                raise ValidationError("probs must be a list of numbers")
-            if label is not None and not is_int(label):
-                raise ValidationError(f"pred must be an integer label, got {label!r}")
-            if t is not None and not is_int(t):
-                raise ValidationError(f"true must be an integer label, got {t!r}")
-            if (p is None) == (label is None):
-                raise ValidationError("exactly one of probs/pred is required")
-            if p is not None:
-                if len(p) != k:
-                    raise ValidationError(f"probs have length {len(p)}, expected {k}")
-            elif not 0 <= label < k:
-                raise ValidationError(f"pred {label} out of range for k={k}")
-            if t is not None and not 0 <= t < k:
-                raise ValidationError(f"truth {t} out of range for k={k}")
-            if soft is None:
-                soft, first = p is not None, lineno
-            if soft != (p is not None):
-                raise ValidationError(_MIXED)
-            if soft:
+    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
                 try:
-                    probs += packed(*p)
-                except struct.error:  # an int past float range; p holds only ints and floats
-                    raise ValidationError("probs must be finite numbers") from None
-                lines.append(lineno)
-            else:
-                pred.append(label)
-            truth.append(-1 if t is None else t)
-    except ValidationError as exc:
-        error = lineno, str(exc)
-    finally:
-        fh.close()
-    return soft, first, probs, lines, pred, truth, lineno, error
+                    # A byte that is not UTF-8 came in as a surrogate escape, and fails here on the line that holds it.
+                    if not line.isascii():
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    obj = _json_line(line)
+                except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+                    raise ValidationError(f"invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict) or "id" not in obj:
+                    raise ValidationError('record must be an object with an "id"')
+                p, label, t = obj.get("probs"), obj.get("pred"), obj.get("true", obj.get("truth"))
+                if p is not None and not is_number_list(p):
+                    raise ValidationError("probs must be a list of numbers")
+                if label is not None and not is_int(label):
+                    raise ValidationError(f"pred must be an integer label, got {label!r}")
+                if t is not None and not is_int(t):
+                    raise ValidationError(f"true must be an integer label, got {t!r}")
+                if (p is None) == (label is None):
+                    raise ValidationError("exactly one of probs/pred is required")
+                if p is not None:
+                    if len(p) != k:
+                        raise ValidationError(f"probs have length {len(p)}, expected {k}")
+                elif not 0 <= label < k:
+                    raise ValidationError(f"pred {label} out of range for k={k}")
+                if t is not None and not 0 <= t < k:
+                    raise ValidationError(f"truth {t} out of range for k={k}")
+                if soft is None:
+                    soft, first = p is not None, lineno
+                if soft != (p is not None):
+                    raise ValidationError(_MIXED)
+                if soft:
+                    try:
+                        probs += packed(*p)
+                    except struct.error:  # an int past float range; p holds only ints and floats
+                        raise ValidationError("probs must be finite numbers") from None
+                    lines.append(lineno)
+                else:
+                    labels.append(label)
+                truth.append(-1 if t is None else t)
+        except ValidationError as exc:
+            error = lineno, str(exc)
+    rows = np.frombuffer(probs).reshape(-1, k)
+    with np.errstate(invalid="ignore"):
+        sums = rows.sum(axis=1)
+    not_vector = ~np.isfinite(rows).all(axis=1) | (rows < 0).any(axis=1)
+    row = next(iter(np.flatnonzero(not_vector | (np.abs(sums - 1.0) > PROBS_SUM_TOL))), None)
+    bad = None if row is None else (lines[row], "probs must be a non-negative vector" if not_vector[row]
+                                    else f"probs sum to {float(sums[row])}, expected 1")
+    pred = rows.argmax(axis=1) if soft else np.frombuffer(labels, dtype=np.int64)
+    pairs = None if -1 in truth else np.bincount(np.frombuffer(truth, dtype=np.int64) * k + pred, minlength=k * k)
+    return soft, first, error, bad, lineno, rows if soft else np.bincount(pred, minlength=k), pairs
 
 
-def _read_task(task):
-    """`_read_range(*task)`, for `map` and `Pool.imap`, which pass one argument."""
-    return _read_range(*task)
-
-
-def _ranges(fd: int, size: int) -> list[tuple[int, int | None]]:
+def _ranges(fd: int, size: int) -> list[tuple[int, int]]:
     """Byte ranges that split the regular file of `size` bytes open at `fd` into chunks of whole lines.
 
     Each cut falls just after the first newline byte at or past byte i * _CHUNK_BYTES - 1, so no UTF-8 sequence,
-    CR LF pair or line straddles two ranges. The last range reads to the end of the file.
+    CR LF pair or line straddles two ranges. The last range ends at `size`.
     """
     starts = [0]
     for mark in range(_CHUNK_BYTES - 1, size, _CHUNK_BYTES):
@@ -387,7 +383,7 @@ def _ranges(fd: int, size: int) -> list[tuple[int, int | None]]:
         if not block or pos + block.index(b"\n") + 1 >= size:
             break
         starts.append(pos + block.index(b"\n") + 1)
-    return list(zip(starts, [*starts[1:], None]))
+    return list(zip(starts, [*starts[1:], size]))
 
 
 def _workers(n_ranges: int) -> int:
@@ -401,37 +397,31 @@ def _workers(n_ranges: int) -> int:
 
 def _merge(k: int, results) -> Predictions:
     """One `Predictions` from the `_read_range` results of consecutive ranges, in file order, with the errors and
-    their precedence of one pass over the whole file."""
-    probs, lines, pred, truth = bytearray(), [], array("q"), array("q")
-    soft, offset = None, 0
-    for r_soft, first, r_probs, r_lines, r_pred, r_truth, n_lines, error in results:
+    their precedence of one pass over the whole file: a per-line error in any range before the first bad soft row."""
+    soft = bad = None
+    n, offset, total, pairs = 0, 0, np.empty((0, k), dtype=np.int64), 0
+    for r_soft, first, error, r_bad, n_lines, reduced, r_pairs in results:
         # A range's first record meets the stream's kind check before any later line can fail; a range whose
         # error comes before its first record has no kind.
         if soft is not None and r_soft not in (None, soft):
             error = first, _MIXED
         if error is not None:
             raise ValidationError(f"line {offset + error[0]}: {error[1]}")
-        soft = r_soft if soft is None else soft
-        probs += r_probs
-        lines.append(np.frombuffer(r_lines, dtype=np.int64) + offset)
-        pred += r_pred
-        truth += r_truth
+        if bad is None and r_bad is not None:
+            bad = f"line {offset + r_bad[0]}: {r_bad[1]}"
+        if r_soft is not None:
+            soft = r_soft
+            n += len(reduced) if soft else int(reduced.sum())
+            # The running total comes in as the first row, so numpy adds the rows to it one by one in file order,
+            # as one pass over the file would.
+            total = np.vstack([total, reduced]).sum(axis=0)
+            pairs = None if pairs is None or r_pairs is None else pairs + r_pairs
         offset += n_lines
+    if bad is not None:
+        raise ValidationError(bad)
     if soft is None:
         raise ValidationError("prediction stream is empty")
-    truth = None if -1 in truth else np.frombuffer(truth, dtype=np.int64)
-    if not soft:
-        return Predictions(k, None, np.frombuffer(pred, dtype=np.int64), truth)
-    block = np.frombuffer(probs).reshape(-1, k)
-    with np.errstate(invalid="ignore"):
-        sums = block.sum(axis=1)
-    not_vector = ~np.isfinite(block).all(axis=1) | (block < 0).any(axis=1)
-    bad = np.flatnonzero(not_vector | (np.abs(sums - 1.0) > PROBS_SUM_TOL))
-    if len(bad):
-        row = bad[0]
-        what = "probs must be a non-negative vector" if not_vector[row] else f"probs sum to {float(sums[row])}, expected 1"
-        raise ValidationError(f"line {np.concatenate(lines)[row]}: {what}")
-    return Predictions(k, block, block.argmax(axis=1), truth)
+    return Predictions(k, soft, n, total, pairs)
 
 
 def load_predictions(path, k: int) -> Predictions:
@@ -439,14 +429,16 @@ def load_predictions(path, k: int) -> Predictions:
 
     Each line is checked as it is read: JSON, an object with an "id", `probs`
     a list of numbers, `pred`/`true` integer labels, exactly one of probs/pred,
-    len(probs) == k, labels in [0, k) and one record kind throughout. Then the
-    (N, k) block of soft probabilities is checked once for finite, non-negative
-    rows that sum to 1 within PROBS_SUM_TOL. Each error names the first bad line.
+    len(probs) == k, labels in [0, k) and one record kind throughout. The soft
+    rows must also be finite and non-negative and sum to 1 within
+    PROBS_SUM_TOL; a per-line error anywhere in the file is reported before
+    such a row. Each error names the first bad line.
 
-    A regular file larger than `_CHUNK_BYTES` is read in ranges of whole lines, one `_read_range` each. They run in
-    forked worker processes when there is more than one CPU, "fork" is available and the caller runs no other
-    thread, and in this process otherwise; the ranges are merged in file order, so the result and every error are
-    the same either way. A pipe or another stream that is not a regular file is read in one pass, in this process.
+    A regular file larger than `_CHUNK_BYTES` is read in ranges of whole lines, one `_read_range` each, which
+    checks and reduces its own records. They run in forked worker processes when there is more than one CPU,
+    "fork" is available and the caller runs no other thread, and in this process otherwise; the reductions are
+    folded in file order, so the result and every error are the same either way. A pipe or another stream that is
+    not a regular file is read in one pass, in this process.
     """
     check_k(k)
     with open(path, "rb") as fh:
@@ -455,20 +447,12 @@ def load_predictions(path, k: int) -> Predictions:
                  (_ranges(fd, st.st_size) if stat.S_ISREG(st.st_mode) else [(None, None)])]
         workers = _workers(len(tasks))
         if workers == 1:
-            return _merge(k, map(_read_task, tasks))
+            return _merge(k, map(_read_range, tasks))
         import multiprocessing
 
-        pool = multiprocessing.get_context("fork").Pool(workers)
-        try:
-            preds = _merge(k, pool.imap(_read_task, tasks))
-        except BaseException:
-            pool.terminate()
-            raise
-        else:
-            pool.close()
-        finally:
-            pool.join()
-        return preds
+        # Leaving the block terminates the pool and joins its workers, on success and on error.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return _merge(k, pool.imap(_read_range, tasks))
 
 
 def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel | None]:
@@ -480,17 +464,12 @@ def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel |
     returned as well; truth classes that never occur keep an identity row
     (no error evidence for them).
     """
-    k = preds.k
-    if preds.probs is not None:
-        # Over axis 0 of the C-contiguous block numpy adds whole rows in file order, not pairwise, as a running
-        # total would. Each row may be off by PROBS_SUM_TOL, so renormalize the sum rather than divide by the count.
-        total = preds.probs.sum(axis=0)
-        estimated = normalized_rows(total / total.sum())
-    else:
-        estimated = normalized_rows(np.bincount(preds.pred, minlength=k) / len(preds))
-    if preds.truth is None:
+    k, total = preds.k, preds.total
+    # Each soft row may be off by PROBS_SUM_TOL, so renormalize their sum rather than divide it by the count.
+    estimated = normalized_rows(total / (total.sum() if preds.soft else len(preds)))
+    if preds.pairs is None:
         return estimated, None
-    counts = np.bincount(preds.truth * k + preds.pred, minlength=k * k).reshape(k, k)
+    counts = preds.pairs.reshape(k, k)
     m = np.eye(k)
     seen = counts.sum(axis=1) > 0
     m[seen] = counts[seen] / counts[seen].sum(axis=1, keepdims=True)

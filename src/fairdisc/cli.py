@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -159,22 +160,27 @@ class RunConfig:
         return model
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+def _write_out(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) in turn, to stdout for path None. Every path is first checked as `open` converts it,
+    so a path that it refuses with a ValueError (a lone surrogate, a NUL byte) writes no file; an OSError passes."""
+    for _, out in outputs:
         try:
-            fh = open(out, "w", encoding="utf-8", newline="\n")
-        except ValueError as exc:  # A NUL byte or a lone surrogate in the path; an OSError passes.
+            if out is not None and b"\0" in os.fsencode(out):
+                raise ValueError("embedded null byte")
+        except ValueError as exc:
             raise ValidationError(f"invalid output path {out!r}: {exc}") from exc
-        with fh:
-            fh.write(text)
+    for text, out in outputs:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
 
 
 def _csv(cfg: RunConfig, header: str, rows) -> None:
     """Write a header and rows of cells: a float cell prints at cfg.precision, any other cell as str()."""
     lines = (",".join(format_float(v, cfg.precision) if isinstance(v, float) else str(v) for v in row) for row in rows)
-    _write_out(header + "\n" + "".join(line + "\n" for line in lines), cfg.out)
+    _write_out((header + "\n" + "".join(line + "\n" for line in lines), cfg.out))
 
 
 def cmd_nfactor(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -217,9 +223,10 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> None:
     report = run_benchmark([cfg.model_for_k(k) for k in cfg.k or DEFAULT_KS], metrics=cfg.metrics, mode=cfg.estimation_mode(),
                            trials=cfg.trials, step=cfg.step, classifier_label=cfg.classifier_label())
-    _write_out(report_to_csv(report, cfg.precision), cfg.out)
+    outputs = [(report_to_csv(report, cfg.precision), cfg.out)]
     if cfg.markdown:
-        _write_out(report_to_markdown(report, cfg.precision), cfg.markdown)
+        outputs.append((report_to_markdown(report, cfg.precision), cfg.markdown))
+    _write_out(*outputs)
 
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -232,9 +239,10 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
     p, confusion = ingest_predictions(load_predictions(args.predictions, space.k))
     if args.confusion_out and confusion is None:
         raise ValidationError("cannot write a confusion matrix: records lack truth labels")
-    _write_out(json.dumps(CategoricalDistribution(space, p).to_dict(), indent=2) + "\n", cfg.out)
+    outputs = [(json.dumps(CategoricalDistribution(space, p).to_dict(), indent=2) + "\n", cfg.out)]
     if args.confusion_out:
-        _write_out(json.dumps({"k": confusion.k, "m": confusion.m.tolist()}, indent=2) + "\n", args.confusion_out)
+        outputs.append((json.dumps({"k": confusion.k, "m": confusion.m.tolist()}, indent=2) + "\n", args.confusion_out))
+    _write_out(*outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:

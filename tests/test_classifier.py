@@ -352,12 +352,32 @@ class TestIngest:
         assert_matches_reference(tmp_path_factory.mktemp("ingest"), k, records)
 
     def test_matches_sequential_reference_on_many_records(self, tmp_path):
-        # Enough soft rows that a pairwise sum would round differently from the running total.
-        rng = np.random.default_rng(0)
-        w = rng.random((5_000, 5)) * rng.choice([1.0, 1e-3], size=(5_000, 5))
-        records = [{"id": f"r{i}", "probs": row.tolist(), "true": i % 5}
-                   for i, row in enumerate(w / w.sum(axis=1, keepdims=True))]
-        assert_matches_reference(tmp_path, 5, records)
+        assert_matches_reference(tmp_path, 5, many_soft_records())
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "fork-pool"])
+    def test_matches_sequential_reference_across_many_ranges(self, tmp_path, monkeypatch, pool):
+        # The fold carries the running total across at least 50 cuts, so the rows are added as one pass adds them.
+        records = many_soft_records()
+        path = write_jsonl(tmp_path, *records)
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", path.stat().st_size // 60)
+        with open(path, "rb") as fh:
+            assert len(classifier._ranges(fh.fileno(), path.stat().st_size)) >= 50
+        imaps = []
+        if pool:
+            original = multiprocessing.pool.Pool.imap
+            monkeypatch.setattr(multiprocessing.pool.Pool, "imap", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        else:
+            monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
+        assert_ingests_to_reference(load_predictions(path, 5), records)
+        assert imaps == [1] * pool
+
+
+def many_soft_records():
+    """5,000 soft records with truth: enough rows that a pairwise sum would round differently from a running total."""
+    rng = np.random.default_rng(0)
+    w = rng.random((5_000, 5)) * rng.choice([1.0, 1e-3], size=(5_000, 5))
+    return [{"id": f"r{i}", "probs": row.tolist(), "true": i % 5} for i, row in enumerate(w / w.sum(axis=1, keepdims=True))]
 
 
 def assert_matches_reference(tmp_path, k, records):
@@ -378,7 +398,7 @@ class TestPredictionFiles:
     def test_parse_accepts_true_and_truth_keys(self, tmp_path):
         preds = load_predictions(write_jsonl(tmp_path, '{"id": "x", "pred": 1, "true": 0}',
                                              '{"id": "y", "pred": 1, "truth": 0}'), 2)
-        assert preds.truth.tolist() == [0, 0]
+        assert preds.pairs.tolist() == [0, 2, 0, 0]  # truth 0, prediction 1, twice
 
     def test_parse_reports_line_number(self, tmp_path):
         with pytest.raises(ValidationError, match="line 7"):
@@ -391,7 +411,7 @@ class TestPredictionFiles:
         path.write_text('{"id": "a", "pred": 0}\n\n{"id": "b", "pred": 1}\n')
         preds = load_predictions(path, 2)
         assert len(preds) == 2
-        assert preds.pred.tolist() == [0, 1] and preds.probs is None and preds.truth is None
+        assert not preds.soft and preds.total.tolist() == [1, 1] and preds.pairs is None
 
     def test_load_confusion_roundtrip(self, tmp_path):
         path = tmp_path / "c.json"
@@ -421,10 +441,10 @@ def assert_same_read(got, want):
         assert got == want
         return
     assert not isinstance(got, str), got
-    assert (got.k, len(got)) == (want.k, len(want))
-    for name in ("probs", "pred", "truth"):
+    assert (got.k, got.soft, len(got)) == (want.k, want.soft, len(want))
+    for name in ("total", "pairs"):
         a, b = getattr(got, name), getattr(want, name)
-        assert (a is None and b is None) or np.array_equal(a, b), name
+        assert (a is None and b is None) or (np.array_equal(a, b) and a.dtype == b.dtype), name
 
 
 @st.composite
@@ -529,7 +549,40 @@ class TestChunkedRead:
         path.write_bytes(b"ab\r\ncd\n\n" + b"x" * 20 + b"\nlast")
         monkeypatch.setattr(classifier, "_CHUNK_BYTES", 3)
         with open(path, "rb") as fh:
-            assert classifier._ranges(fh.fileno(), 33) == [(0, 4), (4, 7), (7, 29), (29, None)]
+            assert classifier._ranges(fh.fileno(), 33) == [(0, 4), (4, 7), (7, 29), (29, 33)]
+
+    @pytest.mark.parametrize("name", CHUNKED_FILES)
+    def test_short_preads_read_the_same_bytes(self, tmp_path, monkeypatch, name):
+        # A pread may return fewer bytes than asked for (on Linux, at most 0x7ffff000), so a range is read in a loop.
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(CHUNKED_FILES[name])
+        monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
+        for chunk_bytes in (classifier._CHUNK_BYTES, 20):
+            monkeypatch.setattr(classifier, "_CHUNK_BYTES", chunk_bytes)
+            want = loaded(path, 2)
+            with monkeypatch.context() as mp:
+                mp.setattr(os, "pread", lambda fd, n, offset, pread=os.pread: pread(fd, min(n, 7), offset))
+                assert_same_read(loaded(path, 2), want)
+
+    def test_memory_does_not_grow_with_the_record_count(self, tmp_path, monkeypatch):
+        # Each range reduces its own records, so the parent holds one range and a running total, however long the
+        # file is.
+        monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 1 << 16)
+        record = '{"id": "r%d", "probs": [0.125, 0.25, 0.5, 0.125], "true": %d}\n'
+        paths = {n: tmp_path / f"p{n}.jsonl" for n in (2_000, 20_000)}
+        for n, path in paths.items():
+            path.write_text("".join(record % (i, i % 4) for i in range(n)))
+        load_predictions(paths[2_000], 4)  # what a first call allocates once is not memory per record
+        peaks = []
+        for n, path in paths.items():
+            tracemalloc.start()
+            try:
+                assert len(load_predictions(path, 4)) == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + classifier._CHUNK_BYTES, peaks
 
     def test_fifo_is_read_in_one_pass(self, tmp_path, monkeypatch):
         monkeypatch.setattr(classifier, "_CHUNK_BYTES", 4)
@@ -544,7 +597,7 @@ class TestChunkedRead:
             writer.join(10)
             assert not writer.is_alive()
             if want is None:
-                assert got.pred.tolist() == [0, 1] and got.truth.tolist() == [1, 1]
+                assert got.total.tolist() == [1, 1] and got.pairs.tolist() == [0, 0, 1, 1]
             else:
                 assert got == want
 

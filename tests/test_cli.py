@@ -470,7 +470,8 @@ FILE_DEFECTS = {
 
 
 # An output path that open refuses by ValueError, from each option that names one. `main` takes argv with a NUL
-# byte, which no shell can pass; a config file can.
+# byte, which no shell can pass; a config file can. A command with two outputs writes neither, so only the input
+# files are left.
 OUT_PATH_DEFECTS = {
     "out": ({"cfg.json": '{"out": "a\\u0000b"}'}, ["nfactor", "--config", "cfg.json"], "'a\\x00b': embedded null byte"),
     "markdown": ({"cfg.json": '{"k": 2, "step": 0.5, "out": "r.csv", "markdown": "a\\u0000b"}'},
@@ -481,6 +482,10 @@ OUT_PATH_DEFECTS = {
     "out-surrogate": ({"cfg.json": '{"out": "\\ud800"}'}, ["nfactor", "--config", "cfg.json"],
                       "'\\ud800': 'utf-8' codec can't encode character '\\ud800' in position 0: "
                       "surrogates not allowed"),
+    "markdown-surrogate-and-nul": ({"cfg.json": '{"k": 2, "step": 0.5, "out": "r.csv", "markdown": "a\\u0000\\ud800"}'},
+                                   ["bench", "--config", "cfg.json"],
+                                   "'a\\x00\\ud800': 'utf-8' codec can't encode character '\\ud800' in position 2: "
+                                   "surrogates not allowed"),
 }
 
 
@@ -491,6 +496,7 @@ def test_output_path_defect_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
         (tmp_path / name).write_text(content)
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *argv) == (2, "", f"error: invalid output path {what}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
 
 @pytest.mark.parametrize("case", sorted(FILE_DEFECTS))
