@@ -279,111 +279,99 @@ def _json_line(line: str):
     return json.loads(line)
 
 
-# A regular prediction file is read in ranges of about this many bytes, in parallel where `_workers` allows.
+# Prediction input is read in blocks of whole lines of about this many bytes, in parallel where `_workers` allows.
 _CHUNK_BYTES = 4 << 20
 _MIXED = "prediction stream mixes soft (probs) and hard (pred) records"
 
 
-def _read_range(task):
-    """Read one range of a prediction file line by line, with every check of `load_predictions`, and reduce it.
-
-    `task` is (fd, k, start, stop): the bytes [start, stop) of the regular file open at `fd`, read by `os.pread`,
-    which leaves the descriptor's offset alone, so forked readers can share the descriptor; or, with start None,
-    the stream at `fd` from where it stands to its end. Line numbers count from the range's first line. Returns
-    (soft, first, error, bad, n_lines, reduced, pairs): the range's record kind (None without a record), the line
-    of its first record, its first per-line error as (line, message) or None (reading stops there), its first soft
-    row that is not a distribution as (line, message) or None, its line count, its soft rows (n, k) or its predicted
-    label counts (k,), and its (truth, prediction) counts (k * k,), or None when a record lacks truth.
-    """
-    fd, k, start, stop = task
-    if start is None:
-        raw = io.BufferedReader(io.FileIO(fd, closefd=False))
-    else:
-        chunks = []
-        # One pread returns at most 0x7ffff000 bytes on Linux, and may return fewer.
-        while start < stop and (data := os.pread(fd, stop - start, start)):
-            chunks.append(data)
-            start += len(data)
-        raw = io.BytesIO(b"".join(chunks))
+def _read_range(k: int, lines):
+    """Check one block of prediction lines, with every check of `load_predictions`, and reduce it; line numbers count
+    from its first line. Returns (soft, first, error, bad, n_lines, reduced, pairs): its record kind (None without a
+    record), the line of its first record, its first per-line error as (line, message) or None (reading stops there),
+    its first soft row that is not a distribution as (line, message) or None, its line count, its soft rows (n, k) or
+    predicted label counts (k,), and its (truth, prediction) counts (k * k,), or None when a record lacks truth."""
     # One record's probabilities packed as k doubles, as an array("d") holds them: faster than extending one.
     packed = struct.Struct(f"{k}d").pack
-    probs, lines, labels, truth = bytearray(), array("q"), array("q"), array("q")
+    probs, linenos, labels, truth = bytearray(), array("q"), array("q"), array("q")
     soft = first = error = None
     lineno = 0
-    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                # A byte that is not UTF-8 came in as a surrogate escape, and fails here on the line that holds it.
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                obj = _json_line(line)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+                raise ValidationError(f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict) or "id" not in obj:
+                raise ValidationError('record must be an object with an "id"')
+            p, label, t = obj.get("probs"), obj.get("pred"), obj.get("true", obj.get("truth"))
+            if p is not None and not is_number_list(p):
+                raise ValidationError("probs must be a list of numbers")
+            if label is not None and not is_int(label):
+                raise ValidationError(f"pred must be an integer label, got {label!r}")
+            if t is not None and not is_int(t):
+                raise ValidationError(f"true must be an integer label, got {t!r}")
+            if (p is None) == (label is None):
+                raise ValidationError("exactly one of probs/pred is required")
+            if p is not None:
+                if len(p) != k:
+                    raise ValidationError(f"probs have length {len(p)}, expected {k}")
+            elif not 0 <= label < k:
+                raise ValidationError(f"pred {label} out of range for k={k}")
+            if t is not None and not 0 <= t < k:
+                raise ValidationError(f"truth {t} out of range for k={k}")
+            if soft is None:
+                soft, first = p is not None, lineno
+            if soft != (p is not None):
+                raise ValidationError(_MIXED)
+            if soft:
                 try:
-                    # A byte that is not UTF-8 came in as a surrogate escape, and fails here on the line that holds it.
-                    if not line.isascii():
-                        line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    obj = _json_line(line)
-                except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
-                    raise ValidationError(f"invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict) or "id" not in obj:
-                    raise ValidationError('record must be an object with an "id"')
-                p, label, t = obj.get("probs"), obj.get("pred"), obj.get("true", obj.get("truth"))
-                if p is not None and not is_number_list(p):
-                    raise ValidationError("probs must be a list of numbers")
-                if label is not None and not is_int(label):
-                    raise ValidationError(f"pred must be an integer label, got {label!r}")
-                if t is not None and not is_int(t):
-                    raise ValidationError(f"true must be an integer label, got {t!r}")
-                if (p is None) == (label is None):
-                    raise ValidationError("exactly one of probs/pred is required")
-                if p is not None:
-                    if len(p) != k:
-                        raise ValidationError(f"probs have length {len(p)}, expected {k}")
-                elif not 0 <= label < k:
-                    raise ValidationError(f"pred {label} out of range for k={k}")
-                if t is not None and not 0 <= t < k:
-                    raise ValidationError(f"truth {t} out of range for k={k}")
-                if soft is None:
-                    soft, first = p is not None, lineno
-                if soft != (p is not None):
-                    raise ValidationError(_MIXED)
-                if soft:
-                    try:
-                        probs += packed(*p)
-                    except struct.error:  # an int past float range; p holds only ints and floats
-                        raise ValidationError("probs must be finite numbers") from None
-                    lines.append(lineno)
-                else:
-                    labels.append(label)
-                truth.append(-1 if t is None else t)
-        except ValidationError as exc:
-            error = lineno, str(exc)
+                    probs += packed(*p)
+                except struct.error:  # an int past float range; p holds only ints and floats
+                    raise ValidationError("probs must be finite numbers") from None
+                linenos.append(lineno)
+            else:
+                labels.append(label)
+            truth.append(-1 if t is None else t)
+    except ValidationError as exc:
+        error = lineno, str(exc)
     rows = np.frombuffer(probs).reshape(-1, k)
     with np.errstate(invalid="ignore"):
         sums = rows.sum(axis=1)
     not_vector = ~np.isfinite(rows).all(axis=1) | (rows < 0).any(axis=1)
     row = next(iter(np.flatnonzero(not_vector | (np.abs(sums - 1.0) > PROBS_SUM_TOL))), None)
-    bad = None if row is None else (lines[row], "probs must be a non-negative vector" if not_vector[row]
+    bad = None if row is None else (linenos[row], "probs must be a non-negative vector" if not_vector[row]
                                     else f"probs sum to {float(sums[row])}, expected 1")
     pred = rows.argmax(axis=1) if soft else np.frombuffer(labels, dtype=np.int64)
     pairs = None if -1 in truth else np.bincount(np.frombuffer(truth, dtype=np.int64) * k + pred, minlength=k * k)
     return soft, first, error, bad, lineno, rows if soft else np.bincount(pred, minlength=k), pairs
 
 
-def _ranges(fd: int, size: int) -> list[tuple[int, int]]:
-    """Byte ranges that split the regular file of `size` bytes open at `fd` into chunks of whole lines.
+def _line_end(fd: int, pos: int, size: int) -> int:
+    """Just after the first newline byte at or past `pos` in the file open at `fd`, or `size` when that is nearer."""
+    while (block := os.pread(fd, 1 << 12, pos)) and b"\n" not in block:
+        pos += len(block)
+    return min(pos + block.index(b"\n") + 1 if block else pos, size)
 
-    Each cut falls just after the first newline byte at or past byte i * _CHUNK_BYTES - 1, so no UTF-8 sequence,
-    CR LF pair or line straddles two ranges. The last range ends at `size`.
-    """
-    starts = [0]
-    for mark in range(_CHUNK_BYTES - 1, size, _CHUNK_BYTES):
-        if mark < starts[-1]:
-            continue  # inside the line that ends at the last cut, so it would cut there again
-        pos = mark
-        while (block := os.pread(fd, 1 << 12, pos)) and b"\n" not in block:
-            pos += len(block)
-        if not block or pos + block.index(b"\n") + 1 >= size:
-            break
-        starts.append(pos + block.index(b"\n") + 1)
-    return list(zip(starts, [*starts[1:], size]))
+
+def _read_file_range(task):
+    """`_read_range` of range i of the regular file of `size` bytes open at `fd`, for `task` (fd, k, i, size): from
+    just after the first newline byte at or past byte i * _CHUNK_BYTES - 1 (from 0 for i = 0) to just after the first
+    at or past the next mark, so no UTF-8 sequence, CR LF pair or line straddles two ranges (one may be empty), and
+    not past `size`. `os.pread` leaves the descriptor's offset alone, so forked readers can share the descriptor."""
+    fd, k, i, size = task
+    start = _line_end(fd, i * _CHUNK_BYTES - 1, size) if i else 0
+    stop = _line_end(fd, (i + 1) * _CHUNK_BYTES - 1, size)
+    chunks = []
+    # One pread returns at most 0x7ffff000 bytes on Linux, and may return fewer.
+    while start < stop and (data := os.pread(fd, stop - start, start)):
+        chunks.append(data)
+        start += len(data)
+    return _read_range(k, io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf-8", errors="surrogateescape"))
 
 
 def _workers(n_ranges: int) -> int:
@@ -396,12 +384,12 @@ def _workers(n_ranges: int) -> int:
 
 
 def _merge(k: int, results) -> Predictions:
-    """One `Predictions` from the `_read_range` results of consecutive ranges, in file order, with the errors and
-    their precedence of one pass over the whole file: a per-line error in any range before the first bad soft row."""
+    """One `Predictions` from the `_read_range` results of consecutive blocks, in file order, with the errors and
+    their precedence of one pass over the whole file: a per-line error in any block before the first bad soft row."""
     soft = bad = None
     n, offset, total, pairs = 0, 0, np.empty((0, k), dtype=np.int64), 0
     for r_soft, first, error, r_bad, n_lines, reduced, r_pairs in results:
-        # A range's first record meets the stream's kind check before any later line can fail; a range whose
+        # A block's first record meets the stream's kind check before any later line can fail; a block whose
         # error comes before its first record has no kind.
         if soft is not None and r_soft not in (None, soft):
             error = first, _MIXED
@@ -434,25 +422,23 @@ def load_predictions(path, k: int) -> Predictions:
     PROBS_SUM_TOL; a per-line error anywhere in the file is reported before
     such a row. Each error names the first bad line.
 
-    A regular file larger than `_CHUNK_BYTES` is read in ranges of whole lines, one `_read_range` each, which
-    checks and reduces its own records. They run in forked worker processes when there is more than one CPU,
-    "fork" is available and the caller runs no other thread, and in this process otherwise; the reductions are
-    folded in file order, so the result and every error are the same either way. A pipe or another stream that is
-    not a regular file is read in one pass, in this process.
+    Every input is read in blocks of whole lines, each checked and reduced by `_read_range` and folded in file order,
+    so the result and every error are those of one pass. A regular file larger than `_CHUNK_BYTES` is read in ranges
+    cut after "\\n", one `_read_file_range` each, by forked workers when there is more than one CPU, "fork" exists and
+    the caller runs no other thread. Anything else is read here, in blocks cut at any line end.
     """
     check_k(k)
-    with open(path, "rb") as fh:
-        fd, st = fh.fileno(), os.fstat(fh.fileno())
-        tasks = [(fd, k, start, stop) for start, stop in
-                 (_ranges(fd, st.st_size) if stat.S_ISREG(st.st_mode) else [(None, None)])]
-        workers = _workers(len(tasks))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        st = os.fstat(fh.fileno())
+        n_ranges = -(-st.st_size // _CHUNK_BYTES) if stat.S_ISREG(st.st_mode) else 1
+        workers = _workers(n_ranges)
         if workers == 1:
-            return _merge(k, map(_read_range, tasks))
+            return _merge(k, (_read_range(k, lines) for lines in iter(lambda: fh.readlines(_CHUNK_BYTES), [])))
         import multiprocessing
 
         # Leaving the block terminates the pool and joins its workers, on success and on error.
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return _merge(k, pool.imap(_read_range, tasks))
+            return _merge(k, pool.imap(_read_file_range, [(fh.fileno(), k, i, st.st_size) for i in range(n_ranges)]))
 
 
 def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel | None]:

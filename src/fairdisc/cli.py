@@ -161,20 +161,33 @@ class RunConfig:
 
 
 def _write_out(*outputs: tuple[str, str | None]) -> None:
-    """Write each (text, path) in turn, to stdout for path None. Every path is first checked as `open` converts it,
-    so a path that it refuses with a ValueError (a lone surrogate, a NUL byte) writes no file; an OSError passes."""
-    for _, out in outputs:
-        try:
-            if out is not None and b"\0" in os.fsencode(out):
-                raise ValueError("embedded null byte")
-        except ValueError as exc:
-            raise ValidationError(f"invalid output path {out!r}: {exc}") from exc
-    for text, out in outputs:
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    """Write each (text, path) in turn, to stdout for path None. Every file is opened, without truncating it, before
+    the first is written, and on any failure the files this run created are removed, so a path that cannot be
+    opened leaves every file as it was. A ValueError from `open` (a lone surrogate, a NUL byte) is exit 2."""
+    files, created = [], []
+    try:
+        for _, out in outputs:
+            try:
+                files.append(None if out is None else open(out, "x", encoding="utf-8", newline="\n"))
+                created.append(out)
+            except FileExistsError:  # appending keeps the bytes until every output is open
+                files.append(open(out, "a", encoding="utf-8", newline="\n"))
+            except ValueError as exc:
+                raise ValidationError(f"invalid output path {out!r}: {exc}") from exc
+        for (text, out), fh in zip(outputs, files):
+            if fh is None:
+                sys.stdout.write(text)
+                continue
+            with fh:
+                if os.path.isfile(out):  # a pipe or a terminal cannot be truncated
+                    fh.truncate(0)
                 fh.write(text)
+    except BaseException:
+        for fh in filter(None, files):
+            fh.close()
+        for out in filter(None, created):
+            os.unlink(out)
+        raise
 
 
 def _csv(cfg: RunConfig, header: str, rows) -> None:

@@ -360,17 +360,24 @@ class TestIngest:
         records = many_soft_records()
         path = write_jsonl(tmp_path, *records)
         monkeypatch.setattr(classifier, "_CHUNK_BYTES", path.stat().st_size // 60)
-        with open(path, "rb") as fh:
-            assert len(classifier._ranges(fh.fileno(), path.stat().st_size)) >= 50
+        assert sum(result[0] is not None for result in range_results(path, 5)) >= 50
         imaps = []
         if pool:
-            original = multiprocessing.pool.Pool.imap
-            monkeypatch.setattr(multiprocessing.pool.Pool, "imap", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            imaps = pool_imaps(monkeypatch)
         else:
             monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
         assert_ingests_to_reference(load_predictions(path, 5), records)
         assert imaps == [1] * pool
+
+
+def pool_imaps(monkeypatch):
+    """Two CPUs for `_workers`, so a file of several ranges goes to the fork pool; the returned list gets a 1 per
+    `Pool.imap` call."""
+    imaps = []
+    original = multiprocessing.pool.Pool.imap
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return imaps
 
 
 def many_soft_records():
@@ -436,6 +443,22 @@ def loaded(path, k):
         return str(exc)
 
 
+def range_results(path, k):
+    """`_read_file_range` of every task the fork pool would get for `path`, run in this process."""
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        tasks = [(fh.fileno(), k, i, size) for i in range(-(-size // classifier._CHUNK_BYTES))]
+        return [classifier._read_file_range(task) for task in tasks]
+
+
+def folded_ranges(path, k):
+    """What the fork pool's workers fold to for `path`, read in this process: Predictions, or the error message."""
+    try:
+        return classifier._merge(k, range_results(path, k))
+    except ValidationError as exc:
+        return str(exc)
+
+
 def assert_same_read(got, want):
     if isinstance(want, str):
         assert got == want
@@ -492,6 +515,27 @@ CHUNKED_FILES = {
 }
 
 
+def memory_records(n):
+    """n soft records with truth, k = 4, as JSONL bytes."""
+    record = '{"id": "r%d", "probs": [0.125, 0.25, 0.5, 0.125], "true": %d}\n'
+    return "".join(record % (i, i % 4) for i in range(n)).encode()
+
+
+def traced_peaks(load, counts):
+    """The tracemalloc peak of each load(n), which must return n, after one load(counts[0]) untraced: what a first
+    call allocates once is not memory per record."""
+    load(counts[0])
+    peaks = []
+    for n in counts:
+        tracemalloc.start()
+        try:
+            assert load(n) == n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 class TestChunkedRead:
     """A file read in ranges of whole lines gives what one pass over it gives: the same arrays, the same ingest and
     the same first error, whether the ranges are read in this process or by forked workers."""
@@ -512,7 +556,10 @@ class TestChunkedRead:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classifier, "_workers", lambda n_ranges: 1)
             got, want = self.read_both(path, k, chunk_bytes, mp)
+            # The ranges the fork pool's workers would read, folded here, so the range cuts are drawn for too.
+            ranges = folded_ranges(path, k)
         assert_same_read(got, want)
+        assert_same_read(ranges, want)
         if not isinstance(got, str):
             records = [json.loads(line) for line in data.decode().splitlines() if line.strip()]
             assert_ingests_to_reference(got, records)
@@ -521,10 +568,7 @@ class TestChunkedRead:
     def test_chunks_read_by_a_fork_pool_equal_one_pass(self, tmp_path, monkeypatch, name):
         path = tmp_path / "p.jsonl"
         path.write_bytes(CHUNKED_FILES[name])
-        imaps = []
-        original = multiprocessing.pool.Pool.imap
-        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        imaps = pool_imaps(monkeypatch)
         got, want = self.read_both(path, 2, 1, monkeypatch)
         assert imaps == [1]
         assert_same_read(got, want)
@@ -548,43 +592,82 @@ class TestChunkedRead:
         path = tmp_path / "p.jsonl"
         path.write_bytes(b"ab\r\ncd\n\n" + b"x" * 20 + b"\nlast")
         monkeypatch.setattr(classifier, "_CHUNK_BYTES", 3)
-        with open(path, "rb") as fh:
-            assert classifier._ranges(fh.fileno(), 33) == [(0, 4), (4, 7), (7, 29), (29, 33)]
+        # Each range's lines as _read_file_range hands them on: bytes [0, 4), [4, 7), [7, 29) and [29, 33), with the
+        # ranges whose mark falls inside a line empty.
+        monkeypatch.setattr(classifier, "_read_range", lambda k, lines: list(lines))
+        assert range_results(path, 2) == [["ab\n"], ["cd\n"], ["\n", "x" * 20 + "\n"], [], [], [], [], [], [], ["last"],
+                                          []]
 
     @pytest.mark.parametrize("name", CHUNKED_FILES)
     def test_short_preads_read_the_same_bytes(self, tmp_path, monkeypatch, name):
-        # A pread may return fewer bytes than asked for (on Linux, at most 0x7ffff000), so a range is read in a loop.
+        # A pread may return fewer bytes than asked for (on Linux, at most 0x7ffff000), so a range and the search for
+        # its ends are read in loops.
         path = tmp_path / "p.jsonl"
         path.write_bytes(CHUNKED_FILES[name])
-        monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
+        want = loaded(path, 2)
         for chunk_bytes in (classifier._CHUNK_BYTES, 20):
             monkeypatch.setattr(classifier, "_CHUNK_BYTES", chunk_bytes)
-            want = loaded(path, 2)
             with monkeypatch.context() as mp:
                 mp.setattr(os, "pread", lambda fd, n, offset, pread=os.pread: pread(fd, min(n, 7), offset))
-                assert_same_read(loaded(path, 2), want)
+                assert_same_read(folded_ranges(path, 2), want)
 
     def test_memory_does_not_grow_with_the_record_count(self, tmp_path, monkeypatch):
         # Each range reduces its own records, so the parent holds one range and a running total, however long the
         # file is.
         monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
         monkeypatch.setattr(classifier, "_CHUNK_BYTES", 1 << 16)
-        record = '{"id": "r%d", "probs": [0.125, 0.25, 0.5, 0.125], "true": %d}\n'
         paths = {n: tmp_path / f"p{n}.jsonl" for n in (2_000, 20_000)}
         for n, path in paths.items():
-            path.write_text("".join(record % (i, i % 4) for i in range(n)))
-        load_predictions(paths[2_000], 4)  # what a first call allocates once is not memory per record
-        peaks = []
-        for n, path in paths.items():
-            tracemalloc.start()
-            try:
-                assert len(load_predictions(path, 4)) == n
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            path.write_bytes(memory_records(n))
+        peaks = traced_peaks(lambda n: len(load_predictions(paths[n], 4)), list(paths))
         assert peaks[1] < peaks[0] + classifier._CHUNK_BYTES, peaks
 
-    def test_fifo_is_read_in_one_pass(self, tmp_path, monkeypatch):
+    def test_fifo_memory_does_not_grow_with_the_record_count(self, tmp_path, monkeypatch):
+        # A stream is read in blocks of lines, each reduced before the next is read, as a file's ranges are.
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 1 << 16)
+        fifo = tmp_path / "p.fifo"
+        os.mkfifo(fifo)
+        data = {n: memory_records(n) for n in (2_000, 20_000)}
+
+        def load(n):
+            def write():
+                # Small pieces of bytes encoded beforehand, so what the writer allocates is no more than a piece.
+                with open(fifo, "wb", buffering=0) as fh:
+                    view = memoryview(data[n])
+                    for i in range(0, len(view), 1 << 12):
+                        fh.write(view[i:i + (1 << 12)])
+
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            try:
+                return len(load_predictions(fifo, 4))
+            finally:
+                writer.join(10)
+                assert not writer.is_alive()
+
+        peaks = traced_peaks(load, list(data))
+        assert peaks[1] < peaks[0] + classifier._CHUNK_BYTES, peaks
+
+    def test_cr_only_file_is_one_pool_range_and_blocks_in_process(self, tmp_path, monkeypatch):
+        # The pool cuts a range only after "\n", so a file whose lines end in CR alone is one range there; the
+        # in-process reader cuts its blocks at any line end.
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 64)
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b"".join(b'{"id": "r%d", "pred": %d, "true": 1}\r' % (i, i % 2) for i in range(20)))
+        assert sum(result[0] is not None for result in range_results(path, 2)) == 1
+        blocks = []
+        original = classifier._read_range
+        with monkeypatch.context() as mp:
+            mp.setattr(classifier, "_workers", lambda n_ranges: 1)
+            mp.setattr(classifier, "_read_range", lambda k, lines: blocks.append(1) or original(k, lines))
+            in_process = load_predictions(path, 2)
+        assert len(blocks) > 1
+        imaps = pool_imaps(monkeypatch)
+        assert_same_read(load_predictions(path, 2), in_process)
+        assert imaps == [1]
+        assert in_process.total.tolist() == [10, 10] and in_process.pairs.tolist() == [0, 0, 10, 10]
+
+    def test_fifo_is_read_in_line_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(classifier, "_CHUNK_BYTES", 4)
         fifo = tmp_path / "p.fifo"
         os.mkfifo(fifo)

@@ -602,6 +602,44 @@ assert "multiprocessing" not in sys.modules
     assert (tmp_path / "one-chunk.json").read_bytes() == (tmp_path / "one-cpu.json").read_bytes()
 
 
+def test_cli_import_loads_only_the_pinned_modules():
+    # Every command pays for what `import fairdisc.cli` loads before it parses its arguments, so a module added at
+    # import time is a change to this list. `pwd` is loaded on some hosts and not on others, so it may be there.
+    script = """
+import sys
+import numpy
+before = set(sys.modules)
+import fairdisc.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
+    assert proc.stderr == ""
+    assert set(proc.stdout.split()) - {"pwd"} == {
+        "__future__", "_json", "argparse", "array", "copy", "dataclasses", "gettext", "json", "json.decoder",
+        "json.encoder", "json.scanner", "fairdisc", "fairdisc.attrspace", "fairdisc.bench", "fairdisc.classifier",
+        "fairdisc.cli", "fairdisc.errors", "fairdisc.metrics", "fairdisc.transport"}
+
+
+def test_output_left_by_a_failed_open_is_removed_and_an_existing_one_kept(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["bench", "--k", "2", "--step", "0.5", "--metrics", "l1", "--out", "r.csv", "--markdown", "nodir/x.md"]
+    assert run_cli(capsys, *argv) == (3, "", "error: [Errno 2] No such file or directory: 'nodir/x.md'\n")
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "r.csv").write_text("kept\n")
+    assert run_cli(capsys, *argv)[0] == 3
+    assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
+    assert (tmp_path / "r.csv").read_bytes() == b"kept\n"
+
+
+def test_existing_output_is_truncated_and_dev_stdout_is_written(tmp_path):
+    (tmp_path / "r.csv").write_text("x" * 1000)
+    cmd = [sys.executable, "-m", "fairdisc", "nfactor", "--k", "2", "--metrics", "l1"]
+    to_file = subprocess.run([*cmd, "--out", "r.csv"], capture_output=True, text=True, env=ENV, cwd=tmp_path)
+    to_stdout = subprocess.run([*cmd, "--out", "/dev/stdout"], capture_output=True, text=True, env=ENV)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert (tmp_path / "r.csv").read_text() == to_stdout.stdout == "k,metric,n_factor\n2,l1,0.5\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "fairdisc", "nfactor", "--k", "2"],
                           capture_output=True, text=True, env=ENV)

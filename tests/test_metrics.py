@@ -115,6 +115,40 @@ class TestSpecificity:
         assert specificity(dist(4, [1 / 3, 1 / 3, 1 / 3, 0])) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestSpecificityBlindSpot:
+    """spec weighs the sorted entries 2..k by (k - j), so the smallest entry has weight 0: it cannot see how small
+    the rarest class is, and scores every row whose k - 1 largest entries are equal as fair."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(3, 64), seed=st.integers(0, 2**32 - 1), lowered=st.floats(0, 1))
+    def test_lowering_the_smallest_entry_changes_nothing(self, k, seed, lowered):
+        # specificity reads rows without a sum check, so the lowered row needs no renormalization.
+        p = np.random.default_rng(seed).random(k)
+        q = p.copy()
+        q[p.argmin()] *= lowered
+        assert specificity(q) == specificity(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(3, 64), smallest=st.floats(0, 1), shift=st.floats(1e-6, 1.0), data=st.data())
+    def test_zero_exactly_when_the_k_minus_1_largest_are_equal(self, k, smallest, shift, data):
+        # k - 1 entries of (1 - b) / (k - 1) and one of b in [0, 1/k]: the family spec scores 0, at any order.
+        b = smallest / k
+        order = data.draw(st.permutations(range(k)))
+        p = np.array([(1 - b) / (k - 1)] * (k - 1) + [b])
+        assert fd_score(Metric.SPECIFICITY, p[order]) <= 1e-12
+        # Its l1 score is 2/k - 2b over l1's factor 2(k - 1)/k: at most 1/(k - 1), reached with one class absent.
+        assert fd_score(Metric.L1, p[order]) == pytest.approx((1 - b * k) / (k - 1), abs=1e-12)
+        # Moving mass between two of the k - 1 largest entries makes them unequal, and spec sees it.
+        p[:2] += [shift * p[1], -shift * p[1]]
+        assert fd_score(Metric.SPECIFICITY, p[order]) > 1e-12
+
+    @pytest.mark.parametrize("k", [3, 4, 16, 64])
+    def test_one_class_absent_is_fair_to_spec_and_not_to_l1(self, k):
+        p = np.array([1 / (k - 1)] * (k - 1) + [0.0])
+        assert fd_score(Metric.SPECIFICITY, p) == pytest.approx(0.0, abs=1e-12)
+        assert fd_score(Metric.L1, p) == pytest.approx(1 / (k - 1), abs=1e-12)
+
+
 class TestInfoSpecificity:
     def test_equal_blend(self):
         p, q = dist(2, [0.5, 0.5]), dist(2, [0.9, 0.1])
