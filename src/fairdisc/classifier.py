@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import struct
 import threading
@@ -352,17 +353,21 @@ def _read_range(k: int, lines):
 
 
 def _line_end(fd: int, pos: int, size: int) -> int:
-    """Just after the first newline byte at or past `pos` in the file open at `fd`, or `size` when that is nearer."""
-    while (block := os.pread(fd, 1 << 12, pos)) and b"\n" not in block:
-        pos += len(block)
-    return min(pos + block.index(b"\n") + 1 if block else pos, size)
+    """Just after the first universal line end ("\\r\\n", "\\n" or a "\\r" not before "\\n") whose last byte is at or
+    past `pos` in the file open at `fd`, or `size` when that is nearer. A "\\r" that ends a read is read again with the
+    bytes after it; a read of that "\\r" alone (the file shrank) steps past it, so the search cannot stall."""
+    while pos + 1 < size and (block := os.pread(fd, 1 << 12, pos)):
+        if end := re.search(rb"\r?\n|\r(?=[^\n])", block):
+            return min(pos + end.end(), size)
+        pos += max(len(block) - block.endswith(b"\r"), 1)
+    return size
 
 
 def _read_file_range(task):
     """`_read_range` of range i of the regular file of `size` bytes open at `fd`, for `task` (fd, k, i, size): from
-    just after the first newline byte at or past byte i * _CHUNK_BYTES - 1 (from 0 for i = 0) to just after the first
-    at or past the next mark, so no UTF-8 sequence, CR LF pair or line straddles two ranges (one may be empty), and
-    not past `size`. `os.pread` leaves the descriptor's offset alone, so forked readers can share the descriptor."""
+    just after the first line end at or past byte i * _CHUNK_BYTES - 1 (from 0 for i = 0) to just after the first at
+    or past the next mark, so no UTF-8 sequence, CR LF pair or line straddles two ranges (one may be empty), and not
+    past `size`. `os.pread` leaves the descriptor's offset alone, so forked readers can share the descriptor."""
     fd, k, i, size = task
     start = _line_end(fd, i * _CHUNK_BYTES - 1, size) if i else 0
     stop = _line_end(fd, (i + 1) * _CHUNK_BYTES - 1, size)
@@ -424,21 +429,23 @@ def load_predictions(path, k: int) -> Predictions:
 
     Every input is read in blocks of whole lines, each checked and reduced by `_read_range` and folded in file order,
     so the result and every error are those of one pass. A regular file larger than `_CHUNK_BYTES` is read in ranges
-    cut after "\\n", one `_read_file_range` each, by forked workers when there is more than one CPU, "fork" exists and
-    the caller runs no other thread. Anything else is read here, in blocks cut at any line end.
+    cut at any line end, one `_read_file_range` each, by forked workers where `_workers` allows and otherwise here.
+    Any other input is read here in line blocks.
     """
     check_k(k)
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         st = os.fstat(fh.fileno())
         n_ranges = -(-st.st_size // _CHUNK_BYTES) if stat.S_ISREG(st.st_mode) else 1
-        workers = _workers(n_ranges)
-        if workers == 1:
+        if n_ranges < 2:
             return _merge(k, (_read_range(k, lines) for lines in iter(lambda: fh.readlines(_CHUNK_BYTES), [])))
+        tasks = [(fh.fileno(), k, i, st.st_size) for i in range(n_ranges)]
+        if (workers := _workers(n_ranges)) == 1:
+            return _merge(k, map(_read_file_range, tasks))
         import multiprocessing
 
         # Leaving the block terminates the pool and joins its workers, on success and on error.
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return _merge(k, pool.imap(_read_file_range, [(fh.fileno(), k, i, st.st_size) for i in range(n_ranges)]))
+            return _merge(k, pool.imap(_read_file_range, tasks))
 
 
 def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel | None]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from functools import partial
 
@@ -163,7 +164,8 @@ class RunConfig:
 def _write_out(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path) in turn, to stdout for path None. Every file is opened, without truncating it, before
     the first is written, and on any failure the files this run created are removed, so a path that cannot be
-    opened leaves every file as it was. A ValueError from `open` (a lone surrogate, a NUL byte) is exit 2."""
+    opened, or two paths that open one regular file, leave every file as it was. A ValueError from `open` (a lone
+    surrogate, a NUL byte) is exit 2."""
     files, created = [], []
     try:
         for _, out in outputs:
@@ -174,6 +176,13 @@ def _write_out(*outputs: tuple[str, str | None]) -> None:
                 files.append(open(out, "a", encoding="utf-8", newline="\n"))
             except ValueError as exc:
                 raise ValidationError(f"invalid output path {out!r}: {exc}") from exc
+        regular = {}
+        for (_, out), fh in zip(outputs, files):
+            st = fh and os.fstat(fh.fileno())
+            if st and stat.S_ISREG(st.st_mode):
+                if (st.st_dev, st.st_ino) in regular:
+                    raise ValidationError(f"outputs {regular[st.st_dev, st.st_ino]!r} and {out!r} are one file")
+                regular[st.st_dev, st.st_ino] = out
         for (text, out), fh in zip(outputs, files):
             if fh is None:
                 sys.stdout.write(text)

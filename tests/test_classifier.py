@@ -515,6 +515,26 @@ CHUNKED_FILES = {
 }
 
 
+def fifo_loaded(fifo, data, k):
+    """What `loaded` gives for `data` written by another thread into a new FIFO at the path `fifo`."""
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            try:
+                fh.write(data)
+            except BrokenPipeError:  # the reader stopped at an error before the end
+                pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return loaded(fifo, k)
+    finally:
+        writer.join(10)
+        assert not writer.is_alive()
+
+
 def memory_records(n):
     """n soft records with truth, k = 4, as JSONL bytes."""
     record = '{"id": "r%d", "probs": [0.125, 0.25, 0.5, 0.125], "true": %d}\n'
@@ -551,18 +571,23 @@ class TestChunkedRead:
     @example(case=(2, CHUNKED_FILES["second-kind-starts-a-chunk"]), chunk_bytes=1)
     def test_chunks_read_in_process_equal_one_pass(self, tmp_path_factory, case, chunk_bytes):
         k, data = case
-        path = tmp_path_factory.mktemp("chunks") / "p.jsonl"
+        tmp = tmp_path_factory.mktemp("chunks")
+        path = tmp / "p.jsonl"
         path.write_bytes(data)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classifier, "_workers", lambda n_ranges: 1)
             got, want = self.read_both(path, k, chunk_bytes, mp)
-            # The ranges the fork pool's workers would read, folded here, so the range cuts are drawn for too.
-            ranges = folded_ranges(path, k)
-        assert_same_read(got, want)
-        assert_same_read(ranges, want)
-        if not isinstance(got, str):
-            records = [json.loads(line) for line in data.decode().splitlines() if line.strip()]
-            assert_ingests_to_reference(got, records)
+            # A regular file of several blocks is read in ranges; a stream is the one input read in several line
+            # blocks, so the blocks' cuts are drawn for through a FIFO.
+            streamed = fifo_loaded(tmp / "p.fifo", data, k)
+            # Reads of at most 7 bytes split a CR LF pair, or put a CR last in a read, around range marks too.
+            mp.setattr(os, "pread", lambda fd, n, offset, pread=os.pread: pread(fd, min(n, 7), offset))
+            short = folded_ranges(path, k)
+        for read in (got, streamed, short):
+            assert_same_read(read, want)
+            if not isinstance(read, str):
+                records = [json.loads(line) for line in data.decode().splitlines() if line.strip()]
+                assert_ingests_to_reference(read, records)
 
     @pytest.mark.parametrize("name", CHUNKED_FILES)
     def test_chunks_read_by_a_fork_pool_equal_one_pass(self, tmp_path, monkeypatch, name):
@@ -648,37 +673,57 @@ class TestChunkedRead:
         peaks = traced_peaks(load, list(data))
         assert peaks[1] < peaks[0] + classifier._CHUNK_BYTES, peaks
 
-    def test_cr_only_file_is_one_pool_range_and_blocks_in_process(self, tmp_path, monkeypatch):
-        # The pool cuts a range only after "\n", so a file whose lines end in CR alone is one range there; the
-        # in-process reader cuts its blocks at any line end.
-        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 64)
+    def test_cr_only_file_is_cut_into_ranges(self, tmp_path, monkeypatch):
+        # A range ends at any line end, so a file whose lines end in CR alone is cut as one with LF ends is.
+        data = b"".join(b'{"id": "r%d", "pred": %d, "true": 1}\r' % (i, i % 2) for i in range(20))
         path = tmp_path / "p.jsonl"
-        path.write_bytes(b"".join(b'{"id": "r%d", "pred": %d, "true": 1}\r' % (i, i % 2) for i in range(20)))
-        assert sum(result[0] is not None for result in range_results(path, 2)) == 1
-        blocks = []
-        original = classifier._read_range
+        path.write_bytes(data)
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 64)
+        assert sum(result[0] is not None for result in range_results(path, 2)) > 5
+        # On one CPU too, a regular file of several blocks is read in ranges, here in this process.
+        ranges, original = [], classifier._read_file_range
         with monkeypatch.context() as mp:
             mp.setattr(classifier, "_workers", lambda n_ranges: 1)
-            mp.setattr(classifier, "_read_range", lambda k, lines: blocks.append(1) or original(k, lines))
+            mp.setattr(classifier, "_read_file_range", lambda task: ranges.append(task[2]) or original(task))
             in_process = load_predictions(path, 2)
-        assert len(blocks) > 1
+        assert ranges == list(range(-(-len(data) // 64)))
+        assert_same_read(fifo_loaded(tmp_path / "p.fifo", data, 2), in_process)
         imaps = pool_imaps(monkeypatch)
         assert_same_read(load_predictions(path, 2), in_process)
         assert imaps == [1]
         assert in_process.total.tolist() == [10, 10] and in_process.pairs.tolist() == [0, 0, 10, 10]
 
+    @pytest.mark.parametrize("end, want", [(b"\r\nb\r", [[], [], ["b\n"]]), (b"\rb\r", [[], ["b\n"], []])],
+                             ids=["cr-lf", "lone-cr"])
+    def test_a_cr_that_ends_a_read_is_read_again(self, tmp_path, monkeypatch, end, want):
+        # The search from byte 2,047 reads 4,096 bytes that end in the CR, so only the byte after it says whether the
+        # line ends there or after an LF: the CR LF pair is not split, and the lone CR ends a line.
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b"a" * 6142 + end)
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 2048)
+        monkeypatch.setattr(classifier, "_read_range", lambda k, lines: list(lines))
+        assert range_results(path, 2) == [["a" * 6142 + "\n"], *want]
+
+    def test_cr_only_pool_memory_does_not_grow_with_the_record_count(self, tmp_path, monkeypatch):
+        # Each worker sends back one reduced range, so the parent holds a few ranges' rows however long the file is:
+        # `imap` keeps the results that come in before the parent folds them, about 30 KB each here. One range of
+        # the whole file would bring all 20,000 rows (640 KB) to the parent at once.
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 1 << 16)
+        imaps = pool_imaps(monkeypatch)
+        paths = {n: tmp_path / f"p{n}.jsonl" for n in (2_000, 20_000)}
+        for n, path in paths.items():
+            path.write_bytes(memory_records(n).replace(b"\n", b"\r"))
+        peaks = traced_peaks(lambda n: len(load_predictions(paths[n], 4)), list(paths))
+        assert imaps == [1] * 3
+        assert peaks[1] < peaks[0] + 4 * classifier._CHUNK_BYTES, peaks
+
     def test_fifo_is_read_in_line_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(classifier, "_CHUNK_BYTES", 4)
-        fifo = tmp_path / "p.fifo"
-        os.mkfifo(fifo)
-        for text, want in [('{"id": "a", "probs": [0.5, 0.5]}\n{"id": "b", "probs": [0.5, 0.6]}\n',
-                            "line 2: probs sum to 1.1, expected 1"),
-                           ('{"id": "a", "pred": 0, "true": 1}\n\n{"id": "b", "pred": 1, "true": 1}', None)]:
-            writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
-            writer.start()
-            got = loaded(fifo, 2)
-            writer.join(10)
-            assert not writer.is_alive()
+        for i, (text, want) in enumerate([('{"id": "a", "probs": [0.5, 0.5]}\n{"id": "b", "probs": [0.5, 0.6]}\n',
+                                           "line 2: probs sum to 1.1, expected 1"),
+                                          ('{"id": "a", "pred": 0, "true": 1}\n\n{"id": "b", "pred": 1, "true": 1}',
+                                           None)]):
+            got = fifo_loaded(tmp_path / f"p{i}.fifo", text.encode(), 2)
             if want is None:
                 assert got.total.tolist() == [1, 1] and got.pairs.tolist() == [0, 0, 1, 1]
             else:

@@ -584,22 +584,33 @@ def test_ingest_error_is_the_same_from_a_file_and_a_pipe(tmp_path, text):
 
 
 def test_ingest_forks_no_pool_for_one_chunk_or_one_cpu(tmp_path):
-    preds = tmp_path / "p.jsonl"
-    preds.write_text("".join(f'{{"id": "r{i}", "probs": [0.25, 0.75], "true": {i % 2}}}\n' for i in range(20)))
-    script = f"""
+    # A file of many blocks is read in ranges on one CPU and on two, with LF or CR-only line ends, to the same output;
+    # only the two-CPU runs load multiprocessing.
+    text = "".join(f'{{"id": "r{i}", "probs": [0.25, 0.75], "true": {i % 2}}}\n' for i in range(20))
+    (tmp_path / "lf.jsonl").write_text(text)
+    (tmp_path / "cr.jsonl").write_text(text.replace("\n", "\r"))
+    script = """
 import os, sys
 import fairdisc.cli
 from fairdisc import classifier
+def ingest(preds, out):
+    assert fairdisc.cli.main(["ingest", preds, "--k", "2", "--out", out]) == 0
 assert "multiprocessing" not in sys.modules
-assert fairdisc.cli.main(["ingest", {str(preds)!r}, "--k", "2", "--out", "one-chunk.json"]) == 0
+ingest("lf.jsonl", "one-chunk.json")
 classifier._CHUNK_BYTES = 8
-os.sched_getaffinity = lambda pid: {{0}}
-assert fairdisc.cli.main(["ingest", {str(preds)!r}, "--k", "2", "--out", "one-cpu.json"]) == 0
+os.sched_getaffinity = lambda pid: {0}
+ingest("lf.jsonl", "one-cpu.json")
+ingest("cr.jsonl", "one-cpu-cr.json")
 assert "multiprocessing" not in sys.modules
+os.sched_getaffinity = lambda pid: {0, 1}
+ingest("lf.jsonl", "two-cpus.json")
+ingest("cr.jsonl", "two-cpus-cr.json")
+assert "multiprocessing" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV, cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert (tmp_path / "one-chunk.json").read_bytes() == (tmp_path / "one-cpu.json").read_bytes()
+    outputs = ["one-chunk.json", "one-cpu.json", "one-cpu-cr.json", "two-cpus.json", "two-cpus-cr.json"]
+    assert len({(tmp_path / name).read_bytes() for name in outputs}) == 1
 
 
 def test_cli_import_loads_only_the_pinned_modules():
@@ -638,6 +649,29 @@ def test_existing_output_is_truncated_and_dev_stdout_is_written(tmp_path):
     to_stdout = subprocess.run([*cmd, "--out", "/dev/stdout"], capture_output=True, text=True, env=ENV)
     assert to_file.returncode == to_stdout.returncode == 0
     assert (tmp_path / "r.csv").read_text() == to_stdout.stdout == "k,metric,n_factor\n2,l1,0.5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--k", "2", "--step", "0.5", "--metrics", "l1", "--out", "same.csv", "--markdown", "./same.csv"],
+    ["ingest", "p.jsonl", "--k", "2", "--out", "same.csv", "--confusion-out", "same.csv"],
+], ids=["bench", "ingest"])
+def test_two_outputs_that_open_one_file_exit_2_and_leave_it_as_it_was(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.jsonl").write_text('{"id": "a", "pred": 0, "true": 0}\n')
+    error = (2, "", f"error: outputs 'same.csv' and {argv[-1]!r} are one file\n")
+    assert run_cli(capsys, *argv) == error
+    assert [path.name for path in tmp_path.iterdir()] == ["p.jsonl"]
+    (tmp_path / "same.csv").write_text("kept\n")
+    assert run_cli(capsys, *argv) == error
+    assert (tmp_path / "same.csv").read_bytes() == b"kept\n"
+
+
+def test_two_outputs_to_a_stdout_pipe_are_both_written(tmp_path):
+    cmd = [sys.executable, "-m", "fairdisc", "bench", "--k", "2", "--step", "0.5", "--metrics", "l1"]
+    to_files = subprocess.run([*cmd, "--out", "r.csv", "--markdown", "r.md"], capture_output=True, env=ENV, cwd=tmp_path)
+    to_stdout = subprocess.run([*cmd, "--out", "/dev/stdout", "--markdown", "/dev/stdout"], capture_output=True, env=ENV)
+    assert (to_files.returncode, to_stdout.returncode, to_stdout.stderr) == (0, 0, b"")
+    assert to_stdout.stdout == (tmp_path / "r.csv").read_bytes() + (tmp_path / "r.md").read_bytes()
 
 
 def test_module_entry_point():
