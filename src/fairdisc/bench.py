@@ -19,7 +19,7 @@ import numpy as np
 
 from .attrspace import check_block, check_sweep, float_array
 from .attrspace import sweep as sweep_path
-from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate
+from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate, fork_map
 from .errors import ValidationError, check_int, is_int
 from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score, n_factor
 
@@ -132,13 +132,19 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
     path = sweep_path(k, step)
-    f, f_star = [], []
-    for start in (range(k) if starts == "all" else [starts]):
-        p_true = path.copy()
-        p_true[:, [0, start]] = path[:, [start, 0]]
-        f.append(_scored(model, mode, metrics, p_true, _KIND_SWEEP, start, np.arange(len(path))))
-        f_star.append({m: fd_score(m, p_true) for m in metrics})
+    tasks = [(model, mode, metrics, path, start) for start in (range(k) if starts == "all" else [starts])]
+    f, f_star = zip(*fork_map(_sweep_start, tasks))
     return tuple({m: np.array([s[m] for s in per_start]) for m in metrics} for per_start in (f, f_star))
+
+
+def _sweep_start(task) -> tuple[Scores, Scores]:
+    """(f, f*) of the sweep start in `task` (model, mode, metrics, path, start): `path` with outcomes 0 and `start`
+    swapped, scored through `model` and as it is. Each cell's seed depends on that cell alone, in any process."""
+    model, mode, metrics, path, start = task
+    p_true = path.copy()
+    p_true[:, [0, start]] = path[:, [start, 0]]
+    return (_scored(model, mode, metrics, p_true, _KIND_SWEEP, start, np.arange(len(path))),
+            {m: fd_score(m, p_true) for m in metrics})
 
 
 # ---------------------------------------------------------------------------

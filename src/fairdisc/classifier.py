@@ -18,6 +18,7 @@ import stat
 import struct
 import threading
 from array import array
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -380,12 +381,24 @@ def _read_file_range(task):
 
 
 def _workers(n_ranges: int) -> int:
-    """How many processes read `n_ranges` ranges: one per CPU this process may run on, at most one per range,
-    when there are several of each, "fork" exists and no other thread runs (a forked child would lack it); else 1,
-    this process."""
+    """How many processes run `n_ranges` tasks: one per CPU this process may run on, at most one per task, when there
+    are several of each, "fork" exists and no other Python thread runs (a forked child would lack it); else 1. Native
+    threads are not counted: unless OPENBLAS_NUM_THREADS=1, OpenBLAS's own thread is running at every fork."""
     if n_ranges < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(n_ranges, len(os.sched_getaffinity(0))) if threading.active_count() == 1 else 1
+
+
+def fork_map(fn, tasks: list):
+    """Yield `fn(task)` for each of `tasks`, in task order: from a pool of `_workers(len(tasks))` forked processes if
+    that is more than one, else from `map` here; `fn` is module-level, sent by name. Its end, an error raised through
+    it or `close()` terminates the pool and joins its workers, so a caller that may stop early must close it."""
+    if (workers := _workers(len(tasks))) == 1:
+        yield from map(fn, tasks)
+    else:
+        import multiprocessing
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            yield from pool.imap(fn, tasks)
 
 
 def _merge(k: int, results) -> Predictions:
@@ -429,7 +442,7 @@ def load_predictions(path, k: int) -> Predictions:
 
     Every input is read in blocks of whole lines, each checked and reduced by `_read_range` and folded in file order,
     so the result and every error are those of one pass. A regular file larger than `_CHUNK_BYTES` is read in ranges
-    cut at any line end, one `_read_file_range` each, by forked workers where `_workers` allows and otherwise here.
+    cut at any line end, one `_read_file_range` each, through `fork_map`: by forked workers where `_workers` allows.
     Any other input is read here in line blocks.
     """
     check_k(k)
@@ -439,13 +452,8 @@ def load_predictions(path, k: int) -> Predictions:
         if n_ranges < 2:
             return _merge(k, (_read_range(k, lines) for lines in iter(lambda: fh.readlines(_CHUNK_BYTES), [])))
         tasks = [(fh.fileno(), k, i, st.st_size) for i in range(n_ranges)]
-        if (workers := _workers(n_ranges)) == 1:
-            return _merge(k, map(_read_file_range, tasks))
-        import multiprocessing
-
-        # Leaving the block terminates the pool and joins its workers, on success and on error.
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return _merge(k, pool.imap(_read_file_range, tasks))
+        with closing(fork_map(_read_file_range, tasks)) as ranges:
+            return _merge(k, ranges)
 
 
 def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel | None]:

@@ -1,3 +1,7 @@
+import multiprocessing.pool
+import os
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -5,6 +9,9 @@ from hypothesis import strategies as st
 from fairdisc import AttributeSpace, CategoricalDistribution
 
 BENCH_KS = (2, 4, 8, 16)
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+# Child interpreters import the package from the source tree.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def pytest_configure(config):
@@ -52,3 +59,13 @@ def distributions(k: int):
     space = AttributeSpace.of_size(k)
     return count_vectors(k).map(
         lambda c: CategoricalDistribution(space, np.array(c, dtype=float) / sum(c)))
+
+
+def pool_imaps(monkeypatch):
+    """Two CPUs for `_workers`, so `fork_map` over several tasks runs a fork pool; the returned list gets a 1 per
+    `Pool.imap` call."""
+    imaps = []
+    original = multiprocessing.pool.Pool.imap
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return imaps

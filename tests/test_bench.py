@@ -1,8 +1,11 @@
+import multiprocessing
+import os
 import re
 
 import numpy as np
 import pytest
 
+from conftest import pool_imaps
 from fairdisc import (
     EXPECTATION,
     AttributeSpace,
@@ -204,6 +207,21 @@ class TestSweepRunner:
     def test_start_out_of_range(self):
         with pytest.raises(ValidationError):
             run_sweep(perfect(2), EXPECTATION, (Metric.L1,), 0.1, starts=5)
+
+    @pytest.mark.parametrize("mode", [EXPECTATION, Sampled(n=1000, seed=5)], ids=["expectation", "sampled"])
+    def test_forked_starts_equal_one_cpu(self, monkeypatch, mode):
+        # Every metric, wd's LPs included, scored by forked workers gives the arrays of one process.
+        model = from_accuracies([0.9, 0.8, 0.7, 0.6])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_cpu = run_sweep(model, mode, REPORT_ORDER, 0.05)
+        imaps = pool_imaps(monkeypatch)
+        forked = run_sweep(model, mode, REPORT_ORDER, 0.05)
+        assert imaps == [1]
+        assert multiprocessing.active_children() == []
+        for got, want in zip(forked, one_cpu):
+            for m in REPORT_ORDER:
+                assert got[m].shape == want[m].shape == (4, 16)
+                assert np.array_equal(got[m], want[m])
 
 
 class TestBenchmarkReport:

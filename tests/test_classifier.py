@@ -1,8 +1,10 @@
 import json
 import multiprocessing
-import multiprocessing.pool
 import os
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import dist
+from conftest import ENV, dist, pool_imaps
 from fairdisc import (
     ConfusionModel,
     Sampled,
@@ -370,16 +372,6 @@ class TestIngest:
         assert imaps == [1] * pool
 
 
-def pool_imaps(monkeypatch):
-    """Two CPUs for `_workers`, so a file of several ranges goes to the fork pool; the returned list gets a 1 per
-    `Pool.imap` call."""
-    imaps = []
-    original = multiprocessing.pool.Pool.imap
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return imaps
-
-
 def many_soft_records():
     """5,000 soft records with truth: enough rows that a pairwise sum would round differently from a running total."""
     rng = np.random.default_rng(0)
@@ -728,6 +720,89 @@ class TestChunkedRead:
                 assert got.total.tolist() == [1, 1] and got.pairs.tolist() == [0, 0, 1, 1]
             else:
                 assert got == want
+
+
+def first_task_slowest(i):
+    """(i, the time it finished), after half a second for task 0 only."""
+    time.sleep(0.5 * (i == 0))
+    return i, time.monotonic()
+
+
+def fail_on_two(i):
+    if i == 2:
+        raise ValidationError(f"task {i} failed")
+    return i
+
+
+class TestForkMap:
+    """`fork_map` yields results in task order, and no worker outlives it: after its end, after an error in a worker
+    or in its caller, and after a caller that closes it early."""
+
+    def test_results_come_in_task_order(self, monkeypatch):
+        imaps = pool_imaps(monkeypatch)
+        got = list(classifier.fork_map(first_task_slowest, list(range(4))))
+        assert [i for i, _ in got] == [0, 1, 2, 3]
+        assert got[1][1] < got[0][1]  # the other worker finished task 1 while task 0 slept
+        assert imaps == [1]
+        assert multiprocessing.active_children() == []
+
+    def test_no_pool_for_one_task_one_cpu_or_a_second_thread(self):
+        # A pool would have to pickle the lambda and would fail; only the last call, over two tasks on two CPUs with
+        # one thread, imports multiprocessing.
+        script = """
+import os, sys, threading
+from fairdisc.classifier import fork_map
+def pids(n):
+    return set(fork_map(lambda task: os.getpid(), list(range(n))))
+os.sched_getaffinity = lambda pid: {0, 1}
+assert pids(1) == {os.getpid()}
+os.sched_getaffinity = lambda pid: {0}
+assert pids(2) == {os.getpid()}
+os.sched_getaffinity = lambda pid: {0, 1}
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+assert pids(2) == {os.getpid()}
+stop.set()
+thread.join(10)
+assert not thread.is_alive()
+assert "multiprocessing" not in sys.modules
+assert list(fork_map(abs, [-1, -2])) == [1, 2]
+assert "multiprocessing" in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_an_error_in_a_worker_is_raised_as_in_one_process(self, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(classifier, "_workers", lambda n_ranges: 1)
+            with pytest.raises(ValidationError) as serial:
+                list(classifier.fork_map(fail_on_two, list(range(4))))
+        imaps = pool_imaps(monkeypatch)
+        assert list(classifier.fork_map(fail_on_two, [0, 1, 3])) == [0, 1, 3]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValidationError) as forked:
+            list(classifier.fork_map(fail_on_two, list(range(4))))
+        assert multiprocessing.active_children() == []
+        assert str(forked.value) == str(serial.value) == "task 2 failed"
+        assert imaps == [1, 1]
+
+    def test_no_worker_outlives_a_caller_that_stops_early(self, tmp_path, monkeypatch):
+        # The bad first line stops the fold while later ranges are still to be read, and the excinfo keeps the
+        # traceback, and with it the frames that hold the generator.
+        path = write_jsonl(tmp_path, "{oops", *[{"id": "a", "pred": 0}] * 200)
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 64)
+        imaps = pool_imaps(monkeypatch)
+        with pytest.raises(ValidationError, match="^line 1: invalid JSON") as excinfo:
+            load_predictions(path, 2)
+        assert multiprocessing.active_children() == []
+        results = classifier.fork_map(fail_on_two, [0, 1, 3])
+        assert next(results) == 0
+        results.close()
+        assert multiprocessing.active_children() == []
+        assert imaps == [1, 1]
+        assert excinfo.traceback
+
 
 
 def decoded(decode, s):

@@ -7,14 +7,12 @@ import sys
 
 import pytest
 
+from conftest import ENV, SRC
 from fairdisc import load_distribution, load_space, n_factor
 from fairdisc.cli import COMMANDS, OPTIONS, main
 from fairdisc.metrics import Metric
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-# Child interpreters import the package from the source tree.
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -611,6 +609,43 @@ assert "multiprocessing" in sys.modules
     assert (proc.returncode, proc.stderr) == (0, "")
     outputs = ["one-chunk.json", "one-cpu.json", "one-cpu-cr.json", "two-cpus.json", "two-cpus-cr.json"]
     assert len({(tmp_path / name).read_bytes() for name in outputs}) == 1
+
+
+
+def test_bench_forks_no_pool_on_one_cpu_and_writes_the_same_bytes(tmp_path):
+    # Every bench golden argv, and the sampled benchmark at step 0.001, on one CPU and on two: stdout and Markdown are
+    # the same bytes, each run's golden holds, and only the two-CPU runs load multiprocessing.
+    runs = [(["--k", "2", "4", "--step", "0.05"], GOLDEN / "bench-k2-4-step0.05-expect.csv"),
+            (["--k", "2", "4", "--step", "0.05", "--mode", "sampled", "--n", "1000", "--seed", "3", "--trials", "2"],
+             GOLDEN / "bench-k2-4-step0.05-sampled-n1000-seed3.csv"),
+            (["--k", "2", "4", "--classifier", "set2", "--step", "0.05"], GOLDEN / "bench-k2-4-set2-step0.05-expect.md"),
+            (["--classifier", "set2", "--mode", "sampled", "--n", "100000", "--seed", "0", "--trials", "30", "--step",
+              "0.001", "--metrics", "l1,l2,spec,is"], SRC.parent / "perfbench" / "golden" / "set2-sampled-fine-seed0.csv")]
+    script = """
+import contextlib, io, json, os, sys
+import fairdisc.cli
+def bench(i, argv, cpus):
+    os.sched_getaffinity = lambda pid: cpus
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert fairdisc.cli.main(["bench", *argv, "--markdown", f"{i}-{len(cpus)}.md"]) == 0
+    with open(f"{i}-{len(cpus)}.csv", "w") as fh:
+        fh.write(out.getvalue())
+runs = json.loads(sys.argv[1])
+for i, argv in enumerate(runs):
+    bench(i, argv, {0})
+assert "multiprocessing" not in sys.modules
+for i, argv in enumerate(runs):
+    bench(i, argv, {0, 1})
+assert "multiprocessing" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([argv for argv, _ in runs])], capture_output=True,
+                          text=True, env=ENV, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for i, (_, golden) in enumerate(runs):
+        for ext in (".csv", ".md"):
+            assert (tmp_path / f"{i}-1{ext}").read_bytes() == (tmp_path / f"{i}-2{ext}").read_bytes()
+        assert (tmp_path / f"{i}-1{golden.suffix}").read_bytes() == golden.read_bytes()
 
 
 def test_cli_import_loads_only_the_pinned_modules():
