@@ -7,11 +7,11 @@ to that method's. Each thread keeps one solver, set to those options once,
 and passes it each LP as arrays cached per k; passing a model clears the
 solver's basis and solution, so no solve warm-starts another.
 
-`solve_rows` takes a block of marginal pairs, `solve` one pair. Both go
-through one path: the block is checked and renormalized once, each LP is
-passed and run on its own, and the plans of a chunk of at most
-MAX_BLOCK_ENTRIES floats are dust-clipped, verified against their marginals
-and valued as arrays. Only a pair whose plan misses is solved again.
+`solve_rows` takes a block of marginal pairs, `solve` one pair; both check
+and renormalize the block once, then solve its pairs in one loop. Each LP
+is run at scale 1, then at _RETRY_SCALE, then there with presolve off,
+until its dust-clipped plan is optimal and within MARGINAL_TOL of its
+marginals, and then valued; one still off fails with its last reason.
 
 The bindings are one extension module, scipy.optimize._highspy._core. A
 plain import of it first runs scipy.optimize's package init, which loads
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attrspace import MAX_BLOCK_ENTRIES, float_array, normalized_rows
+from .attrspace import float_array, normalized_rows
 from .errors import ValidationError, check_int
 
 MARGINAL_TOL = 1e-9
@@ -128,8 +128,8 @@ def solve(p, q, cost: CostMatrix) -> TransportPlan:
     Zero-mass rows or columns are fine (their plan entries are zero), which
     is what extreme-point sources produce.
     """
-    w, value = _solved(_marginals(p, q, cost, 1, "vectors of one length"), cost)
-    return TransportPlan(w=w[0], value=float(value[0]))
+    w, value = next(_solved(_marginals(p, q, cost, 1, "vectors of one length"), cost))
+    return TransportPlan(w=w, value=float(value))
 
 
 def solve_rows(p, q, cost: CostMatrix) -> np.ndarray:
@@ -138,12 +138,7 @@ def solve_rows(p, q, cost: CostMatrix) -> np.ndarray:
     The blocks are checked as one, so the first kind of fault in them is named before the first faulty row.
     """
     pq = _marginals(p, q, cost, 2, "(N, k) blocks of one shape")
-    n, _, k = pq.shape
-    values = np.empty(n)
-    step = max(1, MAX_BLOCK_ENTRIES // (k * k))
-    for i in range(0, n, step):
-        values[i:i + step] = _solved(pq[i:i + step], cost)[1]
-    return values
+    return np.fromiter((value for _, value in _solved(pq, cost)), np.float64, len(pq))
 
 
 def _marginals(p, q, cost: CostMatrix, ndim: int, shapes: str) -> np.ndarray:
@@ -159,51 +154,40 @@ def _marginals(p, q, cost: CostMatrix, ndim: int, shapes: str) -> np.ndarray:
     return normalized_rows(np.stack([p, q], axis=-2).reshape(-1, 2, k), "transport marginals")
 
 
-def _solved(pq: np.ndarray, cost: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, k, k) plans and (n,) values of n marginal pairs; a plan off by more than MARGINAL_TOL is solved
-    again at _RETRY_SCALE, and one still off fails with the first such pair's reason."""
-    w, failed = _plans(pq, cost, 1.0)
-    # A failed solve's NaN plan counts as a miss.
-    redo = np.flatnonzero(~(_violation(w, pq) <= MARGINAL_TOL))
-    if redo.size:
-        w_redo, failed = _plans(pq[redo], cost, _RETRY_SCALE)
-        miss = _violation(w_redo, pq[redo])
-        if (bad := np.flatnonzero(~(miss <= MARGINAL_TOL))).size:
-            r = int(bad[0])
-            reason = f"HiGHS model status {failed[r]}" if r in failed else f"plan violates its constraints by {miss[r]:.3g}"
-            raise ValidationError(f"transport solve failed: {reason}")
-        w[redo] = w_redo
-    return w, (w * cost.c).reshape(len(w), -1).sum(axis=1)
-
-
-def _plans(pq: np.ndarray, cost: CostMatrix, scale: float) -> tuple[np.ndarray, dict[int, str]]:
-    """HiGHS's plans for marginals scale*pq divided by scale, dust-clipped, and the model status of each pair it
-    did not solve to optimality, whose plan is NaN."""
-    n, _, k = pq.shape
+def _solved(pq: np.ndarray, cost: CostMatrix):
+    """Yield each marginal pair's (k, k) plan and value in turn, by the attempts the module docstring names."""
+    k = pq.shape[-1]
     highs, solver = _solver()
     start, index, value, lower, upper, integrality = _model(k)
     colwise, minimize = highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize
     c = cost.c.ravel()
-    rows = pq.reshape(n, 2 * k) * scale
-    w = np.empty((n, k * k))
-    failed = {}
-    for r in range(n):
-        passed = solver.passModel(k * k, 2 * k, 2 * k * k, colwise, minimize, 0.0,
-                                  c, lower, upper, rows[r], rows[r], start, index, value, integrality)
-        if passed == highs.HighsStatus.kError:
-            raise ValidationError("transport solve failed: HiGHS rejected the model")
-        solver.run()
-        status = solver.getModelStatus()
-        if status == highs.HighsModelStatus.kOptimal:
-            w[r] = solver.getSolution().col_value
+    for pair in pq:
+        for scale, presolve in ((1.0, True), (_RETRY_SCALE, True), (_RETRY_SCALE, False)):
+            rows = pair.ravel() * scale
+            if solver.passModel(k * k, 2 * k, 2 * k * k, colwise, minimize, 0.0, c, lower, upper, rows, rows,
+                                start, index, value, integrality) == highs.HighsStatus.kError:
+                raise ValidationError("transport solve failed: HiGHS rejected the model")
+            if presolve:
+                solver.run()
+            else:  # the last attempt only: every other LP keeps scipy's options
+                solver.setOptionValue("presolve", "off")
+                try:
+                    solver.run()
+                finally:
+                    solver.setOptionValue("presolve", "on")
+            if (status := solver.getModelStatus()) != highs.HighsModelStatus.kOptimal:
+                reason = f"HiGHS model status {solver.modelStatusToString(status)}"
+                continue
+            # Clip solver dust so the plan is a clean non-negative matrix.
+            w = np.asarray(solver.getSolution().col_value).reshape(k, k) / scale
+            w[np.abs(w) < 1e-15] = 0.0
+            if (miss := _violation(w, pair)) <= MARGINAL_TOL:
+                break
+            reason = f"plan violates its constraints by {miss:.3g}"
         else:
-            w[r] = np.nan
-            failed[r] = solver.modelStatusToString(status)
-    w = w.reshape(n, k, k)
-    w /= scale
-    # Clip solver dust so each plan is a clean non-negative matrix.
-    w[np.abs(w) < 1e-15] = 0.0
-    return w, failed
+            raise ValidationError(f"transport solve failed: {reason}")
+        # The reduction of a (1, k * k) stack, so a value has the bits it had in a block of plans.
+        yield w, (w * cost.c).reshape(1, -1).sum(axis=1)[0]
 
 
 @cache
@@ -223,7 +207,6 @@ def _check_k(k: int) -> None:
         raise ValidationError(f"transport needs 2 <= k <= {MAX_K}, got k={k}")
 
 
-def _violation(w: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    """Each plan's largest marginal miss or negative entry; NaN for a NaN plan."""
-    rows, cols = np.abs(w.sum(axis=2) - pq[:, 0]).max(axis=1), np.abs(w.sum(axis=1) - pq[:, 1]).max(axis=1)
-    return np.maximum.reduce([rows, cols, -w.min(axis=(1, 2))])
+def _violation(w: np.ndarray, pair: np.ndarray) -> float:
+    """The plan's largest marginal miss or negative entry; NaN if the plan has a NaN."""
+    return max(np.abs(w.sum(axis=1) - pair[0]).max(), np.abs(w.sum(axis=0) - pair[1]).max(), -w.min())

@@ -1,8 +1,8 @@
 """Past the file boundary, code sees arrays and confusion models: no attribute space or distribution object.
 The package exports each public name it defines in `__all__`. Only errors.py decides what an integer or a
 number input is, only attrspace.py turns an outside array into floats, only attrspace.py reads the tolerances
-that make rows of probabilities distributions, only attrspace.json_file writes a file's path into an error, and
-only attrspace.json_file and classifier._json_line decode JSON text."""
+that make rows of probabilities distributions and the limit on floats in one block, only attrspace.json_file
+writes a file's path into an error, and only attrspace.json_file and classifier._json_line decode JSON text."""
 
 import ast
 import pathlib
@@ -111,8 +111,8 @@ def test_float_read_lint_finds_a_read_put_back(snippet):
 TOLERANCES = {"SUM_TOL", "_DRIFT_TOL"}
 
 
-def own_tolerance_reads(source: str) -> list[str]:
-    """Each name, attribute or import in `source` that names SUM_TOL or _DRIFT_TOL."""
+def own_reads(source: str, names: set[str]) -> list[str]:
+    """Each name, attribute or import in `source` that names one of `names`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -123,21 +123,35 @@ def own_tolerance_reads(source: str) -> list[str]:
             name = node.name
         else:
             continue
-        if name in TOLERANCES:
+        if name in names:
             found.append(ast.unparse(node))
     return found
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.name != "attrspace.py"))
 def test_distribution_tolerances_live_in_attrspace_only(module):
-    assert own_tolerance_reads((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+    assert own_reads((SRC / f"{module}.py").read_text(encoding="utf-8"), TOLERANCES) == []
 
 
 @pytest.mark.parametrize("snippet", ["from .attrspace import SUM_TOL", "from .attrspace import _DRIFT_TOL as tol",
                                      "bad = np.abs(arr.sum(axis=1) - 1.0) > SUM_TOL",
                                      "ok = off <= attrspace._DRIFT_TOL"])
 def test_tolerance_lint_finds_a_read_put_back(snippet):
-    assert own_tolerance_reads(snippet)
+    assert own_reads(snippet, TOLERANCES)
+
+
+# How many floats one block may hold is attrspace's decision (check_block, sweep); no other module splits or sizes
+# its work by that limit.
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.name != "attrspace.py"))
+def test_block_limit_lives_in_attrspace_only(module):
+    assert own_reads((SRC / f"{module}.py").read_text(encoding="utf-8"), {"MAX_BLOCK_ENTRIES"}) == []
+
+
+@pytest.mark.parametrize("snippet", ["from .attrspace import MAX_BLOCK_ENTRIES, float_array",
+                                     "step = max(1, MAX_BLOCK_ENTRIES // (k * k))",
+                                     "rows = attrspace.MAX_BLOCK_ENTRIES // k"])
+def test_block_limit_lint_finds_a_read_put_back(snippet):
+    assert own_reads(snippet, {"MAX_BLOCK_ENTRIES"})
 
 
 def _starts_with_path(node) -> bool:

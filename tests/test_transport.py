@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -259,37 +260,92 @@ def test_wd_block_equals_the_oracle_and_solve_row_by_row(k):
         assert value == solve(a, b, cost).value
 
 
+class _RecordedRuns:
+    """This thread's solver, recording the marginals passed and the presolve option of each LP it runs."""
+
+    def __init__(self, solver):
+        self._solver, self._rows, self.runs = solver, None, []
+
+    def __getattr__(self, name):
+        return getattr(self._solver, name)
+
+    def passModel(self, *model):
+        self._rows = np.array(model[9])
+        return self._solver.passModel(*model)
+
+    def run(self):
+        self.runs.append((self._rows, self._solver.getOptionValue("presolve")[1]))
+        return self._solver.run()
+
+
+def _recorded(monkeypatch) -> _RecordedRuns:
+    highs, solver = transport._solver()
+    recorded = _RecordedRuns(solver)
+    monkeypatch.setattr(transport._THREAD, "solver", (highs, recorded))
+    return recorded
+
+
 def test_retry_case_in_the_middle_of_a_block_gets_the_value_solve_gives(monkeypatch):
     p0, q0 = RETRY_CASES["unmet-entry"]
     rng = np.random.default_rng(29)
     p, q = rng.dirichlet(np.ones(4), size=7), rng.dirichlet(np.ones(4), size=7)
     p[3], q[3] = p0, q0
-    passes = []
-    plans = transport._plans
-    monkeypatch.setattr(transport, "_plans", lambda pq, cost, scale: passes.append((len(pq), scale)) or
-                        plans(pq, cost, scale))
+    recorded = _recorded(monkeypatch)
     values = metrics.wd(p, q)
-    # Only the unmet-entry pair is solved again.
-    assert passes == [(7, 1.0), (1, _RETRY_SCALE)]
+    pairs, passes = np.hstack([p, q]), []
+    for rows, _ in recorded.runs:
+        scale = _RETRY_SCALE if rows.sum() > 2 else 1.0
+        passes.append((next(r for r, pair in enumerate(pairs) if np.array_equal(rows, pair * scale)), scale))
+    # Each pair is passed at scale 1 in turn; only the unmet-entry pair is passed again, right after its first pass.
+    assert passes == [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (3, _RETRY_SCALE), (4, 1.0), (5, 1.0), (6, 1.0)]
     assert values[3] == solve(p0, q0, default_cost(4)).value
     for value, a, b in zip(values, p, q, strict=True):
         assert value == solve(a, b, default_cost(4)).value
 
 
-def test_a_block_split_into_chunks_gives_the_values_of_the_whole_block(monkeypatch):
-    k = 8
-    rng = np.random.default_rng(31)
-    p, q = rng.dirichlet(np.ones(k), size=10), rng.dirichlet(np.full(k, 0.5), size=10)
-    p[[2, 3, 6]] = np.full(k, 1.0 / k)
-    whole = transport.solve_rows(p, q, default_cost(k))
-    sizes = []
-    solved = transport._solved
-    monkeypatch.setattr(transport, "_solved", lambda pq, cost: sizes.append(len(pq)) or solved(pq, cost))
-    # Room for 3 plans of k * k floats but not 4.
-    monkeypatch.setattr(transport, "MAX_BLOCK_ENTRIES", 4 * k * k - 1)
-    split = transport.solve_rows(p, q, default_cost(k))
-    assert sizes == [3, 3, 3, 1]
-    assert split.tobytes() == whole.tobytes()
+# HiGHS leaves a marginal off by more than MARGINAL_TOL at scale 1 and calls the LP infeasible at _RETRY_SCALE.
+SPARSE_AGAINST_ONE_HOT = ([3.07471233431779e-14, 2.5510074030535943e-08, 0.09917765998886616, 0.11730133295954269,
+                           8.061619386642187e-23, 0.783520981541414, 4.779038388004067e-25, 7.243496798486754e-14],
+                          np.eye(8)[0])
+
+
+def _sparse_against_one_hot(seed: int):
+    """Five pairs at k = 4..64: a Dirichlet row with about half its entries set to 10^-U(8, 30), then renormalized,
+    and a one-hot row on one of those tiny outcomes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        k = int(rng.integers(4, 65))
+        p = rng.dirichlet(np.ones(k))
+        tiny = rng.random(k) < 0.5
+        tiny[rng.integers(k)] = True
+        p[tiny] = 10.0 ** -rng.uniform(8, 30, size=int(tiny.sum()))
+        yield p / p.sum(), np.eye(k)[rng.choice(np.flatnonzero(tiny))]
+
+
+def _assert_meets_marginals_and_costs_l1(p, q) -> None:
+    plan = solve(p, q, default_cost(len(p)))
+    assert np.abs(plan.w.sum(axis=1) - p).max() <= MARGINAL_TOL
+    assert np.abs(plan.w.sum(axis=0) - q).max() <= MARGINAL_TOL
+    assert plan.w.min() >= -MARGINAL_TOL
+    assert abs(plan.value - l1(p, q)) <= 1e-9
+
+
+def test_lp_missed_at_both_scales_is_solved_without_presolve(monkeypatch):
+    p, q = np.array(SPARSE_AGAINST_ONE_HOT[0]), SPARSE_AGAINST_ONE_HOT[1]
+    recorded = _recorded(monkeypatch)
+    _assert_meets_marginals_and_costs_l1(p, q)
+    assert [(rows.sum() > 2, presolve) for rows, presolve in recorded.runs] == [(False, "on"), (True, "on"),
+                                                                               (True, "off")]
+    # Presolve is back on for the next LP.
+    solve(np.eye(3)[0], np.full(3, 1.0 / 3), default_cost(3))
+    assert recorded.runs[-1][1] == "on"
+
+
+def test_sparse_rows_against_one_hot_rows_meet_marginals_and_cost_l1():
+    """Seeds 0..29 of the family hold 13 pairs that HiGHS missed at scale 1 and called infeasible at _RETRY_SCALE."""
+    for seed in range(30):
+        for p, q in _sparse_against_one_hot(seed):
+            _assert_meets_marginals_and_costs_l1(p, q)
 
 
 def test_block_errors_name_the_kind_of_error_before_the_row():
@@ -304,10 +360,11 @@ def test_block_errors_name_the_kind_of_error_before_the_row():
 
 
 class _SkippedRun:
-    """This thread's solver with `run` skipped: every LP gets `status`, and an optimal plan is all zeros."""
+    """This thread's solver with `run` skipped: every LP gets `status`, and an optimal plan is `plan` (flat), all
+    zeros by default."""
 
-    def __init__(self, solver, status):
-        self._solver, self._status = solver, status
+    def __init__(self, solver, status, plan=None):
+        self._solver, self._status, self._plan = solver, status, plan
 
     def __getattr__(self, name):
         return getattr(self._solver, name)
@@ -319,7 +376,7 @@ class _SkippedRun:
         return self._status
 
     def getSolution(self):
-        return types.SimpleNamespace(col_value=[0.0] * self._solver.getNumCol())
+        return types.SimpleNamespace(col_value=[0.0] * self._solver.getNumCol() if self._plan is None else self._plan)
 
 
 @pytest.mark.parametrize("status,reason", [("kInfeasible", "HiGHS model status Infeasible"),
@@ -332,6 +389,27 @@ def test_an_lp_missed_twice_fails_with_the_reason_of_its_retry(monkeypatch, stat
         metrics.wd(np.eye(3), np.full(3, 1.0 / 3))
     with pytest.raises(ValidationError, match=f"^transport solve failed: {reason}$"):
         solve(np.eye(3)[0], np.full(3, 1.0 / 3), default_cost(3))
+
+
+def test_solve_rows_holds_one_plan_at_a_time(monkeypatch):
+    """1,000 pairs at k = 64 peak under 8 MiB. Each LP skips `run` and replays one solved pair's plan, which keeps
+    HiGHS's time out of the test."""
+    k = 64
+    rng = np.random.default_rng(37)
+    p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+    want = solve(p, q, default_cost(k))
+    highs, solver = transport._solver()
+    replayed = _SkippedRun(solver, highs.HighsModelStatus.kOptimal, want.w.ravel().tolist())
+    monkeypatch.setattr(transport._THREAD, "solver", (highs, replayed))
+    p, q = np.tile(p, (1000, 1)), np.tile(q, (1000, 1))
+    tracemalloc.start()
+    try:
+        values = transport.solve_rows(p, q, default_cost(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert (values == want.value).all()
 
 
 @pytest.mark.parametrize("k", [2, 3, 16, 64])
@@ -348,12 +426,14 @@ def test_solve_matches_linprog_on_n_factor_inputs(k):
 
 
 def _mixed_lps(rng: np.random.Generator) -> list[tuple]:
-    """B, a random-cost LP at k = 9; C, a line-cost LP at k = 6; a k = 64 LP; the retry path's unmet-entry case."""
+    """B, a random-cost LP at k = 9; C, a line-cost LP at k = 6; a k = 64 LP; the retry path's unmet-entry case;
+    the sparse-against-one-hot case, whose last attempt runs without presolve."""
     p, q = RETRY_CASES["unmet-entry"]
     return [(rng.dirichlet(np.ones(9)), np.full(9, 1.0 / 9), _cost("random", 9, rng)),
             (np.eye(6)[2], rng.dirichlet(np.ones(6)), _cost("line", 6, rng)),
             (rng.dirichlet(np.ones(64)), np.full(64, 1.0 / 64), default_cost(64)),
-            (np.array(p), np.array(q), default_cost(4))]
+            (np.array(p), np.array(q), default_cost(4)),
+            (np.array(SPARSE_AGAINST_ONE_HOT[0]), SPARSE_AGAINST_ONE_HOT[1], default_cost(8))]
 
 
 def test_solve_does_not_depend_on_earlier_solves():
