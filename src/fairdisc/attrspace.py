@@ -130,10 +130,7 @@ class AttributeSpace:
     @property
     def k(self) -> int:
         """Total number of outcomes (product of per-attribute cardinalities)."""
-        n = 1
-        for _, values in self.attributes:
-            n *= len(values)
-        return n
+        return math.prod(len(values) for _, values in self.attributes)
 
     @classmethod
     def of_size(cls, k: int) -> "AttributeSpace":

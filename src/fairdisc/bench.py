@@ -19,7 +19,7 @@ import numpy as np
 
 from .attrspace import check_block, check_sweep, float_array
 from .attrspace import sweep as sweep_path
-from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Expectation, Sampled, derive_seed, estimate, fork_map
+from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, check_model, derive_seed, estimate, fork_map
 from .errors import ValidationError, check_int, is_int
 from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score, n_factor
 
@@ -68,7 +68,7 @@ def mem(f, f_star) -> float:
 def _scored(model: ConfusionModel, mode: EstimationMode, metrics, rows, kind_tag: int, cell, trial) -> Scores:
     """Score the estimates of true distributions `rows` through `model`, one array per metric. In sampled mode
     the rows, in C order, draw on `derive_seed(mode.seed, model.k, kind_tag, cell, trial)` over broadcast cells."""
-    seeds = None if isinstance(mode, Expectation) else derive_seed(mode.seed, model.k, kind_tag, cell, trial).ravel()
+    seeds = derive_seed(mode.seed, model.k, kind_tag, cell, trial).ravel() if isinstance(mode, Sampled) else None
     est = estimate(model, rows, mode, seeds)
     return {m: fd_score(m, est) for m in metrics}
 
@@ -77,10 +77,7 @@ def _checked_call(model: ConfusionModel, mode: EstimationMode, metrics: Iterable
                   step: float | None = None) -> tuple[tuple[Metric, ...], int]:
     """Check a harness run before its first estimate: the types, each metric's limit at model.k, the sweep at
     `step` if given, and `trials` in either mode. Return the metrics and the trials per point (1 in expectation)."""
-    if not isinstance(model, ConfusionModel):
-        raise ValidationError(f"model must be a ConfusionModel, got {type(model).__name__}")
-    if not isinstance(mode, (Expectation, Sampled)):
-        raise ValidationError(f"mode must be Expectation or Sampled, got {type(mode).__name__}")
+    check_model(model, mode)
     checked = tuple(metrics) if isinstance(metrics, Iterable) else ()
     if not checked or not all(isinstance(m, Metric) for m in checked):
         raise ValidationError(f"metrics must be one or more Metric values, got {metrics!r}")
@@ -234,7 +231,7 @@ def run_benchmark(models: Sequence[ConfusionModel], metrics: Iterable[Metric] = 
     meta = {
         "k_set": "|".join(str(k) for k in ks),
         "classifier": classifier_label,
-        "mode": "expectation" if isinstance(mode, Expectation) else "sampled",
+        "mode": "sampled" if isinstance(mode, Sampled) else "expectation",
         "step": repr(step),
         "sweep_starts": "all",
         "alpha": repr(DEFAULT_ALPHA),

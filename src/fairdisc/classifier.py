@@ -70,6 +70,14 @@ EstimationMode = Expectation | Sampled
 EXPECTATION = Expectation()
 
 
+def check_model(model, mode) -> None:
+    """A ValidationError unless `model` is a ConfusionModel and `mode` an Expectation or Sampled."""
+    if not isinstance(model, ConfusionModel):
+        raise ValidationError(f"model must be a ConfusionModel, got {type(model).__name__}")
+    if not isinstance(mode, (Expectation, Sampled)):
+        raise ValidationError(f"mode must be Expectation or Sampled, got {type(mode).__name__}")
+
+
 def perfect(k: int) -> ConfusionModel:
     """The identity: every outcome classified correctly."""
     return ConfusionModel(np.eye(check_k(k)))
@@ -210,6 +218,7 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     `tests/test_classifier.py::TestSampledStreams` checks every row against a
     fresh `default_rng` per row (`oracles.reference_sample`).
     """
+    check_model(model, mode)
     rows = float_rows(rows)
     if rows.shape[-1] != model.k:
         raise ValidationError(f"confusion model is {model.k}x{model.k}, distribution has k={rows.shape[-1]}")

@@ -304,12 +304,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(RunConfig(args), args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     return 0
 
 

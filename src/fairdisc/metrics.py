@@ -45,14 +45,10 @@ def parse_metrics(spec: str) -> tuple[Metric, ...]:
         raise ValidationError("empty metric list")
     if "all" in names:
         return REPORT_ORDER
-    out = []
     for name in names:
-        try:
-            out.append(Metric(name))
-        except ValueError:
-            valid = ", ".join(m.value for m in Metric)
-            raise ValidationError(f"unknown metric {name!r} (valid: {valid}, all)") from None
-    return tuple(out)
+        if name not in _MEASURES:
+            raise ValidationError(f"unknown metric {name!r} (valid: {', '.join(map(str, _MEASURES))}, all)")
+    return tuple(map(Metric, names))
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -121,11 +117,19 @@ _MEASURES = {Metric.L1: l1, Metric.L2: l2, Metric.WD: wd,
              Metric.SPECIFICITY: delta_specificity, Metric.INFO_SPECIFICITY: info_specificity}
 
 
+def _measure(metric: Metric):
+    """The measure of `metric`, a Metric or its value; anything else is a ValidationError."""
+    if not isinstance(metric, str) or metric not in _MEASURES:
+        raise ValidationError(f"unknown metric {metric!r} (valid: {', '.join(map(str, _MEASURES))})")
+    return _MEASURES[metric]
+
+
 def raw_score(metric: Metric, rows):
     """The metric between the uniform reference and each row, unnormalized."""
+    measure = _measure(metric)
     rows = float_rows(rows)
     k = rows.shape[-1]
-    return _MEASURES[metric](np.full(k, 1.0 / k), rows)
+    return measure(np.full(k, 1.0 / k), rows)
 
 
 # typed: n_factor(m, 2.0) must miss the entry of n_factor(m, 2) and reach check_k.
@@ -136,7 +140,7 @@ def n_factor(metric: Metric, k: int) -> float:
     Computed, not tabulated; every one-hot row gives the same value, so the
     first is used. WD's LP rounds differently from uniform to one-hot.
     """
-    return float(_MEASURES[metric](np.eye(1, check_k(k))[0], np.full(k, 1.0 / k)))
+    return float(_measure(metric)(np.eye(1, check_k(k))[0], np.full(k, 1.0 / k)))
 
 
 def fd_score(metric: Metric, rows):

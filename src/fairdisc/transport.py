@@ -3,15 +3,17 @@
 Small problems only (k <= 64); solved as a linear program with HiGHS,
 driven directly through scipy's bindings with the sparse model and the
 options of scipy.optimize's "highs" LP method, so plans are bit-identical
-to that method's. Each thread keeps one solver, set to those options once,
-and passes it each LP as arrays cached per k; passing a model clears the
-solver's basis and solution, so no solve warm-starts another.
+to that method's. Each thread keeps one solver, set by `_solver` to dual
+simplex with no output, and passes it each LP as arrays cached per k;
+passing a model clears the solver's basis and solution, so no solve
+warm-starts another.
 
 `solve_rows` takes a block of marginal pairs, `solve` one pair; both check
 and renormalize the block once, then solve its pairs in one loop. Each LP
-is run at scale 1, then at _RETRY_SCALE, then there with presolve off,
-until its dust-clipped plan is optimal and within MARGINAL_TOL of its
-marginals, and then valued; one still off fails with its last reason.
+is run at scale 1, then at _RETRY_SCALE, then there with presolve off, each
+attempt setting its own presolve option, until its dust-clipped plan is
+optimal and within MARGINAL_TOL of its marginals, and then valued; one
+still off fails with its last reason. No other code sets an option.
 
 The bindings are one extension module, scipy.optimize._highspy._core. A
 plain import of it first runs scipy.optimize's package init, which loads
@@ -61,16 +63,13 @@ def _load_highs():
 
 
 def _solver():
-    """This thread's HiGHS bindings and solver, with scipy's "highs" options: presolve on, dual simplex, no output."""
+    """This thread's HiGHS bindings and solver: scipy's "highs" options but presolve, which each attempt sets."""
     if not hasattr(_THREAD, "solver"):
         highs = _load_highs()
-        options = highs.HighsOptions()
-        options.presolve = "on"
-        options.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-        options.output_flag = False
-        options.log_to_console = False
         solver = highs._Highs()
-        solver.passOptions(options)
+        solver.setOptionValue("simplex_strategy", int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual))
+        solver.setOptionValue("output_flag", False)
+        solver.setOptionValue("log_to_console", False)
         _THREAD.solver = highs, solver
     return _THREAD.solver
 
@@ -143,6 +142,8 @@ def solve_rows(p, q, cost: CostMatrix) -> np.ndarray:
 
 def _marginals(p, q, cost: CostMatrix, ndim: int, shapes: str) -> np.ndarray:
     """The (N, 2, k) stack of each row pair of p and q, blocks of `ndim` axes, checked and renormalized."""
+    if not isinstance(cost, CostMatrix):
+        raise ValidationError(f"cost must be a CostMatrix, got {type(cost).__name__}")
     p, q = float_array(p, "transport marginals"), float_array(q, "transport marginals")
     if p.ndim != ndim or p.shape != q.shape:
         raise ValidationError(f"transport needs two {shapes}, got shapes {p.shape} and {q.shape}")
@@ -162,32 +163,29 @@ def _solved(pq: np.ndarray, cost: CostMatrix):
     colwise, minimize = highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize
     c = cost.c.ravel()
     for pair in pq:
-        for scale, presolve in ((1.0, True), (_RETRY_SCALE, True), (_RETRY_SCALE, False)):
+        for scale, presolve in ((1.0, "on"), (_RETRY_SCALE, "on"), (_RETRY_SCALE, "off")):
             rows = pair.ravel() * scale
             if solver.passModel(k * k, 2 * k, 2 * k * k, colwise, minimize, 0.0, c, lower, upper, rows, rows,
                                 start, index, value, integrality) == highs.HighsStatus.kError:
                 raise ValidationError("transport solve failed: HiGHS rejected the model")
-            if presolve:
-                solver.run()
-            else:  # the last attempt only: every other LP keeps scipy's options
-                solver.setOptionValue("presolve", "off")
-                try:
-                    solver.run()
-                finally:
-                    solver.setOptionValue("presolve", "on")
+            solver.setOptionValue("presolve", presolve)
+            solver.run()
             if (status := solver.getModelStatus()) != highs.HighsModelStatus.kOptimal:
                 reason = f"HiGHS model status {solver.modelStatusToString(status)}"
                 continue
             # Clip solver dust so the plan is a clean non-negative matrix.
-            w = np.asarray(solver.getSolution().col_value).reshape(k, k) / scale
+            w = np.asarray(solver.getSolution().col_value) / scale
             w[np.abs(w) < 1e-15] = 0.0
-            if (miss := _violation(w, pair)) <= MARGINAL_TOL:
+            plan = w.reshape(k, k)
+            # The largest marginal miss or negative entry; NaN if the plan has a NaN.
+            miss = max(np.abs(np.concatenate([plan.sum(axis=1), plan.sum(axis=0)]) - pair.ravel()).max(), -w.min())
+            if miss <= MARGINAL_TOL:
                 break
             reason = f"plan violates its constraints by {miss:.3g}"
         else:
             raise ValidationError(f"transport solve failed: {reason}")
         # The reduction of a (1, k * k) stack, so a value has the bits it had in a block of plans.
-        yield w, (w * cost.c).reshape(1, -1).sum(axis=1)[0]
+        yield plan, (w * c).reshape(1, -1).sum(axis=1)[0]
 
 
 @cache
@@ -205,8 +203,3 @@ def _model(k: int) -> tuple[np.ndarray, ...]:
 def _check_k(k: int) -> None:
     if not 2 <= check_int("k", k) <= MAX_K:
         raise ValidationError(f"transport needs 2 <= k <= {MAX_K}, got k={k}")
-
-
-def _violation(w: np.ndarray, pair: np.ndarray) -> float:
-    """The plan's largest marginal miss or negative entry; NaN if the plan has a NaN."""
-    return max(np.abs(w.sum(axis=1) - pair[0]).max(), np.abs(w.sum(axis=0) - pair[1]).max(), -w.min())

@@ -93,6 +93,30 @@ def reference_sweep(k: int, step: float) -> list[list[float]]:
     return epochs
 
 
+def reference_path(k: int, step: float) -> list[list[float]]:
+    """The sweep's epochs from their definition, one at a time, bit for bit.
+
+    After the one-hot epoch, the t-th transfer into outcome j puts min(t * step, 1/k) there (exactly 1/k when
+    within 1e-12 of it), leaves 1/k in outcomes 1..j-1 and the rest, 1 - (j-1)/k - that, in outcome 0; an epoch
+    that fills the last outcome is exactly uniform. A sampled estimate reads the bits of its row (multinomial
+    draws binomial(n, 1 - p) for p past 0.5), so this builds each row by that arithmetic rather than by the
+    running sums of `reference_sweep`.
+    """
+    target = 1.0 / k
+    transfers = math.ceil(target / step - 1e-9)
+    epochs = [[1.0] + [0.0] * (k - 1)]
+    for j in range(1, k):
+        for t in range(1, transfers + 1):
+            v = min(t * step, target)
+            if target - v < 1e-12:
+                v = target
+            if j == k - 1 and v == target:
+                epochs.append([target] * k)
+            else:
+                epochs.append([1.0 - (j - 1) * target - v] + [target] * (j - 1) + [v] + [0.0] * (k - 1 - j))
+    return epochs
+
+
 def sorted_spread(p: list[float]) -> float:
     """Specificity from first principles: top mass minus weighted rest."""
     k = len(p)
@@ -143,3 +167,126 @@ def reference_sample(m: np.ndarray, p: np.ndarray, n: int, seed: int) -> np.ndar
     """
     rng = np.random.default_rng(seed)
     return sum(rng.multinomial(c, m[i]) for i, c in enumerate(rng.multinomial(n, p)) if c > 0) / n
+
+
+# The report's column order and tie tolerance, and the weight of l1 in `is`, as the report contract states them.
+REPORT_ORDER = ("l2", "l1", "is", "spec", "wd")
+TIE_TOL = 1e-12
+ALPHA = 0.5
+
+
+def reference_score(metric: str, p: list[float]) -> float:
+    """The normalized score of distribution p against uniform, from closed forms, clipped to [0, 1].
+
+    Each raw value is divided by its value from a one-hot row to uniform: 2(k-1)/k^2 for l1, sqrt((k-1)/k)/k for
+    l2, 1 for spec and the ALPHA mix of those two for is. wd is the optimal transport cost under (2/k)(J - I),
+    which equals l1 for every pair of distributions.
+    """
+    k = len(p)
+    u = 1.0 / k
+    l1 = math.fsum(abs(x - u) for x in p) / k
+    spec = abs(sorted_spread([u] * k) - sorted_spread(p))
+    raw = {"l1": l1, "wd": l1, "l2": math.sqrt(math.fsum((x - u) ** 2 for x in p)) / k, "spec": spec,
+           "is": ALPHA * l1 + (1 - ALPHA) * spec}[metric]
+    l1_top = 2 * (k - 1) / k**2
+    top = {"l1": l1_top, "wd": l1_top, "l2": math.sqrt((k - 1) / k) / k, "spec": 1.0,
+           "is": ALPHA * l1_top + (1 - ALPHA)}[metric]
+    return min(max(raw / top, 0.0), 1.0)
+
+
+def reference_estimate(m, p: list[float], mode, cell: tuple[int, ...]) -> list[float]:
+    """The estimate of true distribution p through confusion matrix m: in expectation (mode None) the fsum of
+    p_i m_ij over i; sampled (mode (n, seed)) `reference_sample` on the seed numpy's SeedSequence([seed, *cell])
+    gives, cell being (k, kind, cell index, trial)."""
+    k = len(p)
+    if mode is None:
+        return [math.fsum(p[i] * m[i][j] for i in range(k)) for j in range(k)]
+    n, seed = mode
+    row_seed = int(np.random.SeedSequence([seed, *cell]).generate_state(1, np.uint64)[0])
+    return reference_sample(np.array(m, dtype=float), np.array(p, dtype=float), n, row_seed).tolist()
+
+
+def _mean_abs(xs: list[float], centre: float) -> float:
+    return math.fsum(abs(x - centre) for x in xs) / len(xs)
+
+
+def _variance(xs: list[float]) -> float:
+    mean = math.fsum(xs) / len(xs)
+    return math.fsum((x - mean) ** 2 for x in xs) / len(xs)
+
+
+def _mem(f: list[list[float]], f_star: list[list[float]]) -> float:
+    errors = [abs(a - b) for row, row_star in zip(f, f_star) for a, b in zip(row, row_star)]
+    return math.fsum(errors) / len(errors)
+
+
+def reference_report(models, metrics, mode, trials: int, step: float) -> list[dict]:
+    """The benchmark report of one confusion matrix per k, row by row, in literal loops.
+
+    `models` are k x k confusion matrices (nested lists), `metrics` metric names, `mode` None for expectation or
+    (n, seed) for sampled, with `trials` repeats per point (one in expectation). Kind tags: 0 fair, 1 AB, 2 sweep.
+    Fair cell (k, 0, 0, t) scores uniform in trial t; AB cell (k, 1, i, t) the one-hot row on i; sweep cell
+    (k, 2, s, e) epoch e of `reference_path(k, step)` with outcomes 0 and s swapped, against f* of that true row.
+    Pools run in (k, trial, outcome) order. Rows: MEPE fair and AB, EP variance fair and AB over the whole k set,
+    sweep MEM per k, then the four EP rows per k when there are several k. Each row is a dict of its benchmark,
+    kind, k_set, `values` and `inputs` by metric (the scores each statistic reads, in pool order; (f, f*) per start
+    for MEM) and its `best` and `worst` metrics: those within TIE_TOL of the row's lowest and highest values.
+    """
+    metrics = [m for m in REPORT_ORDER if m in metrics]
+    models = sorted(models, key=len)
+    ks = tuple(len(m) for m in models)
+    n_trials = 1 if mode is None else trials
+    fair, ab, sweeps = {}, {}, {}
+    for m in models:
+        k = len(m)
+        fair[k] = {metric: [] for metric in metrics}
+        ab[k] = {metric: [] for metric in metrics}
+        for t in range(n_trials):
+            est = reference_estimate(m, [1.0 / k] * k, mode, (k, 0, 0, t))
+            for metric in metrics:
+                fair[k][metric].append(reference_score(metric, est))
+        for t in range(n_trials):
+            for i in range(k):
+                est = reference_estimate(m, [float(j == i) for j in range(k)], mode, (k, 1, i, t))
+                for metric in metrics:
+                    ab[k][metric].append(reference_score(metric, est))
+        path = reference_path(k, step)
+        f = {metric: [] for metric in metrics}
+        f_star = {metric: [] for metric in metrics}
+        for s in range(k):
+            for metric in metrics:
+                f[metric].append([])
+                f_star[metric].append([])
+            for e, epoch in enumerate(path):
+                p = list(epoch)
+                p[0], p[s] = p[s], p[0]
+                est = reference_estimate(m, p, mode, (k, 2, s, e))
+                for metric in metrics:
+                    f[metric][s].append(reference_score(metric, est))
+                    f_star[metric][s].append(reference_score(metric, p))
+        sweeps[k] = f, f_star
+
+    def row(benchmark, kind, k_set, inputs, stat):
+        values = {metric: stat(*inputs[metric]) for metric in metrics}
+        lo, hi = min(values.values()), max(values.values())
+        return {"benchmark": benchmark, "kind": kind, "k_set": k_set, "values": values, "inputs": inputs,
+                "best": tuple(m for m in metrics if values[m] <= lo + TIE_TOL),
+                "worst": tuple(m for m in metrics if values[m] >= hi - TIE_TOL)}
+
+    def ep_rows(k_set):
+        pools = {}
+        for kind, scores in (("fair", fair), ("ab", ab)):
+            pools[kind] = {metric: [x for k in k_set for x in scores[k][metric]] for metric in metrics}
+        return [row("mepe", "fair", k_set, {m: (pools["fair"][m],) for m in metrics}, lambda xs: _mean_abs(xs, 0.0)),
+                row("mepe", "ab", k_set, {m: (pools["ab"][m],) for m in metrics}, lambda xs: _mean_abs(xs, 1.0)),
+                row("ep-var", "fair", k_set, {m: (pools["fair"][m],) for m in metrics}, _variance),
+                row("ep-var", "ab", k_set, {m: (pools["ab"][m],) for m in metrics}, _variance)]
+
+    rows = ep_rows(ks)
+    for k in ks:
+        f, f_star = sweeps[k]
+        rows.append(row("mem", "sweep", (k,), {m: (f[m], f_star[m]) for m in metrics}, _mem))
+    if len(ks) > 1:
+        for k in ks:
+            rows += ep_rows((k,))
+    return rows

@@ -21,7 +21,7 @@ from fairdisc import (
     uniform_noise,
 )
 from fairdisc.attrspace import MAX_BLOCK_ENTRIES, MAX_OUTCOMES, check_block, space_from_dict
-from oracles import reference_sweep
+from oracles import reference_path, reference_sweep
 
 
 class TestAttributeSpace:
@@ -138,6 +138,14 @@ class TestSweep:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.allclose(g, w, atol=1e-9)
+
+    @pytest.mark.parametrize("k,step", [(2, 0.1), (3, 0.1), (3, 1 / 3), (3, 1 / 9), (4, 0.01), (4, 1 / 12), (5, 0.07),
+                                        (8, 0.01), (16, 0.01), (16, 0.003)])
+    def test_equals_the_epochs_of_its_definition_bit_for_bit(self, k, step):
+        """Sampled estimates read every bit of a row, so the report oracle builds its epochs as `reference_path`."""
+        want = reference_path(k, step)
+        assert np.array_equal(sweep(k, step), np.array(want))
+        assert np.allclose(want, reference_sweep(k, step), rtol=0, atol=1e-12)
 
     def test_endpoints(self, space):
         path = sweep(space.k, 0.03)

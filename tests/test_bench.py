@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pool_imaps
 from fairdisc import (
@@ -40,6 +42,7 @@ from fairdisc import (
 )
 from fairdisc import bench, metrics, transport
 from fairdisc.metrics import REPORT_ORDER, specificity
+from oracles import TIE_TOL, reference_report
 
 ALL_KS = (2, 4, 8, 16)
 POINTWISE = (Metric.L1, Metric.L2, Metric.WD)
@@ -310,6 +313,71 @@ class TestBenchmarkReport:
         assert "| L2 | L1 | IS | Spec | WD |" in md
 
 
+# The report against `oracles.reference_report`: every value within 1e-12, and every wd value within 1e-8, because the
+# LP meets each raw value within 1e-9 (acceptance criterion 3) and the n-factors at k <= 4 are at least 0.375.
+REPORT_TOL = {m: 1e-8 if m is Metric.WD else 1e-12 for m in Metric}
+
+
+@st.composite
+def report_cases(draw):
+    """A k set in {2, 3, 4} with Dirichlet confusion rows, a metric subset, a step 1/(k j) for j <= 3 that every k
+    of the set can take, and expectation (None) or sampled (n, seed) mode with 1 to 3 trials."""
+    ks = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = [rng.dirichlet(np.ones(k), size=k) for k in ks]
+    metrics = draw(st.lists(st.sampled_from(list(Metric)), min_size=1, max_size=len(Metric), unique=True))
+    step = 1.0 / (draw(st.sampled_from([k for k in (2, 3, 4) if k >= max(ks)])) * draw(st.integers(1, 3)))
+    mode = (draw(st.integers(1, 1000)), draw(st.integers(0, 2**32 - 1))) if draw(st.booleans()) else None
+    return models, metrics, mode, draw(st.integers(1, 3)), step
+
+
+def _statistic_inputs(monkeypatch) -> list[list[np.ndarray]]:
+    """Record the arguments of each statistic the report takes, in call order: one call per row and metric."""
+    calls = []
+    for name in ("mepe_fair", "mepe_ab", "ep_var", "mem"):
+        stat = getattr(bench, name)
+        monkeypatch.setattr(bench, name, lambda *args, stat=stat: calls.append([np.array(a) for a in args]) or stat(*args))
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["pool", "one-cpu"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=report_cases())
+def test_report_matches_the_reference_report(cpus, case):
+    """Rows, values, the pooled scores and per-start sweep scores each statistic reads, in order, and best/worst tags
+    wherever a value is further than the row's tolerance from its tie boundary."""
+    models, metrics, mode, trials, step = case
+    with pytest.MonkeyPatch.context() as mp:
+        imaps = pool_imaps(mp)
+        mp.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        calls = _statistic_inputs(mp)
+        report = run_benchmark([ConfusionModel(m) for m in models], metrics,
+                               EXPECTATION if mode is None else Sampled(*mode), trials, step)
+    want = reference_report([m.tolist() for m in models], [m.value for m in metrics], mode, trials, step)
+    assert [(r.benchmark, r.kind, r.k_set) for r in report.rows] == [(w["benchmark"], w["kind"], w["k_set"])
+                                                                      for w in want]
+    assert [m.value for m in report.metrics] == list(want[0]["values"])
+    inputs = [(w["inputs"][m.value], REPORT_TOL[m]) for w in want for m in report.metrics]
+    assert len(calls) == len(inputs)
+    for args, (ref_args, tol) in zip(calls, inputs, strict=True):
+        for got, ref in zip(args, ref_args, strict=True):
+            assert got.size == np.size(ref)
+            assert np.abs(got.ravel() - np.ravel(ref)).max() <= tol
+    for row, ref in zip(report.rows, want, strict=True):
+        row_tol = max(REPORT_TOL[m] for m in report.metrics)
+        values = ref["values"]
+        lo, hi = min(values.values()), max(values.values())
+        for m in report.metrics:
+            assert abs(row.values[m] - values[m.value]) <= REPORT_TOL[m], (row, m)
+            if abs(values[m.value] - (lo + TIE_TOL)) > row_tol:
+                assert (m in row.best) == (m.value in ref["best"]), (row, m)
+            if abs(values[m.value] - (hi - TIE_TOL)) > row_tol:
+                assert (m in row.worst) == (m.value in ref["worst"]), (row, m)
+    # Each k's sweep starts ran in a fork pool, or all here on one CPU.
+    assert len(imaps) == (len(models) if len(cpus) > 1 else 0)
+    assert multiprocessing.active_children() == []
+
+
 L1 = (Metric.L1,)
 METRICS = r"metrics must be one or more Metric values, got "
 # Inputs of the wrong type, empty or unknown metrics, and a metric past its k limit: each is one
@@ -356,6 +424,8 @@ def test_bad_library_input_refused_before_any_estimate(monkeypatch, call, match)
 K_FLOAT = "k must be an integer, got "
 NOT_NUMBERS = " must be an array of numbers"
 NO_OUTCOMES = " must have a last axis of at least one outcome, got shape "
+UNKNOWN_METRIC = "unknown metric "
+VALID_METRICS = " (valid: l1, l2, wd, spec, is)"
 BAD_SCALARS = [
     ("sweep-k-float", lambda: sweep(2.5, 0.1), K_FLOAT + "2.5"),
     ("perfect-k-float", lambda: perfect(2.5), K_FLOAT + "2.5"),
@@ -426,7 +496,27 @@ BAD_SCALARS = [
      "distribution entries must be non-negative"),
     ("sampled-rows-nan", lambda: estimate(ConfusionModel(np.eye(2)), [np.nan, np.nan], Sampled(10, 0)),
      "distribution entries must be finite"),
+    # An argument of the wrong type is refused by name, before anything is read from it.
+    ("solve-cost-array", lambda: solve([0.5, 0.5], [0.5, 0.5], np.ones((2, 2)) - np.eye(2)),
+     "cost must be a CostMatrix, got ndarray"),
+    ("solve_rows-cost-none", lambda: transport.solve_rows([[0.5, 0.5]], [[0.5, 0.5]], None),
+     "cost must be a CostMatrix, got NoneType"),
+    ("estimate-array-model", lambda: estimate(np.eye(2), [0.5, 0.5]), "model must be a ConfusionModel, got ndarray"),
+    ("estimate-mode-str", lambda: estimate(perfect(2), [0.5, 0.5], "sampled"),
+     "mode must be Expectation or Sampled, got str"),
+    ("fd_score-metric-str", lambda: fd_score("x", [0.5, 0.5]), UNKNOWN_METRIC + "'x'" + VALID_METRICS),
+    ("n_factor-metric-str", lambda: n_factor("x", 2), UNKNOWN_METRIC + "'x'" + VALID_METRICS),
+    ("raw_score-metric-none", lambda: raw_score(None, [0.5, 0.5]), UNKNOWN_METRIC + "None" + VALID_METRICS),
+    ("fd_score-metric-list", lambda: fd_score(["l1"], [0.5, 0.5]), UNKNOWN_METRIC + "['l1']" + VALID_METRICS),
 ]
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_a_metric_value_scores_as_its_metric(metric):
+    rows = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
+    assert np.array_equal(fd_score(metric.value, rows), fd_score(metric, rows))
+    assert np.array_equal(raw_score(metric.value, rows), raw_score(metric, rows))
+    assert n_factor(metric.value, 3) == n_factor(metric, 3)
 
 
 @pytest.mark.parametrize("call,message", [row[1:] for row in BAD_SCALARS], ids=[row[0] for row in BAD_SCALARS])

@@ -154,6 +154,50 @@ def test_block_limit_lint_finds_a_read_put_back(snippet):
     assert own_reads(snippet, {"MAX_BLOCK_ENTRIES"})
 
 
+# HiGHS options are set in transport.py only: `_solver` sets the fixed ones on each thread's new solver, and each
+# attempt on an LP sets its own presolve option before it runs, at one call.
+HIGHS_OPTION_SETTERS = {"setOptionValue", "passOptions", "HighsOptions"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.name != "transport.py"))
+def test_highs_options_are_set_in_transport_only(module):
+    assert own_reads((SRC / f"{module}.py").read_text(encoding="utf-8"), HIGHS_OPTION_SETTERS) == []
+
+
+@pytest.mark.parametrize("snippet", ['solver.setOptionValue("presolve", "off")',
+                                     "from scipy.optimize._highspy._core import HighsOptions",
+                                     "options = highs.HighsOptions()\nsolver.passOptions(options)"])
+def test_highs_option_lint_finds_a_setter_put_back(snippet):
+    assert own_reads(snippet, HIGHS_OPTION_SETTERS)
+
+
+def presolve_settings(source: str) -> list[str]:
+    """Each string in `source`'s code that holds "presolve", and each attribute named presolve; docstrings are not
+    code."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "presolve" in node.value
+            and id(node) not in docstrings or isinstance(node, ast.Attribute) and node.attr == "presolve"]
+
+
+TRANSPORT = (SRC / "transport.py").read_text(encoding="utf-8")
+
+
+def test_transport_sets_presolve_at_one_call():
+    assert presolve_settings(TRANSPORT) == ["'presolve'"]
+
+
+@pytest.mark.parametrize("snippet", ['def _run(solver):\n    try:\n        solver.run()\n    finally:\n'
+                                     '        solver.setOptionValue("presolve", "on")',
+                                     'options = highs.HighsOptions()\noptions.presolve = "on"',
+                                     'OFF = ("presolve", "off")'])
+def test_presolve_lint_finds_a_second_setting_put_back(snippet):
+    assert len(presolve_settings(TRANSPORT + "\n" + snippet)) > 1
+
+
 def _starts_with_path(node) -> bool:
     """`node` is an f-string that starts with a formatted `path` followed by ": "."""
     return (isinstance(node, ast.JoinedStr) and len(node.values) >= 2

@@ -341,6 +341,70 @@ def test_lp_missed_at_both_scales_is_solved_without_presolve(monkeypatch):
     assert recorded.runs[-1][1] == "on"
 
 
+# Each attempt on an LP: its scale and the presolve option it names.
+LADDER = [(1.0, "on"), (_RETRY_SCALE, "on"), (_RETRY_SCALE, "off")]
+
+
+def _attempts(runs) -> list[list[tuple]]:
+    """The recorded runs as (scale, presolve) per LP: each LP starts with a run at scale 1, whose marginals sum to 2."""
+    lps = []
+    for rows, presolve in runs:
+        scale = _RETRY_SCALE if rows.sum() > 2 else 1.0
+        if scale == 1.0:
+            lps.append([])
+        lps[-1].append((scale, presolve))
+    return lps
+
+
+def test_every_attempt_runs_with_the_presolve_option_its_rung_names(monkeypatch):
+    """The mixed LPs take one, two and three attempts; the rung-n attempt of each runs with the option LADDER names."""
+    recorded = _recorded(monkeypatch)
+    for lp in _mixed_lps(np.random.default_rng(31)):
+        solve(*lp)
+    lps = _attempts(recorded.runs)
+    assert len(lps) == 5
+    assert sorted({len(attempts) for attempts in lps}) == [1, 2, 3]
+    for attempts in lps:
+        assert attempts == LADDER[:len(attempts)]
+
+
+def test_an_lp_missed_at_every_rung_runs_each_rung_once(monkeypatch):
+    highs, solver = transport._solver()
+    recorded = _RecordedRuns(_SkippedRun(solver, highs.HighsModelStatus.kInfeasible))
+    monkeypatch.setattr(transport._THREAD, "solver", (highs, recorded))
+    with pytest.raises(ValidationError, match="^transport solve failed: HiGHS model status Infeasible$"):
+        metrics.wd(np.eye(3)[:2], np.full((2, 3), 1.0 / 3))
+    assert _attempts(recorded.runs) == [LADDER]
+
+
+class _FailsWithoutPresolve(_RecordedRuns):
+    """This thread's solver, recording its runs, whose `run` raises when presolve is off."""
+
+    def run(self):
+        if self._solver.getOptionValue("presolve")[1] == "off":
+            raise RuntimeError("run failed without presolve")
+        return super().run()
+
+
+def test_a_run_that_raises_without_presolve_leaves_no_option_behind(monkeypatch):
+    """The sparse-against-one-hot LP reaches the presolve-off rung, whose run raises. The next LP on this thread
+    still runs its first attempt with presolve on, and its plan is the one a fresh thread's solver gives."""
+    highs, solver = transport._solver()
+    failing = _FailsWithoutPresolve(solver)
+    monkeypatch.setattr(transport._THREAD, "solver", (highs, failing))
+    with pytest.raises(RuntimeError, match="^run failed without presolve$"):
+        solve(np.array(SPARSE_AGAINST_ONE_HOT[0]), SPARSE_AGAINST_ONE_HOT[1], default_cost(8))
+    rng = np.random.default_rng(41)
+    lp = (rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6)), default_cost(6))
+    before = len(failing.runs)
+    plan = solve(*lp)
+    assert failing.runs[before][1] == "on"
+    with ThreadPoolExecutor(1) as pool:
+        fresh = pool.submit(solve, *lp).result(timeout=120)
+    assert np.array_equal(plan.w, fresh.w)
+    assert plan.value == fresh.value
+
+
 def test_sparse_rows_against_one_hot_rows_meet_marginals_and_cost_l1():
     """Seeds 0..29 of the family hold 13 pairs that HiGHS missed at scale 1 and called infeasible at _RETRY_SCALE."""
     for seed in range(30):
