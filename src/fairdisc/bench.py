@@ -128,16 +128,28 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
         raise ValidationError(f'sweep start must be "all" or an integer, got {starts!r}')
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
-    path = sweep_path(k, step)
-    tasks = [(model, mode, metrics, path, start) for start in (range(k) if starts == "all" else [starts])]
-    f, f_star = zip(*fork_map(_sweep_start, tasks))
-    return tuple({m: np.array([s[m] for s in per_start]) for m in metrics} for per_start in (f, f_star))
+    tasks = _sweep_tasks(model, mode, metrics, step, range(k) if starts == "all" else [starts])
+    return _sweep_scores(fork_map(_task, tasks), metrics)
 
 
-def _sweep_start(task) -> tuple[Scores, Scores]:
-    """(f, f*) of the sweep start in `task` (model, mode, metrics, path, start): `path` with outcomes 0 and `start`
-    swapped, scored through `model` and as it is. Each cell's seed depends on that cell alone, in any process."""
-    model, mode, metrics, path, start = task
+def _sweep_tasks(model: ConfusionModel, mode: EstimationMode, metrics, step: float, starts) -> list[tuple]:
+    """One `_task` per sweep start in `starts`, all on the path `sweep(model.k, step)`."""
+    path = sweep_path(model.k, step)
+    return [("sweep", model, mode, metrics, path, start) for start in starts]
+
+
+def _sweep_scores(results, metrics) -> tuple[Scores, Scores]:
+    """(f, f*) of a sweep, one (starts, epochs) array per metric, from its start tasks' results in start order."""
+    return tuple({m: np.array([s[m] for s in per_start]) for m in metrics} for per_start in zip(*results))
+
+
+def _task(task):
+    """One `fork_map` task's result, named by a tag, not a function, so a wrapped function is never pickled. ("ep",
+    model, mode, metrics, trials) is `run_ep_analysis`; ("sweep", model, mode, metrics, path, start) is (f, f*) of
+    `path` with outcomes 0 and `start` swapped, through `model` and as it is. A cell's seed is its own, in any process."""
+    if task[0] == "ep":
+        return run_ep_analysis(*task[1:])
+    _, model, mode, metrics, path, start = task
     p_true = path.copy()
     p_true[:, [0, start]] = path[:, [start, 0]]
     return (_scored(model, mode, metrics, p_true, _KIND_SWEEP, start, np.arange(len(path))),
@@ -211,19 +223,19 @@ def run_benchmark(models: Sequence[ConfusionModel], metrics: Iterable[Metric] = 
         raise ValidationError(f"benchmark repeats a k: {' '.join(str(model.k) for model in models)}")
     metrics = tuple(m for m in REPORT_ORDER if m in metrics)
     ks = tuple(sorted(by_k))
-    fair, ab, sweeps = {}, {}, {}
-    for k in ks:
-        fair[k], ab[k] = run_ep_analysis(by_k[k], mode, metrics, trials)
-        sweeps[k] = run_sweep(by_k[k], mode, metrics, step)
+    # One pool for the report: every sweep start, largest k first so the longest tasks start first, then each EP.
+    tasks = [t for k in reversed(ks) for t in _sweep_tasks(by_k[k], mode, metrics, step, range(k))]
+    tasks += [("ep", by_k[k], mode, metrics, trials) for k in ks]
+    results = iter(list(fork_map(_task, tasks)))
+    sweeps = {k: _sweep_scores([next(results) for _ in range(k)], metrics) for k in reversed(ks)}
+    fair, ab = (dict(zip(ks, scores)) for scores in zip(*results))
 
     # Pool in (k, trial, outcome) order, one array per metric.
-    fair_pool = {m: np.concatenate([fair[k][m].ravel() for k in ks]) for m in metrics}
-    ab_pool = {m: np.concatenate([ab[k][m].ravel() for k in ks]) for m in metrics}
+    fair_pool, ab_pool = ({m: np.concatenate([s[k][m].ravel() for k in ks]) for m in metrics} for s in (fair, ab))
 
     rows = _ep_rows(ks, fair_pool, ab_pool, metrics)
-    for k in ks:
-        f, f_star = sweeps[k]
-        rows.append(_make_row("mem", "sweep", (k,), {m: mem(f[m], f_star[m]) for m in metrics}))
+    rows += [_make_row("mem", "sweep", (k,), {m: mem(f[m], f_star[m]) for m in metrics})
+             for k, (f, f_star) in sorted(sweeps.items())]
     if len(ks) > 1:
         for k in ks:
             rows += _ep_rows((k,), fair[k], ab[k], metrics)
@@ -239,9 +251,7 @@ def run_benchmark(models: Sequence[ConfusionModel], metrics: Iterable[Metric] = 
         "n_ab_pool": str(ab_pool[metrics[0]].size),
     }
     if isinstance(mode, Sampled):
-        meta["n"] = str(mode.n)
-        meta["seed"] = str(mode.seed)
-        meta["trials"] = str(trials)
+        meta.update(n=str(mode.n), seed=str(mode.seed), trials=str(trials))
     return BenchmarkReport(metrics=metrics, rows=rows, meta=meta)
 
 

@@ -20,6 +20,7 @@ import threading
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,22 +202,50 @@ def _row_seeds(seeds, n_rows: int) -> np.ndarray:
     return seeds.astype(np.uint64)
 
 
+# Sampled rows draw into zeroed (rows, k, k) int64 buffers of about this many bytes, each summed once (one 8 MB row at
+# k = 1000). 16 KiB to 4 MiB cost alike: 11.8-12.4 us (k = 2), 42.1-42.9 us (k = 16) per step-0.001 sweep row, one CPU.
+_DRAW_BYTES = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def _multinomial():
+    """numpy's C `random_multinomial(bitgen_t *, int64 n, int64 *out, double *p, npy_intp d, binomial_t *)` ("C API for
+    random") and its `binomial_t`, loaded through ctypes on first use; PyDLL holds the GIL, as Generator does."""
+    from ctypes import POINTER, PyDLL, Structure, c_double, c_int, c_int64, c_ssize_t, c_void_p
+    names = "psave nsave r q fm m p1 xm xl xr c laml lamr p2 p3 p4".split()  # binomial_t, numpy/random/distributions.h
+    binomial_t = type("binomial_t", (Structure,), {"_fields_": [("has_binomial", c_int)] + [
+        (f, c_int64 if f in ("nsave", "m") else c_double) for f in names]})
+    kernel = PyDLL(np.random._generator.__file__).random_multinomial
+    kernel.argtypes, kernel.restype = [c_void_p, c_int64, c_void_p, c_void_p, c_ssize_t, POINTER(binomial_t)], None
+    return kernel, binomial_t
+
+
+def _drawable(rows: np.ndarray) -> np.ndarray:
+    """`normalized_rows` of (N, k) `rows`, C-contiguous, with each row numpy's multinomial refuses (an entry past 1, or
+    a Kahan sum of the first k - 1 past 1 + 1e-12) divided by its sum too; the C kernel checks nothing."""
+    rows = normalized_rows(rows)
+    total, carry = rows[:, 0], 0.0
+    for col in rows.T[1:-1]:
+        t = total + (col - carry)
+        total, carry = t, (t - total) - (col - carry)
+    refused = (total > 1.0 + 1e-12) | (rows > 1.0).any(axis=1)
+    return np.ascontiguousarray(np.where(refused[:, None], rows / rows.sum(axis=1, keepdims=True), rows))
+
+
 def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
              seeds=None) -> np.ndarray:
     """Estimated attribute distributions of data whose true distributions are `rows`.
 
-    `rows` is a distribution or an array of shape (..., k); the result has
-    the same shape. Expectation mode returns m^T p for every row exactly.
-    Sampled mode checks that every row is a distribution, as expectation mode
-    checks its result, then draws n true outcomes per row, pushes each through the
-    matching confusion row, and returns the normalized prediction tallies;
-    `seeds` holds one integer in [0, 2**64) per row (default `mode.seed` for
-    every row). Row r draws from the stream of `np.random.default_rng(seeds[r])`:
-    `_seed_sequence` turns all seeds into SeedSequence states at once, two
-    128-bit LCG steps make each a PCG64 state as numpy's `pcg64_set_seed` does,
-    and one Generator is re-seeded per row through its public `state` setter.
-    `tests/test_classifier.py::TestSampledStreams` checks every row against a
-    fresh `default_rng` per row (`oracles.reference_sample`).
+    `rows` is a distribution or an array of shape (..., k); the result has the same shape. Expectation mode returns
+    m^T p for every row exactly. Sampled mode checks that every row is a distribution, as expectation mode checks
+    its result, then draws n true outcomes per row, pushes each through the matching confusion row, and returns the
+    normalized prediction tallies; `seeds` holds one integer in [0, 2**64) per row (default `mode.seed` for every
+    row). Row r draws from the stream of `np.random.default_rng(seeds[r])`: `_seed_sequence` turns all seeds into
+    SeedSequence states at once, two 128-bit LCG steps make each a PCG64 state as numpy's `pcg64_set_seed` does, and
+    one PCG64 is re-seeded per row through its public `state` setter. Each row then makes Generator.multinomial's
+    calls to its C kernel (`_multinomial`) on `_drawable` rows: the counts of p, then each confusion row whose count
+    is not 0, in order, into zeroed `_DRAW_BYTES` buffers. `tests/test_classifier.py::TestSampledStreams` checks
+    every row against a fresh `default_rng` per row (`oracles.reference_sample`).
     """
     check_model(model, mode)
     rows = float_rows(rows)
@@ -225,28 +254,31 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     if isinstance(mode, Expectation):
         # One matrix-vector product per row: P @ m rounds differently for k >= 4.
         return normalized_rows((model.m.T @ rows[..., None])[..., 0])
-    # The rule expectation mode applies to its result: finite, non-negative rows that sum to 1 within SUM_TOL.
-    # A row within 1e-12 of sum 1 is drawn on as given; one off by more is divided by its sum, because
-    # multinomial refuses an entry past 1.
-    flat = normalized_rows(rows.reshape(-1, model.k))
+    flat, m, k = _drawable(rows.reshape(-1, model.k)), _drawable(model.m), model.k
     if seeds is None:
-        states = np.broadcast_to(_seed_sequence(np.array([_int_words(mode.seed)], dtype=np.uint32), 4),
-                                 (len(flat), 4))
+        states = np.broadcast_to(_seed_sequence(np.array([_int_words(mode.seed)], dtype=np.uint32), 4), (len(flat), 4))
     else:
         seeds = _row_seeds(seeds, len(flat))
         # A seed below 2**32 is one entropy word to SeedSequence; a zero high word
         # mixes the same, because mix_entropy pads short entropy with zero words.
         states = _seed_sequence(np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32), 4)
-    # Confusion rows may be off 1 by SUM_TOL, more than multinomial allows.
-    m = normalized_rows(model.m)
-    bitgen = np.random.PCG64()
-    gen = np.random.Generator(bitgen)
-    tallies = np.empty(flat.shape)
-    for r, (p, (s_hi, s_lo, i_hi, i_lo)) in enumerate(zip(flat, states.tolist())):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                        "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
-        tallies[r] = gen.multinomial(gen.multinomial(mode.n, p), m).sum(axis=0) / mode.n
+    (kernel, binomial_t), bitgen = _multinomial(), np.random.PCG64()
+    binomial, bg, per = binomial_t(), bitgen.ctypes.bit_generator.value, max(1, min(_DRAW_BYTES // (8 * k * k), len(flat)))
+    counts, draws, tallies = np.zeros((per, k), dtype=np.int64), np.zeros((per, k, k), dtype=np.int64), np.empty(flat.shape)
+    # Each k-entry row's byte address. The kernel leaves entries after an early stop unwritten: buffers are re-zeroed.
+    count_at, draw_at, p_at, m_at = (range(a.ctypes.data, a.ctypes.data + a.nbytes, 8 * k) for a in (counts, draws, flat, m))
+    for start in range(0, len(flat), per):
+        chunk = states[start:start + per].tolist()
+        for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(chunk):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                            "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
+            kernel(bg, mode.n, count_at[j], p_at[start + j], k, binomial)
+            for c, at, out in zip(counts[j].tolist(), m_at, draw_at[j * k:j * k + k]):
+                if c:
+                    kernel(bg, c, out, at, k, binomial)
+        tallies[start:start + len(chunk)] = draws[:len(chunk)].sum(axis=1) / mode.n
+        counts[:], draws[:] = 0, 0
     return normalized_rows(tallies.reshape(rows.shape))
 
 

@@ -132,15 +132,19 @@ def raw_score(metric: Metric, rows):
     return measure(np.full(k, 1.0 / k), rows)
 
 
-# typed: n_factor(m, 2.0) must miss the entry of n_factor(m, 2) and reach check_k.
-@lru_cache(maxsize=None, typed=True)
 def n_factor(metric: Metric, k: int) -> float:
     """Normalization factor: the metric from a one-hot row to uniform.
 
     Computed, not tabulated; every one-hot row gives the same value, so the
     first is used. WD's LP rounds differently from uniform to one-hot.
     """
-    return float(_measure(metric)(np.eye(1, check_k(k))[0], np.full(k, 1.0 / k)))
+    return _n_factor(_measure(metric), k)
+
+
+# Keyed on the measure, checked before it is hashed; typed: k = 2.0 must miss k = 2's entry and reach check_k.
+@lru_cache(maxsize=None, typed=True)
+def _n_factor(measure, k: int) -> float:
+    return float(measure(np.eye(1, check_k(k))[0], np.full(k, 1.0 / k)))
 
 
 def fd_score(metric: Metric, rows):

@@ -373,8 +373,28 @@ def test_report_matches_the_reference_report(cpus, case):
                 assert (m in row.best) == (m.value in ref["best"]), (row, m)
             if abs(values[m.value] - (hi - TIE_TOL)) > row_tol:
                 assert (m in row.worst) == (m.value in ref["worst"]), (row, m)
-    # Each k's sweep starts ran in a fork pool, or all here on one CPU.
-    assert len(imaps) == (len(models) if len(cpus) > 1 else 0)
+    # The whole report, every k's sweep starts and EP blocks, ran in one fork pool, or all here on one CPU.
+    assert len(imaps) == (1 if len(cpus) > 1 else 0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind", ["ep", "sweep"])
+def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch, kind):
+    # The error is raised in a forked worker, by an EP task or by a sweep task only, and reaches run_benchmark's caller.
+    parent = os.getpid()
+
+    def fail(*args):
+        raise ValidationError(f"{kind} task failed in {'a worker' if os.getpid() != parent else 'the caller'}")
+
+    scored = bench._scored
+    if kind == "ep":
+        monkeypatch.setattr(bench, "run_ep_analysis", fail)
+    else:
+        monkeypatch.setattr(bench, "_scored", lambda *args: fail() if args[4] == bench._KIND_SWEEP else scored(*args))
+    imaps = pool_imaps(monkeypatch)
+    with pytest.raises(ValidationError, match=f"^{kind} task failed in a worker$"):
+        run_benchmark([perfect(2), perfect(4)], (Metric.L1,), Sampled(10, 0), trials=2, step=0.25)
+    assert imaps == [1]
     assert multiprocessing.active_children() == []
 
 
@@ -508,6 +528,8 @@ BAD_SCALARS = [
     ("n_factor-metric-str", lambda: n_factor("x", 2), UNKNOWN_METRIC + "'x'" + VALID_METRICS),
     ("raw_score-metric-none", lambda: raw_score(None, [0.5, 0.5]), UNKNOWN_METRIC + "None" + VALID_METRICS),
     ("fd_score-metric-list", lambda: fd_score(["l1"], [0.5, 0.5]), UNKNOWN_METRIC + "['l1']" + VALID_METRICS),
+    # n_factor refuses the metric before its cache hashes it.
+    ("n_factor-metric-list", lambda: n_factor(["l1"], 2), UNKNOWN_METRIC + "['l1']" + VALID_METRICS),
 ]
 
 

@@ -28,6 +28,7 @@ from fairdisc import (
     uniform_noise,
 )
 from fairdisc import classifier
+from fairdisc.attrspace import normalized_rows
 from fairdisc.classifier import PRESET_ACCURACIES, _json_line, derive_seed, load_predictions
 from oracles import reference_ingest, reference_sample
 
@@ -200,6 +201,80 @@ class TestSampledStreams:
         model = uniform_noise(2, 0.5)
         got = estimate(model, [p], Sampled(1000, 3))
         assert np.array_equal(got[0], reference_sample(model.m, np.array(p) / sum(p), 1000, 3))
+
+
+    def test_entry_just_past_one_draws_from_the_divided_row(self):
+        # The row is within 1e-12 of sum 1, so it is kept as given, but numpy refuses an entry past 1.
+        p = [1.0000000000005, 0.0]
+        got = estimate(perfect(2), [p], Sampled(10, 0))
+        assert np.array_equal(got[0], reference_sample(perfect(2).m, np.array(p) / sum(p), 10, 0))
+
+    def test_rows_numpy_accepts_keep_their_bits_and_the_rest_are_divided(self):
+        # Sums a few ulps either side of 1 + 1e-12 and entries just past 1: each row is drawn on as
+        # normalized_rows gives it exactly when numpy's multinomial accepts that row, and numpy accepts every row drawn.
+        rng = np.random.default_rng(11)
+        rows = [rng.dirichlet(np.full(k, 0.3)) * (1.0 + 1e-12 + ulps * 2.0**-52)
+                for k in (2, 3, 5, 16) for ulps in range(-12, 13) for _ in range(4)]
+        rows += [np.eye(k)[0] * (1.0 + 5e-13) for k in (2, 3)] + [np.eye(3)[2] * (1.0 + 5e-13)]
+        # Found by search: numpy's Kahan sum of the first k - 1 entries is at most 1 + 1e-12 for the first row and past
+        # it for the second, while a plain sum of those entries says the opposite.
+        rows += [np.array([0.18668139103550435, 0.035829870895293416, 0.09146836609977045, 0.08655501430068722,
+                           0.01569872361998301, 0.14053329017767713, 0.0003393330165585766, 0.09800189262279628,
+                           0.13473432424129655, 0.014756715804029997, 0.08755480418916302, 0.005815350104699927,
+                           0.0016569302269722997, 0.07549959097580436, 0.0248744026907634, 0.0]),
+                 np.array([0.013811253020702624, 0.011429869027049962, 0.10277770115605919, 9.779173386252573e-05,
+                           0.005040037989099041, 0.06255288965575913, 0.2851312869698451, 0.39355838562213474,
+                           0.0001768950732688161, 0.008724199662952504, 0.014083977888875734, 0.09925459403023962,
+                           0.003361118171151235, 0.0])]
+        for row in rows:
+            given = normalized_rows(row)
+            try:
+                np.random.default_rng(0).multinomial(1, given)
+                accepted = True
+            except ValueError:
+                accepted = False
+            drawn = classifier._drawable(row[None])[0]
+            assert np.array_equal(drawn, given) == accepted
+            np.random.default_rng(0).multinomial(1, drawn)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_rows_past_one_buffer_match_fresh_generator_per_row(self, monkeypatch, n):
+        # Three rows per draw buffer, so buffers are reused; at n = 1 and 7 most draws stop early and leave entries
+        # unwritten, which a buffer not zeroed again would carry into the next rows.
+        monkeypatch.setattr(classifier, "_DRAW_BYTES", 3 * 8 * 3 * 3)
+        model = ConfusionModel([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.2, 0.7, 0.1]])
+        rows = np.random.default_rng(5).dirichlet(np.ones(3), size=11)
+        got = estimate(model, rows, Sampled(n, 4), list(range(11)))
+        for r, p in enumerate(rows):
+            assert np.array_equal(got[r], reference_sample(model.m, p, n, r))
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_zero_entries_and_outcomes_without_count_match_fresh_generator_per_row(self, n):
+        # Confusion rows with zeros first, between and last; true rows whose zeros leave confusion rows undrawn,
+        # and one-hot rows on every outcome. A one-hot row's draw consumes the stream unless it is on the last outcome.
+        model = ConfusionModel([[0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0], [0.25] * 4])
+        rows = np.vstack([np.eye(4), [[0.5, 0, 0.5, 0], [0, 0.3, 0, 0.7]]])
+        got = estimate(model, rows, Sampled(n, 0), list(range(len(rows))))
+        for r, p in enumerate(rows):
+            assert np.array_equal(got[r], reference_sample(model.m, p, n, r))
+
+    def test_fortran_ordered_rows_and_matrix_match_fresh_generator_per_row(self):
+        # The kernel reads rows by byte address, so rows and confusion rows laid out column-major must be read as rows.
+        rng = np.random.default_rng(3)
+        model = ConfusionModel(np.asfortranarray(rng.dirichlet(np.ones(5), size=5)))
+        rows = np.asfortranarray(rng.dirichlet(np.ones(5), size=7))
+        got = estimate(model, rows, Sampled(1000, 0), list(range(7)))
+        for r, p in enumerate(rows):
+            assert np.array_equal(got[r], reference_sample(model.m, p, 1000, r))
+
+    def test_k_1000_block_draws_one_row_per_buffer(self):
+        # One (k, k) row of draws is 8 MB, past the buffer's byte budget, so each row has a buffer of its own.
+        assert 8 * 1000 * 1000 > classifier._DRAW_BYTES
+        model = uniform_noise(1000, 0.3)
+        rows = np.vstack([np.eye(1000)[[0, 999]], np.full(1000, 1e-3)])
+        got = estimate(model, rows, Sampled(1000, 2), [7, 8, 9])
+        for r, p in enumerate(rows):
+            assert np.array_equal(got[r], reference_sample(model.m, p, 1000, 7 + r))
 
 
 class TestSeedDerivation:

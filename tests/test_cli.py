@@ -536,8 +536,11 @@ def test_config_value_a_flag_overrides_is_not_read(capsys, tmp_path, monkeypatch
     assert run_cli(capsys, "sweep", "--config", "cfg.json", *flag)[0] == 0
 
 
+# In the last case, the first row is within 1e-12 of sum 1 and kept as given, but numpy's multinomial refuses its entry
+# past 1.
 @pytest.mark.parametrize("text", ['{"k": 2, "m": [[1.0000000005, 0], [0, 1]]}',
-                                  '{"k": 3, "m": [[0.6, 0.4000000005, 0], [0, 1, 0], [0, 0, 1]]}'])
+                                  '{"k": 3, "m": [[0.6, 0.4000000005, 0], [0, 1, 0], [0, 0, 1]]}',
+                                  '{"k": 2, "m": [[1.0000000000005, 0], [0, 1]]}'])
 def test_sampled_ep_accepts_confusion_rows_off_by_tolerance(capsys, tmp_path, text):
     conf = tmp_path / "c.json"
     conf.write_text(text)
@@ -646,6 +649,23 @@ assert "multiprocessing" in sys.modules
         for ext in (".csv", ".md"):
             assert (tmp_path / f"{i}-1{ext}").read_bytes() == (tmp_path / f"{i}-2{ext}").read_bytes()
         assert (tmp_path / f"{i}-1{golden.suffix}").read_bytes() == golden.read_bytes()
+
+
+def test_the_draw_kernel_loads_on_the_first_sampled_estimate():
+    # Importing the CLI and an expectation-mode bench leave numpy's C multinomial kernel unloaded; a sampled estimate
+    # loads it. (numpy itself imports ctypes, so the kernel, not the module, is what loads lazily.)
+    script = """
+import contextlib, io
+import fairdisc.cli
+from fairdisc import Sampled, classifier, estimate, perfect
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fairdisc.cli.main(["bench", "--k", "2", "--step", "0.5"]) == 0
+assert classifier._multinomial.cache_info().currsize == 0
+estimate(perfect(2), [0.5, 0.5], Sampled(10, 0))
+assert classifier._multinomial.cache_info().currsize == 1
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_cli_import_loads_only_the_pinned_modules():

@@ -2,7 +2,8 @@
 The package exports each public name it defines in `__all__`. Only errors.py decides what an integer or a
 number input is, only attrspace.py turns an outside array into floats, only attrspace.py reads the tolerances
 that make rows of probabilities distributions and the limit on floats in one block, only attrspace.json_file
-writes a file's path into an error, and only attrspace.json_file and classifier._json_line decode JSON text."""
+writes a file's path into an error, only attrspace.json_file and classifier._json_line decode JSON text, and only
+classifier.py loads numpy's C multinomial kernel."""
 
 import ast
 import pathlib
@@ -169,6 +170,29 @@ def test_highs_options_are_set_in_transport_only(module):
                                      "options = highs.HighsOptions()\nsolver.passOptions(options)"])
 def test_highs_option_lint_finds_a_setter_put_back(snippet):
     assert own_reads(snippet, HIGHS_OPTION_SETTERS)
+
+
+# numpy's C multinomial kernel is loaded and called in classifier.py only, by `_multinomial` and `estimate`.
+KERNEL_NAMES = {"ctypes", "random_multinomial"}
+
+
+def kernel_reads(source: str) -> list[str]:
+    """Each name, attribute or import in `source` that names ctypes or random_multinomial, and each import from
+    ctypes."""
+    return own_reads(source, KERNEL_NAMES) + [ast.unparse(node) for node in ast.walk(ast.parse(source))
+                                              if isinstance(node, ast.ImportFrom) and node.module == "ctypes"]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.name != "classifier.py"))
+def test_draw_kernel_lives_in_classifier_only(module):
+    assert kernel_reads((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", ["import ctypes", "from ctypes import CDLL",
+                                     "kernel = ctypes.PyDLL(np.random._generator.__file__).random_multinomial",
+                                     "lib.random_multinomial(bitgen, n, out, p, k, binomial)"])
+def test_draw_kernel_lint_finds_a_kernel_put_back(snippet):
+    assert kernel_reads(snippet)
 
 
 def presolve_settings(source: str) -> list[str]:
