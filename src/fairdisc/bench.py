@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -129,13 +130,13 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
     tasks = _sweep_tasks(model, mode, metrics, step, range(k) if starts == "all" else [starts])
-    return _sweep_scores(fork_map(_task, tasks), metrics)
+    return _sweep_scores(fork_map(lambda call: call(), tasks), metrics)
 
 
-def _sweep_tasks(model: ConfusionModel, mode: EstimationMode, metrics, step: float, starts) -> list[tuple]:
-    """One `_task` per sweep start in `starts`, all on the path `sweep(model.k, step)`."""
+def _sweep_tasks(model: ConfusionModel, mode: EstimationMode, metrics, step: float, starts) -> list[partial]:
+    """One call of `_sweep_start` per sweep start in `starts`, for `fork_map`, all on the path `sweep(model.k, step)`."""
     path = sweep_path(model.k, step)
-    return [("sweep", model, mode, metrics, path, start) for start in starts]
+    return [partial(_sweep_start, model, mode, metrics, path, start) for start in starts]
 
 
 def _sweep_scores(results, metrics) -> tuple[Scores, Scores]:
@@ -143,13 +144,8 @@ def _sweep_scores(results, metrics) -> tuple[Scores, Scores]:
     return tuple({m: np.array([s[m] for s in per_start]) for m in metrics} for per_start in zip(*results))
 
 
-def _task(task):
-    """One `fork_map` task's result, named by a tag, not a function, so a wrapped function is never pickled. ("ep",
-    model, mode, metrics, trials) is `run_ep_analysis`; ("sweep", model, mode, metrics, path, start) is (f, f*) of
-    `path` with outcomes 0 and `start` swapped, through `model` and as it is. A cell's seed is its own, in any process."""
-    if task[0] == "ep":
-        return run_ep_analysis(*task[1:])
-    _, model, mode, metrics, path, start = task
+def _sweep_start(model: ConfusionModel, mode: EstimationMode, metrics, path: np.ndarray, start: int):
+    """(f, f*) of `path` with outcomes 0 and `start` swapped, through `model` and as it is, each cell on its own seed."""
     p_true = path.copy()
     p_true[:, [0, start]] = path[:, [start, 0]]
     return (_scored(model, mode, metrics, p_true, _KIND_SWEEP, start, np.arange(len(path))),
@@ -225,8 +221,8 @@ def run_benchmark(models: Sequence[ConfusionModel], metrics: Iterable[Metric] = 
     ks = tuple(sorted(by_k))
     # One pool for the report: every sweep start, largest k first so the longest tasks start first, then each EP.
     tasks = [t for k in reversed(ks) for t in _sweep_tasks(by_k[k], mode, metrics, step, range(k))]
-    tasks += [("ep", by_k[k], mode, metrics, trials) for k in ks]
-    results = iter(list(fork_map(_task, tasks)))
+    tasks += [partial(run_ep_analysis, by_k[k], mode, metrics, trials) for k in ks]
+    results = iter(list(fork_map(lambda call: call(), tasks)))
     sweeps = {k: _sweep_scores([next(results) for _ in range(k)], metrics) for k in reversed(ks)}
     fair, ab = (dict(zip(ks, scores)) for scores in zip(*results))
 

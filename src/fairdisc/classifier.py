@@ -20,7 +20,7 @@ import threading
 from array import array
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -405,12 +405,10 @@ def _line_end(fd: int, pos: int, size: int) -> int:
     return size
 
 
-def _read_file_range(task):
-    """`_read_range` of range i of the regular file of `size` bytes open at `fd`, for `task` (fd, k, i, size): from
-    just after the first line end at or past byte i * _CHUNK_BYTES - 1 (from 0 for i = 0) to just after the first at
-    or past the next mark, so no UTF-8 sequence, CR LF pair or line straddles two ranges (one may be empty), and not
-    past `size`. `os.pread` leaves the descriptor's offset alone, so forked readers can share the descriptor."""
-    fd, k, i, size = task
+def _read_file_range(fd: int, k: int, size: int, i: int):
+    """`_read_range` of range i of the `size`-byte regular file open at `fd`: from just after the first line end at or
+    past byte i * _CHUNK_BYTES - 1 (0 for i = 0) to just after the first at or past the next mark, or `size`, so no
+    UTF-8 sequence, CR LF pair or line straddles two ranges (one may be empty); `os.pread` lets forked readers share `fd`."""
     start = _line_end(fd, i * _CHUNK_BYTES - 1, size) if i else 0
     stop = _line_end(fd, (i + 1) * _CHUNK_BYTES - 1, size)
     chunks = []
@@ -430,16 +428,28 @@ def _workers(n_ranges: int) -> int:
     return min(n_ranges, len(os.sched_getaffinity(0))) if threading.active_count() == 1 else 1
 
 
+_work = []  # in a forked `fork_map` worker, the (fn, tasks) it was forked for, put there by the pool's initializer
+
+
+def _run(i: int):
+    fn, tasks = _work[-1]
+    return fn(tasks[i])
+
+
 def fork_map(fn, tasks: list):
-    """Yield `fn(task)` for each of `tasks`, in task order: from a pool of `_workers(len(tasks))` forked processes if
-    that is more than one, else from `map` here; `fn` is module-level, sent by name. Its end, an error raised through
-    it or `close()` terminates the pool and joins its workers, so a caller that may stop early must close it."""
+    """Yield `fn(task)` for each of `tasks`, in task order: from `_workers(len(tasks))` forked processes that inherit `fn`
+    and `tasks` and get indices, if more than one, else from `map` here. Its end, an error or `close()` (which an early
+    stop needs) cancels the tasks not started and waits for running ones. A dead worker is a ChildProcessError."""
     if (workers := _workers(len(tasks))) == 1:
         yield from map(fn, tasks)
-    else:
-        import multiprocessing
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            yield from pool.imap(fn, tasks)
+        return
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import get_context
+    with ProcessPoolExecutor(workers, get_context("fork"), initializer=_work.append, initargs=((fn, tasks),)) as pool:
+        try:
+            yield from pool.map(_run, range(len(tasks)))
+        except BrokenProcessPool as exc:
+            raise ChildProcessError("a worker process died: it was killed, perhaps for lack of memory") from exc
 
 
 def _merge(k: int, results) -> Predictions:
@@ -490,10 +500,9 @@ def load_predictions(path, k: int) -> Predictions:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         st = os.fstat(fh.fileno())
         n_ranges = -(-st.st_size // _CHUNK_BYTES) if stat.S_ISREG(st.st_mode) else 1
-        if n_ranges < 2:
-            return _merge(k, (_read_range(k, lines) for lines in iter(lambda: fh.readlines(_CHUNK_BYTES), [])))
-        tasks = [(fh.fileno(), k, i, st.st_size) for i in range(n_ranges)]
-        with closing(fork_map(_read_file_range, tasks)) as ranges:
+        if n_ranges < 2:  # a stream's blocks are smaller, as its lines are held as str, not bytes
+            return _merge(k, map(partial(_read_range, k), iter(lambda: fh.readlines(_CHUNK_BYTES >> 4 or 1), [])))
+        with closing(fork_map(partial(_read_file_range, fh.fileno(), k, st.st_size), range(n_ranges))) as ranges:
             return _merge(k, ranges)
 
 

@@ -1,6 +1,6 @@
-import multiprocessing.pool
 import os
 import pathlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -63,9 +63,9 @@ def distributions(k: int):
 
 def pool_imaps(monkeypatch):
     """Two CPUs for `_workers`, so `fork_map` over several tasks runs a fork pool; the returned list gets a 1 per
-    `Pool.imap` call."""
+    `ProcessPoolExecutor.map` call."""
     imaps = []
-    original = multiprocessing.pool.Pool.imap
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
+    original = ProcessPoolExecutor.map
+    monkeypatch.setattr(ProcessPoolExecutor, "map", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return imaps

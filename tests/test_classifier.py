@@ -511,11 +511,10 @@ def loaded(path, k):
 
 
 def range_results(path, k):
-    """`_read_file_range` of every task the fork pool would get for `path`, run in this process."""
+    """`_read_file_range` of every range the fork pool would read for `path`, run in this process."""
     size = path.stat().st_size
     with open(path, "rb") as fh:
-        tasks = [(fh.fileno(), k, i, size) for i in range(-(-size // classifier._CHUNK_BYTES))]
-        return [classifier._read_file_range(task) for task in tasks]
+        return [classifier._read_file_range(fh.fileno(), k, size, i) for i in range(-(-size // classifier._CHUNK_BYTES))]
 
 
 def folded_ranges(path, k):
@@ -740,6 +739,24 @@ class TestChunkedRead:
         peaks = traced_peaks(load, list(data))
         assert peaks[1] < peaks[0] + classifier._CHUNK_BYTES, peaks
 
+    def test_fifo_peak_is_within_a_megabyte_of_the_files(self, tmp_path, monkeypatch):
+        # A stream's lines are held as str, not bytes, so it is read in smaller blocks than a file's ranges, and its
+        # peak stays within 1 MB of the same file's.
+        monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
+        data = memory_records(80_000)
+        assert len(data) > classifier._CHUNK_BYTES
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(data)
+        peaks = []
+        for load in (lambda: load_predictions(path, 4), lambda: fifo_loaded(tmp_path / "p.fifo", data, 4)):
+            tracemalloc.start()
+            try:
+                assert len(load()) == 80_000
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + (1 << 20), peaks
+
     def test_cr_only_file_is_cut_into_ranges(self, tmp_path, monkeypatch):
         # A range ends at any line end, so a file whose lines end in CR alone is cut as one with LF ends is.
         data = b"".join(b'{"id": "r%d", "pred": %d, "true": 1}\r' % (i, i % 2) for i in range(20))
@@ -751,7 +768,7 @@ class TestChunkedRead:
         ranges, original = [], classifier._read_file_range
         with monkeypatch.context() as mp:
             mp.setattr(classifier, "_workers", lambda n_ranges: 1)
-            mp.setattr(classifier, "_read_file_range", lambda task: ranges.append(task[2]) or original(task))
+            mp.setattr(classifier, "_read_file_range", lambda fd, k, size, i: ranges.append(i) or original(fd, k, size, i))
             in_process = load_predictions(path, 2)
         assert ranges == list(range(-(-len(data) // 64)))
         assert_same_read(fifo_loaded(tmp_path / "p.fifo", data, 2), in_process)
@@ -773,7 +790,7 @@ class TestChunkedRead:
 
     def test_cr_only_pool_memory_does_not_grow_with_the_record_count(self, tmp_path, monkeypatch):
         # Each worker sends back one reduced range, so the parent holds a few ranges' rows however long the file is:
-        # `imap` keeps the results that come in before the parent folds them, about 30 KB each here. One range of
+        # the pool keeps the results that come in before the parent folds them, about 30 KB each here. One range of
         # the whole file would bring all 20,000 rows (640 KB) to the parent at once.
         monkeypatch.setattr(classifier, "_CHUNK_BYTES", 1 << 16)
         imaps = pool_imaps(monkeypatch)
@@ -811,7 +828,7 @@ def fail_on_two(i):
 
 class TestForkMap:
     """`fork_map` yields results in task order, and no worker outlives it: after its end, after an error in a worker
-    or in its caller, and after a caller that closes it early."""
+    or in its caller, after a caller that closes it early and after a worker that dies. None of these hangs."""
 
     def test_results_come_in_task_order(self, monkeypatch):
         imaps = pool_imaps(monkeypatch)
@@ -822,8 +839,8 @@ class TestForkMap:
         assert multiprocessing.active_children() == []
 
     def test_no_pool_for_one_task_one_cpu_or_a_second_thread(self):
-        # A pool would have to pickle the lambda and would fail; only the last call, over two tasks on two CPUs with
-        # one thread, imports multiprocessing.
+        # Each task runs here, in this process; only the last call, over two tasks on two CPUs with one thread, runs a
+        # pool and imports multiprocessing.
         script = """
 import os, sys, threading
 from fairdisc.classifier import fork_map
@@ -877,6 +894,60 @@ assert "multiprocessing" in sys.modules
         assert multiprocessing.active_children() == []
         assert imaps == [1, 1]
         assert excinfo.traceback
+
+    # Each script runs two workers on the CPUs it is pinned to, one or two, in a process of its own that must finish
+    # within the timeout; no worker may be left behind.
+    TWO_WORKERS = """
+import multiprocessing, os, sys
+import numpy as np
+from fairdisc import classifier
+from fairdisc.errors import ValidationError
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])
+os.sched_getaffinity = lambda pid: {0, 1}
+"""
+
+    def run_pinned(self, script, cpus):
+        if len(os.sched_getaffinity(0)) < cpus:
+            pytest.skip(f"needs {cpus} CPUs")
+        proc = subprocess.run([sys.executable, "-c", self.TWO_WORKERS + script, str(cpus)], capture_output=True, text=True,
+                              env=ENV, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_hang_when_a_task_raises_while_others_send_large_results(self, cpus):
+        # A pool that kills its workers on an error could kill one while it held a queue lock, sending a result larger
+        # than a pipe buffer, and then wait on that lock for good.
+        self.run_pinned("""
+def large_unless_three(i):
+    if i == 3:
+        raise ValidationError("task 3 failed")
+    return np.ones(200_000)
+for _ in range(40):
+    try:
+        list(classifier.fork_map(large_unless_three, list(range(12))))
+    except ValidationError as exc:
+        assert str(exc) == "task 3 failed"
+    else:
+        raise AssertionError("no error")
+    assert multiprocessing.active_children() == []
+""", cpus)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_worker_that_dies_is_a_child_process_error(self, cpus):
+        self.run_pinned("""
+def exit_on_one(i):
+    if i == 1:
+        os._exit(1)
+    return i
+try:
+    list(classifier.fork_map(exit_on_one, [0, 1, 2]))
+except ChildProcessError as exc:
+    assert isinstance(exc, OSError)
+    assert str(exc) == "a worker process died: it was killed, perhaps for lack of memory"
+else:
+    raise AssertionError("no error")
+assert multiprocessing.active_children() == []
+""", cpus)
 
 
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import pathlib
 import re
@@ -7,8 +8,8 @@ import sys
 
 import pytest
 
-from conftest import ENV, SRC
-from fairdisc import load_distribution, load_space, n_factor
+from conftest import ENV, SRC, pool_imaps
+from fairdisc import bench, classifier, load_distribution, load_space, n_factor
 from fairdisc.cli import COMMANDS, OPTIONS, main
 from fairdisc.metrics import Metric
 
@@ -649,6 +650,30 @@ assert "multiprocessing" in sys.modules
         for ext in (".csv", ".md"):
             assert (tmp_path / f"{i}-1{ext}").read_bytes() == (tmp_path / f"{i}-2{ext}").read_bytes()
         assert (tmp_path / f"{i}-1{golden.suffix}").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["bench", "ingest"])
+def test_a_worker_that_dies_exits_3_with_one_line(capsys, tmp_path, monkeypatch, command):
+    # A worker killed by the OS, here by its own os._exit, is an I/O error, not a traceback or a hang.
+    parent = os.getpid()
+
+    def die(*args):
+        assert os.getpid() != parent
+        os._exit(1)
+
+    imaps = pool_imaps(monkeypatch)
+    if command == "bench":
+        monkeypatch.setattr(bench, "run_ep_analysis", die)
+        argv = ["bench", "--k", "2", "--step", "0.5", "--metrics", "l1"]
+    else:
+        preds = tmp_path / "p.jsonl"
+        preds.write_text('{"id": "a", "pred": 0}\n' * 20)
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 64)
+        monkeypatch.setattr(classifier, "_read_range", die)
+        argv = ["ingest", str(preds), "--k", "2"]
+    assert run_cli(capsys, *argv) == (3, "", "error: a worker process died: it was killed, perhaps for lack of memory\n")
+    assert imaps == [1]
+    assert multiprocessing.active_children() == []
 
 
 def test_the_draw_kernel_loads_on_the_first_sampled_estimate():
