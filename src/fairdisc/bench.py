@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterable, Mapping, Sequence
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 
@@ -63,7 +64,7 @@ def mem(f, f_star) -> float:
     f, f_star = _read(f, "mem"), _read(f_star, "mem")
     if f.shape != f_star.shape:
         raise ValidationError(f"mem: scores of shape {f.shape} against f* of shape {f_star.shape}")
-    return float(np.mean(np.abs(f.ravel() - f_star.ravel())))
+    return float(np.mean(np.abs(np.subtract(f, f_star, out=f), out=f).ravel()))  # in f, `_read`'s own copy
 
 
 def _scored(model: ConfusionModel, mode: EstimationMode, metrics, rows, kind_tag: int, cell, trial) -> Scores:
@@ -129,19 +130,23 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
         raise ValidationError(f'sweep start must be "all" or an integer, got {starts!r}')
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
-    tasks = _sweep_tasks(model, mode, metrics, step, range(k) if starts == "all" else [starts])
-    return _sweep_scores(fork_map(lambda call: call(), tasks), metrics)
+    tasks = _sweep_tasks([model], mode, metrics, step, None if starts == "all" else [starts])
+    with closing(fork_map(lambda call: call(), tasks)) as results:
+        return _sweep_blocks(results, metrics, len(tasks))
 
 
-def _sweep_tasks(model: ConfusionModel, mode: EstimationMode, metrics, step: float, starts) -> list[partial]:
-    """One call of `_sweep_start` per sweep start in `starts`, for `fork_map`, all on the path `sweep(model.k, step)`."""
-    path = sweep_path(model.k, step)
-    return [partial(_sweep_start, model, mode, metrics, path, start) for start in starts]
+def _sweep_tasks(models, mode: EstimationMode, metrics, step: float, starts=None) -> list[partial]:
+    """For `fork_map`, one call of `_sweep_start` per start in `starts` (default all) of each model, on its path."""
+    return [partial(_sweep_start, model, mode, metrics, path, start)
+            for model in models for path in [sweep_path(model.k, step)] for start in starts or range(model.k)]
 
 
-def _sweep_scores(results, metrics) -> tuple[Scores, Scores]:
-    """(f, f*) of a sweep, one (starts, epochs) array per metric, from its start tasks' results in start order."""
-    return tuple({m: np.array([s[m] for s in per_start]) for m in metrics} for per_start in zip(*results))
+def _sweep_blocks(results, metrics: tuple[Metric, ...], starts: int) -> tuple[Scores, Scores]:
+    """(f, f*) of a sweep, per metric a (starts, epochs) view of one block: row s is the s-th next result, not kept."""
+    for s, result in zip(range(starts), results):
+        blocks = blocks if s else np.empty((2, len(metrics), starts, len(result[0][metrics[0]])))
+        blocks[:, :, s] = [[scores[m] for m in metrics] for scores in result]
+    return tuple(dict(zip(metrics, side)) for side in blocks)
 
 
 def _sweep_start(model: ConfusionModel, mode: EstimationMode, metrics, path: np.ndarray, start: int):
@@ -219,12 +224,12 @@ def run_benchmark(models: Sequence[ConfusionModel], metrics: Iterable[Metric] = 
         raise ValidationError(f"benchmark repeats a k: {' '.join(str(model.k) for model in models)}")
     metrics = tuple(m for m in REPORT_ORDER if m in metrics)
     ks = tuple(sorted(by_k))
-    # One pool for the report: every sweep start, largest k first so the longest tasks start first, then each EP.
-    tasks = [t for k in reversed(ks) for t in _sweep_tasks(by_k[k], mode, metrics, step, range(k))]
-    tasks += [partial(run_ep_analysis, by_k[k], mode, metrics, trials) for k in ks]
-    results = iter(list(fork_map(lambda call: call(), tasks)))
-    sweeps = {k: _sweep_scores([next(results) for _ in range(k)], metrics) for k in reversed(ks)}
-    fair, ab = (dict(zip(ks, scores)) for scores in zip(*results))
+    # One pool for the report: every sweep start, largest k first so the longest tasks start first, then each EP. The
+    # pool alone holds the tasks, so the sweep paths are freed with it, before the statistics.
+    with closing(fork_map(lambda call: call(), _sweep_tasks([by_k[k] for k in reversed(ks)], mode, metrics, step)
+                          + [partial(run_ep_analysis, by_k[k], mode, metrics, trials) for k in ks])) as results:
+        sweeps = {k: _sweep_blocks(results, metrics, k) for k in reversed(ks)}
+        fair, ab = (dict(zip(ks, scores)) for scores in zip(*results))
 
     # Pool in (k, trial, outcome) order, one array per metric.
     fair_pool, ab_pool = ({m: np.concatenate([s[k][m].ravel() for k in ks]) for m in metrics} for s in (fair, ab))

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -69,3 +70,12 @@ def pool_imaps(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "map", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return imaps
+
+
+def traced_peak(call):
+    """`(call(), peak)`: what `call()` returns and the peak, in bytes, of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

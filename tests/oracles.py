@@ -194,6 +194,14 @@ def reference_score(metric: str, p: list[float]) -> float:
     return min(max(raw / top, 0.0), 1.0)
 
 
+def transported_score(p: list[float]) -> float:
+    """The normalized wd score of p from `reference_transport`, with no closed form: the optimal transport cost to
+    uniform under the cost (2/k)(J - I), over its value 2(k-1)/k^2 from a one-hot row, clipped to [0, 1]."""
+    k = len(p)
+    _, cost = reference_transport(p, [1.0 / k] * k, (2.0 / k) * (1.0 - np.eye(k)))
+    return min(max(cost / (2 * (k - 1) / k**2), 0.0), 1.0)
+
+
 def reference_estimate(m, p: list[float], mode, cell: tuple[int, ...]) -> list[float]:
     """The estimate of true distribution p through confusion matrix m: in expectation (mode None) the fsum of
     p_i m_ij over i; sampled (mode (n, seed)) `reference_sample` on the seed numpy's SeedSequence([seed, *cell])
@@ -231,6 +239,8 @@ def reference_report(models, metrics, mode, trials: int, step: float) -> list[di
     sweep MEM per k, then the four EP rows per k when there are several k. Each row is a dict of its benchmark,
     kind, k_set, `values` and `inputs` by metric (the scores each statistic reads, in pool order; (f, f*) per start
     for MEM) and its `best` and `worst` metrics: those within TIE_TOL of the row's lowest and highest values.
+    wd is taken from the l1 closed form (`reference_score`); on the first, middle and last epochs of each k's last
+    start, f and f* of that shortcut are checked against `transported_score` within 1e-9, whatever the metrics.
     """
     metrics = [m for m in REPORT_ORDER if m in metrics]
     models = sorted(models, key=len)
@@ -261,6 +271,9 @@ def reference_report(models, metrics, mode, trials: int, step: float) -> list[di
                 p = list(epoch)
                 p[0], p[s] = p[s], p[0]
                 est = reference_estimate(m, p, mode, (k, 2, s, e))
+                if s == k - 1 and e in (0, len(path) // 2, len(path) - 1):
+                    for x in (est, p):
+                        assert abs(reference_score("wd", x) - transported_score(x)) <= 1e-9, (x, step, mode)
                 for metric in metrics:
                     f[metric][s].append(reference_score(metric, est))
                     f_star[metric][s].append(reference_score(metric, p))

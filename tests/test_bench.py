@@ -1,13 +1,14 @@
 import multiprocessing
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pool_imaps
+from conftest import pool_imaps, traced_peak
 from fairdisc import (
     EXPECTATION,
     AttributeSpace,
@@ -396,6 +397,75 @@ def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch
         run_benchmark([perfect(2), perfect(4)], (Metric.L1,), Sampled(10, 0), trials=2, step=0.25)
     assert imaps == [1]
     assert multiprocessing.active_children() == []
+
+
+SWEEP_METRICS = (Metric.L1, Metric.L2, Metric.SPECIFICITY, Metric.INFO_SPECIFICITY)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["pool", "one-cpu"])
+def test_the_sweep_blocks_are_the_reports_one_copy_of_the_scores(monkeypatch, cpus):
+    # Each start's (f, f*) is written into its k's blocks as it arrives and then dropped, so the report's traced peak,
+    # beyond the sweep paths its tasks hold, stays within 1.3 times the blocks' bytes; a list of every start's result
+    # beside the blocks doubles it. On one CPU each start is scored once, untraced, and then replayed as a copy, so the
+    # peak is what this process holds of the scores and not a start's sampling workspace (1.6 MB at k = 16).
+    models = [preset("set2", k) for k in ALL_KS]
+    parent, scored, start = os.getpid(), {}, bench._sweep_start
+
+    def replayed(model, mode, metrics, path, s):
+        if os.getpid() != parent:  # a forked worker: its memory is its own, and the tracing it inherited slows it
+            tracemalloc.stop()
+            return start(model, mode, metrics, path, s)
+        if (model.k, s) not in scored:
+            scored[model.k, s] = start(model, mode, metrics, path, s)
+        return tuple({m: a.copy() for m, a in scores.items()} for scores in scored[model.k, s])
+
+    monkeypatch.setattr(bench, "_sweep_start", replayed)
+    imaps = pool_imaps(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+    def report():
+        return run_benchmark(models, SWEEP_METRICS, Sampled(100, 0), trials=1, step=0.002)
+
+    report()  # untraced: imports what a report needs and, on one CPU, scores every start
+    _, peak = traced_peak(report)
+    # One (epochs, k) path per k; the blocks hold f and f* of every metric for each of its k starts.
+    paths = sum(sweep(k, 0.002).nbytes for k in ALL_KS)
+    blocks = 2 * len(SWEEP_METRICS) * paths
+    assert peak - paths <= 1.3 * blocks, (peak, paths, blocks)
+    assert len(imaps) == (2 if len(cpus) > 1 else 0)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["pool", "one-cpu"])
+@pytest.mark.parametrize("mode", [EXPECTATION, Sampled(n=1000, seed=5)], ids=["expectation", "sampled"])
+def test_report_mem_is_the_mem_of_run_sweep_to_the_bit(monkeypatch, cpus, mode):
+    # run_sweep's blocks hold each start's _sweep_start scores as they are, and the report's MEM is their mem.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    models = [preset("set2", k) for k in (2, 4)]
+    report = run_benchmark(models, REPORT_ORDER, mode, trials=2, step=0.05)
+    for model in models:
+        f, f_star = run_sweep(model, mode, REPORT_ORDER, 0.05, "all")
+        starts = [bench._sweep_start(model, mode, REPORT_ORDER, sweep(model.k, 0.05), s) for s in range(model.k)]
+        for m in REPORT_ORDER:
+            for got, want in ((f[m], [start[0][m] for start in starts]), (f_star[m], [start[1][m] for start in starts])):
+                assert (got.shape, got.tobytes()) == (np.shape(want), np.array(want).tobytes())
+            assert report.row("mem", "sweep", (model.k,)).values[m] == mem(f[m], f_star[m])
+
+
+@pytest.mark.parametrize("call", ["run_benchmark", "run_sweep"])
+def test_no_worker_outlives_a_result_the_caller_cannot_fold(monkeypatch, call):
+    # Start 2's scores are one epoch short, so writing them into their block raises here while later starts are queued
+    # or running. The pool has ended while the caller still holds the error, and with it the stopped fold.
+    start = bench._sweep_start
+    monkeypatch.setattr(bench, "_sweep_start", lambda model, mode, metrics, path, s:
+                        start(model, mode, metrics, path[:-1] if s == 2 else path, s))
+    imaps = pool_imaps(monkeypatch)
+    with pytest.raises(ValueError) as caught:
+        if call == "run_benchmark":
+            run_benchmark([perfect(2), perfect(4), perfect(8)], L1, step=0.05)
+        else:
+            run_sweep(perfect(8), EXPECTATION, L1, 0.05)
+    assert multiprocessing.active_children() == [], caught.value
+    assert imaps == [1]
 
 
 L1 = (Metric.L1,)

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import ENV, dist, pool_imaps
+from conftest import ENV, dist, pool_imaps, traced_peak
 from fairdisc import (
     ConfusionModel,
     Sampled,
@@ -52,12 +51,7 @@ class TestConfusionModel:
     def test_checks_build_no_copy_of_the_matrix(self):
         # The model's own 8 MB float copy and the checks' boolean masks, but no renormalized copy of the matrix.
         m = np.eye(1000)
-        tracemalloc.start()
-        try:
-            ConfusionModel(m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: ConfusionModel(m))
         assert peak < 12 * 2**20
 
     def test_perfect_is_identity(self):
@@ -613,12 +607,9 @@ def traced_peaks(load, counts):
     load(counts[0])
     peaks = []
     for n in counts:
-        tracemalloc.start()
-        try:
-            assert load(n) == n
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        loaded_n, peak = traced_peak(lambda: load(n))
+        assert loaded_n == n
+        peaks.append(peak)
     return peaks
 
 
@@ -749,12 +740,9 @@ class TestChunkedRead:
         path.write_bytes(data)
         peaks = []
         for load in (lambda: load_predictions(path, 4), lambda: fifo_loaded(tmp_path / "p.fifo", data, 4)):
-            tracemalloc.start()
-            try:
-                assert len(load()) == 80_000
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            result, peak = traced_peak(load)
+            assert len(result) == 80_000
+            peaks.append(peak)
         assert peaks[1] < peaks[0] + (1 << 20), peaks
 
     def test_cr_only_file_is_cut_into_ranges(self, tmp_path, monkeypatch):
