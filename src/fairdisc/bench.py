@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterable, Mapping, Sequence
-from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,9 +20,10 @@ import numpy as np
 
 from .attrspace import check_block, check_sweep, float_array
 from .attrspace import sweep as sweep_path
-from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, check_model, derive_seed, estimate, fork_map
+from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, check_model, derive_seed, estimate
 from .errors import ValidationError, check_int, is_int
 from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score, n_factor
+from .pool import fork_map
 
 TIE_TOL = 1e-12
 
@@ -131,7 +131,7 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
     tasks = _sweep_tasks([model], mode, metrics, step, None if starts == "all" else [starts])
-    with closing(fork_map(lambda call: call(), tasks)) as results:
+    with fork_map(tasks) as results:
         return _sweep_blocks(results, metrics, len(tasks))
 
 
@@ -226,8 +226,8 @@ def run_benchmark(models: Sequence[ConfusionModel], metrics: Iterable[Metric] = 
     ks = tuple(sorted(by_k))
     # One pool for the report: every sweep start, largest k first so the longest tasks start first, then each EP. The
     # pool alone holds the tasks, so the sweep paths are freed with it, before the statistics.
-    with closing(fork_map(lambda call: call(), _sweep_tasks([by_k[k] for k in reversed(ks)], mode, metrics, step)
-                          + [partial(run_ep_analysis, by_k[k], mode, metrics, trials) for k in ks])) as results:
+    with fork_map(_sweep_tasks([by_k[k] for k in reversed(ks)], mode, metrics, step)
+                  + [partial(run_ep_analysis, by_k[k], mode, metrics, trials) for k in ks]) as results:
         sweeps = {k: _sweep_blocks(results, metrics, k) for k in reversed(ks)}
         fair, ab = (dict(zip(ks, scores)) for scores in zip(*results))
 

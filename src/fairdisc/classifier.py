@@ -16,9 +16,7 @@ import os
 import re
 import stat
 import struct
-import threading
 from array import array
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -26,6 +24,7 @@ import numpy as np
 
 from .attrspace import MAX_SAMPLES, check_k, check_rows, float_array, float_rows, is_number_list, json_file, normalized_rows
 from .errors import ValidationError, check_int, check_real, is_int
+from .pool import fork_map
 
 PROBS_SUM_TOL = 1e-6
 
@@ -215,7 +214,8 @@ def _multinomial():
     names = "psave nsave r q fm m p1 xm xl xr c laml lamr p2 p3 p4".split()  # binomial_t, numpy/random/distributions.h
     binomial_t = type("binomial_t", (Structure,), {"_fields_": [("has_binomial", c_int)] + [
         (f, c_int64 if f in ("nsave", "m") else c_double) for f in names]})
-    kernel = PyDLL(np.random._generator.__file__).random_multinomial
+    if (kernel := getattr(PyDLL(np.random._generator.__file__), "random_multinomial", None)) is None:
+        raise OSError(f"numpy {np.__version__} exports no random_multinomial kernel for sampled estimates")
     kernel.argtypes, kernel.restype = [c_void_p, c_int64, c_void_p, c_void_p, c_ssize_t, POINTER(binomial_t)], None
     return kernel, binomial_t
 
@@ -322,7 +322,7 @@ def _json_line(line: str):
     return json.loads(line)
 
 
-# Prediction input is read in blocks of whole lines of about this many bytes, in parallel where `_workers` allows.
+# Prediction input is read in blocks of whole lines of about this many bytes, in parallel where `pool._workers` allows.
 _CHUNK_BYTES = 4 << 20
 _MIXED = "prediction stream mixes soft (probs) and hard (pred) records"
 
@@ -419,39 +419,6 @@ def _read_file_range(fd: int, k: int, size: int, i: int):
     return _read_range(k, io.TextIOWrapper(io.BytesIO(b"".join(chunks)), encoding="utf-8", errors="surrogateescape"))
 
 
-def _workers(n_ranges: int) -> int:
-    """How many processes run `n_ranges` tasks: one per CPU this process may run on, at most one per task, when there
-    are several of each, "fork" exists and no other Python thread runs (a forked child would lack it); else 1. Native
-    threads are not counted: unless OPENBLAS_NUM_THREADS=1, OpenBLAS's own thread is running at every fork."""
-    if n_ranges < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(n_ranges, len(os.sched_getaffinity(0))) if threading.active_count() == 1 else 1
-
-
-_work = []  # in a forked `fork_map` worker, the (fn, tasks) it was forked for, put there by the pool's initializer
-
-
-def _run(i: int):
-    fn, tasks = _work[-1]
-    return fn(tasks[i])
-
-
-def fork_map(fn, tasks: list):
-    """Yield `fn(task)` for each of `tasks`, in task order: from `_workers(len(tasks))` forked processes that inherit `fn`
-    and `tasks` and get indices, if more than one, else from `map` here. Its end, an error or `close()` (which an early
-    stop needs) cancels the tasks not started and waits for running ones. A dead worker is a ChildProcessError."""
-    if (workers := _workers(len(tasks))) == 1:
-        yield from map(fn, tasks)
-        return
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    from multiprocessing import get_context
-    with ProcessPoolExecutor(workers, get_context("fork"), initializer=_work.append, initargs=((fn, tasks),)) as pool:
-        try:
-            yield from pool.map(_run, range(len(tasks)))
-        except BrokenProcessPool as exc:
-            raise ChildProcessError("a worker process died: it was killed, perhaps for lack of memory") from exc
-
-
 def _merge(k: int, results) -> Predictions:
     """One `Predictions` from the `_read_range` results of consecutive blocks, in file order, with the errors and
     their precedence of one pass over the whole file: a per-line error in any block before the first bad soft row."""
@@ -493,7 +460,7 @@ def load_predictions(path, k: int) -> Predictions:
 
     Every input is read in blocks of whole lines, each checked and reduced by `_read_range` and folded in file order,
     so the result and every error are those of one pass. A regular file larger than `_CHUNK_BYTES` is read in ranges
-    cut at any line end, one `_read_file_range` each, through `fork_map`: by forked workers where `_workers` allows.
+    cut at any line end, one `_read_file_range` each, through `fork_map`: by forked workers where `pool._workers` allows.
     Any other input is read here in line blocks.
     """
     check_k(k)
@@ -502,7 +469,7 @@ def load_predictions(path, k: int) -> Predictions:
         n_ranges = -(-st.st_size // _CHUNK_BYTES) if stat.S_ISREG(st.st_mode) else 1
         if n_ranges < 2:  # a stream's blocks are smaller, as its lines are held as str, not bytes
             return _merge(k, map(partial(_read_range, k), iter(lambda: fh.readlines(_CHUNK_BYTES >> 4 or 1), [])))
-        with closing(fork_map(partial(_read_file_range, fh.fileno(), k, st.st_size), range(n_ranges))) as ranges:
+        with fork_map([partial(_read_file_range, fh.fileno(), k, st.st_size, i) for i in range(n_ranges)]) as ranges:
             return _merge(k, ranges)
 
 

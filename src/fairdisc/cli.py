@@ -50,8 +50,7 @@ def _ks(name: str, value) -> tuple[int, ...]:
 
 
 def _metrics(name: str, value) -> tuple[Metric, ...]:
-    metrics = _as_list(value)
-    return parse_metrics(",".join(_string(name, m) for m in metrics) if metrics else "all")
+    return parse_metrics(",".join(_string(name, m) for m in _as_list(value)))
 
 
 def _parsed(text: str):
@@ -124,7 +123,7 @@ class RunConfig:
     """Merged view of the config file and command-line flags (flags win), one attribute per option."""
 
     def __init__(self, args: argparse.Namespace):
-        given = _read_config(args.config, args) if args.config else {}
+        given = {} if args.config is None else _read_config(args.config, args)
         for name, (_, default, *_) in OPTIONS.items():
             flag = getattr(args, name, None)
             setattr(self, name, given[name] if name in given else _converted(name, default if flag is None else flag))
@@ -143,7 +142,7 @@ class RunConfig:
             return f"eps={self.eps:g}"
         if self.accs is not None:
             return "accs=" + ",".join(f"{a:g}" for a in self.accs)
-        return self.classifier or "perfect"
+        return "perfect" if self.classifier is None else self.classifier
 
     def model_for_k(self, k: int) -> ConfusionModel:
         if self.eps is not None:
@@ -152,7 +151,7 @@ class RunConfig:
             if len(self.accs) != k:
                 raise ValidationError(f"--accs has {len(self.accs)} entries, k={k}")
             return clf.from_accuracies(self.accs)
-        spec = self.classifier or "perfect"
+        spec = "perfect" if self.classifier is None else self.classifier
         if spec in ("perfect", "set2") or spec in clf.PRESET_ACCURACIES:
             return clf.preset(spec, k)
         model = load_confusion(spec)
@@ -246,23 +245,23 @@ def cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> None:
     report = run_benchmark([cfg.model_for_k(k) for k in cfg.k or DEFAULT_KS], metrics=cfg.metrics, mode=cfg.estimation_mode(),
                            trials=cfg.trials, step=cfg.step, classifier_label=cfg.classifier_label())
     outputs = [(report_to_csv(report, cfg.precision), cfg.out)]
-    if cfg.markdown:
+    if cfg.markdown is not None:
         outputs.append((report_to_markdown(report, cfg.precision), cfg.markdown))
     _write_out(*outputs)
 
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
-    if args.space:
+    if args.space is not None:
         space = load_space(args.space)
     elif cfg.k and len(cfg.k) == 1:
         space = AttributeSpace.of_size(cfg.k[0])
     else:
         raise ValidationError("ingest needs --space FILE or a single --k")
     p, confusion = ingest_predictions(load_predictions(args.predictions, space.k))
-    if args.confusion_out and confusion is None:
+    if args.confusion_out is not None and confusion is None:
         raise ValidationError("cannot write a confusion matrix: records lack truth labels")
     outputs = [(json.dumps(CategoricalDistribution(space, p).to_dict(), indent=2) + "\n", cfg.out)]
-    if args.confusion_out:
+    if args.confusion_out is not None:
         outputs.append((json.dumps({"k": confusion.k, "m": confusion.m.tolist()}, indent=2) + "\n", args.confusion_out))
     _write_out(*outputs)
 

@@ -1,10 +1,7 @@
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -12,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import ENV, dist, pool_imaps, traced_peak
+from conftest import dist, pool_imaps, traced_peak
 from fairdisc import (
     ConfusionModel,
     Sampled,
@@ -436,7 +433,7 @@ class TestIngest:
         if pool:
             imaps = pool_imaps(monkeypatch)
         else:
-            monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
+            monkeypatch.setattr("fairdisc.pool._workers", lambda n_tasks: 1)
         assert_ingests_to_reference(load_predictions(path, 5), records)
         assert imaps == [1] * pool
 
@@ -632,7 +629,7 @@ class TestChunkedRead:
         path = tmp / "p.jsonl"
         path.write_bytes(data)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classifier, "_workers", lambda n_ranges: 1)
+            mp.setattr("fairdisc.pool._workers", lambda n_tasks: 1)
             got, want = self.read_both(path, k, chunk_bytes, mp)
             # A regular file of several blocks is read in ranges; a stream is the one input read in several line
             # blocks, so the blocks' cuts are drawn for through a FIFO.
@@ -696,7 +693,7 @@ class TestChunkedRead:
     def test_memory_does_not_grow_with_the_record_count(self, tmp_path, monkeypatch):
         # Each range reduces its own records, so the parent holds one range and a running total, however long the
         # file is.
-        monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
+        monkeypatch.setattr("fairdisc.pool._workers", lambda n_tasks: 1)
         monkeypatch.setattr(classifier, "_CHUNK_BYTES", 1 << 16)
         paths = {n: tmp_path / f"p{n}.jsonl" for n in (2_000, 20_000)}
         for n, path in paths.items():
@@ -733,7 +730,7 @@ class TestChunkedRead:
     def test_fifo_peak_is_within_a_megabyte_of_the_files(self, tmp_path, monkeypatch):
         # A stream's lines are held as str, not bytes, so it is read in smaller blocks than a file's ranges, and its
         # peak stays within 1 MB of the same file's.
-        monkeypatch.setattr(classifier, "_workers", lambda n_ranges: 1)
+        monkeypatch.setattr("fairdisc.pool._workers", lambda n_tasks: 1)
         data = memory_records(80_000)
         assert len(data) > classifier._CHUNK_BYTES
         path = tmp_path / "p.jsonl"
@@ -755,7 +752,7 @@ class TestChunkedRead:
         # On one CPU too, a regular file of several blocks is read in ranges, here in this process.
         ranges, original = [], classifier._read_file_range
         with monkeypatch.context() as mp:
-            mp.setattr(classifier, "_workers", lambda n_ranges: 1)
+            mp.setattr("fairdisc.pool._workers", lambda n_tasks: 1)
             mp.setattr(classifier, "_read_file_range", lambda fd, k, size, i: ranges.append(i) or original(fd, k, size, i))
             in_process = load_predictions(path, 2)
         assert ranges == list(range(-(-len(data) // 64)))
@@ -800,143 +797,6 @@ class TestChunkedRead:
                 assert got.total.tolist() == [1, 1] and got.pairs.tolist() == [0, 0, 1, 1]
             else:
                 assert got == want
-
-
-def first_task_slowest(i):
-    """(i, the time it finished), after half a second for task 0 only."""
-    time.sleep(0.5 * (i == 0))
-    return i, time.monotonic()
-
-
-def fail_on_two(i):
-    if i == 2:
-        raise ValidationError(f"task {i} failed")
-    return i
-
-
-class TestForkMap:
-    """`fork_map` yields results in task order, and no worker outlives it: after its end, after an error in a worker
-    or in its caller, after a caller that closes it early and after a worker that dies. None of these hangs."""
-
-    def test_results_come_in_task_order(self, monkeypatch):
-        imaps = pool_imaps(monkeypatch)
-        got = list(classifier.fork_map(first_task_slowest, list(range(4))))
-        assert [i for i, _ in got] == [0, 1, 2, 3]
-        assert got[1][1] < got[0][1]  # the other worker finished task 1 while task 0 slept
-        assert imaps == [1]
-        assert multiprocessing.active_children() == []
-
-    def test_no_pool_for_one_task_one_cpu_or_a_second_thread(self):
-        # Each task runs here, in this process; only the last call, over two tasks on two CPUs with one thread, runs a
-        # pool and imports multiprocessing.
-        script = """
-import os, sys, threading
-from fairdisc.classifier import fork_map
-def pids(n):
-    return set(fork_map(lambda task: os.getpid(), list(range(n))))
-os.sched_getaffinity = lambda pid: {0, 1}
-assert pids(1) == {os.getpid()}
-os.sched_getaffinity = lambda pid: {0}
-assert pids(2) == {os.getpid()}
-os.sched_getaffinity = lambda pid: {0, 1}
-stop = threading.Event()
-thread = threading.Thread(target=stop.wait)
-thread.start()
-assert pids(2) == {os.getpid()}
-stop.set()
-thread.join(10)
-assert not thread.is_alive()
-assert "multiprocessing" not in sys.modules
-assert list(fork_map(abs, [-1, -2])) == [1, 2]
-assert "multiprocessing" in sys.modules
-"""
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV, timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, "")
-
-    def test_an_error_in_a_worker_is_raised_as_in_one_process(self, monkeypatch):
-        with monkeypatch.context() as mp:
-            mp.setattr(classifier, "_workers", lambda n_ranges: 1)
-            with pytest.raises(ValidationError) as serial:
-                list(classifier.fork_map(fail_on_two, list(range(4))))
-        imaps = pool_imaps(monkeypatch)
-        assert list(classifier.fork_map(fail_on_two, [0, 1, 3])) == [0, 1, 3]
-        assert multiprocessing.active_children() == []
-        with pytest.raises(ValidationError) as forked:
-            list(classifier.fork_map(fail_on_two, list(range(4))))
-        assert multiprocessing.active_children() == []
-        assert str(forked.value) == str(serial.value) == "task 2 failed"
-        assert imaps == [1, 1]
-
-    def test_no_worker_outlives_a_caller_that_stops_early(self, tmp_path, monkeypatch):
-        # The bad first line stops the fold while later ranges are still to be read, and the excinfo keeps the
-        # traceback, and with it the frames that hold the generator.
-        path = write_jsonl(tmp_path, "{oops", *[{"id": "a", "pred": 0}] * 200)
-        monkeypatch.setattr(classifier, "_CHUNK_BYTES", 64)
-        imaps = pool_imaps(monkeypatch)
-        with pytest.raises(ValidationError, match="^line 1: invalid JSON") as excinfo:
-            load_predictions(path, 2)
-        assert multiprocessing.active_children() == []
-        results = classifier.fork_map(fail_on_two, [0, 1, 3])
-        assert next(results) == 0
-        results.close()
-        assert multiprocessing.active_children() == []
-        assert imaps == [1, 1]
-        assert excinfo.traceback
-
-    # Each script runs two workers on the CPUs it is pinned to, one or two, in a process of its own that must finish
-    # within the timeout; no worker may be left behind.
-    TWO_WORKERS = """
-import multiprocessing, os, sys
-import numpy as np
-from fairdisc import classifier
-from fairdisc.errors import ValidationError
-os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])
-os.sched_getaffinity = lambda pid: {0, 1}
-"""
-
-    def run_pinned(self, script, cpus):
-        if len(os.sched_getaffinity(0)) < cpus:
-            pytest.skip(f"needs {cpus} CPUs")
-        proc = subprocess.run([sys.executable, "-c", self.TWO_WORKERS + script, str(cpus)], capture_output=True, text=True,
-                              env=ENV, timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, "")
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_no_hang_when_a_task_raises_while_others_send_large_results(self, cpus):
-        # A pool that kills its workers on an error could kill one while it held a queue lock, sending a result larger
-        # than a pipe buffer, and then wait on that lock for good.
-        self.run_pinned("""
-def large_unless_three(i):
-    if i == 3:
-        raise ValidationError("task 3 failed")
-    return np.ones(200_000)
-for _ in range(40):
-    try:
-        list(classifier.fork_map(large_unless_three, list(range(12))))
-    except ValidationError as exc:
-        assert str(exc) == "task 3 failed"
-    else:
-        raise AssertionError("no error")
-    assert multiprocessing.active_children() == []
-""", cpus)
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_worker_that_dies_is_a_child_process_error(self, cpus):
-        self.run_pinned("""
-def exit_on_one(i):
-    if i == 1:
-        os._exit(1)
-    return i
-try:
-    list(classifier.fork_map(exit_on_one, [0, 1, 2]))
-except ChildProcessError as exc:
-    assert isinstance(exc, OSError)
-    assert str(exc) == "a worker process died: it was killed, perhaps for lack of memory"
-else:
-    raise AssertionError("no error")
-assert multiprocessing.active_children() == []
-""", cpus)
-
 
 
 def decoded(decode, s):

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import multiprocessing
 import os
@@ -5,7 +6,9 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 
 from conftest import ENV, SRC, pool_imaps
@@ -389,6 +392,7 @@ BAD_INPUTS = {
     "config-k-repeated": ("config", '{"k": [4, 4]}'),
     "ep-trials-0-expectation": ("ep", "--k", "2", "--trials", "0", "--metrics", "l1"),
     "config-metrics-null": ("config", '{"metrics": null}'),
+    "config-metrics-empty": ("config", '{"metrics": []}'),
     # A config case may name its command; bench is the default.
     "sweep-config-trials": ("config", '{"trials": 7}', "sweep"),
     # A space case names the command that reads the space file: score or ingest --space.
@@ -693,6 +697,23 @@ assert classifier._multinomial.cache_info().currsize == 1
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+@pytest.mark.parametrize("pool", [False, True], ids=["in-process", "fork-pool"])
+def test_a_missing_draw_kernel_exits_3_with_one_line(capsys, monkeypatch, pool):
+    # A numpy whose library lacks the kernel's symbol, in this process or in the workers forked from it: an I/O
+    # error that names the numpy version, not a traceback. The cache is cleared, so the kernel is looked up again.
+    monkeypatch.setattr(ctypes, "PyDLL", lambda name: types.SimpleNamespace())
+    classifier._multinomial.cache_clear()
+    imaps = pool_imaps(monkeypatch) if pool else []
+    try:
+        got = run_cli(capsys, "bench", "--k", "2", "--step", "0.5", "--mode", "sampled", "--n", "10", "--trials", "2")
+    finally:
+        classifier._multinomial.cache_clear()
+    message = f"numpy {np.__version__} exports no random_multinomial kernel for sampled estimates"
+    assert got == (3, "", f"error: {message}\n")
+    assert imaps == [1] * pool
+    assert multiprocessing.active_children() == []
+
+
 def test_cli_import_loads_only_the_pinned_modules():
     # Every command pays for what `import fairdisc.cli` loads before it parses its arguments, so a module added at
     # import time is a change to this list. `pwd` is loaded on some hosts and not on others, so it may be there.
@@ -708,7 +729,7 @@ print(" ".join(sorted(set(sys.modules) - before)))
     assert set(proc.stdout.split()) - {"pwd"} == {
         "__future__", "_json", "argparse", "array", "copy", "dataclasses", "gettext", "json", "json.decoder",
         "json.encoder", "json.scanner", "fairdisc", "fairdisc.attrspace", "fairdisc.bench", "fairdisc.classifier",
-        "fairdisc.cli", "fairdisc.errors", "fairdisc.metrics", "fairdisc.transport"}
+        "fairdisc.cli", "fairdisc.errors", "fairdisc.metrics", "fairdisc.pool", "fairdisc.transport"}
 
 
 def test_output_left_by_a_failed_open_is_removed_and_an_existing_one_kept(capsys, tmp_path, monkeypatch):
@@ -720,6 +741,25 @@ def test_output_left_by_a_failed_open_is_removed_and_an_existing_one_kept(capsys
     assert run_cli(capsys, *argv)[0] == 3
     assert [path.name for path in tmp_path.iterdir()] == ["r.csv"]
     assert (tmp_path / "r.csv").read_bytes() == b"kept\n"
+
+
+# An empty value, from a flag or a config file, is a path like any other: open refuses it, so the run exits 3 with one
+# line and leaves no file behind. The predictions carry truth labels, so the confusion matrix gets as far as open.
+@pytest.mark.parametrize("argv", [
+    ["bench", "--classifier", ""], ["bench", "--markdown", ""], ["bench", "--out", ""], ["bench", "--config", ""],
+    ["bench", "--config", "classifier.json"], ["bench", "--config", "markdown.json"],
+    ["ingest", "p.jsonl", "--space", ""], ["ingest", "p.jsonl", "--k", "2", "--confusion-out", ""],
+    ["ingest", "p.jsonl", "--k", "2", "--config", ""]], ids=lambda argv: "-".join(filter(None, argv)))
+def test_an_empty_value_is_a_missing_path(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    inputs = {"p.jsonl": '{"id": "a", "pred": 0, "true": 0}\n', "classifier.json": '{"classifier": ""}',
+              "markdown.json": '{"markdown": ""}'}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    if argv[0] == "bench":
+        argv = [*argv, "--k", "2", "--step", "0.5", "--metrics", "l1"]
+    assert run_cli(capsys, *argv) == (3, "", "error: [Errno 2] No such file or directory: ''\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(inputs)
 
 
 def test_existing_output_is_truncated_and_dev_stdout_is_written(tmp_path):

@@ -2,8 +2,8 @@
 The package exports each public name it defines in `__all__`. Only errors.py decides what an integer or a
 number input is, only attrspace.py turns an outside array into floats, only attrspace.py reads the tolerances
 that make rows of probabilities distributions and the limit on floats in one block, only attrspace.json_file
-writes a file's path into an error, only attrspace.json_file and classifier._json_line decode JSON text, and only
-classifier.py loads numpy's C multinomial kernel."""
+writes a file's path into an error, only attrspace.json_file and classifier._json_line decode JSON text, only
+classifier.py loads numpy's C multinomial kernel, and only pool.py forks."""
 
 import ast
 import pathlib
@@ -193,6 +193,46 @@ def test_draw_kernel_lives_in_classifier_only(module):
                                      "lib.random_multinomial(bitgen, n, out, p, k, binomial)"])
 def test_draw_kernel_lint_finds_a_kernel_put_back(snippet):
     assert kernel_reads(snippet)
+
+
+# Worker processes are pool.py's: only it imports multiprocessing or concurrent.futures, asks whether this process
+# can fork or on how many CPUs it may run, and names the fork start method.
+FORK_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def fork_reads(source: str) -> list[str]:
+    """Each import in `source` of multiprocessing or concurrent.futures or a module inside either, each name, attribute
+    or import that names fork or sched_getaffinity, and each "fork" string."""
+    found = own_reads(source, {"fork", "sched_getaffinity"})
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or "", *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            modules = []
+        if any(m == f or m.startswith(f + ".") for m in modules for f in FORK_MODULES):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Constant) and node.value == "fork":
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_forking_lives_in_pool_only(module):
+    found = fork_reads((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert bool(found) == (module == "pool"), found
+
+
+@pytest.mark.parametrize("snippet", ["import multiprocessing", "from multiprocessing import get_context",
+                                     "import concurrent.futures", "from concurrent import futures",
+                                     "from concurrent.futures.process import ProcessPoolExecutor",
+                                     "pid = os.fork()", 'can_fork = hasattr(os, "fork")',
+                                     "cpus = len(os.sched_getaffinity(0))", "from os import sched_getaffinity"])
+def test_fork_lint_finds_forking_put_back(snippet):
+    bench_source = (SRC / "bench.py").read_text(encoding="utf-8")
+    assert fork_reads(bench_source) == []
+    assert fork_reads(bench_source + "\n" + snippet)
 
 
 def presolve_settings(source: str) -> list[str]:
