@@ -206,10 +206,17 @@ def _row_seeds(seeds, n_rows: int) -> np.ndarray:
 _DRAW_BYTES = 1 << 20
 
 
+# The rows `_multinomial` draws, in this order from one seed, through the kernel and through Generator.multinomial:
+# k = 2, 3 and 16, zero entries, a one-hot row, n = 1 and 10**5.
+_PROBE_ROWS = [(1, [0.5, 0.5]), (10**5, [0.3, 0.7]), (10**5, [0.2, 0.0, 0.8]), (7, [0.0, 1.0, 0.0]),
+               (1, np.arange(16) / 120), (10**5, np.arange(16) / 120)]
+
+
 @lru_cache(maxsize=None)
 def _multinomial():
     """numpy's C `random_multinomial(bitgen_t *, int64 n, int64 *out, double *p, npy_intp d, binomial_t *)` ("C API for
-    random") and its `binomial_t`, loaded through ctypes on first use; PyDLL holds the GIL, as Generator does."""
+    random") and its `binomial_t`, loaded through ctypes on first use; PyDLL holds the GIL, as Generator does. numpy
+    promises neither the symbol nor the struct's layout, so a load draws `_PROBE_ROWS` through both and compares them."""
     from ctypes import POINTER, PyDLL, Structure, c_double, c_int, c_int64, c_ssize_t, c_void_p
     names = "psave nsave r q fm m p1 xm xl xr c laml lamr p2 p3 p4".split()  # binomial_t, numpy/random/distributions.h
     binomial_t = type("binomial_t", (Structure,), {"_fields_": [("has_binomial", c_int)] + [
@@ -217,6 +224,12 @@ def _multinomial():
     if (kernel := getattr(PyDLL(np.random._generator.__file__), "random_multinomial", None)) is None:
         raise OSError(f"numpy {np.__version__} exports no random_multinomial kernel for sampled estimates")
     kernel.argtypes, kernel.restype = [c_void_p, c_int64, c_void_p, c_void_p, c_ssize_t, POINTER(binomial_t)], None
+    bitgen, rng, binomial = np.random.PCG64(0), np.random.Generator(np.random.PCG64(0)), binomial_t()
+    for n, p in _PROBE_ROWS:
+        p, out = float_rows(p), np.zeros(len(p), dtype=np.int64)
+        kernel(bitgen.ctypes.bit_generator.value, n, out.ctypes.data, p.ctypes.data, len(p), binomial)
+        if not np.array_equal(out, rng.multinomial(n, p)):
+            raise OSError(f"numpy {np.__version__}'s random_multinomial kernel draws unlike Generator.multinomial")
     return kernel, binomial_t
 
 

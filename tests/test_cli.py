@@ -714,6 +714,42 @@ def test_a_missing_draw_kernel_exits_3_with_one_line(capsys, monkeypatch, pool):
     assert multiprocessing.active_children() == []
 
 
+class _OneCountOff:
+    """numpy's kernel, which moves one count of each n = 10**5 draw to the next outcome: the sums stay right."""
+
+    def __init__(self, kernel):
+        object.__setattr__(self, "kernel", kernel)
+
+    def __setattr__(self, name, value):  # argtypes and restype go to the real kernel
+        setattr(self.kernel, name, value)
+
+    def __call__(self, bitgen, n, out, p, d, binomial):
+        self.kernel(bitgen, n, out, p, d, binomial)
+        if n == 10**5:
+            counts = (ctypes.c_int64 * d).from_address(out)
+            i = max(range(d), key=counts.__getitem__)
+            counts[i], counts[(i + 1) % d] = counts[i] - 1, counts[(i + 1) % d] + 1
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["in-process", "fork-pool"])
+def test_a_draw_kernel_that_perturbs_one_count_exits_3_with_one_line(capsys, monkeypatch, pool):
+    # A kernel whose layout or algorithm moved: it loads, but its probe draws differ from Generator.multinomial's by
+    # one count, in this process or in the workers forked from it. The cache is cleared, so the kernel is probed again.
+    real = ctypes.PyDLL
+    monkeypatch.setattr(ctypes, "PyDLL", lambda name: types.SimpleNamespace(
+        random_multinomial=_OneCountOff(real(name).random_multinomial)))
+    classifier._multinomial.cache_clear()
+    imaps = pool_imaps(monkeypatch) if pool else []
+    try:
+        got = run_cli(capsys, "bench", "--k", "2", "--step", "0.5", "--mode", "sampled", "--n", "10", "--trials", "2")
+    finally:
+        classifier._multinomial.cache_clear()
+    message = f"numpy {np.__version__}'s random_multinomial kernel draws unlike Generator.multinomial"
+    assert got == (3, "", f"error: {message}\n")
+    assert imaps == [1] * pool
+    assert multiprocessing.active_children() == []
+
+
 def test_cli_import_loads_only_the_pinned_modules():
     # Every command pays for what `import fairdisc.cli` loads before it parses its arguments, so a module added at
     # import time is a change to this list. `pwd` is loaded on some hosts and not on others, so it may be there.
