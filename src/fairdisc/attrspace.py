@@ -36,9 +36,9 @@ def is_number_list(value) -> bool:
 
 
 def float_array(value, what: str) -> np.ndarray:
-    """A new float array of `value`; an entry that is not a number, or an int beyond float range, is a ValidationError."""
+    """A new C-ordered float array of `value`; an entry not a number, or an int past float range, is a ValidationError."""
     try:
-        return np.array(value, dtype=float)
+        return np.array(value, dtype=float, order="C")
     except OverflowError:
         raise ValidationError(f"{what} must be finite numbers") from None
     except (TypeError, ValueError):
@@ -46,8 +46,10 @@ def float_array(value, what: str) -> np.ndarray:
 
 
 def float_rows(value, what: str = "rows") -> np.ndarray:
-    """`float_array(value, what)` as rows over a last axis of outcomes; a scalar, or no outcomes, is a ValidationError."""
-    rows = float_array(value, what)
+    """`value` as C-ordered float rows over a last axis of outcomes: a C-contiguous float64 ndarray in place (never to be
+    written), anything else by `float_array`; a scalar, or no outcomes, is a ValidationError."""
+    in_place = type(value) is np.ndarray and value.dtype == np.float64 and value.flags.c_contiguous
+    rows = value if in_place else float_array(value, what)
     if not rows.shape or not rows.shape[-1]:
         raise ValidationError(f"{what} must have a last axis of at least one outcome, got shape {rows.shape}")
     return rows

@@ -202,8 +202,8 @@ def _row_seeds(seeds, n_rows: int) -> np.ndarray:
 
 
 # Sampled rows draw into zeroed (rows, k, k) int64 buffers of about this many bytes, each summed once (one 8 MB row at
-# k = 1000). 16 KiB to 4 MiB cost alike: 11.8-12.4 us (k = 2), 42.1-42.9 us (k = 16) per step-0.001 sweep row, one CPU.
-_DRAW_BYTES = 1 << 20
+# k = 1000). A k = 16 step-0.001 sweep start: 24-26 ms on one CPU at 16 KiB as at 1 MiB; tracemalloc peak 0.70 MB, not 1.91.
+_DRAW_BYTES = 1 << 14
 
 
 # The rows `_multinomial` draws, in this order from one seed, through the kernel and through Generator.multinomial:
@@ -234,7 +234,7 @@ def _multinomial():
 
 
 def _drawable(rows: np.ndarray) -> np.ndarray:
-    """`normalized_rows` of (N, k) `rows`, C-contiguous, with each row numpy's multinomial refuses (an entry past 1, or
+    """`normalized_rows` of C-ordered (N, k) `rows`, with each row numpy's multinomial refuses (an entry past 1, or
     a Kahan sum of the first k - 1 past 1 + 1e-12) divided by its sum too; the C kernel checks nothing."""
     rows = normalized_rows(rows)
     total, carry = rows[:, 0], 0.0
@@ -242,7 +242,7 @@ def _drawable(rows: np.ndarray) -> np.ndarray:
         t = total + (col - carry)
         total, carry = t, (t - total) - (col - carry)
     refused = (total > 1.0 + 1e-12) | (rows > 1.0).any(axis=1)
-    return np.ascontiguousarray(np.where(refused[:, None], rows / rows.sum(axis=1, keepdims=True), rows))
+    return np.where(refused[:, None], rows / rows.sum(axis=1, keepdims=True), rows)
 
 
 def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,

@@ -1,10 +1,9 @@
 """Discrepancy measures between categorical distributions and normalized fairness scores.
 
-Five measures: mean absolute difference (l1), mean euclidean difference (l2),
-transport distance (wd), sorted-weighted spread difference (spec), and the
-l1/spread hybrid (is). Rows enter through `attrspace.float_rows`. `fd_score` alone
-normalizes, by the value at an extreme point against uniform; it clips to [0, 1]
-and refuses a score past that by more than SCORE_TOL, or NaN.
+Five measures: mean absolute difference (l1), mean euclidean difference (l2), transport distance (wd),
+sorted-weighted spread difference (spec), and the l1/spread hybrid (is). Rows enter through `attrspace.float_rows`,
+in C order, so a score never depends on the caller's layout. `fd_score` alone normalizes, by the value at an
+extreme point against uniform; it clips to [0, 1] and refuses a score past that by more than SCORE_TOL, or NaN.
 """
 
 from __future__ import annotations

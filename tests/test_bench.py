@@ -435,6 +435,17 @@ def test_the_sweep_blocks_are_the_reports_one_copy_of_the_scores(monkeypatch, cp
     assert len(imaps) == (2 if len(cpus) > 1 else 0)
 
 
+def test_a_sampled_k16_sweep_start_peaks_under_a_megabyte():
+    # One start of 946 rows at step 0.001, n = 10**5: it draws through buffers of `_DRAW_BYTES` and reads its rows in
+    # place. It peaks at about 0.7 MB under tracemalloc; with 1 MiB buffers and a copy per reader it peaked at 2.0-2.2 MB.
+    def start():
+        return run_sweep(preset("set2", 16), Sampled(10**5, 0), SWEEP_METRICS, 0.001, 3)
+
+    start()  # untraced: loads the draw kernel and fills the caches
+    _, peak = traced_peak(start)
+    assert peak < 10**6, peak
+
+
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["pool", "one-cpu"])
 @pytest.mark.parametrize("mode", [EXPECTATION, Sampled(n=1000, seed=5)], ids=["expectation", "sampled"])
 def test_report_mem_is_the_mem_of_run_sweep_to_the_bit(monkeypatch, cpus, mode):

@@ -82,12 +82,16 @@ def test_scalar_rule_lint_finds_a_rule_put_back(snippet):
     assert own_scalar_rules(snippet)
 
 
+# numpy's readers that take a dtype as their first keyword, second positional argument.
+ARRAY_READERS = ("array", "asarray", "asanyarray", "ascontiguousarray", "asfortranarray", "require")
+
+
 def own_float_reads(source: str) -> list[str]:
-    """Each np.array or np.asarray call in `source` that reads its input as floats, by dtype=float or a
+    """Each call of one of numpy's ARRAY_READERS in `source` that reads its input as floats, by dtype=float or a
     positional float dtype."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("array", "asarray")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ARRAY_READERS
                 and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")):
             dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
             if any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes):
@@ -102,7 +106,11 @@ def test_float_reads_live_in_attrspace_only(module):
 
 
 @pytest.mark.parametrize("snippet", ["p = np.asarray(p, dtype=float)", "c = np.array(c, dtype=float)",
-                                     "rows = numpy.asarray(rows, float)"])
+                                     "rows = numpy.asarray(rows, float)", "p = np.asanyarray(p, dtype=float)",
+                                     "rows = np.ascontiguousarray(rows, dtype=float)",
+                                     "m = numpy.ascontiguousarray(m, float)", "m = np.asfortranarray(m, float)",
+                                     "rows = np.require(rows, float, 'C')",
+                                     "rows = np.require(rows, dtype=float, requirements='CA')"])
 def test_float_read_lint_finds_a_read_put_back(snippet):
     assert own_float_reads(snippet)
 
