@@ -202,7 +202,7 @@ def _row_seeds(seeds, n_rows: int) -> np.ndarray:
 
 
 # Sampled rows draw into zeroed (rows, k, k) int64 buffers of about this many bytes, each summed once (one 8 MB row at
-# k = 1000). A k = 16 step-0.001 sweep start: 24-26 ms on one CPU at 16 KiB as at 1 MiB; tracemalloc peak 0.70 MB, not 1.91.
+# k = 1000). A k = 16 step-0.001 start's estimate: 21 ms on one CPU at 16 KiB, 22 at 1 MiB; peak 0.59 MB, not 3.03.
 _DRAW_BYTES = 1 << 14
 
 
@@ -212,23 +212,36 @@ _PROBE_ROWS = [(1, [0.5, 0.5]), (10**5, [0.3, 0.7]), (10**5, [0.2, 0.0, 0.8]), (
                (1, np.arange(16) / 120), (10**5, np.arange(16) / 120)]
 
 
+def _pcg64_seeder(bitgen):
+    """A writer of (state, inc) into the pcg64_random_t that `bitgen.ctypes.state_address` points to; holds `bitgen`."""
+    from ctypes import c_void_p, memmove
+    at = c_void_p.from_address(bitgen.ctypes.state_address).value
+    return lambda state, inc, bitgen=bitgen: memmove(at, (inc << 128 | state).to_bytes(32, "little"), 32)
+
+
 @lru_cache(maxsize=None)
 def _multinomial():
     """numpy's C `random_multinomial(bitgen_t *, int64 n, int64 *out, double *p, npy_intp d, binomial_t *)` ("C API for
-    random") and its `binomial_t`, loaded through ctypes on first use; PyDLL holds the GIL, as Generator does. numpy
-    promises neither the symbol nor the struct's layout, so a load draws `_PROBE_ROWS` through both and compares them."""
-    from ctypes import POINTER, PyDLL, Structure, c_double, c_int, c_int64, c_ssize_t, c_void_p
+    random") and its `binomial_t`, loaded through ctypes on first use; PyDLL holds the GIL, as Generator does. It has
+    no `argtypes` (~0.3 µs a call): callers pass ctypes values, as a bare int would go in as a 32-bit C int. numpy
+    promises neither the symbol nor the layouts of `binomial_t` and of the struct `_pcg64_seeder` writes, so a load
+    seeds a PCG64 through that write, checks its `state` (`has_uint32` 0, as the kernel draws only 64-bit words), and
+    draws `_PROBE_ROWS` through the kernel and through Generator.multinomial."""
+    from ctypes import PyDLL, Structure, byref, c_double, c_int, c_int64, c_ssize_t, c_void_p
     names = "psave nsave r q fm m p1 xm xl xr c laml lamr p2 p3 p4".split()  # binomial_t, numpy/random/distributions.h
     binomial_t = type("binomial_t", (Structure,), {"_fields_": [("has_binomial", c_int)] + [
         (f, c_int64 if f in ("nsave", "m") else c_double) for f in names]})
     if (kernel := getattr(PyDLL(np.random._generator.__file__), "random_multinomial", None)) is None:
         raise OSError(f"numpy {np.__version__} exports no random_multinomial kernel for sampled estimates")
-    kernel.argtypes, kernel.restype = [c_void_p, c_int64, c_void_p, c_void_p, c_ssize_t, POINTER(binomial_t)], None
-    bitgen, rng, binomial = np.random.PCG64(0), np.random.Generator(np.random.PCG64(0)), binomial_t()
+    kernel.restype = None
+    bitgen, rng, binomial = np.random.PCG64(), np.random.Generator(np.random.PCG64(0)), byref(binomial_t())
+    _pcg64_seeder(bitgen)(**(want := rng.bit_generator.state["state"]))
+    same = bitgen.state["state"] == want and bitgen.state["has_uint32"] == 0
     for n, p in _PROBE_ROWS:
         p, out = float_rows(p), np.zeros(len(p), dtype=np.int64)
-        kernel(bitgen.ctypes.bit_generator.value, n, out.ctypes.data, p.ctypes.data, len(p), binomial)
-        if not np.array_equal(out, rng.multinomial(n, p)):
+        kernel(bitgen.ctypes.bit_generator, c_int64(n), c_void_p(out.ctypes.data), c_void_p(p.ctypes.data),
+               c_ssize_t(len(p)), binomial)
+        if not (same and np.array_equal(out, rng.multinomial(n, p))):
             raise OSError(f"numpy {np.__version__}'s random_multinomial kernel draws unlike Generator.multinomial")
     return kernel, binomial_t
 
@@ -255,7 +268,7 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     normalized prediction tallies; `seeds` holds one integer in [0, 2**64) per row (default `mode.seed` for every
     row). Row r draws from the stream of `np.random.default_rng(seeds[r])`: `_seed_sequence` turns all seeds into
     SeedSequence states at once, two 128-bit LCG steps make each a PCG64 state as numpy's `pcg64_set_seed` does, and
-    one PCG64 is re-seeded per row through its public `state` setter. Each row then makes Generator.multinomial's
+    one PCG64 is re-seeded per row through its C struct (`_pcg64_seeder`). Each row then makes Generator.multinomial's
     calls to its C kernel (`_multinomial`) on `_drawable` rows: the counts of p, then each confusion row whose count
     is not 0, in order, into zeroed `_DRAW_BYTES` buffers. `tests/test_classifier.py::TestSampledStreams` checks
     every row against a fresh `default_rng` per row (`oracles.reference_sample`).
@@ -275,21 +288,23 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
         # A seed below 2**32 is one entropy word to SeedSequence; a zero high word
         # mixes the same, because mix_entropy pads short entropy with zero words.
         states = _seed_sequence(np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32), 4)
+    from ctypes import byref, c_int64, c_ssize_t, c_void_p
     (kernel, binomial_t), bitgen = _multinomial(), np.random.PCG64()
-    binomial, bg, per = binomial_t(), bitgen.ctypes.bit_generator.value, max(1, min(_DRAW_BYTES // (8 * k * k), len(flat)))
+    reseed, bg, binomial = _pcg64_seeder(bitgen), bitgen.ctypes.bit_generator, byref(binomial_t())
+    n, kk, per = c_int64(mode.n), c_ssize_t(k), max(1, min(_DRAW_BYTES // (8 * k * k), len(flat)))
     counts, draws, tallies = np.zeros((per, k), dtype=np.int64), np.zeros((per, k, k), dtype=np.int64), np.empty(flat.shape)
-    # Each k-entry row's byte address. The kernel leaves entries after an early stop unwritten: buffers are re-zeroed.
-    count_at, draw_at, p_at, m_at = (range(a.ctypes.data, a.ctypes.data + a.nbytes, 8 * k) for a in (counts, draws, flat, m))
+    # Each k-entry row's c_void_p, made in turn for the true rows. The kernel leaves entries after an early stop unset.
+    row_at = lambda a: map(c_void_p, range(a.ctypes.data, a.ctypes.data + a.nbytes, 8 * k))
+    count_at, draw_at, m_at, p_at = [*row_at(counts)], [*row_at(draws)], [*row_at(m)], row_at(flat)
     for start in range(0, len(flat), per):
         chunk = states[start:start + per].tolist()
         for j, (s_hi, s_lo, i_hi, i_lo) in enumerate(chunk):
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                            "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
-            kernel(bg, mode.n, count_at[j], p_at[start + j], k, binomial)
+            reseed(((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc)
+            kernel(bg, n, count_at[j], next(p_at), kk, binomial)
             for c, at, out in zip(counts[j].tolist(), m_at, draw_at[j * k:j * k + k]):
                 if c:
-                    kernel(bg, c, out, at, k, binomial)
+                    kernel(bg, c_int64(c), out, at, kk, binomial)
         tallies[start:start + len(chunk)] = draws[:len(chunk)].sum(axis=1) / mode.n
         counts[:], draws[:] = 0, 0
     return normalized_rows(tallies.reshape(rows.shape))

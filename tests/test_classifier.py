@@ -1,7 +1,9 @@
+import ctypes
 import json
 import multiprocessing
 import os
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -266,6 +268,75 @@ class TestSampledStreams:
         got = estimate(model, rows, Sampled(1000, 2), [7, 8, 9])
         for r, p in enumerate(rows):
             assert np.array_equal(got[r], reference_sample(model.m, p, 1000, 7 + r))
+
+
+class _CountedKernel:
+    """numpy's kernel, which records the count n of each call."""
+
+    def __init__(self, kernel):
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "ns", [])
+
+    def __setattr__(self, name, value):  # restype goes to the real kernel
+        setattr(self.kernel, name, value)
+
+    def __call__(self, bitgen, n, *args):
+        self.ns.append(n.value)
+        self.kernel(bitgen, n, *args)
+
+
+class TestDrawKernel:
+    @pytest.mark.parametrize("n", [2**31 + 3, 2**40, 2**63 - 1])
+    def test_counts_past_32_bits_match_fresh_generator_per_row(self, n):
+        # Every count goes to the kernel as an int64: past 2**31 for the true counts and most confusion counts.
+        model = ConfusionModel([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.2, 0.7, 0.1]])
+        rows = np.vstack([np.eye(3), np.random.default_rng(6).dirichlet(np.ones(3), size=3)])
+        got = estimate(model, rows, Sampled(n, 1), list(range(len(rows))))
+        for r, p in enumerate(rows):
+            assert np.array_equal(got[r], reference_sample(model.m, p, n, r))
+
+    def test_each_row_calls_the_kernel_once_then_once_per_nonzero_count(self, monkeypatch):
+        # A call with n = 0 draws nothing, so a row that also drew on the confusion rows of zero counts would keep
+        # its bits; only the calls show it. The cache is cleared, so the counted kernel is loaded and probed.
+        real = ctypes.PyDLL
+        kernel = _CountedKernel(real(np.random._generator.__file__).random_multinomial)
+        monkeypatch.setattr(ctypes, "PyDLL", lambda name: types.SimpleNamespace(random_multinomial=kernel))
+        model = uniform_noise(16, 0.3)
+        rows = np.vstack([np.eye(16)[[0, 15]], np.random.default_rng(2).dirichlet(np.full(16, 0.5), size=20)])
+        classifier._multinomial.cache_clear()
+        try:
+            classifier._multinomial()
+            kernel.ns.clear()
+            estimate(model, rows, Sampled(7, 0), list(range(len(rows))))
+        finally:
+            classifier._multinomial.cache_clear()
+        want = []
+        for r, p in enumerate(rows):
+            counts = np.random.default_rng(r).multinomial(7, p)
+            want += [7, *counts[counts > 0].tolist()]
+        assert kernel.ns == want
+        assert len(want) < 17 * len(rows)
+
+    def test_a_state_write_that_leaves_a_buffered_half_word_fails_the_probe(self, monkeypatch):
+        # The kernel draws only 64-bit words, so its draws cannot show a buffered 32-bit half that the write left;
+        # the probe's read-back of `state` must.
+        real = classifier._pcg64_seeder
+
+        def seeder(bitgen):
+            write = real(bitgen)
+
+            def seed(state, inc):
+                write(state, inc)
+                bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": 5}
+            return seed
+
+        monkeypatch.setattr(classifier, "_pcg64_seeder", seeder)
+        classifier._multinomial.cache_clear()
+        try:
+            with pytest.raises(OSError, match=f"numpy {np.__version__}'s random_multinomial kernel draws unlike"):
+                classifier._multinomial()
+        finally:
+            classifier._multinomial.cache_clear()
 
 
 class TestSeedDerivation:

@@ -720,13 +720,14 @@ class _OneCountOff:
     def __init__(self, kernel):
         object.__setattr__(self, "kernel", kernel)
 
-    def __setattr__(self, name, value):  # argtypes and restype go to the real kernel
+    def __setattr__(self, name, value):  # restype goes to the real kernel
         setattr(self.kernel, name, value)
 
-    def __call__(self, bitgen, n, out, p, d, binomial):
+    def __call__(self, bitgen, n, out, p, d, binomial):  # n, out and d come as c_int64, c_void_p and c_ssize_t
         self.kernel(bitgen, n, out, p, d, binomial)
-        if n == 10**5:
-            counts = (ctypes.c_int64 * d).from_address(out)
+        d = d.value
+        if n.value == 10**5:
+            counts = (ctypes.c_int64 * d).from_address(out.value)
             i = max(range(d), key=counts.__getitem__)
             counts[i], counts[(i + 1) % d] = counts[i] - 1, counts[(i + 1) % d] + 1
 
@@ -738,6 +739,24 @@ def test_a_draw_kernel_that_perturbs_one_count_exits_3_with_one_line(capsys, mon
     real = ctypes.PyDLL
     monkeypatch.setattr(ctypes, "PyDLL", lambda name: types.SimpleNamespace(
         random_multinomial=_OneCountOff(real(name).random_multinomial)))
+    classifier._multinomial.cache_clear()
+    imaps = pool_imaps(monkeypatch) if pool else []
+    try:
+        got = run_cli(capsys, "bench", "--k", "2", "--step", "0.5", "--mode", "sampled", "--n", "10", "--trials", "2")
+    finally:
+        classifier._multinomial.cache_clear()
+    message = f"numpy {np.__version__}'s random_multinomial kernel draws unlike Generator.multinomial"
+    assert got == (3, "", f"error: {message}\n")
+    assert imaps == [1] * pool
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["in-process", "fork-pool"])
+def test_a_pcg64_state_write_that_lands_wrong_exits_3_with_one_line(capsys, monkeypatch, pool):
+    # A PCG64 whose struct holds inc before state, in this process or in the workers forked from it: the probe's
+    # state, written through memmove, reads back swapped. The cache is cleared, so the kernel is probed again.
+    real = ctypes.memmove
+    monkeypatch.setattr(ctypes, "memmove", lambda dst, src, count: real(dst, src[16:] + src[:16], count))
     classifier._multinomial.cache_clear()
     imaps = pool_imaps(monkeypatch) if pool else []
     try:

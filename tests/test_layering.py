@@ -180,13 +180,14 @@ def test_highs_option_lint_finds_a_setter_put_back(snippet):
     assert own_reads(snippet, HIGHS_OPTION_SETTERS)
 
 
-# numpy's C multinomial kernel is loaded and called in classifier.py only, by `_multinomial` and `estimate`.
-KERNEL_NAMES = {"ctypes", "random_multinomial"}
+# numpy's C multinomial kernel is loaded and called in classifier.py only, by `_multinomial` and `estimate`, and
+# only there is a PCG64's state struct written in place.
+KERNEL_NAMES = {"ctypes", "random_multinomial", "state_address", "memmove"}
 
 
 def kernel_reads(source: str) -> list[str]:
-    """Each name, attribute or import in `source` that names ctypes or random_multinomial, and each import from
-    ctypes."""
+    """Each name, attribute or import in `source` that names ctypes, random_multinomial, state_address or memmove,
+    and each import from ctypes."""
     return own_reads(source, KERNEL_NAMES) + [ast.unparse(node) for node in ast.walk(ast.parse(source))
                                               if isinstance(node, ast.ImportFrom) and node.module == "ctypes"]
 
@@ -198,7 +199,8 @@ def test_draw_kernel_lives_in_classifier_only(module):
 
 @pytest.mark.parametrize("snippet", ["import ctypes", "from ctypes import CDLL",
                                      "kernel = ctypes.PyDLL(np.random._generator.__file__).random_multinomial",
-                                     "lib.random_multinomial(bitgen, n, out, p, k, binomial)"])
+                                     "lib.random_multinomial(bitgen, n, out, p, k, binomial)",
+                                     "at = interface.state_address", "memmove(at, raw, 32)"])
 def test_draw_kernel_lint_finds_a_kernel_put_back(snippet):
     assert kernel_reads(snippet)
 
