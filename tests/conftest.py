@@ -1,13 +1,12 @@
 import os
 import pathlib
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fairdisc import AttributeSpace, CategoricalDistribution
+from fairdisc import AttributeSpace, CategoricalDistribution, pool
 
 BENCH_KS = (2, 4, 8, 16)
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -64,12 +63,26 @@ def distributions(k: int):
 
 def pool_imaps(monkeypatch):
     """Two CPUs for `_workers`, so `fork_map` over several tasks runs a fork pool; the returned list gets a 1 per
-    `ProcessPoolExecutor.map` call."""
+    `pool._pooled` call whose results are read, that is, per pool that forks."""
     imaps = []
-    original = ProcessPoolExecutor.map
-    monkeypatch.setattr(ProcessPoolExecutor, "map", lambda *a, **kw: imaps.append(1) or original(*a, **kw))
+    original = pool._pooled
+
+    def pooled(calls, workers):
+        imaps.append(1)
+        yield from original(calls, workers)
+
+    monkeypatch.setattr(pool, "_pooled", pooled)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return imaps
+
+
+def no_children() -> bool:
+    """Whether this process has no child process, running or not yet reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def traced_peak(call):

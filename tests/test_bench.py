@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import re
 import tracemalloc
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pool_imaps, traced_peak
+from conftest import no_children, pool_imaps, traced_peak
 from fairdisc import (
     EXPECTATION,
     AttributeSpace,
@@ -221,7 +220,7 @@ class TestSweepRunner:
         imaps = pool_imaps(monkeypatch)
         forked = run_sweep(model, mode, REPORT_ORDER, 0.05)
         assert imaps == [1]
-        assert multiprocessing.active_children() == []
+        assert no_children()
         for got, want in zip(forked, one_cpu):
             for m in REPORT_ORDER:
                 assert got[m].shape == want[m].shape == (4, 16)
@@ -376,7 +375,7 @@ def test_report_matches_the_reference_report(cpus, case):
                 assert (m in row.worst) == (m.value in ref["worst"]), (row, m)
     # The whole report, every k's sweep starts and EP blocks, ran in one fork pool, or all here on one CPU.
     assert len(imaps) == (1 if len(cpus) > 1 else 0)
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
 @pytest.mark.parametrize("kind", ["ep", "sweep"])
@@ -396,7 +395,7 @@ def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch
     with pytest.raises(ValidationError, match=f"^{kind} task failed in a worker$"):
         run_benchmark([perfect(2), perfect(4)], (Metric.L1,), Sampled(10, 0), trials=2, step=0.25)
     assert imaps == [1]
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
 SWEEP_METRICS = (Metric.L1, Metric.L2, Metric.SPECIFICITY, Metric.INFO_SPECIFICITY)
@@ -475,7 +474,7 @@ def test_no_worker_outlives_a_result_the_caller_cannot_fold(monkeypatch, call):
             run_benchmark([perfect(2), perfect(4), perfect(8)], L1, step=0.05)
         else:
             run_sweep(perfect(8), EXPECTATION, L1, 0.05)
-    assert multiprocessing.active_children() == [], caught.value
+    assert no_children(), caught.value
     assert imaps == [1]
 
 

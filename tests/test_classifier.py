@@ -1,6 +1,5 @@
 import ctypes
 import json
-import multiprocessing
 import os
 import threading
 import types
@@ -11,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import dist, pool_imaps, traced_peak
+from conftest import dist, no_children, pool_imaps, traced_peak
 from fairdisc import (
     ConfusionModel,
     Sampled,
@@ -722,7 +721,7 @@ class TestChunkedRead:
         got, want = self.read_both(path, 2, 1, monkeypatch)
         assert imaps == [1]
         assert_same_read(got, want)
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
     @pytest.mark.parametrize("name, want", [
         ("second-kind-starts-a-chunk", "line 3: prediction stream mixes soft (probs) and hard (pred) records"),

@@ -1,6 +1,5 @@
 import ctypes
 import json
-import multiprocessing
 import os
 import pathlib
 import re
@@ -11,7 +10,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import ENV, SRC, pool_imaps
+from conftest import ENV, SRC, no_children, pool_imaps
 from fairdisc import bench, classifier, load_distribution, load_space, n_factor
 from fairdisc.cli import COMMANDS, OPTIONS, main
 from fairdisc.metrics import Metric
@@ -589,29 +588,40 @@ def test_ingest_error_is_the_same_from_a_file_and_a_pipe(tmp_path, text):
     assert from_file.stderr.startswith(b"error: line ")
 
 
+# Run first in a child interpreter's script: `pools` gets the worker count of each pool that forks.
+COUNTED_POOLS = """
+from fairdisc import pool
+pools, pooled = [], pool._pooled
+def counted(calls, workers):
+    pools.append(workers)
+    yield from pooled(calls, workers)
+pool._pooled = counted
+"""
+
+
 def test_ingest_forks_no_pool_for_one_chunk_or_one_cpu(tmp_path):
     # A file of many blocks is read in ranges on one CPU and on two, with LF or CR-only line ends, to the same output;
-    # only the two-CPU runs load multiprocessing.
+    # only the two-CPU runs fork a pool, and no run imports multiprocessing or concurrent.futures.
     text = "".join(f'{{"id": "r{i}", "probs": [0.25, 0.75], "true": {i % 2}}}\n' for i in range(20))
     (tmp_path / "lf.jsonl").write_text(text)
     (tmp_path / "cr.jsonl").write_text(text.replace("\n", "\r"))
-    script = """
+    script = COUNTED_POOLS + """
 import os, sys
 import fairdisc.cli
 from fairdisc import classifier
 def ingest(preds, out):
     assert fairdisc.cli.main(["ingest", preds, "--k", "2", "--out", out]) == 0
-assert "multiprocessing" not in sys.modules
 ingest("lf.jsonl", "one-chunk.json")
 classifier._CHUNK_BYTES = 8
 os.sched_getaffinity = lambda pid: {0}
 ingest("lf.jsonl", "one-cpu.json")
 ingest("cr.jsonl", "one-cpu-cr.json")
-assert "multiprocessing" not in sys.modules
+assert pools == []
 os.sched_getaffinity = lambda pid: {0, 1}
 ingest("lf.jsonl", "two-cpus.json")
 ingest("cr.jsonl", "two-cpus-cr.json")
-assert "multiprocessing" in sys.modules
+assert pools == [2, 2]
+assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV, cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -622,14 +632,15 @@ assert "multiprocessing" in sys.modules
 
 def test_bench_forks_no_pool_on_one_cpu_and_writes_the_same_bytes(tmp_path):
     # Every bench golden argv, and the sampled benchmark at step 0.001, on one CPU and on two: stdout and Markdown are
-    # the same bytes, each run's golden holds, and only the two-CPU runs load multiprocessing.
+    # the same bytes, each run's golden holds, and only the two-CPU runs fork, one pool per run; no run imports
+    # multiprocessing or concurrent.futures.
     runs = [(["--k", "2", "4", "--step", "0.05"], GOLDEN / "bench-k2-4-step0.05-expect.csv"),
             (["--k", "2", "4", "--step", "0.05", "--mode", "sampled", "--n", "1000", "--seed", "3", "--trials", "2"],
              GOLDEN / "bench-k2-4-step0.05-sampled-n1000-seed3.csv"),
             (["--k", "2", "4", "--classifier", "set2", "--step", "0.05"], GOLDEN / "bench-k2-4-set2-step0.05-expect.md"),
             (["--classifier", "set2", "--mode", "sampled", "--n", "100000", "--seed", "0", "--trials", "30", "--step",
               "0.001", "--metrics", "l1,l2,spec,is"], SRC.parent / "perfbench" / "golden" / "set2-sampled-fine-seed0.csv")]
-    script = """
+    script = COUNTED_POOLS + """
 import contextlib, io, json, os, sys
 import fairdisc.cli
 def bench(i, argv, cpus):
@@ -642,10 +653,11 @@ def bench(i, argv, cpus):
 runs = json.loads(sys.argv[1])
 for i, argv in enumerate(runs):
     bench(i, argv, {0})
-assert "multiprocessing" not in sys.modules
+assert pools == []
 for i, argv in enumerate(runs):
     bench(i, argv, {0, 1})
-assert "multiprocessing" in sys.modules
+assert pools == [2] * len(runs)
+assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script, json.dumps([argv for argv, _ in runs])], capture_output=True,
                           text=True, env=ENV, cwd=tmp_path)
@@ -654,6 +666,25 @@ assert "multiprocessing" in sys.modules
         for ext in (".csv", ".md"):
             assert (tmp_path / f"{i}-1{ext}").read_bytes() == (tmp_path / f"{i}-2{ext}").read_bytes()
         assert (tmp_path / f"{i}-1{golden.suffix}").read_bytes() == golden.read_bytes()
+
+
+def test_a_forked_bench_writes_its_output_once_to_a_pipe():
+    # stdout to a pipe is block-buffered, so a line not yet flushed when the workers fork is in each worker's copy of
+    # the buffer too; only the parent may write it, and the report, out.
+    script = COUNTED_POOLS + """
+import os, sys
+import fairdisc.cli
+os.sched_getaffinity = lambda pid: {0, 1}
+print("before the pool")
+code = fairdisc.cli.main(sys.argv[1:])
+assert pools == [2], pools
+sys.exit(code)
+"""
+    argv = ["bench", "--k", "2", "4", "--step", "0.05", "--mode", "sampled", "--n", "1000", "--seed", "3", "--trials", "2"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"before the pool\n" + (GOLDEN / "bench-k2-4-step0.05-sampled-n1000-seed3.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["bench", "ingest"])
@@ -677,7 +708,7 @@ def test_a_worker_that_dies_exits_3_with_one_line(capsys, tmp_path, monkeypatch,
         argv = ["ingest", str(preds), "--k", "2"]
     assert run_cli(capsys, *argv) == (3, "", "error: a worker process died: it was killed, perhaps for lack of memory\n")
     assert imaps == [1]
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
 def test_the_draw_kernel_loads_on_the_first_sampled_estimate():
@@ -711,7 +742,7 @@ def test_a_missing_draw_kernel_exits_3_with_one_line(capsys, monkeypatch, pool):
     message = f"numpy {np.__version__} exports no random_multinomial kernel for sampled estimates"
     assert got == (3, "", f"error: {message}\n")
     assert imaps == [1] * pool
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
 class _OneCountOff:
@@ -748,7 +779,7 @@ def test_a_draw_kernel_that_perturbs_one_count_exits_3_with_one_line(capsys, mon
     message = f"numpy {np.__version__}'s random_multinomial kernel draws unlike Generator.multinomial"
     assert got == (3, "", f"error: {message}\n")
     assert imaps == [1] * pool
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
 @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "fork-pool"])
@@ -766,7 +797,7 @@ def test_a_pcg64_state_write_that_lands_wrong_exits_3_with_one_line(capsys, monk
     message = f"numpy {np.__version__}'s random_multinomial kernel draws unlike Generator.multinomial"
     assert got == (3, "", f"error: {message}\n")
     assert imaps == [1] * pool
-    assert multiprocessing.active_children() == []
+    assert no_children()
 
 
 def test_cli_import_loads_only_the_pinned_modules():

@@ -205,32 +205,40 @@ def test_draw_kernel_lint_finds_a_kernel_put_back(snippet):
     assert kernel_reads(snippet)
 
 
-# Worker processes are pool.py's: only it imports multiprocessing or concurrent.futures, asks whether this process
-# can fork or on how many CPUs it may run, and names the fork start method.
-FORK_MODULES = ("multiprocessing", "concurrent.futures")
+# Worker processes are pool.py's: only it asks whether this process can fork or on how many CPUs it may run, and
+# forks. No module, pool.py included, imports multiprocessing or concurrent.futures: the pool is os.fork and pipes, and
+# an executor's import, threads and queues cost a report more than the pool's own work.
+EXECUTOR_MODULES = ("multiprocessing", "concurrent.futures")
 
 
-def fork_reads(source: str) -> list[str]:
-    """Each import in `source` of multiprocessing or concurrent.futures or a module inside either, each name, attribute
-    or import that names fork or sched_getaffinity, and each "fork" string."""
-    found = own_reads(source, {"fork", "sched_getaffinity"})
+def executor_imports(source: str) -> list[str]:
+    """Each import in `source` of multiprocessing or concurrent.futures or a module inside either."""
+    found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             modules = [node.module or "", *(f"{node.module}.{alias.name}" for alias in node.names)]
         else:
-            modules = []
-        if any(m == f or m.startswith(f + ".") for m in modules for f in FORK_MODULES):
-            found.append(ast.unparse(node))
-        elif isinstance(node, ast.Constant) and node.value == "fork":
+            continue
+        if any(m == f or m.startswith(f + ".") for m in modules for f in EXECUTOR_MODULES):
             found.append(ast.unparse(node))
     return found
 
 
+def fork_reads(source: str) -> list[str]:
+    """Each executor import in `source`, each name, attribute or import that names fork or sched_getaffinity, and each
+    "fork" string."""
+    return [*executor_imports(source), *own_reads(source, {"fork", "sched_getaffinity"}),
+            *(ast.unparse(node) for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Constant) and node.value == "fork")]
+
+
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
 def test_forking_lives_in_pool_only(module):
-    found = fork_reads((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert executor_imports(source) == []
+    found = fork_reads(source)
     assert bool(found) == (module == "pool"), found
 
 
@@ -243,6 +251,14 @@ def test_fork_lint_finds_forking_put_back(snippet):
     bench_source = (SRC / "bench.py").read_text(encoding="utf-8")
     assert fork_reads(bench_source) == []
     assert fork_reads(bench_source + "\n" + snippet)
+
+
+@pytest.mark.parametrize("snippet", ["from concurrent.futures.process import ProcessPoolExecutor",
+                                     "def _pooled(calls, workers):\n    from multiprocessing import get_context"])
+def test_executor_lint_finds_an_executor_put_back_into_pool(snippet):
+    pool_source = (SRC / "pool.py").read_text(encoding="utf-8")
+    assert executor_imports(pool_source) == []
+    assert executor_imports(pool_source + "\n" + snippet)
 
 
 def presolve_settings(source: str) -> list[str]:
