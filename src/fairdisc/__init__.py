@@ -35,6 +35,7 @@ from .classifier import (
     derive_seed,
     estimate,
     from_accuracies,
+    from_spec,
     ingest_predictions,
     load_confusion,
     load_predictions,
@@ -55,6 +56,7 @@ from .metrics import (
     n_factor,
     parse_metrics,
     raw_score,
+    score_parts,
     specificity,
     wd,
 )
@@ -84,6 +86,7 @@ __all__ = [
     "estimate",
     "fd_score",
     "from_accuracies",
+    "from_spec",
     "info_specificity",
     "ingest_predictions",
     "l1",
@@ -106,6 +109,7 @@ __all__ = [
     "run_benchmark",
     "run_ep_analysis",
     "run_sweep",
+    "score_parts",
     "solve",
     "specificity",
     "sweep",

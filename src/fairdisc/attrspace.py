@@ -83,6 +83,12 @@ def json_file(path):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+def json_text(value) -> str:
+    """The JSON file of `value`, a distribution or a confusion model, as its loader reads it: `value.to_dict()`,
+    indented by 2, ending in a newline."""
+    return json.dumps(value.to_dict(), indent=2) + "\n"
+
+
 def check_rows(arr: np.ndarray, what: str = "distribution entries") -> np.ndarray:
     """The row sums over the last axis of `what`, each row checked finite, non-negative and summing to 1 within SUM_TOL."""
     if not np.isfinite(arr).all():

@@ -21,7 +21,7 @@ import numpy as np
 from .attrspace import check_block, check_sweep, float_array
 from .attrspace import sweep as sweep_path
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, check_model, derive_seed, estimate
-from .errors import ValidationError, check_int, is_int
+from .errors import ValidationError, check_int, check_type, is_int
 from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score, n_factor
 from .pool import fork_map
 
@@ -269,12 +269,24 @@ METRIC_LABELS = {
 }
 
 
+# A float64 carries at most 17 significant decimal digits.
+MAX_PRECISION = 17
+
+
+def check_precision(precision) -> int:
+    """`precision` if `format_float` can print that many significant digits, an integer in [0, MAX_PRECISION]; else a
+    ValidationError."""
+    return check_int("precision", precision, 0, MAX_PRECISION)
+
+
 def format_float(v: float, precision: int = 6) -> str:
     return f"{v:.{precision}g}"
 
 
 def report_to_csv(report: BenchmarkReport, precision: int = 6) -> str:
     """Canonical CSV: metadata as # comments, one line per (row, metric)."""
+    check_type("report", report, BenchmarkReport)
+    check_precision(precision)
     out = io.StringIO()
     for key in sorted(report.meta):
         out.write(f"# {key}={report.meta[key]}\n")
@@ -302,6 +314,8 @@ def report_to_markdown(report: BenchmarkReport, precision: int = 6) -> str:
 
     Best cell(s) per row are bold, worst italic; ties mark every holder.
     """
+    check_type("report", report, BenchmarkReport)
+    check_precision(precision)
     out = io.StringIO()
     out.write("# Fairness metric benchmark\n\n")
     for key in sorted(report.meta):

@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .attrspace import MAX_SAMPLES, check_k, check_rows, float_array, float_rows, is_number_list, json_file, normalized_rows
-from .errors import ValidationError, check_int, check_real, is_int
+from .errors import ValidationError, check_int, check_real, check_type, is_int
 from .pool import fork_map
 
 PROBS_SUM_TOL = 1e-6
@@ -45,6 +45,10 @@ class ConfusionModel:
         check_rows(arr, "confusion rows")
         arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
+
+    def to_dict(self) -> dict:
+        """The confusion file's body, as `load_confusion` reads it."""
+        return {"k": self.k, "m": self.m.tolist()}
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,7 @@ EXPECTATION = Expectation()
 
 def check_model(model, mode) -> None:
     """A ValidationError unless `model` is a ConfusionModel and `mode` an Expectation or Sampled."""
-    if not isinstance(model, ConfusionModel):
-        raise ValidationError(f"model must be a ConfusionModel, got {type(model).__name__}")
+    check_type("model", model, ConfusionModel)
     if not isinstance(mode, (Expectation, Sampled)):
         raise ValidationError(f"mode must be Expectation or Sampled, got {type(mode).__name__}")
 
@@ -103,7 +106,7 @@ def from_accuracies(acc) -> ConfusionModel:
 
 def per_class_accuracy(model: ConfusionModel) -> np.ndarray:
     """Diagonal of the confusion matrix."""
-    return np.diag(model.m).copy()
+    return np.diag(check_type("model", model, ConfusionModel).m).copy()
 
 
 # np.random.SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -201,9 +204,18 @@ def _row_seeds(seeds, n_rows: int) -> np.ndarray:
     return seeds.astype(np.uint64)
 
 
-# Sampled rows draw into zeroed (rows, k, k) int64 buffers of about this many bytes, each summed once (one 8 MB row at
-# k = 1000). A k = 16 step-0.001 start's estimate: 21 ms on one CPU at 16 KiB, 22 at 1 MiB; peak 0.59 MB, not 3.03.
-_DRAW_BYTES = 1 << 14
+# Sampled rows draw in chunks of about this many bytes (`_row_bytes` a row; one row a chunk at k = 1000), into zeroed
+# buffers, each summed once. A k = 16 step-0.001 start's estimate (n = 10**5) draws in 119 chunks of 8 rows, as at
+# 16 KiB with the pointers left out: 16.7 ms on one CPU against 17.9 at 1 MiB, peak 0.59 MB against 1.57. A k = 2
+# step-0.001 start draws in 9 chunks: peak 102 KB against 423 in one chunk.
+_DRAW_BYTES = 40 << 10
+
+
+def _row_bytes(k: int) -> int:
+    """What one sampled row of a chunk holds: a (k, k) int64 draw buffer, a (k,) count buffer, the k + 1 c_void_p
+    that point into them (144 bytes each with its list slot), and its PCG64 state as a list of four Python ints of up
+    to 64 bits (232 bytes)."""
+    return 8 * k * (k + 1) + 144 * (k + 1) + 232
 
 
 # The rows `_multinomial` draws, in this order from one seed, through the kernel and through Generator.multinomial:
@@ -266,14 +278,17 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     m^T p for every row exactly. Sampled mode checks that every row is a distribution, as expectation mode checks
     its result, then draws n true outcomes per row, pushes each through the matching confusion row, and returns the
     normalized prediction tallies; `seeds` holds one integer in [0, 2**64) per row (default `mode.seed` for every
-    row). Row r draws from the stream of `np.random.default_rng(seeds[r])`: `_seed_sequence` turns all seeds into
-    SeedSequence states at once, two 128-bit LCG steps make each a PCG64 state as numpy's `pcg64_set_seed` does, and
-    one PCG64 is re-seeded per row through its C struct (`_pcg64_seeder`). Each row then makes Generator.multinomial's
-    calls to its C kernel (`_multinomial`) on `_drawable` rows: the counts of p, then each confusion row whose count
-    is not 0, in order, into zeroed `_DRAW_BYTES` buffers. `tests/test_classifier.py::TestSampledStreams` checks
-    every row against a fresh `default_rng` per row (`oracles.reference_sample`).
+    row), and expectation mode refuses them. Row r draws from the stream of `np.random.default_rng(seeds[r])`:
+    `_seed_sequence` turns all seeds into SeedSequence states at once, two 128-bit LCG steps make each a PCG64 state
+    as numpy's `pcg64_set_seed` does, and one PCG64 is re-seeded per row through its C struct (`_pcg64_seeder`). Each
+    row then makes Generator.multinomial's calls to its C kernel (`_multinomial`) on `_drawable` rows: the counts of
+    p, then each confusion row whose count is not 0, in order, into zeroed buffers of `_DRAW_BYTES` chunks.
+    `tests/test_classifier.py::TestSampledStreams` checks every row against a fresh `default_rng` per row
+    (`oracles.reference_sample`).
     """
     check_model(model, mode)
+    if seeds is not None and isinstance(mode, Expectation):
+        raise ValidationError("expectation mode takes no seeds")
     rows = float_rows(rows)
     if rows.shape[-1] != model.k:
         raise ValidationError(f"confusion model is {model.k}x{model.k}, distribution has k={rows.shape[-1]}")
@@ -291,7 +306,7 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     from ctypes import byref, c_int64, c_ssize_t, c_void_p
     (kernel, binomial_t), bitgen = _multinomial(), np.random.PCG64()
     reseed, bg, binomial = _pcg64_seeder(bitgen), bitgen.ctypes.bit_generator, byref(binomial_t())
-    n, kk, per = c_int64(mode.n), c_ssize_t(k), max(1, min(_DRAW_BYTES // (8 * k * k), len(flat)))
+    n, kk, per = c_int64(mode.n), c_ssize_t(k), max(1, min(_DRAW_BYTES // _row_bytes(k), len(flat)))
     counts, draws, tallies = np.zeros((per, k), dtype=np.int64), np.zeros((per, k, k), dtype=np.int64), np.empty(flat.shape)
     # Each k-entry row's c_void_p, made in turn for the true rows. The kernel leaves entries after an early stop unset.
     row_at = lambda a: map(c_void_p, range(a.ctypes.data, a.ctypes.data + a.nbytes, 8 * k))
@@ -510,6 +525,7 @@ def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel |
     returned as well; truth classes that never occur keep an identity row
     (no error evidence for them).
     """
+    check_type("predictions", preds, Predictions)
     k, total = preds.k, preds.total
     # Each soft row may be off by PROBS_SUM_TOL, so renormalize their sum rather than divide it by the count.
     estimated = normalized_rows(total / (total.sum() if preds.soft else len(preds)))
@@ -546,6 +562,8 @@ PRESET_ACCURACIES = {
     "set2-k8": (8, 0.78),
     "set2-k16": (16, 0.66),
 }
+# Every name `preset` resolves.
+PRESET_NAMES = ("perfect", "set2", *PRESET_ACCURACIES)
 
 
 def preset(name: str, k: int | None = None) -> ConfusionModel:
@@ -565,9 +583,27 @@ def preset(name: str, k: int | None = None) -> ConfusionModel:
             raise ValidationError('preset family "set2" needs an explicit k')
         name = f"set2-k{k}"
     if name not in PRESET_ACCURACIES:
-        valid = ", ".join(["perfect", "set2", *PRESET_ACCURACIES])
-        raise ValidationError(f"unknown preset {name!r} (valid: {valid})")
+        raise ValidationError(f"unknown preset {name!r} (valid: {', '.join(PRESET_NAMES)})")
     preset_k, acc = PRESET_ACCURACIES[name]
     if k is not None and k != preset_k:
         raise ValidationError(f"preset {name!r} is for k={preset_k}, requested k={k}")
     return from_accuracies(np.full(preset_k, acc))
+
+
+# The spec of a run that names no classifier, and the forms of a spec that `from_spec` reads.
+DEFAULT_SPEC = "perfect"
+SPEC_FORMS = 'preset name ("perfect", "set1-a".."set1-d", "set2", "set2-k2".."set2-k16") or confusion JSON path'
+
+
+def from_spec(spec: str, k: int) -> ConfusionModel:
+    """The k x k model a classifier spec names: a preset by `preset` ("perfect", "set2" or a fixed-k name), else the
+    model in the confusion file at path `spec`, whose k must be k."""
+    if not isinstance(spec, str):
+        raise ValidationError(f"classifier spec must be a string, got {spec!r}")
+    check_k(k)
+    if spec in PRESET_NAMES:
+        return preset(spec, k)
+    model = load_confusion(spec)
+    if model.k != k:
+        raise ValidationError(f"confusion file {spec} is for k={model.k}, requested k={k}")
+    return model

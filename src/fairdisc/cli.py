@@ -9,22 +9,19 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
 from functools import partial
 
 from . import classifier as clf
-from .attrspace import AttributeSpace, CategoricalDistribution, check_k, json_file, load_distribution, load_space
-from .bench import format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
-from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_confusion, load_predictions
+from .attrspace import AttributeSpace, CategoricalDistribution, check_k, json_file, json_text, load_distribution, load_space
+from .bench import check_precision, format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
+from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_predictions
 from .errors import ValidationError, check_int, check_real
-from .metrics import Metric, fd_score, n_factor, parse_metrics, raw_score
+from .metrics import Metric, fd_score, n_factor, parse_metrics, score_parts
 
 DEFAULT_KS = (2, 4, 8, 16)
-# A float64 carries at most 17 significant decimal digits.
-MAX_PRECISION = 17
 MODES = ("expectation", "sampled")
 COMMANDS = ("nfactor", "score", "ep", "sweep", "bench", "ingest")
 RUNS = ("ep", "sweep", "bench")
@@ -78,8 +75,7 @@ def _mode(name: str, value) -> str:
 OPTIONS = {
     "k": (_ks, None, ("nfactor", *RUNS, "ingest"), "outcome count(s)", {"type": int, "nargs": "+", "metavar": "K"}),
     "metrics": (_metrics, "all", ("nfactor", "score", *RUNS), 'comma-separated metric names or "all" (default)', {}),
-    "classifier": (_string, None, RUNS, 'preset name ("perfect", "set1-a".."set1-d", "set2", "set2-k2".."set2-k16") '
-                                        "or confusion JSON path", {"metavar": "PRESET|FILE"}),
+    "classifier": (_string, None, RUNS, clf.SPEC_FORMS, {"metavar": "PRESET|FILE"}),
     "eps": (check_real, None, RUNS, "uniform-noise level in [0,1]", {"type": float}),
     "accs": (_accs, None, RUNS, "per-class accuracies (fixes k)", {"metavar": "A1,A2,.."}),
     "mode": (_mode, "expectation", RUNS, None, {"choices": MODES}),
@@ -90,7 +86,7 @@ OPTIONS = {
     "start": (check_int, 0, ("sweep",), "AB extreme point the sweep drains (default 0)", {"type": int}),
     "out": (_string, None, COMMANDS, "write output here instead of stdout", {"metavar": "FILE"}),
     "markdown": (_string, None, ("bench",), "also write a Markdown rendering of the report", {"metavar": "FILE"}),
-    "precision": (partial(check_int, lo=0, hi=MAX_PRECISION), 6, ("nfactor", "score", *RUNS),
+    "precision": (lambda _, value: check_precision(value), 6, ("nfactor", "score", *RUNS),
                   "significant digits for floats (default 6)", {"type": int}),
 }
 
@@ -133,6 +129,8 @@ class RunConfig:
                                        ("--eps", self.eps), ("--accs", self.accs)) if v is not None]
         if len(chosen) > 1:
             raise ValidationError(f"give at most one of {', '.join(chosen)}")
+        if not chosen:
+            self.classifier = clf.DEFAULT_SPEC
 
     def estimation_mode(self) -> EstimationMode:
         return EXPECTATION if self.mode == "expectation" else Sampled(self.n, self.seed)
@@ -142,7 +140,7 @@ class RunConfig:
             return f"eps={self.eps:g}"
         if self.accs is not None:
             return "accs=" + ",".join(f"{a:g}" for a in self.accs)
-        return "perfect" if self.classifier is None else self.classifier
+        return self.classifier
 
     def model_for_k(self, k: int) -> ConfusionModel:
         if self.eps is not None:
@@ -151,13 +149,7 @@ class RunConfig:
             if len(self.accs) != k:
                 raise ValidationError(f"--accs has {len(self.accs)} entries, k={k}")
             return clf.from_accuracies(self.accs)
-        spec = "perfect" if self.classifier is None else self.classifier
-        if spec in ("perfect", "set2") or spec in clf.PRESET_ACCURACIES:
-            return clf.preset(spec, k)
-        model = load_confusion(spec)
-        if model.k != k:
-            raise ValidationError(f"confusion file {spec} is for k={model.k}, requested k={k}")
-        return model
+        return clf.from_spec(self.classifier, k)
 
 
 def _write_out(*outputs: tuple[str, str | None]) -> None:
@@ -211,8 +203,7 @@ def cmd_nfactor(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_score(cfg: RunConfig, args: argparse.Namespace) -> None:
     dist = load_distribution(args.dist)
     if args.raw:
-        _csv(cfg, "metric,raw,n_factor,normalized",
-             [(m, raw_score(m, dist), n_factor(m, dist.k), fd_score(m, dist)) for m in cfg.metrics])
+        _csv(cfg, "metric,raw,n_factor,normalized", [(m, *score_parts(m, dist)) for m in cfg.metrics])
     else:
         _csv(cfg, "metric,normalized", [(m, fd_score(m, dist)) for m in cfg.metrics])
 
@@ -260,9 +251,9 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> None:
     p, confusion = ingest_predictions(load_predictions(args.predictions, space.k))
     if args.confusion_out is not None and confusion is None:
         raise ValidationError("cannot write a confusion matrix: records lack truth labels")
-    outputs = [(json.dumps(CategoricalDistribution(space, p).to_dict(), indent=2) + "\n", cfg.out)]
+    outputs = [(json_text(CategoricalDistribution(space, p)), cfg.out)]
     if args.confusion_out is not None:
-        outputs.append((json.dumps({"k": confusion.k, "m": confusion.m.tolist()}, indent=2) + "\n", args.confusion_out))
+        outputs.append((json_text(confusion), args.confusion_out))
     _write_out(*outputs)
 
 

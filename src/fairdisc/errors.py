@@ -1,4 +1,4 @@
-"""Shared exception types, and the one rule for integer and number inputs."""
+"""Shared exception types, the one rule for integer and number inputs, and the one form of a wrong-type refusal."""
 
 import numbers
 import sys
@@ -30,6 +30,13 @@ def check_real(name: str, value, lo=None, hi=None):
             isinstance(value, int) and abs(value) > sys.float_info.max):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return _in_range(name, value, lo, hi)
+
+
+def check_type(name: str, value, cls: type):
+    """`value` if it is a `cls`; else a ValidationError that names both types."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _in_range(name: str, value, lo, hi):

@@ -2,8 +2,9 @@
 
 Five measures: mean absolute difference (l1), mean euclidean difference (l2), transport distance (wd),
 sorted-weighted spread difference (spec), and the l1/spread hybrid (is). Rows enter through `attrspace.float_rows`,
-in C order, so a score never depends on the caller's layout. `fd_score` alone normalizes, by the value at an
-extreme point against uniform; it clips to [0, 1] and refuses a score past that by more than SCORE_TOL, or NaN.
+in C order, so a score never depends on the caller's layout. `score_parts` alone normalizes, by the value at an
+extreme point against uniform, for `fd_score` and for a caller that prints the raw score too; it clips to [0, 1] and
+refuses a score past that by more than SCORE_TOL, or NaN.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ REPORT_ORDER = (Metric.L2, Metric.L1, Metric.INFO_SPECIFICITY, Metric.SPECIFICIT
 
 def parse_metrics(spec: str) -> tuple[Metric, ...]:
     """Parse a comma-separated metric list; "all" expands to every metric."""
+    if not isinstance(spec, str):
+        raise ValidationError(f"metric list must be a string, got {spec!r}")
     names = [s.strip().lower() for s in spec.split(",") if s.strip()]
     if not names:
         raise ValidationError("empty metric list")
@@ -124,10 +127,10 @@ def _measure(metric: Metric):
 
 
 def raw_score(metric: Metric, rows):
-    """The metric between the uniform reference and each row, unnormalized."""
+    """The metric between the uniform reference and each row, unnormalized; k is checked as `n_factor` checks it."""
     measure = _measure(metric)
     rows = float_rows(rows)
-    k = rows.shape[-1]
+    k = check_k(rows.shape[-1])
     return measure(np.full(k, 1.0 / k), rows)
 
 
@@ -153,8 +156,15 @@ def fd_score(metric: Metric, rows):
     shape rows.shape[:-1]. A quotient outside [-SCORE_TOL, 1 + SCORE_TOL],
     or NaN, is a ValidationError; the rest is clipped to [0, 1].
     """
+    return score_parts(metric, rows)[2]
+
+
+def score_parts(metric: Metric, rows) -> tuple:
+    """(`raw_score`, `n_factor`, `fd_score`) of `rows`, from one raw score: the quotient by the factor, checked and
+    clipped as `fd_score` says."""
     rows = float_rows(rows)
-    f = raw_score(metric, rows) / n_factor(metric, rows.shape[-1])
+    raw, factor = raw_score(metric, rows), n_factor(metric, rows.shape[-1])
+    f = raw / factor
     if (bad := ~((f >= -SCORE_TOL) & (f <= 1.0 + SCORE_TOL))).any():
         raise ValidationError(f"score {float(f[bad][0])!r} outside [0, 1] for {metric} at k={rows.shape[-1]}")
-    return np.clip(f, 0.0, 1.0)
+    return raw, factor, np.clip(f, 0.0, 1.0)

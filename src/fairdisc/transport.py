@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .attrspace import float_array, normalized_rows
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_type
 
 MARGINAL_TOL = 1e-9
 # The LP has k^2 variables and 2k equality rows, two nonzeros per column.
@@ -142,8 +142,7 @@ def solve_rows(p, q, cost: CostMatrix) -> np.ndarray:
 
 def _marginals(p, q, cost: CostMatrix, ndim: int, shapes: str) -> np.ndarray:
     """The (N, 2, k) stack of each row pair of p and q, blocks of `ndim` axes, checked and renormalized."""
-    if not isinstance(cost, CostMatrix):
-        raise ValidationError(f"cost must be a CostMatrix, got {type(cost).__name__}")
+    check_type("cost", cost, CostMatrix)
     p, q = float_array(p, "transport marginals"), float_array(q, "transport marginals")
     if p.ndim != ndim or p.shape != q.shape:
         raise ValidationError(f"transport needs two {shapes}, got shapes {p.shape} and {q.shape}")

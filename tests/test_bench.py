@@ -23,11 +23,14 @@ from fairdisc import (
     estimate,
     fd_score,
     from_accuracies,
+    ingest_predictions,
     l1,
     mem,
     mepe_ab,
     mepe_fair,
     n_factor,
+    parse_metrics,
+    per_class_accuracy,
     perfect,
     preset,
     raw_score,
@@ -610,7 +613,26 @@ BAD_SCALARS = [
     ("fd_score-metric-list", lambda: fd_score(["l1"], [0.5, 0.5]), UNKNOWN_METRIC + "['l1']" + VALID_METRICS),
     # n_factor refuses the metric before its cache hashes it.
     ("n_factor-metric-list", lambda: n_factor(["l1"], 2), UNKNOWN_METRIC + "['l1']" + VALID_METRICS),
+    ("parse_metrics-int", lambda: parse_metrics(5), "metric list must be a string, got 5"),
+    ("report_to_csv-none", lambda: report_to_csv(None), "report must be a BenchmarkReport, got NoneType"),
+    ("report_to_markdown-none", lambda: report_to_markdown(None), "report must be a BenchmarkReport, got NoneType"),
+    ("ingest_predictions-none", lambda: ingest_predictions(None), "predictions must be a Predictions, got NoneType"),
+    ("per_class_accuracy-list", lambda: per_class_accuracy([[1, 0], [0, 1]]), "model must be a ConfusionModel, got list"),
+    # The report's float format owns its precision bound, which the CLI's --precision reuses.
+    ("report_to_csv-precision-negative", lambda: report_to_csv(small_report(), -1), "precision must be in [0, 17], got -1"),
+    ("report_to_markdown-precision-18", lambda: report_to_markdown(small_report(), 18),
+     "precision must be in [0, 17], got 18"),
+    ("report_to_csv-precision-float", lambda: report_to_csv(small_report(), 6.0), "precision must be an integer, got 6.0"),
+    # Seeds are per sampled row; raw_score checks k as fd_score does.
+    ("estimate-expectation-seeds", lambda: estimate(perfect(2), [0.5, 0.5], EXPECTATION, seeds=[1]),
+     "expectation mode takes no seeds"),
+    ("raw_score-k-1", lambda: raw_score(Metric.SPECIFICITY, [1.0]), "k must be in [2, 1000], got 1"),
+    ("raw_score-k-1001", lambda: raw_score(Metric.L1, np.full(1001, 1 / 1001)), "k must be in [2, 1000], got 1001"),
 ]
+
+
+def small_report():
+    return run_benchmark([perfect(2)], metrics=L1, step=0.5)
 
 
 @pytest.mark.parametrize("metric", list(Metric))

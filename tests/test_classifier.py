@@ -1,6 +1,7 @@
 import ctypes
 import json
 import os
+import re
 import threading
 import types
 
@@ -17,11 +18,13 @@ from fairdisc import (
     ValidationError,
     estimate,
     from_accuracies,
+    from_spec,
     ingest_predictions,
     load_confusion,
     per_class_accuracy,
     perfect,
     preset,
+    sweep,
     uniform_noise,
 )
 from fairdisc import classifier
@@ -336,6 +339,39 @@ class TestDrawKernel:
                 classifier._multinomial()
         finally:
             classifier._multinomial.cache_clear()
+
+
+class TestDrawChunks:
+    """A chunk's budget counts its buffers and the ctypes pointers and state ints made per row, so a block of many
+    small rows holds the pointers of one chunk at a time."""
+
+    def sweep_start(self, k):
+        rows = sweep(k, 0.001)
+        return preset("set2", k), rows, derive_seed(0, k, 2, 0, np.arange(len(rows))).ravel()
+
+    def test_a_k_2_sweep_start_peaks_well_under_one_chunk_of_all_rows(self):
+        # 501 rows: in one chunk, their 1,503 c_void_p (144 bytes each with its list slot) take the peak to ~420 KB.
+        model, rows, seeds = self.sweep_start(2)
+        assert len(rows) == 501
+        want = estimate(model, rows, Sampled(100_000, 0), seeds)  # loads the kernel, once per process
+        got, peak = traced_peak(lambda: estimate(model, rows, Sampled(100_000, 0), seeds))
+        assert np.array_equal(got, want)
+        assert peak < 200_000
+
+    def test_a_k_16_sweep_start_draws_in_no_more_chunks_than_at_16_kib_of_draw_buffers_alone(self):
+        _, rows, _ = self.sweep_start(16)
+        chunks = lambda rows_a_chunk: -(-len(rows) // rows_a_chunk)
+        assert chunks(classifier._DRAW_BYTES // classifier._row_bytes(16)) <= chunks((1 << 14) // (8 * 16 * 16)) == 119
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_three_rows_a_chunk_match_fresh_generator_per_row(self, monkeypatch, n):
+        # Buffers reused by three rows at a time; at n = 1 and 7 most draws stop early and leave entries unwritten.
+        monkeypatch.setattr(classifier, "_DRAW_BYTES", 3 * classifier._row_bytes(3))
+        model = ConfusionModel([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8], [0.2, 0.7, 0.1]])
+        rows = np.random.default_rng(5).dirichlet(np.ones(3), size=11)
+        got = estimate(model, rows, Sampled(n, 4), list(range(11)))
+        for r, p in enumerate(rows):
+            assert np.array_equal(got[r], reference_sample(model.m, p, n, r))
 
 
 class TestSeedDerivation:
@@ -955,3 +991,37 @@ class TestPresets:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             preset("set3-k2", k=2)
+
+
+class TestSpecs:
+    """`from_spec` is the one reader of a classifier spec: a preset name, else a confusion file of the run's k."""
+
+    @pytest.mark.parametrize("spec,k", [("perfect", 5), ("set2", 8), ("set1-c", 4), ("set2-k16", 16)])
+    def test_a_preset_name_is_the_preset(self, spec, k):
+        assert np.array_equal(from_spec(spec, k).m, preset(spec, k).m)
+
+    def test_a_default_spec_is_the_perfect_classifier(self):
+        assert np.array_equal(from_spec(classifier.DEFAULT_SPEC, 3).m, np.eye(3))
+
+    def test_any_other_spec_is_a_confusion_file_of_the_run_k(self, tmp_path):
+        path = tmp_path / "perfect"  # a path is a preset only by its whole name
+        path.write_text('{"k": 2, "m": [[0.9, 0.1], [0.2, 0.8]]}')
+        assert np.array_equal(from_spec(str(path), 2).m, [[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ValidationError, match=rf"^confusion file {path} is for k=2, requested k=3$"):
+            from_spec(str(path), 3)
+
+    @pytest.mark.parametrize("spec,k,message", [
+        ("set1-a", 4, "preset 'set1-a' is for k=2, requested k=4"),
+        (["set2"], 2, "classifier spec must be a string, got ['set2']"),
+        ("set2", 2.0, "k must be an integer, got 2.0"),
+        ("perfect", 1, "k must be in [2, 1000], got 1")])
+    def test_refusals(self, spec, k, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            from_spec(spec, k)
+
+    def test_to_dict_is_what_load_confusion_reads(self, tmp_path):
+        model = ConfusionModel([[0.9, 0.1], [0.2 / 3, 1 - 0.2 / 3]])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model.to_dict()))
+        assert model.to_dict() == {"k": 2, "m": model.m.tolist()}
+        assert np.array_equal(load_confusion(path).m, model.m)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import ENV, SRC, no_children, pool_imaps
-from fairdisc import bench, classifier, load_distribution, load_space, n_factor
+from fairdisc import bench, classifier, load_distribution, load_space, metrics, n_factor, transport
 from fairdisc.cli import COMMANDS, OPTIONS, main
 from fairdisc.metrics import Metric
 
@@ -268,8 +268,74 @@ class TestBench:
         assert code == 0
         assert md.read_bytes() == (GOLDEN / "bench-k2-4-set2-step0.05-expect.md").read_bytes()
 
+    def test_score_raw_solves_each_lp_once(self, capsys, monkeypatch):
+        # One LP for the raw score and one for the factor; the normalized column is their quotient, not a third solve.
+        metrics._n_factor.cache_clear()
+        solves, solve_rows = [], transport.solve_rows
+        monkeypatch.setattr(transport, "solve_rows", lambda *args: solves.append(args) or solve_rows(*args))
+        code, out, _ = run_cli(capsys, "score", str(GOLDEN / "skewed-k4.json"), "--raw", "--metrics", "wd",
+                               "--precision", "17")
+        assert (code, len(solves)) == (0, 2)
+        header, *rows = (GOLDEN / "score-skewed-k4-raw-precision17.csv").read_text().splitlines(keepends=True)
+        assert out == header + "".join(row for row in rows if row.startswith("wd,"))
+
+
+# Both files of `ingest --space s.json --out d.json --confusion-out c.json`, byte for byte.
+INGEST_DIST = """{
+  "space": {
+    "attributes": [
+      {
+        "name": "hair",
+        "values": [
+          "black",
+          "blond",
+          "red"
+        ]
+      }
+    ]
+  },
+  "p": [
+    0.3499999999999999,
+    0.3333333333333333,
+    0.31666666666666665
+  ]
+}
+"""
+INGEST_CONFUSION = """{
+  "k": 3,
+  "m": [
+    [
+      0.5,
+      0.5,
+      0.0
+    ],
+    [
+      0.0,
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0,
+      1.0
+    ]
+  ]
+}
+"""
+
 
 class TestIngest:
+    def test_both_files_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.jsonl").write_text('{"id": "a", "probs": [0.7, 0.2, 0.1], "true": 0}\n'
+                                          '{"id": "b", "probs": [0.1, 0.3, 0.6], "true": 2}\n'
+                                          '{"id": "c", "probs": [0.25, 0.5, 0.25], "true": 0}\n')
+        (tmp_path / "s.json").write_text('{"attributes": [{"name": "hair", "values": ["black", "blond", "red"]}]}')
+        argv = ["ingest", "p.jsonl", "--space", "s.json", "--out", "d.json", "--confusion-out", "c.json"]
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert (tmp_path / "d.json").read_bytes() == INGEST_DIST.encode()
+        assert (tmp_path / "c.json").read_bytes() == INGEST_CONFUSION.encode()
+
     def test_hard_predictions(self, capsys, tmp_path):
         preds = tmp_path / "p.jsonl"
         preds.write_text('{"id": "a", "pred": 0}\n{"id": "b", "pred": 1}\n')

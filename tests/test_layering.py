@@ -3,15 +3,18 @@ The package exports each public name it defines in `__all__`. Only errors.py dec
 number input is, only attrspace.py turns an outside array into floats, only attrspace.py reads the tolerances
 that make rows of probabilities distributions and the limit on floats in one block, only attrspace.json_file
 writes a file's path into an error, only attrspace.json_file and classifier._json_line decode JSON text, only
-classifier.py loads numpy's C multinomial kernel, and only pool.py forks."""
+classifier.py loads numpy's C multinomial kernel, only pool.py forks, and cli.py decides no format that a library
+module reads or writes."""
 
 import ast
 import pathlib
+import re
 import types
 
 import pytest
 
 import fairdisc
+from fairdisc.classifier import PRESET_NAMES
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairdisc"
 # Attribute spaces and distributions are built at the file boundary only (attrspace, cli).
@@ -367,3 +370,51 @@ def test_decode_lint_finds_json_loads_put_back_into_load_predictions():
                                      "def read(fh):\n    return json.loads(fh.read())"])
 def test_decode_lint_finds_a_decode_put_back(snippet):
     assert json_decodes(snippet)
+
+
+# Each format has one owner, which cli.py only calls: classifier.from_spec decides which classifier specs are presets,
+# a file's body is the `to_dict` of what its loader returns, rendered by attrspace.json_text, and bench bounds the
+# precision that format_float prints (check_precision).
+PRESET_NAME = re.compile(r"(?<![\w-])(%s)(?![\w-])" % "|".join(map(re.escape, sorted(PRESET_NAMES, key=len)[::-1])))
+# The preset tables, a JSON encoder, and the precision bound.
+OWNED_NAMES = {"PRESET_ACCURACIES", "PRESET_NAMES", "preset", "dump", "dumps", "JSONEncoder", "MAX_PRECISION"}
+# Keys of the bodies of distribution, attribute-space and confusion files.
+FILE_KEYS = {"space", "p", "attributes", "m"}
+
+
+def format_decisions(source: str) -> list[str]:
+    """Each string in `source` that names a classifier preset, each name of a preset table, a JSON encoder or the
+    precision bound, each dict display with a key of a file body, and each integer 17 (a float64's digits)."""
+    found = own_reads(source, OWNED_NAMES)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and not isinstance(node.value, bool):
+            hit = (isinstance(node.value, str) and PRESET_NAME.search(node.value)) or node.value == 17
+        elif isinstance(node, ast.Dict):
+            hit = any(isinstance(key, ast.Constant) and key.value in FILE_KEYS for key in node.keys)
+        else:
+            continue
+        if hit:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_cli_decides_no_format():
+    assert format_decisions((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", ['spec = "perfect" if classifier is None else classifier',
+                                     "if spec in clf.PRESET_ACCURACIES:\n    model = clf.preset(spec, k)",
+                                     "HELP = 'preset name (\"set1-a\"..\"set1-d\", \"set2-k16\") or confusion JSON path'",
+                                     'text = json.dumps(body, indent=2) + "\\n"', "from json import dumps",
+                                     'body = {"k": confusion.k, "m": confusion.m.tolist()}',
+                                     'body = {"space": space.to_dict(), "p": p.tolist()}',
+                                     "MAX_PRECISION = 17", "from .bench import MAX_PRECISION",
+                                     'OPTIONS = {"precision": (partial(check_int, lo=0, hi=17), 6)}'])
+def test_format_lint_finds_a_decision_put_back_into_cli(snippet):
+    cli_source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert format_decisions(cli_source + "\n" + snippet)
+
+
+@pytest.mark.parametrize("text", ["set2-k", "perfectly", "preset-name", "set1-e", "my-set2"])
+def test_format_lint_reads_preset_names_whole(text):
+    assert format_decisions(repr(text)) == []
