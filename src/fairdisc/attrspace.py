@@ -36,7 +36,10 @@ def is_number_list(value) -> bool:
 
 
 def float_array(value, what: str) -> np.ndarray:
-    """A new C-ordered float array of `value`; an entry not a number, or an int past float range, is a ValidationError."""
+    """A new C-ordered float array of `value`; an entry not a number, or an int past float range, is a ValidationError,
+    and so is a numpy array or scalar of complex dtype, whose imaginary parts numpy would drop with a warning."""
+    if isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind == "c":
+        raise ValidationError(f"{what} must be an array of numbers")
     try:
         return np.array(value, dtype=float, order="C")
     except OverflowError:

@@ -307,6 +307,7 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
     (kernel, binomial_t), bitgen = _multinomial(), np.random.PCG64()
     reseed, bg, binomial = _pcg64_seeder(bitgen), bitgen.ctypes.bit_generator, byref(binomial_t())
     n, kk, per = c_int64(mode.n), c_ssize_t(k), max(1, min(_DRAW_BYTES // _row_bytes(k), len(flat)))
+    count = c_int64()  # each confusion row's count, set before its kernel call: the kernel reads it by value
     counts, draws, tallies = np.zeros((per, k), dtype=np.int64), np.zeros((per, k, k), dtype=np.int64), np.empty(flat.shape)
     # Each k-entry row's c_void_p, made in turn for the true rows. The kernel leaves entries after an early stop unset.
     row_at = lambda a: map(c_void_p, range(a.ctypes.data, a.ctypes.data + a.nbytes, 8 * k))
@@ -319,7 +320,8 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
             kernel(bg, n, count_at[j], next(p_at), kk, binomial)
             for c, at, out in zip(counts[j].tolist(), m_at, draw_at[j * k:j * k + k]):
                 if c:
-                    kernel(bg, c_int64(c), out, at, kk, binomial)
+                    count.value = c
+                    kernel(bg, count, out, at, kk, binomial)
         tallies[start:start + len(chunk)] = draws[:len(chunk)].sum(axis=1) / mode.n
         counts[:], draws[:] = 0, 0
     return normalized_rows(tallies.reshape(rows.shape))
@@ -466,7 +468,7 @@ def _merge(k: int, results) -> Predictions:
     """One `Predictions` from the `_read_range` results of consecutive blocks, in file order, with the errors and
     their precedence of one pass over the whole file: a per-line error in any block before the first bad soft row."""
     soft = bad = None
-    n, offset, total, pairs = 0, 0, np.empty((0, k), dtype=np.int64), 0
+    n, offset, total, pairs = 0, 0, None, 0
     for r_soft, first, error, r_bad, n_lines, reduced, r_pairs in results:
         # A block's first record meets the stream's kind check before any later line can fail; a block whose
         # error comes before its first record has no kind.
@@ -479,9 +481,14 @@ def _merge(k: int, results) -> Predictions:
         if r_soft is not None:
             soft = r_soft
             n += len(reduced) if soft else int(reduced.sum())
-            # The running total comes in as the first row, so numpy adds the rows to it one by one in file order,
-            # as one pass over the file would.
-            total = np.vstack([total, reduced]).sum(axis=0)
+            if not soft:
+                total = reduced if total is None else total + reduced
+            else:
+                # numpy sums a C-ordered block over axis 0 row by row, so with the running total added into the
+                # first row in place the additions, and their order, are those of one pass over the file, with no copy.
+                if total is not None:
+                    reduced[0] += total
+                total = reduced.sum(axis=0)
             pairs = None if pairs is None or r_pairs is None else pairs + r_pairs
         offset += n_lines
     if bad is not None:

@@ -4,7 +4,19 @@ than 2 × workers ahead of the result the caller reads next, so few results wait
 
 import os
 import threading
+from array import array
 from contextlib import closing, suppress
+from itertools import accumulate
+
+import numpy as np
+
+# Each out-of-band buffer starts at a multiple of this many bytes into a result's block, so arrays of every dtype are
+# aligned.
+_ALIGN = 16
+_PAD = bytes(_ALIGN)
+# Most parts one `os.writev` call takes (POSIX IOV_MAX is at least 16; Linux takes 1024).
+_IOV_MAX = os.sysconf("SC_IOV_MAX") if hasattr(os, "sysconf") and "SC_IOV_MAX" in os.sysconf_names else 16
+_DIED = "a worker process died: it was killed, perhaps for lack of memory"
 
 
 def _workers(n_tasks: int) -> int:
@@ -25,14 +37,14 @@ def fork_map(calls: list) -> closing:
 
 
 def _pooled(calls: list, workers: int):
-    import pickle
     import select
     tasks, results, pids, poller = {}, {}, [], select.poll()  # by result pipe: its worker's task pipe and its reader
     try:
         for _ in range(workers):
             (task_in, task_out), (result_in, result_out) = os.pipe(), os.pipe()
             tasks[result_in], results[result_in] = task_out, open(result_in, "rb")
-            with open(task_in, "rb") as indices, open(result_out, "wb") as out:  # the worker's ends, not the parent's
+            # The worker's ends, not the parent's; `out` is unbuffered, as `_write_frame` writes each frame whole.
+            with open(task_in, "rb") as indices, open(result_out, "wb", buffering=0) as out:
                 pids.append(os.fork())
                 if not pids[-1]:
                     _serve(calls, indices, out, [*tasks, *tasks.values()])
@@ -45,10 +57,7 @@ def _pooled(calls: list, workers: int):
                         os.write(tasks[fd], sent.to_bytes(4, "little"))
                     running[fd], sent = sent, sent + 1
                 for fd, _ in poller.poll():
-                    size = int.from_bytes(header := results[fd].read(8), "little")
-                    if len(header) < 8 or len(data := results[fd].read(size)) < size:
-                        raise ChildProcessError("a worker process died: it was killed, perhaps for lack of memory")
-                    done[running.pop(fd)] = pickle.loads(data)
+                    done[running.pop(fd)] = _received(results[fd])
             ok, value = done.pop(i)
             if not ok:
                 raise value
@@ -62,9 +71,31 @@ def _pooled(calls: list, workers: int):
             os.waitpid(pid, 0)
 
 
+def _received(reader):
+    """The outcome a worker wrote to `reader` as one frame: the pickle's length, the number of its out-of-band buffers
+    and each one's length, as native int64s, then the pickle, then each buffer padded to a multiple of `_ALIGN` bytes.
+    The buffers are read by one `readinto` into one uninitialized block, whose slices `pickle.loads` wraps without a
+    copy, so a result's arrays cross the pipe once. A frame cut short is a ChildProcessError."""
+    import pickle
+
+    def read(n: int) -> bytes:
+        if len(data := reader.read(n)) < n:
+            raise ChildProcessError(_DIED)
+        return data
+
+    size, count = memoryview(read(16)).cast("q")
+    lengths = memoryview(read(8 * count)).cast("q").tolist()
+    data = read(size)
+    starts = [0, *accumulate(n + -n % _ALIGN for n in lengths)]
+    if reader.readinto(block := np.empty(starts[-1], dtype=np.uint8)) < len(block):
+        raise ChildProcessError(_DIED)
+    return pickle.loads(data, buffers=[block[at:at + n] for at, n in zip(starts, lengths)])
+
+
 def _serve(calls: list, indices, out, parent_ends: list):
     """A forked worker: `calls[i]()` for each index i in `indices`, its outcome (or the error pickling it) pickled to
-    `out`. It ends in `os._exit`, so no `finally` block, atexit handler or stdio flush of the parent runs here."""
+    `out` as one frame that `_received` reads, with arrays out of band (PEP 574), their bytes written as they are. It
+    ends in `os._exit`, so no `finally` block, atexit handler or stdio flush of the parent runs here."""
     import pickle
     try:
         for fd in parent_ends:
@@ -74,11 +105,31 @@ def _serve(calls: list, indices, out, parent_ends: list):
                 outcome = True, calls[int.from_bytes(index, "little")]()
             except Exception as exc:
                 outcome = False, exc
+            buffers = []
             try:
-                data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                data = pickle.dumps(outcome, 5, buffer_callback=buffers.append)
             except Exception as exc:
-                data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-            out.writelines((len(data).to_bytes(8, "little"), data))
-            out.flush()
+                buffers.clear()
+                data = pickle.dumps((False, exc), 5, buffer_callback=buffers.append)
+            raws = [buffer.raw() for buffer in buffers]
+            parts = [array("q", [len(data), len(raws), *map(len, raws)]), data]
+            for raw in raws:
+                parts += raw, _PAD[:-len(raw) % _ALIGN]
+            _write_frame(out.fileno(), parts)
     finally:
         os._exit(0)
+
+
+def _write_frame(fd: int, parts: list) -> None:
+    """All of `parts` written to `fd` in order by `os.writev`, one call for the frame (a call cut short goes on where it
+    stopped). A write per part would wake the reader once per part, a number that varies with how the writes fall
+    against its reads, and so would the reader's CPU time."""
+    views = [view for part in parts if (view := memoryview(part).cast("B"))]
+    at = 0
+    while at < len(views):
+        written = os.writev(fd, views[at:at + _IOV_MAX])
+        while at < len(views) and written >= len(views[at]):
+            written -= len(views[at])
+            at += 1
+        if written:
+            views[at] = views[at][written:]

@@ -563,6 +563,12 @@ BAD_SCALARS = [
     ("estimate-str-entries", lambda: estimate(perfect(2), ["a", "b"]), "rows" + NOT_NUMBERS),
     ("fd_score-str-entries", lambda: fd_score(Metric.L1, ["a", "b"]), "rows" + NOT_NUMBERS),
     ("specificity-str-entries", lambda: specificity(["a", "b"]), "rows" + NOT_NUMBERS),
+    # numpy would drop a complex array's imaginary parts with only a ComplexWarning; a complex list is refused as well.
+    ("fd_score-complex-array", lambda: fd_score(Metric.L1, np.array([0.5 + 0j, 0.5])), "rows" + NOT_NUMBERS),
+    ("estimate-complex-array", lambda: estimate(perfect(2), np.array([0.5 + 0j, 0.5])), "rows" + NOT_NUMBERS),
+    ("dist-complex-array", lambda: CategoricalDistribution(AttributeSpace.of_size(2), np.array([0.5 + 0j, 0.5])),
+     "distribution entries" + NOT_NUMBERS),
+    ("fd_score-complex-list", lambda: fd_score(Metric.L1, [0.5 + 0j, 0.5]), "rows" + NOT_NUMBERS),
     ("solve-str-entries", lambda: solve(["a", "b"], [0.5, 0.5], default_cost(2)), "transport marginals" + NOT_NUMBERS),
     # Transport marginals are distributions; equal masses far from 1 are refused like any other.
     ("solve-negative-p", lambda: solve([1.5, -0.5], [0.5, 0.5], default_cost(2)),

@@ -3,8 +3,8 @@ The package exports each public name it defines in `__all__`. Only errors.py dec
 number input is, only attrspace.py turns an outside array into floats, only attrspace.py reads the tolerances
 that make rows of probabilities distributions and the limit on floats in one block, only attrspace.json_file
 writes a file's path into an error, only attrspace.json_file and classifier._json_line decode JSON text, only
-classifier.py loads numpy's C multinomial kernel, only pool.py forks, and cli.py decides no format that a library
-module reads or writes."""
+classifier.py loads numpy's C multinomial kernel, only pool.py forks and pickles, and cli.py decides no format that a
+library module reads or writes."""
 
 import ast
 import pathlib
@@ -262,6 +262,31 @@ def test_executor_lint_finds_an_executor_put_back_into_pool(snippet):
     pool_source = (SRC / "pool.py").read_text(encoding="utf-8")
     assert executor_imports(pool_source) == []
     assert executor_imports(pool_source + "\n" + snippet)
+
+
+# The pool's wire format has one owner: only pool.py pickles a worker's outcome and unpickles it in the parent.
+PICKLE_MODULES = {"pickle", "_pickle"}
+
+
+def pickle_uses(source: str) -> list[str]:
+    """Each name, attribute or import in `source` that names pickle or _pickle, and each import from either."""
+    return own_reads(source, PICKLE_MODULES) + [ast.unparse(node) for node in ast.walk(ast.parse(source))
+                                                if isinstance(node, ast.ImportFrom) and node.module in PICKLE_MODULES]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_pickling_lives_in_pool_only(module):
+    found = pickle_uses((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert bool(found) == (module == "pool"), found
+
+
+@pytest.mark.parametrize("snippet", ["import pickle", "from pickle import dumps, loads", "import _pickle",
+                                     "from _pickle import loads as unpickle", "data = pickle.dumps(result, 5)",
+                                     "def _read_range(k, lines):\n    import pickle"])
+def test_pickle_lint_finds_pickling_put_back(snippet):
+    classifier_source = (SRC / "classifier.py").read_text(encoding="utf-8")
+    assert pickle_uses(classifier_source) == []
+    assert pickle_uses(classifier_source + "\n" + snippet)
 
 
 def presolve_settings(source: str) -> list[str]:

@@ -1,15 +1,18 @@
+import math
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import time
+from array import array
 from functools import partial
 
+import numpy as np
 import pytest
 
 from conftest import ENV, no_children, pool_imaps
-from fairdisc import ValidationError, classifier
+from fairdisc import ValidationError, classifier, pool
 from fairdisc.classifier import load_predictions
 from fairdisc.pool import fork_map
 
@@ -147,6 +150,24 @@ assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules)
         assert imaps == [1] * 4
         assert no_children()
 
+    def test_a_frame_is_one_writev_and_goes_on_after_a_short_one(self, monkeypatch):
+        # Every part, empty ones skipped, is written in order: one call when the pipe takes it whole, and the rest
+        # from where a short call stopped, in calls of at most `_IOV_MAX` parts.
+        parts = [array("q", [3, 1]), b"", b"abc", np.arange(5, dtype=np.int32), memoryview(b"xyz")]
+        whole = b"".join(bytes(memoryview(part).cast("B")) for part in parts if len(part))
+        writev, calls = os.writev, []
+        for most, iov_max, n_calls in [(None, 1024, 1), (5, 1024, math.ceil(len(whole) / 5)), (None, 2, 2)]:
+            calls.clear()
+            monkeypatch.setattr(pool, "_IOV_MAX", iov_max)
+            monkeypatch.setattr(os, "writev", lambda fd, views: calls.append(len(views))
+                                or writev(fd, [b"".join(views)[:most]]))
+            read_end, write_end = os.pipe()
+            with open(read_end, "rb") as reader:
+                pool._write_frame(write_end, parts)
+                os.close(write_end)
+                assert reader.read() == whole
+            assert len(calls) == n_calls and max(calls) <= iov_max
+
     def test_a_worker_killed_between_tasks_is_a_child_process_error(self, monkeypatch):
         # Each worker is killed after its first task, before the parent writes it the next index: that write finds no
         # reader, and this is the error of a worker that dies in a task.
@@ -245,6 +266,56 @@ try:
         list(results)
 except ChildProcessError as exc:
     assert isinstance(exc, OSError)
+    assert str(exc) == "a worker process died: it was killed, perhaps for lack of memory"
+else:
+    raise AssertionError("no error")
+assert no_children()
+""", cpus)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_arrays_cross_the_pipe_with_their_dtype_shape_and_bytes(self, cpus):
+        # Contiguous arrays cross out of band, each aligned and writable, as `classifier._merge` folds a range's rows
+        # in place; a view or an object array is pickled in band. Each result comes from a forked worker.
+        self.run_pinned("""
+block = np.arange(24.0).reshape(4, 6) / 7
+RESULTS = [block, np.bincount([0, 2, 2, 5], minlength=16), np.empty((0, 16)), block[::2, 1::3],
+           np.asfortranarray(block), np.array([1, "a", None, 2.5], dtype=object),
+           tuple(np.arange(i, dtype=np.float64 if i % 3 else np.int8) for i in range(100))]
+def same(a, b):
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(same, a, b))
+    return (type(b) is np.ndarray and (a.dtype, a.shape) == (b.dtype, b.shape) and b.flags.aligned
+            and b.flags.writeable and (a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()))
+for _ in range(3):
+    with fork_map([partial(lambda i: (os.getpid(), RESULTS[i]), i) for i in range(len(RESULTS))]) as results:
+        pids, got = zip(*results)
+    assert os.getpid() not in pids
+    assert all(map(same, RESULTS, got)), got
+    assert no_children()
+""", cpus)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_worker_killed_while_it_writes_a_large_buffer_is_a_child_process_error(self, cpus):
+        # Task 1 starts its 4 MB result only after the caller has read task 0's and stopped reading, so its worker
+        # fills the pipe and blocks in the write it is killed in; a kill anywhere else is the same error.
+        self.run_pinned("""
+import signal, time
+(pid_r, pid_w), (go_r, go_w) = os.pipe(), os.pipe()
+def large_after_go(i):
+    if i == 1:
+        os.write(pid_w, os.getpid().to_bytes(8, "little"))
+        os.read(go_r, 1)
+        return np.ones(1 << 19)
+    return i
+try:
+    with fork_map([partial(large_after_go, i) for i in range(2)]) as results:
+        assert next(results) == 0
+        pid = int.from_bytes(os.read(pid_r, 8), "little")
+        os.write(go_w, b"x")
+        time.sleep(0.3)
+        os.kill(pid, signal.SIGKILL)
+        next(results)
+except ChildProcessError as exc:
     assert str(exc) == "a worker process died: it was killed, perhaps for lack of memory"
 else:
     raise AssertionError("no error")
