@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_real
+from .errors import ValidationError, check_int, check_path, check_real, check_type
 
 # Input limits, each checked at one site before anything of its size is built.
 # Most outcomes a space may have (check_k).
@@ -37,15 +37,17 @@ def is_number_list(value) -> bool:
 
 def float_array(value, what: str) -> np.ndarray:
     """A new C-ordered float array of `value`; an entry not a number, or an int past float range, is a ValidationError,
-    and so is a numpy array or scalar of complex dtype, whose imaginary parts numpy would drop with a warning."""
-    if isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind == "c":
-        raise ValidationError(f"{what} must be an array of numbers")
+    and so is a complex one, whose imaginary part numpy would drop with a warning. Anything but a numpy array or scalar
+    is first read with the dtype numpy gives it, which is complex if an entry is, even a numpy complex in a list."""
     try:
-        return np.array(value, dtype=float, order="C")
+        arr = value if isinstance(value, (np.ndarray, np.generic)) else np.asarray(value)
+        if arr.dtype.kind != "c":
+            return np.array(arr, dtype=float, order="C")
     except OverflowError:
         raise ValidationError(f"{what} must be finite numbers") from None
     except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be an array of numbers") from None
+        pass
+    raise ValidationError(f"{what} must be an array of numbers")
 
 
 def float_rows(value, what: str = "rows") -> np.ndarray:
@@ -72,6 +74,7 @@ def check_block(rows: int, k: int, what: str) -> None:
 @contextmanager
 def json_file(path):
     """Yield the decoded JSON file at `path`; each ValidationError, of the file or the caller's block, names it once."""
+    check_path(path)
     try:
         what = "invalid path"  # open refuses a path with a NUL byte by ValueError.
         with open(path, "r", encoding="utf-8") as fh:
@@ -164,6 +167,7 @@ class CategoricalDistribution:
     p: np.ndarray
 
     def __post_init__(self):
+        check_type("space", self.space, AttributeSpace)
         arr = float_array(self.p, "distribution entries")
         if arr.shape != (self.space.k,):
             raise ValidationError(f"distribution has shape {arr.shape}, expected ({self.space.k},)")
@@ -257,7 +261,7 @@ def load_distribution(path) -> CategoricalDistribution:
             space = space_from_dict(ref)
         elif isinstance(ref, str):
             # join keeps an absolute `ref` as it is.
-            space = load_space(os.path.join(os.path.dirname(str(path)), ref))
+            space = load_space(os.path.join(os.path.dirname(os.fsdecode(path)), ref))
         elif "space" in obj:
             raise ValidationError(f'"space" must be an object or a path, got {ref!r}')
         elif "k" in obj:

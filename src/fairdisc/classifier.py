@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .attrspace import MAX_SAMPLES, check_k, check_rows, float_array, float_rows, is_number_list, json_file, normalized_rows
-from .errors import ValidationError, check_int, check_real, check_type, is_int
+from .errors import ValidationError, check_int, check_path, check_real, check_type, is_int
 from .pool import fork_map
 
 PROBS_SUM_TOL = 1e-6
@@ -514,7 +514,7 @@ def load_predictions(path, k: int) -> Predictions:
     Any other input is read here in line blocks.
     """
     check_k(k)
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(check_path(path), encoding="utf-8", errors="surrogateescape") as fh:
         st = os.fstat(fh.fileno())
         n_ranges = -(-st.st_size // _CHUNK_BYTES) if stat.S_ISREG(st.st_mode) else 1
         if n_ranges < 2:  # a stream's blocks are smaller, as its lines are held as str, not bytes
@@ -589,7 +589,7 @@ def preset(name: str, k: int | None = None) -> ConfusionModel:
         if k is None:
             raise ValidationError('preset family "set2" needs an explicit k')
         name = f"set2-k{k}"
-    if name not in PRESET_ACCURACIES:
+    if not isinstance(name, str) or name not in PRESET_ACCURACIES:
         raise ValidationError(f"unknown preset {name!r} (valid: {', '.join(PRESET_NAMES)})")
     preset_k, acc = PRESET_ACCURACIES[name]
     if k is not None and k != preset_k:

@@ -1,6 +1,7 @@
 """Shared exception types, the one rule for integer and number inputs, and the one form of a wrong-type refusal."""
 
 import numbers
+import os
 import sys
 
 
@@ -20,7 +21,7 @@ def is_int(value) -> bool:
 def check_int(name: str, value, lo=None, hi=None):
     """`value` if it is an integer, at least `lo` and at most `hi` when given; else a ValidationError."""
     if not is_int(value):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
     return _in_range(name, value, lo, hi)
 
 
@@ -28,7 +29,7 @@ def check_real(name: str, value, lo=None, hi=None):
     """As check_int, for a number: a numbers.Real that is neither a bool nor an int past float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
             isinstance(value, int) and abs(value) > sys.float_info.max):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+        raise ValidationError(f"{name} must be a number, got {_shown(value)}")
     return _in_range(name, value, lo, hi)
 
 
@@ -37,6 +38,19 @@ def check_type(name: str, value, cls: type):
     if not isinstance(value, cls):
         raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def check_path(value):
+    """`value` if it is a path, a str, bytes or os.PathLike; else a ValidationError. `open` would take an int or a bool
+    as a file descriptor, and close it."""
+    if not isinstance(value, (str, bytes, os.PathLike)):
+        raise ValidationError(f"path must be a str, bytes or os.PathLike, got {type(value).__name__}")
+    return value
+
+
+def _shown(value) -> str:
+    """`repr(value)` on one line: in a repr that spans lines, as an array's does, each run of whitespace is a space."""
+    return " ".join(text.split()) if "\n" in (text := repr(value)) else text
 
 
 def _in_range(name: str, value, lo, hi):

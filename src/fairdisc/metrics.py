@@ -3,8 +3,8 @@
 Five measures: mean absolute difference (l1), mean euclidean difference (l2), transport distance (wd),
 sorted-weighted spread difference (spec), and the l1/spread hybrid (is). Rows enter through `attrspace.float_rows`,
 in C order, so a score never depends on the caller's layout. `score_parts` alone normalizes, by the value at an
-extreme point against uniform, for `fd_score` and for a caller that prints the raw score too; it clips to [0, 1] and
-refuses a score past that by more than SCORE_TOL, or NaN.
+extreme point against uniform, for `fd_score` and for a caller that prints the raw score too; it refuses rows that
+are not distributions, clips to [0, 1] and refuses a score past that by more than SCORE_TOL, or NaN.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import transport
-from .attrspace import check_k, float_rows
+from .attrspace import check_k, check_rows, float_rows
 from .errors import ValidationError
 
 DEFAULT_ALPHA = 0.5
@@ -140,29 +140,31 @@ def n_factor(metric: Metric, k: int) -> float:
     Computed, not tabulated; every one-hot row gives the same value, so the
     first is used. WD's LP rounds differently from uniform to one-hot.
     """
-    return _n_factor(_measure(metric), k)
+    return _n_factor(_measure(metric), check_k(k))
 
 
-# Keyed on the measure, checked before it is hashed; typed: k = 2.0 must miss k = 2's entry and reach check_k.
+# Keyed on the measure and k, each checked before it is hashed; typed, so that k = 2.0 could never share k = 2's entry.
 @lru_cache(maxsize=None, typed=True)
 def _n_factor(measure, k: int) -> float:
-    return float(measure(np.eye(1, check_k(k))[0], np.full(k, 1.0 / k)))
+    return float(measure(np.eye(1, k)[0], np.full(k, 1.0 / k)))
 
 
 def fd_score(metric: Metric, rows):
     """Normalized fairness discrepancy of each row against uniform: 0 fair, 1 one-hot.
 
-    `rows` is a distribution or an array of shape (..., k); the result has
-    shape rows.shape[:-1]. A quotient outside [-SCORE_TOL, 1 + SCORE_TOL],
-    or NaN, is a ValidationError; the rest is clipped to [0, 1].
+    `rows` is a distribution or an array of shape (..., k) whose rows pass
+    `attrspace.check_rows`, as given; the result has shape rows.shape[:-1].
+    A quotient outside [-SCORE_TOL, 1 + SCORE_TOL] from rounding is a
+    ValidationError; the rest is clipped to [0, 1].
     """
     return score_parts(metric, rows)[2]
 
 
 def score_parts(metric: Metric, rows) -> tuple:
-    """(`raw_score`, `n_factor`, `fd_score`) of `rows`, from one raw score: the quotient by the factor, checked and
-    clipped as `fd_score` says."""
+    """(`raw_score`, `n_factor`, `fd_score`) of `rows`, checked as distributions, from one raw score: the quotient by
+    the factor, checked and clipped as `fd_score` says."""
     rows = float_rows(rows)
+    check_rows(rows, "rows")
     raw, factor = raw_score(metric, rows), n_factor(metric, rows.shape[-1])
     f = raw / factor
     if (bad := ~((f >= -SCORE_TOL) & (f <= 1.0 + SCORE_TOL))).any():

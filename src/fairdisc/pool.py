@@ -14,8 +14,6 @@ import numpy as np
 # aligned.
 _ALIGN = 16
 _PAD = bytes(_ALIGN)
-# Most parts one `os.writev` call takes (POSIX IOV_MAX is at least 16; Linux takes 1024).
-_IOV_MAX = os.sysconf("SC_IOV_MAX") if hasattr(os, "sysconf") and "SC_IOV_MAX" in os.sysconf_names else 16
 _DIED = "a worker process died: it was killed, perhaps for lack of memory"
 
 
@@ -43,8 +41,7 @@ def _pooled(calls: list, workers: int):
         for _ in range(workers):
             (task_in, task_out), (result_in, result_out) = os.pipe(), os.pipe()
             tasks[result_in], results[result_in] = task_out, open(result_in, "rb")
-            # The worker's ends, not the parent's; `out` is unbuffered, as `_write_frame` writes each frame whole.
-            with open(task_in, "rb") as indices, open(result_out, "wb", buffering=0) as out:
+            with open(task_in, "rb") as indices, open(result_out, "wb") as out:  # the worker's ends, not the parent's
                 pids.append(os.fork())
                 if not pids[-1]:
                     _serve(calls, indices, out, [*tasks, *tasks.values()])
@@ -63,10 +60,10 @@ def _pooled(calls: list, workers: int):
                 raise value
             yield value
     finally:
-        for fd, reader in results.items():  # its worker sees the end of its task pipe, sends what it runs and exits
+        # A worker sees the end of its task pipe and exits; one still running gets EPIPE on its next write, and ends.
+        for fd, reader in results.items():
             os.close(tasks[fd])
-            with reader:
-                reader.read()
+            reader.close()
         for pid in pids:
             os.waitpid(pid, 0)
 
@@ -94,8 +91,11 @@ def _received(reader):
 
 def _serve(calls: list, indices, out, parent_ends: list):
     """A forked worker: `calls[i]()` for each index i in `indices`, its outcome (or the error pickling it) pickled to
-    `out` as one frame that `_received` reads, with arrays out of band (PEP 574), their bytes written as they are. It
-    ends in `os._exit`, so no `finally` block, atexit handler or stdio flush of the parent runs here."""
+    `out` as one frame that `_received` reads, with arrays out of band (PEP 574), their bytes written as they are. The
+    frame leaves in one write: `out` hands a frame larger than its buffer to one `write` call, and a smaller one leaves
+    in the flush, so the parent wakes once per pipe-full, not once per part. A write to a pipe the parent has closed
+    is EPIPE, which ends the worker. It ends in `os._exit`, so no `finally` block, atexit handler or stdio flush of the
+    parent runs here."""
     import pickle
     try:
         for fd in parent_ends:
@@ -115,21 +115,8 @@ def _serve(calls: list, indices, out, parent_ends: list):
             parts = [array("q", [len(data), len(raws), *map(len, raws)]), data]
             for raw in raws:
                 parts += raw, _PAD[:-len(raw) % _ALIGN]
-            _write_frame(out.fileno(), parts)
+            out.write(b"".join(parts))
+            out.flush()
     finally:
         os._exit(0)
 
-
-def _write_frame(fd: int, parts: list) -> None:
-    """All of `parts` written to `fd` in order by `os.writev`, one call for the frame (a call cut short goes on where it
-    stopped). A write per part would wake the reader once per part, a number that varies with how the writes fall
-    against its reads, and so would the reader's CPU time."""
-    views = [view for part in parts if (view := memoryview(part).cast("B"))]
-    at = 0
-    while at < len(views):
-        written = os.writev(fd, views[at:at + _IOV_MAX])
-        while at < len(views) and written >= len(views[at]):
-            written -= len(views[at])
-            at += 1
-        if written:
-            views[at] = views[at][written:]

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -212,7 +213,9 @@ class TestFileFormats:
         (tmp_path / "space.json").write_text(
             json.dumps(AttributeSpace.of_size(3).to_dict()))
         (tmp_path / "d.json").write_text('{"space": "space.json", "p": [0.5, 0.25, 0.25]}')
-        assert load_distribution(tmp_path / "d.json").k == 3
+        # Each form of a path that the loaders take resolves "space" against the file's directory.
+        for path in (tmp_path / "d.json", str(tmp_path / "d.json"), os.fsencode(tmp_path / "d.json")):
+            assert load_distribution(path).k == 3
 
     def test_distribution_without_space(self, tmp_path):
         path = tmp_path / "d.json"

@@ -1,6 +1,7 @@
 import os
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ from fairdisc import (
     from_accuracies,
     ingest_predictions,
     l1,
+    load_confusion,
+    load_distribution,
+    load_predictions,
+    load_space,
     mem,
     mepe_ab,
     mepe_fair,
@@ -43,7 +48,7 @@ from fairdisc import (
     sweep,
     uniform_noise,
 )
-from fairdisc import bench, metrics, transport
+from fairdisc import bench, classifier, metrics, transport
 from fairdisc.metrics import REPORT_ORDER, specificity
 from oracles import TIE_TOL, reference_report
 
@@ -98,12 +103,12 @@ class TestStatistics:
             monkeypatch.setattr(metrics, "raw_score", lambda m, rows: np.asarray(f) * n_factor(m, np.shape(rows)[-1]))
         quotients([0.5, 1.1])
         with pytest.raises(ValidationError, match="^score 1.1 outside"):
-            fd_score(Metric.L1, np.zeros((2, 2)))
+            fd_score(Metric.L1, np.full((2, 2), 0.5))
         quotients(np.full((2, 4), -0.2))
         with pytest.raises(ValidationError, match="for l2 at k=4$"):
-            fd_score(Metric.L2, np.zeros((2, 4, 4)))
+            fd_score(Metric.L2, np.full((2, 4, 4), 0.25))
         quotients([-1e-10, 1.0 + 1e-10])
-        assert np.array_equal(fd_score(Metric.L1, np.zeros((2, 2))), [0.0, 1.0])
+        assert np.array_equal(fd_score(Metric.L1, np.full((2, 2), 0.5)), [0.0, 1.0])
 
     def test_permutation_invariance(self):
         scores = np.array([0.1, 0.7, 0.3, 0.9])
@@ -592,9 +597,10 @@ BAD_SCALARS = [
     ("specificity-scalar", lambda: specificity(0.5), "rows" + NO_OUTCOMES + "()"),
     ("raw_score-ragged", lambda: raw_score(Metric.L1, [[0.5, 0.5], [1.0]]), "rows" + NOT_NUMBERS),
     ("fd_score-no-outcomes", lambda: fd_score(Metric.L1, []), "rows" + NO_OUTCOMES + "(0,)"),
-    # fd_score returns a score in [0, 1] or refuses, never NaN or a value past 1.
-    ("fd_score-nan", lambda: fd_score(Metric.L1, [np.nan, np.nan]), "score nan outside [0, 1] for l1 at k=2"),
-    ("fd_score-past-one", lambda: fd_score(Metric.L1, [2.0, -1.0]), "score 3.0 outside [0, 1] for l1 at k=2"),
+    # fd_score scores distributions only, and returns a score in [0, 1] or refuses, never NaN or a value past 1.
+    ("fd_score-nan", lambda: fd_score(Metric.L1, [np.nan, np.nan]), "rows must be finite"),
+    ("fd_score-past-one", lambda: fd_score(Metric.L1, [2.0, -1.0]), "rows must be non-negative"),
+    ("fd_score-row-sum", lambda: fd_score(Metric.L1, [0.9, 0.9]), "rows sum to 1.8, expected 1"),
     ("ep-trials-str-expectation", lambda: run_ep_analysis(perfect(2), EXPECTATION, L1, trials="x"),
      "trials must be an integer, got 'x'"),
     ("mem-ragged", lambda: mem([[0.5, 0.5], [1.0]], [[0.5, 0.5], [1.0]]), "mem: scores" + NOT_NUMBERS),
@@ -634,7 +640,41 @@ BAD_SCALARS = [
      "expectation mode takes no seeds"),
     ("raw_score-k-1", lambda: raw_score(Metric.SPECIFICITY, [1.0]), "k must be in [2, 1000], got 1"),
     ("raw_score-k-1001", lambda: raw_score(Metric.L1, np.full(1001, 1 / 1001)), "k must be in [2, 1000], got 1001"),
+    # A wrong type is refused before it is hashed or read; a value whose repr spans lines is shown on one.
+    ("n_factor-k-list", lambda: n_factor(Metric.L1, [2]), K_FLOAT + "[2]"),
+    ("preset-name-list", lambda: preset([]), "unknown preset [] (valid: " + ", ".join(classifier.PRESET_NAMES) + ")"),
+    ("dist-space-none", lambda: CategoricalDistribution(None, [0.5, 0.5]),
+     "space must be a AttributeSpace, got NoneType"),
+    ("fd_score-numpy-complex-in-list", lambda: fd_score(Metric.L1, [np.complex128(0.5 + 0.1j), 0.5]),
+     "rows" + NOT_NUMBERS),
+    ("perfect-k-array", lambda: perfect(np.eye(2)), K_FLOAT + "array([[1., 0.], [0., 1.]])"),
 ]
+
+
+def from_pipe(load, text: str):
+    """`load` of the read end of a pipe that holds `text`, its write end closed; the read end must still be open
+    afterwards, since `open` takes an int for a descriptor and closes it."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    try:
+        return load(read_end)
+    finally:
+        os.fstat(read_end)
+        os.close(read_end)
+
+
+# A path is a str, bytes or os.PathLike: `open` would take an int or a bool for a file descriptor, and close it.
+LOADERS = [("load_space", load_space, '{"attributes": [{"name": "a", "values": ["x", "y"]}]}'),
+           ("load_distribution", load_distribution, '{"k": 2, "p": [0.5, 0.5]}'),
+           ("load_confusion", load_confusion, '{"k": 2, "m": [[1, 0], [0, 1]]}'),
+           ("load_predictions", partial(load_predictions, k=2), '{"id": "a", "pred": 0}\n')]
+NOT_A_PATH = "path must be a str, bytes or os.PathLike, got "
+BAD_SCALARS += [row for name, load, text in LOADERS for row in [
+    (f"{name}-none", partial(load, None), NOT_A_PATH + "NoneType"),
+    (f"{name}-float", partial(load, 1.5), NOT_A_PATH + "float"),
+    (f"{name}-bool", partial(load, True), NOT_A_PATH + "bool"),
+    (f"{name}-pipe-fd", partial(from_pipe, load, text), NOT_A_PATH + "int")]]
 
 
 def small_report():

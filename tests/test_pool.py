@@ -1,11 +1,9 @@
-import math
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import time
-from array import array
 from functools import partial
 
 import numpy as np
@@ -149,24 +147,6 @@ assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules)
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert imaps == [1] * 4
         assert no_children()
-
-    def test_a_frame_is_one_writev_and_goes_on_after_a_short_one(self, monkeypatch):
-        # Every part, empty ones skipped, is written in order: one call when the pipe takes it whole, and the rest
-        # from where a short call stopped, in calls of at most `_IOV_MAX` parts.
-        parts = [array("q", [3, 1]), b"", b"abc", np.arange(5, dtype=np.int32), memoryview(b"xyz")]
-        whole = b"".join(bytes(memoryview(part).cast("B")) for part in parts if len(part))
-        writev, calls = os.writev, []
-        for most, iov_max, n_calls in [(None, 1024, 1), (5, 1024, math.ceil(len(whole) / 5)), (None, 2, 2)]:
-            calls.clear()
-            monkeypatch.setattr(pool, "_IOV_MAX", iov_max)
-            monkeypatch.setattr(os, "writev", lambda fd, views: calls.append(len(views))
-                                or writev(fd, [b"".join(views)[:most]]))
-            read_end, write_end = os.pipe()
-            with open(read_end, "rb") as reader:
-                pool._write_frame(write_end, parts)
-                os.close(write_end)
-                assert reader.read() == whole
-            assert len(calls) == n_calls and max(calls) <= iov_max
 
     def test_a_worker_killed_between_tasks_is_a_child_process_error(self, monkeypatch):
         # Each worker is killed after its first task, before the parent writes it the next index: that write finds no
@@ -319,5 +299,56 @@ except ChildProcessError as exc:
     assert str(exc) == "a worker process died: it was killed, perhaps for lack of memory"
 else:
     raise AssertionError("no error")
+assert no_children()
+""", cpus)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_frame_is_one_write_call(self, cpus):
+        # Each task reads its worker's count of write calls as it starts, and each worker cycles through a 4 MB array
+        # (larger than the pipe and the writer's buffer), a tuple of 120 small arrays (240 parts) and an int: from one
+        # task to the worker's next, the count grows by 1, the frame of the first. 12 tasks on 2 workers give one
+        # worker at least 6, so each kind is measured.
+        self.run_pinned("""
+from itertools import count
+PAYLOADS = [np.ones(1 << 19), tuple(np.arange(i, dtype=np.int16) for i in range(120)), 7]
+turns = count()
+def counted(i):
+    with open("/proc/self/io") as io:
+        syscw = int(next(line for line in io if line.startswith("syscw:")).split()[1])
+    kind = next(turns) % 3
+    return os.getpid(), syscw, kind, PAYLOADS[kind]
+with fork_map([partial(counted, i) for i in range(12)]) as results:
+    got = [result[:3] for result in results]
+measured = set()
+for pid in {pid for pid, _, _ in got}:
+    mine = [(syscw, kind) for p, syscw, kind in got if p == pid]
+    assert all(b - a == 1 for (a, _), (b, _) in zip(mine, mine[1:])), mine
+    measured.update(kind for _, kind in mine[:-1])
+assert measured == {0, 1, 2}, got
+assert no_children()
+""", cpus)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_caller_that_leaves_while_a_worker_writes_a_large_frame_closes_its_pipe(self, cpus):
+        # Task 1 sends its pid, then a 4 MB result that fills the pipe: its worker is blocked in the write when the
+        # caller leaves the `with`. Closing the pipe ends the write with EPIPE, and the worker exits quietly.
+        self.run_pinned("""
+import time
+before = sorted(os.listdir("/proc/self/fd"))
+pid_r, pid_w = os.pipe()
+def large_on_one(i):
+    if i == 1:
+        os.write(pid_w, os.getpid().to_bytes(8, "little"))
+        return np.ones(1 << 19)
+    return i
+with fork_map([partial(large_on_one, i) for i in range(2)]) as results:
+    assert next(results) == 0
+    os.read(pid_r, 8)
+    time.sleep(0.3)
+os.close(pid_r)
+os.close(pid_w)
+assert sorted(os.listdir("/proc/self/fd")) == before
 assert no_children()
 """, cpus)
