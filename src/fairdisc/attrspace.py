@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_path, check_real, check_type
+from .errors import ValidationError, check_int, check_path, check_real, check_type, shown
 
 # Input limits, each checked at one site before anything of its size is built.
 # Most outcomes a space may have (check_k).
@@ -38,10 +38,12 @@ def is_number_list(value) -> bool:
 def float_array(value, what: str) -> np.ndarray:
     """A new C-ordered float array of `value`; an entry not a number, or an int past float range, is a ValidationError,
     and so is a complex one, whose imaginary part numpy would drop with a warning. Anything but a numpy array or scalar
-    is first read with the dtype numpy gives it, which is complex if an entry is, even a numpy complex in a list."""
+    is first read with the dtype numpy gives it: complex if an entry is, but object if another entry is no plain number
+    (a Fraction, say), and there a numpy complex entry would convert with only the warning, so it is looked for."""
     try:
         arr = value if isinstance(value, (np.ndarray, np.generic)) else np.asarray(value)
-        if arr.dtype.kind != "c":
+        kind = arr.dtype.kind
+        if kind != "c" and (kind != "O" or not any(isinstance(x, np.complexfloating) for x in arr.flat)):
             return np.array(arr, dtype=float, order="C")
     except OverflowError:
         raise ValidationError(f"{what} must be finite numbers") from None
@@ -73,8 +75,9 @@ def check_block(rows: int, k: int, what: str) -> None:
 
 @contextmanager
 def json_file(path):
-    """Yield the decoded JSON file at `path`; each ValidationError, of the file or the caller's block, names it once."""
-    check_path(path)
+    """Yield the decoded JSON file at `path`; each ValidationError, of the file or the caller's block, names it once,
+    as a str even for a bytes path."""
+    path = os.fsdecode(check_path(path))
     try:
         what = "invalid path"  # open refuses a path with a NUL byte by ValueError.
         with open(path, "r", encoding="utf-8") as fh:
@@ -127,14 +130,14 @@ class AttributeSpace:
 
     def __post_init__(self):
         if not (isinstance(self.attributes, tuple) and all(isinstance(a, tuple) and len(a) == 2 for a in self.attributes)):
-            raise ValidationError(f"attribute space must be a tuple of (name, values) pairs, got {self.attributes!r}")
+            raise ValidationError(f"attribute space must be a tuple of (name, values) pairs, got {shown(self.attributes)}")
         if not self.attributes:
             raise ValidationError("attribute space needs at least one attribute")
         for name, values in self.attributes:
             if not isinstance(name, str):
-                raise ValidationError(f"attribute name must be a string, got {name!r}")
+                raise ValidationError(f"attribute name must be a string, got {shown(name)}")
             if not isinstance(values, tuple) or not all(isinstance(v, str) for v in values):
-                raise ValidationError(f"attribute {name!r} values must be a tuple of strings, got {values!r}")
+                raise ValidationError(f"attribute {name!r} values must be a tuple of strings, got {shown(values)}")
             if not values:
                 raise ValidationError(f"attribute {name!r} has no values")
             if len(set(values)) != len(values):

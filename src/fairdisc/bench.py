@@ -21,7 +21,7 @@ import numpy as np
 from .attrspace import check_block, check_sweep, float_array
 from .attrspace import sweep as sweep_path
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, check_model, derive_seed, estimate
-from .errors import ValidationError, check_int, check_type, is_int
+from .errors import ValidationError, check_int, check_type, is_int, shown
 from .metrics import DEFAULT_ALPHA, REPORT_ORDER, Metric, fd_score, n_factor
 from .pool import fork_map
 
@@ -80,9 +80,12 @@ def _checked_call(model: ConfusionModel, mode: EstimationMode, metrics: Iterable
     """Check a harness run before its first estimate: the types, each metric's limit at model.k, the sweep at
     `step` if given, and `trials` in either mode. Return the metrics and the trials per point (1 in expectation)."""
     check_model(model, mode)
-    checked = tuple(metrics) if isinstance(metrics, Iterable) else ()
+    try:
+        checked = tuple(metrics)
+    except TypeError:  # not iterable, as a 0-d array is not, though it passes for an Iterable
+        checked = ()
     if not checked or not all(isinstance(m, Metric) for m in checked):
-        raise ValidationError(f"metrics must be one or more Metric values, got {metrics!r}")
+        raise ValidationError(f"metrics must be one or more Metric values, got {shown(metrics)}")
     for m in checked:
         n_factor(m, model.k)
     if step is not None:
@@ -127,7 +130,7 @@ def run_sweep(model: ConfusionModel, mode: EstimationMode, metrics: Sequence[Met
     metrics, _ = _checked_call(model, mode, metrics)
     k = model.k
     if not (is_int(starts) or isinstance(starts, str) and starts == "all"):
-        raise ValidationError(f'sweep start must be "all" or an integer, got {starts!r}')
+        raise ValidationError(f'sweep start must be "all" or an integer, got {shown(starts)}')
     if starts != "all" and not 0 <= starts < k:
         raise ValidationError(f"sweep start {starts} out of range for k={k}")
     tasks = _sweep_tasks([model], mode, metrics, step, None if starts == "all" else [starts])

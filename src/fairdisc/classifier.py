@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .attrspace import MAX_SAMPLES, check_k, check_rows, float_array, float_rows, is_number_list, json_file, normalized_rows
-from .errors import ValidationError, check_int, check_path, check_real, check_type, is_int
+from .errors import ValidationError, check_int, check_path, check_real, check_type, is_int, shown
 from .pool import fork_map
 
 PROBS_SUM_TOL = 1e-6
@@ -376,8 +376,9 @@ def _read_range(k: int, lines):
     """Check one block of prediction lines, with every check of `load_predictions`, and reduce it; line numbers count
     from its first line. Returns (soft, first, error, bad, n_lines, reduced, pairs): its record kind (None without a
     record), the line of its first record, its first per-line error as (line, message) or None (reading stops there),
-    its first soft row that is not a distribution as (line, message) or None, its line count, its soft rows (n, k) or
-    predicted label counts (k,), and its (truth, prediction) counts (k * k,), or None when a record lacks truth."""
+    its first soft row that is not a distribution as (line, message) or None, its line count, its rows (n, k) to fold:
+    the soft rows, or the one row of predicted label counts, the sum of the hard records' one-hot rows, and its
+    (truth, prediction) counts (k * k,), or None when a record lacks truth."""
     # One record's probabilities packed as k doubles, as an array("d") holds them: faster than extending one.
     packed = struct.Struct(f"{k}d").pack
     probs, linenos, labels, truth = bytearray(), array("q"), array("q"), array("q")
@@ -436,7 +437,7 @@ def _read_range(k: int, lines):
                                     else f"probs sum to {float(sums[row])}, expected 1")
     pred = rows.argmax(axis=1) if soft else np.frombuffer(labels, dtype=np.int64)
     pairs = None if -1 in truth else np.bincount(np.frombuffer(truth, dtype=np.int64) * k + pred, minlength=k * k)
-    return soft, first, error, bad, lineno, rows if soft else np.bincount(pred, minlength=k), pairs
+    return soft, first, error, bad, lineno, rows if soft else np.bincount(pred, minlength=k)[None], pairs
 
 
 def _line_end(fd: int, pos: int, size: int) -> int:
@@ -481,14 +482,11 @@ def _merge(k: int, results) -> Predictions:
         if r_soft is not None:
             soft = r_soft
             n += len(reduced) if soft else int(reduced.sum())
-            if not soft:
-                total = reduced if total is None else total + reduced
-            else:
-                # numpy sums a C-ordered block over axis 0 row by row, so with the running total added into the
-                # first row in place the additions, and their order, are those of one pass over the file, with no copy.
-                if total is not None:
-                    reduced[0] += total
-                total = reduced.sum(axis=0)
+            # numpy sums a C-ordered block over axis 0 row by row, so with the running total added into the first
+            # row in place the additions, and their order, are those of one pass over the file, with no copy.
+            if total is not None:
+                reduced[0] += total
+            total = reduced.sum(axis=0)
             pairs = None if pairs is None or r_pairs is None else pairs + r_pairs
         offset += n_lines
     if bad is not None:
@@ -534,8 +532,8 @@ def ingest_predictions(preds: Predictions) -> tuple[np.ndarray, ConfusionModel |
     """
     check_type("predictions", preds, Predictions)
     k, total = preds.k, preds.total
-    # Each soft row may be off by PROBS_SUM_TOL, so renormalize their sum rather than divide it by the count.
-    estimated = normalized_rows(total / (total.sum() if preds.soft else len(preds)))
+    # A soft row may be off 1 by PROBS_SUM_TOL, so divide by the total's sum, not the count; a hard total sums to it.
+    estimated = normalized_rows(total / total.sum())
     if preds.pairs is None:
         return estimated, None
     counts = preds.pairs.reshape(k, k)
@@ -581,16 +579,17 @@ def preset(name: str, k: int | None = None) -> ConfusionModel:
     """
     if k is not None:
         check_int("k", k)
-    if name == "perfect":
-        if k is None:
-            raise ValidationError('preset "perfect" needs an explicit k')
-        return perfect(k)
-    if name == "set2":
-        if k is None:
-            raise ValidationError('preset family "set2" needs an explicit k')
-        name = f"set2-k{k}"
+    if isinstance(name, str):  # compared only as a str: an array compares by element
+        if name == "perfect":
+            if k is None:
+                raise ValidationError('preset "perfect" needs an explicit k')
+            return perfect(k)
+        if name == "set2":
+            if k is None:
+                raise ValidationError('preset family "set2" needs an explicit k')
+            name = f"set2-k{k}"
     if not isinstance(name, str) or name not in PRESET_ACCURACIES:
-        raise ValidationError(f"unknown preset {name!r} (valid: {', '.join(PRESET_NAMES)})")
+        raise ValidationError(f"unknown preset {shown(name)} (valid: {', '.join(PRESET_NAMES)})")
     preset_k, acc = PRESET_ACCURACIES[name]
     if k is not None and k != preset_k:
         raise ValidationError(f"preset {name!r} is for k={preset_k}, requested k={k}")
@@ -606,7 +605,7 @@ def from_spec(spec: str, k: int) -> ConfusionModel:
     """The k x k model a classifier spec names: a preset by `preset` ("perfect", "set2" or a fixed-k name), else the
     model in the confusion file at path `spec`, whose k must be k."""
     if not isinstance(spec, str):
-        raise ValidationError(f"classifier spec must be a string, got {spec!r}")
+        raise ValidationError(f"classifier spec must be a string, got {shown(spec)}")
     check_k(k)
     if spec in PRESET_NAMES:
         return preset(spec, k)

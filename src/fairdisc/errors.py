@@ -1,4 +1,5 @@
-"""Shared exception types, the one rule for integer and number inputs, and the one form of a wrong-type refusal."""
+"""Shared exception types, the one rule for integer and number inputs, the one form of a wrong-type refusal, and the
+one-line form of a value shown in a message."""
 
 import numbers
 import os
@@ -21,7 +22,7 @@ def is_int(value) -> bool:
 def check_int(name: str, value, lo=None, hi=None):
     """`value` if it is an integer, at least `lo` and at most `hi` when given; else a ValidationError."""
     if not is_int(value):
-        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
+        raise ValidationError(f"{name} must be an integer, got {shown(value)}")
     return _in_range(name, value, lo, hi)
 
 
@@ -29,7 +30,7 @@ def check_real(name: str, value, lo=None, hi=None):
     """As check_int, for a number: a numbers.Real that is neither a bool nor an int past float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
             isinstance(value, int) and abs(value) > sys.float_info.max):
-        raise ValidationError(f"{name} must be a number, got {_shown(value)}")
+        raise ValidationError(f"{name} must be a number, got {shown(value)}")
     return _in_range(name, value, lo, hi)
 
 
@@ -48,7 +49,7 @@ def check_path(value):
     return value
 
 
-def _shown(value) -> str:
+def shown(value) -> str:
     """`repr(value)` on one line: in a repr that spans lines, as an array's does, each run of whitespace is a space."""
     return " ".join(text.split()) if "\n" in (text := repr(value)) else text
 

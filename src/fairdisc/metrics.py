@@ -9,21 +9,30 @@ are not distributions, clips to [0, 1] and refuses a score past that by more tha
 
 from __future__ import annotations
 
-from enum import Enum
+from enum import Enum, EnumMeta
 from functools import lru_cache
 
 import numpy as np
 
 from . import transport
 from .attrspace import check_k, check_rows, float_rows
-from .errors import ValidationError
+from .errors import ValidationError, shown
 
 DEFAULT_ALPHA = 0.5
 # A normalized score may miss [0, 1] by this much from rounding; fd_score refuses more.
 SCORE_TOL = 1e-9
 
 
-class Metric(str, Enum):
+class _MetricType(EnumMeta):
+    """`Metric(value)` refuses a value that names no metric as `_measure` does, before Enum's lookup, which would
+    compare an array to each metric's value by element."""
+
+    def __call__(cls, value):
+        _measure(value)
+        return super().__call__(value)
+
+
+class Metric(str, Enum, metaclass=_MetricType):
     L1 = "l1"
     L2 = "l2"
     WD = "wd"
@@ -41,7 +50,7 @@ REPORT_ORDER = (Metric.L2, Metric.L1, Metric.INFO_SPECIFICITY, Metric.SPECIFICIT
 def parse_metrics(spec: str) -> tuple[Metric, ...]:
     """Parse a comma-separated metric list; "all" expands to every metric."""
     if not isinstance(spec, str):
-        raise ValidationError(f"metric list must be a string, got {spec!r}")
+        raise ValidationError(f"metric list must be a string, got {shown(spec)}")
     names = [s.strip().lower() for s in spec.split(",") if s.strip()]
     if not names:
         raise ValidationError("empty metric list")
@@ -122,7 +131,7 @@ _MEASURES = {Metric.L1: l1, Metric.L2: l2, Metric.WD: wd,
 def _measure(metric: Metric):
     """The measure of `metric`, a Metric or its value; anything else is a ValidationError."""
     if not isinstance(metric, str) or metric not in _MEASURES:
-        raise ValidationError(f"unknown metric {metric!r} (valid: {', '.join(map(str, _MEASURES))})")
+        raise ValidationError(f"unknown metric {shown(metric)} (valid: {', '.join(map(str, _MEASURES))})")
     return _MEASURES[metric]
 
 

@@ -1,6 +1,7 @@
 import os
 import re
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -648,6 +649,27 @@ BAD_SCALARS = [
     ("fd_score-numpy-complex-in-list", lambda: fd_score(Metric.L1, [np.complex128(0.5 + 0.1j), 0.5]),
      "rows" + NOT_NUMBERS),
     ("perfect-k-array", lambda: perfect(np.eye(2)), K_FLOAT + "array([[1., 0.], [0., 1.]])"),
+    # Beside a Fraction, numpy keeps a numpy complex in an object array, whose float conversion would only warn.
+    ("fd_score-numpy-complex-beside-fraction", lambda: fd_score(Metric.L1, [np.complex128(0.5 + 0.1j), Fraction(1, 2)]),
+     "rows" + NOT_NUMBERS),
+    ("confusion-numpy-complex-beside-fraction",
+     lambda: ConfusionModel([[np.complex128(1), Fraction(0)], [0.0, 1.0]]), "confusion entries" + NOT_NUMBERS),
+    ("solve-numpy-complex-beside-fraction",
+     lambda: solve([np.complex128(0.5), Fraction(1, 2)], [0.5, 0.5], default_cost(2)), "transport marginals" + NOT_NUMBERS),
+    # A name, a metric or a metric list is checked for its type before it is compared: an array compares by element.
+    ("preset-name-empty-array", lambda: preset(np.array([])),
+     "unknown preset array([], dtype=float64) (valid: " + ", ".join(classifier.PRESET_NAMES) + ")"),
+    ("metric-str", lambda: Metric("x"), UNKNOWN_METRIC + "'x'" + VALID_METRICS),
+    ("metric-empty-array", lambda: Metric(np.array([])), UNKNOWN_METRIC + "array([], dtype=float64)" + VALID_METRICS),
+    ("run_sweep-metrics-0d", lambda: run_sweep(perfect(2), EXPECTATION, np.array(1.0), 0.5),
+     "metrics must be one or more Metric values, got array(1.)"),
+    ("run_ep_analysis-metrics-0d", lambda: run_ep_analysis(perfect(2), EXPECTATION, np.array(1.0)),
+     "metrics must be one or more Metric values, got array(1.)"),
+    ("run_benchmark-metrics-0d", lambda: run_benchmark([perfect(2)], np.array(1.0)),
+     "metrics must be one or more Metric values, got array(1.)"),
+    # A caller's value is shown on one line.
+    ("space-model", lambda: AttributeSpace(perfect(2)),
+     "attribute space must be a tuple of (name, values) pairs, got ConfusionModel(m=array([[1., 0.], [0., 1.]]), k=2)"),
 ]
 
 
@@ -675,6 +697,19 @@ BAD_SCALARS += [row for name, load, text in LOADERS for row in [
     (f"{name}-float", partial(load, 1.5), NOT_A_PATH + "float"),
     (f"{name}-bool", partial(load, True), NOT_A_PATH + "bool"),
     (f"{name}-pipe-fd", partial(from_pipe, load, text), NOT_A_PATH + "int")]]
+
+
+@pytest.mark.parametrize("body", ["{not json", "[]"], ids=["bad-json", "bad-body"])
+@pytest.mark.parametrize("load", [row[1] for row in LOADERS[:3]], ids=[row[0] for row in LOADERS[:3]])
+def test_a_bytes_path_is_named_as_its_str(tmp_path, load, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    messages = []
+    for form in (str(path), os.fsencode(path)):
+        with pytest.raises(ValidationError) as exc:
+            load(form)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and messages[0].startswith(f"{path}: ")
 
 
 def small_report():

@@ -582,7 +582,9 @@ class TestPredictionFiles:
         path.write_text('{"id": "a", "pred": 0}\n\n{"id": "b", "pred": 1}\n')
         preds = load_predictions(path, 2)
         assert len(preds) == 2
-        assert not preds.soft and preds.total.tolist() == [1, 1] and preds.pairs is None
+        # A hard total counts labels in int64, so its sum is the record count.
+        assert not preds.soft and preds.total.tolist() == [1, 1] and preds.total.dtype == np.int64
+        assert preds.pairs is None
 
     def test_load_confusion_roundtrip(self, tmp_path):
         path = tmp_path / "c.json"

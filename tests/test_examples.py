@@ -1,6 +1,8 @@
-"""The README's library example and the scripts run as documented, and the benchmark tracer finds what it wraps."""
+"""The README's library example and the scripts run as documented, the benchmark tracer finds what it wraps, and the
+benchmark's own output check passes."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -62,3 +64,13 @@ def test_perfbench_tracer_installs():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# perfbench/run.py requires set2-expect's output to match its golden byte for byte; running the benchmark's own check
+# here catches a change that moves one printed digit, and follows that check wherever its rule changes.
+def test_perfbench_set2_expect_output_is_correct():
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "set2-expect", "--seed", "0",
+                           "--seconds", "0", "--trace", "0"], capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
