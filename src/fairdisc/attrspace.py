@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_path, check_real, check_type, shown
+from .errors import ValidationError, check_int, check_path, check_real, check_str, check_type, shown
 
 # Input limits, each checked at one site before anything of its size is built.
 # Most outcomes a space may have (check_k).
@@ -134,8 +134,7 @@ class AttributeSpace:
         if not self.attributes:
             raise ValidationError("attribute space needs at least one attribute")
         for name, values in self.attributes:
-            if not isinstance(name, str):
-                raise ValidationError(f"attribute name must be a string, got {shown(name)}")
+            check_str("attribute name", name)
             if not isinstance(values, tuple) or not all(isinstance(v, str) for v in values):
                 raise ValidationError(f"attribute {name!r} values must be a tuple of strings, got {shown(values)}")
             if not values:

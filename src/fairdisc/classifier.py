@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .attrspace import MAX_SAMPLES, check_k, check_rows, float_array, float_rows, is_number_list, json_file, normalized_rows
-from .errors import ValidationError, check_int, check_path, check_real, check_type, is_int, shown
+from .errors import ValidationError, check_choice, check_int, check_path, check_real, check_str, check_type, is_int
 from .pool import fork_map
 
 PROBS_SUM_TOL = 1e-6
@@ -333,13 +333,12 @@ def estimate(model: ConfusionModel, rows, mode: EstimationMode = EXPECTATION,
 
 @dataclass(frozen=True, eq=False)
 class Predictions:
-    """Ingested records, reduced as they were read with `k` outcomes: `soft` says whether they are soft (probs) or
-    hard (pred) records and `n` counts them. `total` (k,) is the sum of the soft rows, added in file order, or the
-    count of each predicted label; `pairs` (k * k,) counts each (truth, prediction) pair at truth * k + prediction,
-    the argmax for soft records, or is None unless every record has a truth label."""
+    """Ingested records, reduced as they were read with `k` outcomes: `n` counts them. `total` (k,) is the sum of the
+    soft (probs) rows, added in file order, as float64, or the int64 count of each hard (pred) record's label; `pairs`
+    (k * k,) counts each (truth, prediction) pair at truth * k + prediction, the argmax for soft records, or is None
+    unless every record has a truth label."""
 
     k: int
-    soft: bool
     n: int
     total: np.ndarray
     pairs: np.ndarray | None
@@ -493,7 +492,7 @@ def _merge(k: int, results) -> Predictions:
         raise ValidationError(bad)
     if soft is None:
         raise ValidationError("prediction stream is empty")
-    return Predictions(k, soft, n, total, pairs)
+    return Predictions(k, n, total, pairs)
 
 
 def load_predictions(path, k: int) -> Predictions:
@@ -579,17 +578,16 @@ def preset(name: str, k: int | None = None) -> ConfusionModel:
     """
     if k is not None:
         check_int("k", k)
-    if isinstance(name, str):  # compared only as a str: an array compares by element
-        if name == "perfect":
-            if k is None:
-                raise ValidationError('preset "perfect" needs an explicit k')
-            return perfect(k)
-        if name == "set2":
-            if k is None:
-                raise ValidationError('preset family "set2" needs an explicit k')
-            name = f"set2-k{k}"
-    if not isinstance(name, str) or name not in PRESET_ACCURACIES:
-        raise ValidationError(f"unknown preset {shown(name)} (valid: {', '.join(PRESET_NAMES)})")
+    if check_choice("preset", name, PRESET_NAMES) == "perfect":
+        if k is None:
+            raise ValidationError('preset "perfect" needs an explicit k')
+        return perfect(k)
+    if name == "set2":
+        if k is None:
+            raise ValidationError('preset family "set2" needs an explicit k')
+        if (name := f"set2-k{k}") not in PRESET_ACCURACIES:
+            members = ", ".join(str(n) for member, (n, _) in PRESET_ACCURACIES.items() if member.startswith("set2-"))
+            raise ValidationError(f'preset family "set2" has no member for k={k} (members: k={members})')
     preset_k, acc = PRESET_ACCURACIES[name]
     if k is not None and k != preset_k:
         raise ValidationError(f"preset {name!r} is for k={preset_k}, requested k={k}")
@@ -604,8 +602,7 @@ SPEC_FORMS = 'preset name ("perfect", "set1-a".."set1-d", "set2", "set2-k2".."se
 def from_spec(spec: str, k: int) -> ConfusionModel:
     """The k x k model a classifier spec names: a preset by `preset` ("perfect", "set2" or a fixed-k name), else the
     model in the confusion file at path `spec`, whose k must be k."""
-    if not isinstance(spec, str):
-        raise ValidationError(f"classifier spec must be a string, got {shown(spec)}")
+    check_str("classifier spec", spec)
     check_k(k)
     if spec in PRESET_NAMES:
         return preset(spec, k)

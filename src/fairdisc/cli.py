@@ -18,7 +18,7 @@ from . import classifier as clf
 from .attrspace import AttributeSpace, CategoricalDistribution, check_k, json_file, json_text, load_distribution, load_space
 from .bench import check_precision, format_float, report_to_csv, report_to_markdown, run_benchmark, run_ep_analysis, run_sweep
 from .classifier import EXPECTATION, ConfusionModel, EstimationMode, Sampled, ingest_predictions, load_predictions
-from .errors import ValidationError, check_int, check_real
+from .errors import ValidationError, check_choice, check_int, check_real, check_str
 from .metrics import Metric, fd_score, n_factor, parse_metrics, score_parts
 
 DEFAULT_KS = (2, 4, 8, 16)
@@ -31,12 +31,6 @@ def _as_list(value) -> list | tuple:
     return value if isinstance(value, (list, tuple)) else [value]
 
 
-def _string(name: str, value) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{name} must be a string, got {value!r}")
-    return value
-
-
 def _ks(name: str, value) -> tuple[int, ...]:
     ks = tuple(check_k(k) for k in _as_list(value))
     if not ks:
@@ -47,7 +41,7 @@ def _ks(name: str, value) -> tuple[int, ...]:
 
 
 def _metrics(name: str, value) -> tuple[Metric, ...]:
-    return parse_metrics(",".join(_string(name, m) for m in _as_list(value)))
+    return parse_metrics(",".join(check_str(name, m) for m in _as_list(value)))
 
 
 def _parsed(text: str):
@@ -64,28 +58,22 @@ def _accs(name: str, value) -> tuple[float, ...]:
     return tuple(check_real(name, a) for a in items)
 
 
-def _mode(name: str, value) -> str:
-    if value not in MODES:
-        raise ValidationError(f'{name} must be "expectation" or "sampled", got {value!r}')
-    return value
-
-
 # Every shared option, once: name -> (convert, default, commands that take it, help, extra argparse keywords).
 # A flag and a config key both go through convert(name, value); an unset option with a default None stays None.
 OPTIONS = {
     "k": (_ks, None, ("nfactor", *RUNS, "ingest"), "outcome count(s)", {"type": int, "nargs": "+", "metavar": "K"}),
     "metrics": (_metrics, "all", ("nfactor", "score", *RUNS), 'comma-separated metric names or "all" (default)', {}),
-    "classifier": (_string, None, RUNS, clf.SPEC_FORMS, {"metavar": "PRESET|FILE"}),
+    "classifier": (check_str, None, RUNS, clf.SPEC_FORMS, {"metavar": "PRESET|FILE"}),
     "eps": (check_real, None, RUNS, "uniform-noise level in [0,1]", {"type": float}),
     "accs": (_accs, None, RUNS, "per-class accuracies (fixes k)", {"metavar": "A1,A2,.."}),
-    "mode": (_mode, "expectation", RUNS, None, {"choices": MODES}),
+    "mode": (partial(check_choice, valid=MODES), "expectation", RUNS, None, {"choices": MODES}),
     "n": (check_int, None, RUNS, "samples per estimate (sampled mode)", {"type": int}),
     "seed": (partial(check_int, lo=0), 0, RUNS, "base seed (default 0)", {"type": int}),
     "trials": (check_int, 30, ("ep", "bench"), "sampling repeats per point (default 30)", {"type": int}),
     "step": (check_real, 0.01, ("sweep", "bench"), "sweep step size (default 0.01)", {"type": float}),
     "start": (check_int, 0, ("sweep",), "AB extreme point the sweep drains (default 0)", {"type": int}),
-    "out": (_string, None, COMMANDS, "write output here instead of stdout", {"metavar": "FILE"}),
-    "markdown": (_string, None, ("bench",), "also write a Markdown rendering of the report", {"metavar": "FILE"}),
+    "out": (check_str, None, COMMANDS, "write output here instead of stdout", {"metavar": "FILE"}),
+    "markdown": (check_str, None, ("bench",), "also write a Markdown rendering of the report", {"metavar": "FILE"}),
     "precision": (lambda _, value: check_precision(value), 6, ("nfactor", "score", *RUNS),
                   "significant digits for floats (default 6)", {"type": int}),
 }

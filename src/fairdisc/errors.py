@@ -1,5 +1,5 @@
-"""Shared exception types, the one rule for integer and number inputs, the one form of a wrong-type refusal, and the
-one-line form of a value shown in a message."""
+"""Shared exception types, the one rule for integer, number, string and named-choice inputs, the one form of a
+wrong-type refusal, and the one-line form of a value shown in a message."""
 
 import numbers
 import os
@@ -38,6 +38,21 @@ def check_type(name: str, value, cls: type):
     """`value` if it is a `cls`; else a ValidationError that names both types."""
     if not isinstance(value, cls):
         raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def check_str(name: str, value) -> str:
+    """`value` if it is a str; else a ValidationError."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {shown(value)}")
+    return value
+
+
+def check_choice(what: str, value, valid) -> str:
+    """`value` if it is a str in `valid`; else a ValidationError that lists `valid`. Anything but a str is refused
+    before it is compared, since an array compares to a str by element."""
+    if not isinstance(value, str) or value not in valid:
+        raise ValidationError(f"unknown {what} {shown(value)} (valid: {', '.join(map(str, valid))})")
     return value
 
 

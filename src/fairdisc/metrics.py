@@ -16,7 +16,7 @@ import numpy as np
 
 from . import transport
 from .attrspace import check_k, check_rows, float_rows
-from .errors import ValidationError, shown
+from .errors import ValidationError, check_choice, check_str
 
 DEFAULT_ALPHA = 0.5
 # A normalized score may miss [0, 1] by this much from rounding; fd_score refuses more.
@@ -48,18 +48,13 @@ REPORT_ORDER = (Metric.L2, Metric.L1, Metric.INFO_SPECIFICITY, Metric.SPECIFICIT
 
 
 def parse_metrics(spec: str) -> tuple[Metric, ...]:
-    """Parse a comma-separated metric list; "all" expands to every metric."""
-    if not isinstance(spec, str):
-        raise ValidationError(f"metric list must be a string, got {shown(spec)}")
-    names = [s.strip().lower() for s in spec.split(",") if s.strip()]
+    """Parse a comma-separated metric list, each metric once in the order first given; "all" expands to every metric."""
+    names = [s.strip().lower() for s in check_str("metric list", spec).split(",") if s.strip()]
     if not names:
         raise ValidationError("empty metric list")
     if "all" in names:
         return REPORT_ORDER
-    for name in names:
-        if name not in _MEASURES:
-            raise ValidationError(f"unknown metric {name!r} (valid: {', '.join(map(str, _MEASURES))}, all)")
-    return tuple(map(Metric, names))
+    return tuple(Metric(check_choice("metric", name, (*_MEASURES, "all"))) for name in dict.fromkeys(names))
 
 
 def _pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +125,7 @@ _MEASURES = {Metric.L1: l1, Metric.L2: l2, Metric.WD: wd,
 
 def _measure(metric: Metric):
     """The measure of `metric`, a Metric or its value; anything else is a ValidationError."""
-    if not isinstance(metric, str) or metric not in _MEASURES:
-        raise ValidationError(f"unknown metric {shown(metric)} (valid: {', '.join(map(str, _MEASURES))})")
-    return _MEASURES[metric]
+    return _MEASURES[check_choice("metric", metric, _MEASURES)]
 
 
 def raw_score(metric: Metric, rows):

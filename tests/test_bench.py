@@ -259,6 +259,8 @@ class TestBenchmarkReport:
         assert report.row("mem", "sweep", (2,))
         assert report.row("mem", "sweep", (4,))
         assert report.row("mepe", "ab", (2,))  # per-k breakdown
+        with pytest.raises(KeyError):
+            report.row("mem", "sweep", (8,))
 
     def test_best_worst_tags_with_strict_ordering(self):
         report = run_benchmark([preset_like_set2_k4()], step=0.05)
@@ -320,6 +322,13 @@ class TestBenchmarkReport:
         md = report_to_markdown(run_benchmark([perfect(2)], step=0.1))
         assert "## MEPE" in md and "## EP variance" in md and "## Sweep MEM" in md
         assert "| L2 | L1 | IS | Spec | WD |" in md
+
+    def test_markdown_writes_no_section_without_rows(self):
+        report = run_benchmark([perfect(2)], step=0.1)
+        no_mem = bench.BenchmarkReport(report.metrics, [r for r in report.rows if r.benchmark != "mem"], report.meta)
+        md = report_to_markdown(no_mem)
+        assert "## Sweep MEM" not in md
+        assert md == re.sub(r"## Sweep MEM\n\n.*?\n\n", "", report_to_markdown(report), flags=re.S)
 
 
 # The report against `oracles.reference_report`: every value within 1e-12, and every wd value within 1e-8, because the
@@ -535,6 +544,7 @@ NOT_NUMBERS = " must be an array of numbers"
 NO_OUTCOMES = " must have a last axis of at least one outcome, got shape "
 UNKNOWN_METRIC = "unknown metric "
 VALID_METRICS = " (valid: l1, l2, wd, spec, is)"
+SET2_K3 = 'preset family "set2" has no member for k=3 (members: k=2, 4, 8, 16)'
 BAD_SCALARS = [
     ("sweep-k-float", lambda: sweep(2.5, 0.1), K_FLOAT + "2.5"),
     ("perfect-k-float", lambda: perfect(2.5), K_FLOAT + "2.5"),
@@ -670,6 +680,13 @@ BAD_SCALARS = [
     # A caller's value is shown on one line.
     ("space-model", lambda: AttributeSpace(perfect(2)),
      "attribute space must be a tuple of (name, values) pairs, got ConfusionModel(m=array([[1., 0.], [0., 1.]]), k=2)"),
+    ("space-no-attributes", lambda: AttributeSpace(()), "attribute space needs at least one attribute"),
+    ("space-no-values", lambda: AttributeSpace((("a", ()),)), "attribute 'a' has no values"),
+    ("solve-cost-k", lambda: solve([0.5, 0.5], [0.5, 0.5], default_cost(3)), "cost matrix is 3x3, distributions have k=2"),
+    ("parse_metrics-unknown", lambda: parse_metrics("l1,tvd"), UNKNOWN_METRIC + "'tvd' (valid: l1, l2, wd, spec, is, all)"),
+    # A preset family names the member ks it has, not a preset the caller never gave.
+    ("preset-set2-k3", lambda: preset("set2", 3), SET2_K3),
+    ("from_spec-set2-k3", lambda: classifier.from_spec("set2", 3), SET2_K3),
 ]
 
 

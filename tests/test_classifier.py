@@ -583,7 +583,7 @@ class TestPredictionFiles:
         preds = load_predictions(path, 2)
         assert len(preds) == 2
         # A hard total counts labels in int64, so its sum is the record count.
-        assert not preds.soft and preds.total.tolist() == [1, 1] and preds.total.dtype == np.int64
+        assert preds.total.tolist() == [1, 1] and preds.total.dtype == np.int64
         assert preds.pairs is None
 
     def test_load_confusion_roundtrip(self, tmp_path):
@@ -629,7 +629,7 @@ def assert_same_read(got, want):
         assert got == want
         return
     assert not isinstance(got, str), got
-    assert (got.k, got.soft, len(got)) == (want.k, want.soft, len(want))
+    assert (got.k, got.total.dtype, len(got)) == (want.k, want.total.dtype, len(want))
     for name in ("total", "pairs"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None and b is None) or (np.array_equal(a, b) and a.dtype == b.dtype), name

@@ -56,6 +56,10 @@ class TestNfactor:
         assert code == 0
         assert csv_rows(out) == [{"k": "2", "metric": "spec", "n_factor": "1"}]
 
+    def test_each_metric_printed_once(self, capsys):
+        code, out, _ = run_cli(capsys, "nfactor", "--k", "2", "--metrics", "l1,l1,L1")
+        assert (code, out) == (0, "k,metric,n_factor\n2,l1,0.5\n")
+
 
 class TestScore:
     def test_worked_example(self, capsys, tmp_path):
@@ -202,6 +206,11 @@ class TestBench:
         assert meta["n_ab_pool"] == "6"
         assert meta["k_set"] == "2|4"
         assert "## MEPE" in md.read_text()
+
+    def test_accuracies_label_the_classifier(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--k", "4", "--accs", "0.9,0.8,0.7,0.6", "--step", "0.25")
+        assert code == 0
+        assert "# classifier=accs=0.9,0.8,0.7,0.6\n" in out
 
     def test_out_file_written(self, capsys, tmp_path):
         out_path = tmp_path / "r.csv"
@@ -595,6 +604,24 @@ def test_config_numeric_string_exits_2(capsys, tmp_path, cfg, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run_cli(capsys, "bench", "--config", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+# A config body must be an object, and each value passes its option's convert; the error names the config file.
+@pytest.mark.parametrize("body,message", [("[]", "config must be a JSON object"),
+                                          ('{"k": []}', "k set must not be empty"),
+                                          ('{"mode": "x"}', "unknown mode 'x' (valid: expectation, sampled)")])
+def test_config_refusal_exits_2(capsys, tmp_path, body, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(body)
+    assert run_cli(capsys, "bench", "--config", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ep", "--classifier", "set2", "--k", "3"], 'preset family "set2" has no member for k=3 (members: k=2, 4, 8, 16)'),
+    # The default k set starts at k = 2, which two accuracies fit; k = 4 is refused before any run.
+    (["bench", "--accs", "0.9,0.8"], "--accs has 2 entries, k=4")])
+def test_run_refusal_exits_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # A flag overrides its config value before the value is read, so a bad one is no error.

@@ -1,6 +1,6 @@
 """Past the file boundary, code sees arrays and confusion models: no attribute space or distribution object.
 The package exports each public name it defines in `__all__`. Only errors.py decides what an integer or a
-number input is, only attrspace.py turns an outside array into floats, only attrspace.py reads the tolerances
+number input is and writes the refusal of a value that is not a string or names no valid choice, only attrspace.py turns an outside array into floats, only attrspace.py reads the tolerances
 that make rows of probabilities distributions and the limit on floats in one block, only attrspace.json_file
 writes a file's path into an error, only attrspace.json_file and classifier._json_line decode JSON text, only
 classifier.py loads numpy's C multinomial kernel, only pool.py forks and pickles, and cli.py decides no format that a
@@ -83,6 +83,44 @@ def test_scalar_rule_lives_in_errors_only(module):
                                      "if v is not None and (not isinstance(v, int) or isinstance(v, bool)):\n    pass"])
 def test_scalar_rule_lint_finds_a_rule_put_back(snippet):
     assert own_scalar_rules(snippet)
+
+
+def own_refusal_forms(source: str) -> list[str]:
+    """Each f-string in `source` whose literal text holds "must be a string, got", or starts "unknown " and holds
+    "(valid: ": the string and named-choice refusals of errors.check_str and errors.check_choice."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+            if "must be a string, got" in text or text.startswith("unknown ") and "(valid: " in text:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_errors_writes_each_refusal_form_once():
+    assert len(own_refusal_forms((SRC / "errors.py").read_text(encoding="utf-8"))) == 2
+
+
+# The string and named-choice refusals are written once, in errors.py (check_str, check_choice).
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.name != "errors.py"))
+def test_refusal_forms_live_in_errors_only(module):
+    assert own_refusal_forms((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", ['raise ValidationError(f"attribute name must be a string, got {shown(name)}")',
+                                     'raise ValidationError(f"{name} must be a string, got {value!r}")',
+                                     "raise ValidationError(f\"unknown preset {shown(name)} (valid: {', '.join(NAMES)})\")",
+                                     "message = f\"unknown metric {name!r} (valid: {', '.join(map(str, M))}, all)\"",
+                                     "def _mode(name, value):\n    if value not in MODES:\n"
+                                     "        raise ValidationError(f\"unknown {name} {value!r} (valid: {', '.join(MODES)})\")"])
+def test_refusal_form_lint_finds_a_form_put_back(snippet):
+    assert own_refusal_forms(snippet)
+
+
+def test_refusal_form_lint_passes_an_unknown_name_with_no_valid_list():
+    cli_source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert 'f"unknown config key {key!r}"' in cli_source
+    assert own_refusal_forms('raise ValidationError(f"unknown config key {key!r}")') == []
 
 
 # numpy's readers that take a dtype as their first keyword, second positional argument.

@@ -57,6 +57,9 @@ class TestParseMetrics:
     def test_subset(self):
         assert parse_metrics("l1,spec") == (Metric.L1, Metric.SPECIFICITY)
 
+    def test_each_metric_once_in_the_order_first_given(self):
+        assert parse_metrics("spec,l1,SPEC, l1,L1") == (Metric.SPECIFICITY, Metric.L1)
+
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
             parse_metrics("l1,tvd")
